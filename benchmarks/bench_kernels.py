@@ -26,7 +26,11 @@ compressible workloads on the instrumented plane vs the fused truncating
 plane (``repro.kernels.trunc``, reached via ``plane="auto"``) — the sweep
 engine's actual point hot path when ``count_point_ops=False`` — again
 insisting the states agree bitwise, and records the truncated speedup the
-same way.
+same way.  The same pass then times *counting* e8m10 runs — the sweep
+default, ``count_point_ops=True`` — op-by-op on the instrumented plane vs
+the counted fused plane (``repro.kernels.ledger``: fused truncating kernels
+plus a replayed per-block op/byte ledger), insisting on bitwise states
+*and* byte-identical ``RaptorRuntime`` snapshots.
 
 Usage::
 
@@ -47,10 +51,9 @@ reference run is timed op-by-op (``plane="instrumented"`` with
 ``RAPTOR_FAST_NO_BUBBLE=1``), on the fast plane with the fused bubble
 kernels disabled (``fast-nobubble``), and on the full fast plane; a
 truncated (e8m10) pass compares the op-by-op ``TruncatedContext`` path
-against the fused truncating bubble twins.  Note the bubble baseline must
-be requested through an explicit policy — ``Scenario.reference`` maps the
-bubble's full-precision contexts back to the solver's fast path — which is
-why the bubble rows don't reuse ``_time_reference``.  A phase breakdown
+against the fused truncating bubble twins.  The bubble rows build their
+policies explicitly (``_time_bubble``) so the truncated pair shares one
+code path with the reference rungs.  A phase breakdown
 (advection, diffusion, Poisson solve, level-set reinitialisation) rides
 along like the AMR one.
 """
@@ -154,12 +157,13 @@ def _time_reference(workload_factory, plane: str, env_overrides, repeat: int):
     return best, outcome
 
 
-def _time_truncated(workload_factory, plane: str, repeat: int):
-    """Best-of-``repeat`` wall-clock of a non-counting e8m10 truncated run.
+def _time_truncated(workload_factory, plane: str, repeat: int, counting: bool = False):
+    """Best-of-``repeat`` wall-clock of an e8m10 truncated run.
 
     ``plane="instrumented"`` runs the optimized op-by-op ``TruncatedContext``
-    path; ``plane="auto"`` routes the (non-counting) contexts onto the fused
-    truncating plane.
+    path; ``plane="auto"`` routes the contexts onto the fused truncating
+    plane — the counted fused plane when ``counting`` (op and byte counters
+    on, like a default sweep point).
     """
     from repro.core import FPFormat, GlobalPolicy, RaptorRuntime, TruncationConfig
 
@@ -170,7 +174,7 @@ def _time_truncated(workload_factory, plane: str, repeat: int):
         workload = workload_factory()
         runtime = RaptorRuntime()
         policy = GlobalPolicy(
-            TruncationConfig(targets={64: fmt}, count_ops=False, track_memory=False),
+            TruncationConfig(targets={64: fmt}, count_ops=counting, track_memory=counting),
             runtime=runtime, plane=plane,
         )
         start = time.perf_counter()
@@ -237,11 +241,10 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
                  truncated: bool = False):
     """Best-of-``repeat`` wall-clock of a bubble run on ``plane``.
 
-    The full-precision baseline needs an explicit
-    ``NoTruncationPolicy(plane="instrumented")`` — ``Scenario.reference``
-    maps full-precision contexts back to the solver's fast path, so
-    ``reference(plane="instrumented")`` would *not* time the op-by-op
-    bubble operators.  ``truncated=True`` times the non-counting e8m10 run
+    The full-precision baseline is a non-counting
+    ``NoTruncationPolicy(plane="instrumented")``, which keeps the bubble
+    solver's own full-precision context op-by-op.  ``truncated=True`` times
+    the non-counting e8m10 run
     instead (op-by-op ``TruncatedContext`` on the instrumented plane, the
     fused truncating twins on ``"auto"``/``"fast"``).
     """
@@ -455,6 +458,25 @@ def run_benchmark(quick: bool, repeat: int):
                 "trunc_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
             })
 
+            slow_secs, slow_out = _time_truncated(factory, "instrumented", repeat, counting=True)
+            fast_secs, fast_out = _time_truncated(factory, "auto", repeat, counting=True)
+            for key in slow_out.state:
+                if not np.array_equal(slow_out.state[key], fast_out.state[key]):
+                    raise SystemExit(
+                        f"PLANE MISMATCH: counted {name} variable {key!r} differs "
+                        "between the instrumented plane and the counted fused plane"
+                    )
+            if slow_out.snapshot() != fast_out.snapshot():
+                raise SystemExit(
+                    f"COUNTER MISMATCH: counted {name} runtime snapshots differ "
+                    "between the instrumented plane and the counted fused plane"
+                )
+            record.update({
+                "counted_instrumented_seconds": slow_secs,
+                "counted_fast_seconds": fast_secs,
+                "counted_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
+            })
+
         records.append(record)
 
     records.append(_bubble_record(quick, repeat, previous))
@@ -573,6 +595,24 @@ def main(argv=None) -> int:
         trunc_rows,
     ))
 
+    counted_rows = [
+        [
+            r["workload"],
+            f"{r['counted_instrumented_seconds']:.3f}",
+            f"{r['counted_fast_seconds']:.3f}",
+            f"{r['counted_speedup']:.2f}x",
+            "yes",
+        ]
+        for r in payload["workloads"]
+        if "counted_speedup" in r
+    ]
+    print(f"\n=== kernel planes: counting (e8m10) runs, {payload['mode']} mode ===")
+    print(format_table(
+        ["workload", "instrumented [s]", "counted-fast [s]", "speedup",
+         "bitwise identical + same counters"],
+        counted_rows,
+    ))
+
     if args.quick and args.out is None:
         # sanity mode: identity + a plausible timing was enough, don't
         # overwrite the tracked record with throwaway numbers
@@ -610,6 +650,16 @@ def main(argv=None) -> int:
             "WARNING: truncated runs below the speedup floor of the fused "
             "truncating plane: "
             + ", ".join(f"{r['workload']} ({r['trunc_speedup']:.2f}x)" for r in trunc_slow),
+            file=sys.stderr,
+        )
+        return 1
+    counted_slow = [r for r in payload["workloads"]
+                    if "counted_speedup" in r and r["counted_speedup"] < 3.0]
+    if payload["mode"] == "full" and counted_slow:
+        print(
+            "WARNING: counting runs below the 3x speedup floor of the counted "
+            "fused plane: "
+            + ", ".join(f"{r['workload']} ({r['counted_speedup']:.2f}x)" for r in counted_slow),
             file=sys.stderr,
         )
         return 1

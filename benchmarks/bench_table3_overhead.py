@@ -13,6 +13,11 @@ Absolute numbers are Python-vs-Python rather than native-vs-MPFR, but the
 shape is the paper's: overhead grows with the truncated fraction, the
 optimised path is cheaper than the naive one, and mem-mode is the most
 expensive mode.
+
+Every run is pinned to ``plane="instrumented"``: the table measures the
+op-by-op emulation the paper profiles, not the fused planes that
+``plane="auto"`` would substitute (including the counted fused plane for
+the counting rows).
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from conftest import print_table, save_results
 
 MAN_BITS = 12
 CUTOFFS = (0, 1, 2, 3)
+PLANE = "instrumented"
 
 
 def _workload() -> SedovWorkload:
@@ -50,7 +56,7 @@ def run_experiment():
 
     # uninstrumented baseline: full precision, no counting at all
     base_rt = RaptorRuntime("baseline")
-    base_policy = NoTruncationPolicy(runtime=base_rt, count_ops=False)
+    base_policy = NoTruncationPolicy(runtime=base_rt, count_ops=False, plane=PLANE)
     base_policy.config.track_memory = False
     baseline_time, _ = _timed_run(workload, base_policy, base_rt)
 
@@ -75,21 +81,21 @@ def run_experiment():
             cfg = TruncationConfig.mantissa(
                 MAN_BITS, exp_bits=11, optimized=optimized, count_ops=False, track_memory=False
             )
-            policy = AMRCutoffPolicy(cfg, cutoff=cutoff, modules=["hydro"], runtime=rt)
+            policy = AMRCutoffPolicy(cfg, cutoff=cutoff, modules=["hydro"], runtime=rt, plane=PLANE)
             add(label, f"M-{cutoff}", policy, rt)
 
     # op-mode with operation counting (the paper's second block)
     for cutoff in (0, 2):
         rt = RaptorRuntime(f"op-count-M{cutoff}")
         cfg = TruncationConfig.mantissa(MAN_BITS, exp_bits=11, optimized=True, count_ops=True, track_memory=True)
-        policy = AMRCutoffPolicy(cfg, cutoff=cutoff, modules=["hydro"], runtime=rt)
+        policy = AMRCutoffPolicy(cfg, cutoff=cutoff, modules=["hydro"], runtime=rt, plane=PLANE)
         add("op-mode + counting", f"M-{cutoff}", policy, rt)
 
     # mem-mode: truncate hydro, then with the reconstruction excluded
     for label, excluded in (("truncate hydro", ()), ("exclude recon", ("recon",))):
         rt = RaptorRuntime(f"mem-{label}")
         cfg = TruncationConfig.mantissa(MAN_BITS, exp_bits=11, mode=Mode.MEM, deviation_threshold=1e-7)
-        policy = GlobalPolicy(cfg, runtime=rt)
+        policy = GlobalPolicy(cfg, runtime=rt, plane=PLANE)
         ctx = policy.context_for(module="hydro")
         ctx.exclude(*excluded)
         add("mem-mode", label, policy, rt)

@@ -153,7 +153,7 @@ def parse_args() -> argparse.Namespace:
         choices=["instrumented", "fast", "auto"],
         help="kernel plane of non-truncating contexts (repro.kernels): "
         "auto (default) runs reference tasks on the fused binary64 fast "
-        "plane and keeps counting contexts instrumented; fast also runs "
+        "plane and counting contexts on the counted fused plane; fast also runs "
         "the sweep points' full-precision contexts fused (bit-identical "
         "states, those counters dropped); instrumented disables the fast "
         "plane everywhere",

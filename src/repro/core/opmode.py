@@ -68,6 +68,9 @@ class FPContext:
     #: True when kernels may substitute the fused *truncating* twins of
     #: :mod:`repro.kernels.trunc` (quantize-at-op-boundary, no counters)
     fused_trunc: bool = False
+    #: True when ledger-aware kernels may run fused and replay the
+    #: counters of :mod:`repro.kernels.ledger` instead of counting op by op
+    ledger: bool = False
 
     # -- to be provided by subclasses ---------------------------------------
     def _apply(self, ufunc, inputs: Sequence[ArrayLike], label: str):

@@ -45,14 +45,15 @@ class TruncationPolicy:
 
     ``plane`` selects the kernel plane of the contexts the policy hands
     out (see :mod:`repro.kernels`): ``"auto"`` (default) substitutes the
-    fused planes only where nothing would be recorded anyway — binary64
+    fused planes wherever the counters survive — non-counting binary64
     contexts onto the binary64 fast plane, *non-counting* truncating
-    op-mode contexts onto the fused truncating plane — ``"fast"``
-    additionally substitutes every full-precision context (states
-    bit-identical, counters for those contexts dropped, with a warning),
-    ``"instrumented"`` never substitutes.  Counting truncating contexts
-    and shadow contexts always stay instrumented — they are the
-    measurement.
+    op-mode contexts onto the fused truncating plane, counting op-mode
+    contexts onto the counted fused plane (byte-identical counters) —
+    ``"fast"`` additionally substitutes every full-precision context
+    (states bit-identical, counters for those contexts dropped, with a
+    warning), ``"instrumented"`` never substitutes.  Error-tracking and
+    shadow contexts always stay instrumented — their records depend on
+    the data.
     """
 
     def __init__(

@@ -312,8 +312,9 @@ class SweepSpec:
     plane:
         Kernel plane of the non-truncating contexts
         (:mod:`repro.kernels`): ``"auto"`` (default) runs reference tasks
-        on the fused binary64 fast plane and keeps counting contexts
-        instrumented; ``"fast"`` additionally runs every full-precision
+        on the fused binary64 fast plane and counting contexts on the
+        counted fused plane (byte-identical counters); ``"fast"``
+        additionally runs every full-precision
         context of the sweep points on the fast plane (bit-identical
         states, those counters dropped); ``"instrumented"`` disables the
         fast plane everywhere.
@@ -323,10 +324,11 @@ class SweepSpec:
         Also return the final uniform-grid state of every point (larger
         results; off by default).
     count_point_ops:
-        Record op/mem counters in the sweep points (default).  ``False``
-        builds every point policy non-counting, which routes truncated
-        contexts onto the fused truncating plane under
-        ``plane="fast"|"auto"`` — bit-identical states, much faster, but
+        Record op/mem counters in the sweep points (default; compressible
+        points replay them from per-block ledgers on the counted fused
+        plane).  ``False`` builds every point policy non-counting, which
+        routes truncated contexts onto the fused truncating plane under
+        ``plane="fast"|"auto"`` — bit-identical states, faster still, but
         the point snapshots carry zeroed counters.
     cache_dir:
         Directory of the on-disk reference cache (see

@@ -16,6 +16,7 @@ knowing anything about them.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels import trunc as trunc_flux
+from ..kernels.ledger import OpLedger, ledger_for
 from ..kernels.scratch import (
     Workspace,
     batching_enabled,
@@ -41,6 +43,18 @@ __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
 ContextProvider = Callable[[str, Optional[int], Optional[int]], FPContext]
 
 PRIMITIVE_VARS = ("dens", "velx", "vely", "pres")
+
+
+def _fused_kind(ctx: FPContext) -> Optional[str]:
+    """The fused block update ``ctx`` runs on: ``"b64"``, ``"trunc"``, or
+    None for the op-by-op path."""
+    if getattr(ctx, "fused", False):
+        return "b64"
+    if getattr(ctx, "fused_trunc", False):
+        return "trunc"
+    if getattr(ctx, "ledger", False):
+        return "trunc" if ctx.truncating else "b64"
+    return None
 
 
 def default_context_provider(module: str, level=None, max_level=None) -> FPContext:
@@ -217,15 +231,18 @@ class HydroSolver:
         the fused *truncating* plane (``ctx.fused_trunc``) the same
         pipeline runs through :mod:`repro.kernels.trunc`, quantised at
         every op boundary — bit-identical to the optimized instrumented
-        truncating path.
+        truncating path.  A counting context on the counted fused plane
+        (``ctx.ledger``) takes the matching fused pipeline and replays the
+        block's op/byte ledger (:meth:`_block_ledger`) into its runtime —
+        byte-identical counters without a single op-by-op call.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        if getattr(ctx, "fused", False):
+        kind = _fused_kind(ctx)
+        if kind is not None:
+            if getattr(ctx, "ledger", False):
+                self._block_ledger(block, ctx).replay(ctx.runtime)
             prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb)
-        if getattr(ctx, "fused_trunc", False):
-            prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused_trunc(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
+            return self._advance_fused_kind(kind, prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -327,19 +344,54 @@ class HydroSolver:
             ws=self._workspace,
         )
 
+    def _advance_fused_kind(self, kind: str, prims: Dict, dt: float, dx: float, dy: float,
+                            ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
+        """Dispatch to the binary64 (``"b64"``) or truncating fused update."""
+        if kind == "trunc":
+            return self._advance_fused_trunc(prims, dt, dx, dy, ng, nxb, nyb, ctx)
+        return self._advance_fused(prims, dt, dx, dy, ng, nxb, nyb)
+
+    def _block_ledger(self, block, ctx: FPContext) -> OpLedger:
+        """The counters one update of a ``block``-shaped block charges
+        under ``ctx`` on the instrumented plane.
+
+        Every context op of the update runs on whole arrays, so the
+        counters depend only on this solver's configuration, the block
+        shape and the context's counting signature — never on the data.
+        A miss records them from one instrumented update of a uniform probe
+        block of the same shape.
+        """
+        key = (
+            type(self), type(self.eos), self.reconstruction, self.riemann,
+            self.gravity[0] != 0.0, self.gravity[1] != 0.0,
+            block.ng, block.nxb, block.nyb,
+        )
+
+        def record(twin: FPContext) -> None:
+            shape = block.shape_with_guards
+            probe = SimpleNamespace(
+                ng=block.ng, nxb=block.nxb, nyb=block.nyb, dx=1.0, dy=1.0,
+                data={name: np.ones(shape) for name in PRIMITIVE_VARS},
+            )
+            self.advance_block(probe, 1.0, twin)
+
+        return ledger_for(key, ctx, record)
+
     # ------------------------------------------------------------------
     # grid-level stepping
     # ------------------------------------------------------------------
     def _substep(self, grid: AMRGrid, dt: float, provider: ContextProvider) -> None:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
-        Blocks whose context rides a fused plane (binary64 or truncating)
-        are stacked per AMR level — and, for the truncating plane, per
-        (format, rounding) signature — into one ``(nblocks, nx, ny)``
-        batched kernel invocation (element-wise ufuncs are independent per
-        slot, so the batched update is bit-identical to the per-block
-        loop); everything else — instrumented truncating, shadow and
-        counting contexts — takes the per-block op-by-op path.
+        Blocks whose context rides a fused plane (binary64, truncating or
+        counted) are stacked per AMR level — per (format, rounding)
+        signature on the truncating plane, per context on the counted
+        plane — into one ``(nblocks, nx, ny)`` batched kernel invocation
+        (element-wise ufuncs are independent per slot, so the batched
+        update is bit-identical to the per-block loop; a counted stack
+        replays its ledger once per block).  Everything else —
+        instrumented, shadow and error-tracking contexts — takes the
+        per-block op-by-op path.
         """
         max_level = grid.finest_level
         keys = grid.sorted_keys()
@@ -351,9 +403,15 @@ class HydroSolver:
 
         batched: Dict[tuple, list] = {}
         if self.batch_blocks:
+            # counted contexts group by identity (their runtime takes the
+            # replay), ranked by first appearance so the order is stable
+            counted_rank: Dict[int, int] = {}
             for key in keys:
                 ctx = contexts[key]
-                if getattr(ctx, "fused", False):
+                if getattr(ctx, "ledger", False):
+                    rank = counted_rank.setdefault(id(ctx), len(counted_rank))
+                    batched.setdefault((key[0], "ledger", rank), []).append(key)
+                elif getattr(ctx, "fused", False):
                     batched.setdefault((key[0], "b64"), []).append(key)
                 elif getattr(ctx, "fused_trunc", False):
                     sig = (key[0], "trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
@@ -379,12 +437,15 @@ class HydroSolver:
                 block.set_interior(name, values)
         grid.fill_guard_cells(list(PRIMITIVE_VARS))
 
-    def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx=None) -> Dict:
+    def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
         """Advance same-level fused blocks as one stacked kernel invocation.
 
         ``ctx`` is the (shared) context of the group: a truncating
         fast-plane context routes the stack through the fused truncating
-        pipeline, anything else through the binary64 one.
+        pipeline, anything else through the binary64 one.  A counted
+        context replays its per-block ledger once per stacked block, so
+        scalar and broadcast operands are charged per block exactly as on
+        the per-block instrumented path.
         """
         blocks = [grid.leaves[key] for key in group]
         first = blocks[0]
@@ -396,14 +457,11 @@ class HydroSolver:
             for i, block in enumerate(blocks):
                 stack[i] = block.data[name]
             prims[name] = stack
-        if getattr(ctx, "fused_trunc", False):
-            new = self._advance_fused_trunc(
-                prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
-            )
-        else:
-            new = self._advance_fused(
-                prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb
-            )
+        if getattr(ctx, "ledger", False):
+            self._block_ledger(first, ctx).replay(ctx.runtime, times=len(blocks))
+        new = self._advance_fused_kind(
+            _fused_kind(ctx), prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
+        )
         return {
             key: {name: new[name][i] for name in PRIMITIVE_VARS}
             for i, key in enumerate(group)

@@ -21,7 +21,12 @@ on:
   :mod:`repro.kernels.trunc`: non-counting truncating contexts run the
   same fused pipeline with a vectorised quantisation at exactly the op
   boundaries the instrumented plane rounds at, bit-identical to the
-  optimized op-by-op truncating path.
+  optimized op-by-op truncating path, and
+* the **counted fused plane** — :class:`LedgerTruncatedContext` /
+  :class:`LedgerFullContext` of :mod:`repro.kernels.ledger`: counting
+  contexts whose kernels run fused and replay a per-block op/byte ledger
+  recorded once from the instrumented update, so the counters stay
+  byte-identical to the instrumented plane.
 
 Alongside the context planes, :mod:`repro.kernels.grid` fuses the
 context-free *grid* side — precomputed guard-fill plans, a batched
@@ -46,17 +51,19 @@ consume, so kernel code depends on ``repro.kernels`` alone.
 """
 from ..core.memmode import ShadowContext
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext, make_context
-from . import bubble, flux, fused, grid, scratch, trunc
+from . import bubble, flux, fused, grid, ledger, scratch, trunc
 from .dispatch import (
     DEFAULT_PLANE,
     PLANES,
     is_fast_eligible,
+    is_ledger_eligible,
     is_trunc_fast_eligible,
     reference_plane,
     select_context,
     validate_plane,
 )
 from .fast import FastPlaneContext
+from .ledger import LedgerFullContext, LedgerTruncatedContext
 from .scratch import (
     Workspace,
     batching_enabled,
@@ -77,11 +84,14 @@ __all__ = [
     # the fast planes
     "FastPlaneContext",
     "TruncFastPlaneContext",
+    "LedgerTruncatedContext",
+    "LedgerFullContext",
     "fused",
     "flux",
     "grid",
     "bubble",
     "trunc",
+    "ledger",
     # scratch workspaces
     "scratch",
     "Workspace",
@@ -96,6 +106,7 @@ __all__ = [
     "validate_plane",
     "is_fast_eligible",
     "is_trunc_fast_eligible",
+    "is_ledger_eligible",
     "select_context",
     "reference_plane",
 ]

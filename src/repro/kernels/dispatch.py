@@ -18,14 +18,20 @@ computes:
   the twins of :mod:`repro.kernels.bubble` the same way.  States
   are bit-identical (the fused planes evaluate the same ufunc expression
   trees, quantised at the same op boundaries); the trade is that
-  substituted contexts no longer feed the op/mem counters.  *Counting*
-  truncating contexts and shadow contexts are the measurement itself and
-  always remain instrumented — substituting a counting binary64 context
-  here zeroes its counters, which is reported with a :class:`UserWarning`.
-* ``"auto"`` (default) — fused only where it is a pure win: contexts that
+  substituted binary64 contexts no longer feed the op/mem counters —
+  substituting a counting one is reported with a :class:`UserWarning`.
+  *Counting* truncating contexts are the measurement itself and keep
+  their counters: they move to the counted fused plane (below).
+* ``"auto"`` (default) — fused only where counters survive: contexts that
   would record nothing anyway (``count_ops`` and ``track_memory`` both
-  off).  Counting contexts stay instrumented, so reported counters are
-  byte-identical to the instrumented plane.
+  off) take the fused planes above, and counting op-mode contexts take the
+  **counted fused plane** of :mod:`repro.kernels.ledger` — ledger-aware
+  kernels (the compressible block update) run fused and replay a per-block
+  op/byte ledger, every other kernel counts op by op.  Reported counters
+  are byte-identical to the instrumented plane.
+
+Error-tracking, naive (``optimized=False``) and shadow contexts always
+remain instrumented on every plane.
 
 Reference runs are the special case: the experiment engine never consumes
 their counters (point metrics come exclusively from the point runs, and
@@ -40,6 +46,7 @@ import warnings
 
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext
 from .fast import FastPlaneContext
+from .ledger import LedgerFullContext, LedgerTruncatedContext
 from .trunc import TruncFastPlaneContext
 
 __all__ = [
@@ -48,6 +55,7 @@ __all__ = [
     "validate_plane",
     "is_fast_eligible",
     "is_trunc_fast_eligible",
+    "is_ledger_eligible",
     "select_context",
     "reference_plane",
 ]
@@ -83,8 +91,8 @@ def is_trunc_fast_eligible(ctx: FPContext) -> bool:
 
     True exactly for optimized op-mode :class:`TruncatedContext`\\ s that
     record nothing: ``count_ops``/``track_memory``/``track_errors`` all
-    off.  A counting truncating context *is* the measurement and stays
-    instrumented on every plane; shadow (mem-mode) contexts are not
+    off.  A counting truncating context *is* the measurement and keeps its
+    counters (see :func:`is_ledger_eligible`); shadow (mem-mode) contexts are not
     ``TruncatedContext`` subclasses and are excluded structurally; the
     naive (``optimized=False``) path re-quantises every operand, which the
     fused twins do not reproduce.
@@ -96,35 +104,58 @@ def is_trunc_fast_eligible(ctx: FPContext) -> bool:
     )
 
 
+def is_ledger_eligible(ctx: FPContext) -> bool:
+    """Whether ``ctx`` may ride the counted fused plane
+    (:mod:`repro.kernels.ledger`) with byte-identical counters.
+
+    True exactly for *counting* op-mode contexts whose records depend only
+    on the op stream and the array shapes: optimized
+    :class:`TruncatedContext`\\ s without ``track_errors`` (per-location
+    error statistics depend on the data) and plain binary64 contexts.
+    Shadow (mem-mode) and naive truncating contexts never qualify.
+    """
+    if not (getattr(ctx, "count_ops", False) or getattr(ctx, "track_memory", False)):
+        return False
+    if isinstance(ctx, TruncatedContext):
+        return ctx.optimized and not ctx.track_errors
+    return is_fast_eligible(ctx)
+
+
 def select_context(ctx: FPContext, plane: str = DEFAULT_PLANE) -> FPContext:
     """The context that should actually execute, given the requested plane.
 
     Returns ``ctx`` itself whenever substitution would change semantics
-    (counting truncating / shadow contexts, the ``"instrumented"`` plane)
-    or record different counters under ``"auto"``.  An explicit
-    ``plane="fast"`` request on a *counting* binary64 context substitutes
-    anyway (states stay bit-identical) but warns that the counters will
-    read zero.
+    (error-tracking / naive truncating / shadow contexts, the
+    ``"instrumented"`` plane).  Counting op-mode contexts move to the
+    counted fused plane, which keeps their counters byte-identical — except
+    that an explicit ``plane="fast"`` request on a counting binary64
+    context substitutes the non-counting fast plane (states stay
+    bit-identical, every consumer runs fused) and warns that the counters
+    will read zero.
     """
     validate_plane(plane)
-    if plane == "instrumented" or isinstance(ctx, (FastPlaneContext, TruncFastPlaneContext)):
+    if plane == "instrumented" or getattr(ctx, "plane", "instrumented") != "instrumented":
         return ctx
     if is_trunc_fast_eligible(ctx):
         # non-counting truncating context: the fused truncating plane is a
         # pure, bit-identical win under both "fast" and "auto"
         return TruncFastPlaneContext.from_context(ctx)
+    if isinstance(ctx, TruncatedContext):
+        # a counting truncating context is the measurement: it keeps every
+        # counter on every plane, replayed from a ledger where it can
+        return LedgerTruncatedContext.from_context(ctx) if is_ledger_eligible(ctx) else ctx
     if not is_fast_eligible(ctx):
         return ctx
     if ctx.count_ops or ctx.track_memory:
         if plane == "auto":
-            return ctx
+            return LedgerFullContext.from_context(ctx)
         # explicit "fast" on a counting binary64 context: honour the
         # request, but the caller loses its op/mem counters — say so
         warnings.warn(
             f"plane='fast' substitutes the non-counting fast plane for a "
             f"counting binary64 context (module={ctx.module!r}): its op/mem "
-            f"counters will read zero; request plane='auto' to keep counting "
-            f"contexts instrumented",
+            f"counters will read zero; request plane='auto' to keep them "
+            f"(counted fused plane)",
             UserWarning,
             stacklevel=2,
         )

@@ -267,8 +267,8 @@ class TruncFastPlaneContext(TruncatedContext):
 
     Carries the point's :class:`~repro.core.fpformat.FPFormat` and rounding
     mode; ``count_ops``/``track_memory``/``track_errors`` are forced off —
-    a context whose counters matter must stay instrumented (it *is* the
-    measurement).  Inherits the optimized ``TruncatedContext`` op-by-op
+    a context whose counters matter takes the counted fused plane of
+    :mod:`repro.kernels.ledger` instead.  Inherits the optimized ``TruncatedContext`` op-by-op
     semantics verbatim for any code path without a fused twin (the incomp
     advection tail, level-set transport, diffusion…), so every operation —
     fused or not — is bit-identical to the instrumented plane.

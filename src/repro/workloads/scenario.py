@@ -151,16 +151,19 @@ class Scenario:
     def reference(self, plane: Optional[str] = None, **kwargs) -> Outcome:
         """Full-precision reference run.
 
-        ``plane=None`` (or ``"instrumented"``) keeps the classic counting
-        reference (op counting enabled).  ``"fast"`` / ``"auto"`` execute on
-        the fused binary64 fast plane of :mod:`repro.kernels` — the final
-        state is bit-identical but the counters are not recorded, so the
+        ``plane=None`` keeps the classic counting reference (op counting
+        enabled, on the default plane: counted contexts replay their
+        ledgers, counters byte-identical).  ``"instrumented"`` counts the
+        same way but op by op — the baseline when the reference's own cost
+        is measured.  ``"fast"`` / ``"auto"`` execute on the fused binary64
+        fast plane of :mod:`repro.kernels` — the final state is
+        bit-identical but the counters are not recorded, so the
         detached/cached snapshot holds zeros.  The experiment engine
         requests the fast plane by default (it compares references by
         state and never reads their counters); callers that study the
-        reference's own op counts should keep the instrumented default.
+        reference's own op counts should keep a counting plane.
         """
-        if plane is None or plane == "instrumented":
+        if plane is None:
             return self.run(policy=None, **kwargs)
         from ..core.selective import NoTruncationPolicy
         from ..kernels import validate_plane
@@ -168,9 +171,12 @@ class Scenario:
         validate_plane(plane)
         runtime = kwargs.pop("runtime", None)
         rt = runtime if runtime is not None else RaptorRuntime(self.name or "reference")
-        policy = NoTruncationPolicy(
-            runtime=rt, count_ops=False, track_memory=False, plane="fast"
-        )
+        if plane == "instrumented":
+            policy = NoTruncationPolicy(runtime=rt, plane="instrumented")
+        else:
+            policy = NoTruncationPolicy(
+                runtime=rt, count_ops=False, track_memory=False, plane="fast"
+            )
         return self.run(policy=policy, runtime=rt, **kwargs)
 
     def error(self, outcome: Outcome, reference: Outcome) -> float:

@@ -121,20 +121,28 @@ class TestPlaneSelection:
             validate_plane("warp")
         assert DEFAULT_PLANE in PLANES
 
-    def test_truncating_and_shadow_contexts_never_substituted(self):
+    def test_truncating_and_shadow_contexts_never_lose_the_measurement(self):
         rt = RaptorRuntime()
         cfg = TruncationConfig(targets={64: BF16})
         truncated = TruncatedContext.from_config(cfg, runtime=rt)
         shadow = ShadowContext.from_config(cfg, runtime=rt)
         for plane in PLANES:
-            assert select_context(truncated, plane) is truncated
+            ctx = select_context(truncated, plane)
+            assert ctx.truncating and ctx.count_ops and ctx.track_memory
+            assert not is_fast_eligible(ctx)
             assert select_context(shadow, plane) is shadow
+        assert select_context(truncated, "instrumented") is truncated
         assert not is_fast_eligible(truncated)
         assert not is_fast_eligible(shadow)
 
-    def test_auto_keeps_counting_contexts_instrumented(self):
-        counting = FullPrecisionContext(runtime=RaptorRuntime())
-        assert select_context(counting, "auto") is counting
+    def test_auto_keeps_counting_contexts_counting(self):
+        rt = RaptorRuntime()
+        counting = FullPrecisionContext(runtime=rt)
+        ctx = select_context(counting, "auto")
+        assert not isinstance(ctx, FastPlaneContext)
+        assert ctx.ledger and ctx.count_ops and ctx.track_memory
+        ctx.add(np.ones(4), np.ones(4))
+        assert rt.ops.full == 4
         silent = FullPrecisionContext(
             runtime=RaptorRuntime(), count_ops=False, track_memory=False
         )

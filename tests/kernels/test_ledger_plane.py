@@ -1,0 +1,394 @@
+"""Counter-identity tests for the counted fused plane (repro.kernels.ledger).
+
+The load-bearing contracts:
+
+* a replayed :class:`OpLedger` charges exactly what the instrumented
+  contexts charge — totals, per-module counters and bytes — and
+  ``times=k`` equals ``k`` separate block updates;
+* plane selection moves *counting* op-mode contexts (optimized truncating
+  without error tracking, and binary64) onto the counted plane under
+  ``"auto"`` and ``"fast"`` and never moves error-tracking, naive or
+  shadow contexts;
+* the hydro block update on the counted plane is bitwise identical to the
+  instrumented update *and* leaves a byte-identical runtime snapshot, for
+  every scheme, solver, rounding, gravity and block shape — per block and
+  batched (a batched stack replays the per-block ledger once per block, so
+  scalar operands are charged per block);
+* whole sweeps and cliff searches over all seven workloads produce
+  identical metrics and snapshots on the instrumented and counted planes.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    BF16,
+    AMRCutoffPolicy,
+    FPFormat,
+    FullPrecisionContext,
+    GlobalPolicy,
+    RaptorRuntime,
+    RoundingMode,
+    ShadowContext,
+    TruncatedContext,
+    TruncationConfig,
+)
+from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
+from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
+from repro.kernels import (
+    LedgerFullContext,
+    LedgerTruncatedContext,
+    is_ledger_eligible,
+    ledger,
+    select_context,
+)
+from repro.kernels.ledger import LedgerRecorder, OpLedger
+from repro.workloads import create_workload
+
+E8M10 = FPFormat(exp_bits=8, man_bits=10)
+
+TINY_COMPRESSIBLE = dict(
+    nxb=8, nyb=8, n_root_x=2, n_root_y=2, max_level=2, t_end=0.004, rk_stages=1
+)
+TINY_CONFIGS = {
+    "sod": TINY_COMPRESSIBLE,
+    "sedov": dict(TINY_COMPRESSIBLE, reconstruction="weno5"),
+    "kelvin-helmholtz": TINY_COMPRESSIBLE,
+    "rayleigh-taylor": TINY_COMPRESSIBLE,
+    "double-blast": TINY_COMPRESSIBLE,
+    "cellular": dict(n_cells=16, n_steps=4),
+    "bubble": dict(spin_up_time=0.04, truncation_time=0.04, snapshot_times=(0.04,)),
+}
+
+
+def _counting(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN, **kw):
+    return TruncatedContext(fmt, runtime=RaptorRuntime(), module="hydro",
+                            rounding=rounding, **kw)
+
+
+def _counted(ctx):
+    """The counted-plane twin of an instrumented counting context, on a
+    fresh runtime of its own."""
+    twin = select_context(ctx, "auto")
+    assert twin.ledger
+    twin.runtime = RaptorRuntime()
+    return twin
+
+
+def _grid(**overrides):
+    cfg = dict(TINY_COMPRESSIBLE, max_level=3, t_end=0.01)
+    cfg.update(overrides)
+    return create_workload("sod", **cfg).build_grid()
+
+
+# ---------------------------------------------------------------------------
+# ledger records
+# ---------------------------------------------------------------------------
+class TestLedgerRecords:
+    def test_recorder_replays_what_the_contexts_recorded(self):
+        a, b = np.linspace(1.0, 2.0, 6), np.linspace(2.0, 3.0, 6)
+
+        def ops(trunc, full):
+            trunc.mul(trunc.add(a, b), trunc.const(0.5))
+            trunc.sum(b)
+            full.div(a, b)
+
+        direct = RaptorRuntime()
+        ops(TruncatedContext(BF16, runtime=direct, module="hydro"),
+            FullPrecisionContext(runtime=direct, module="eos"))
+        sink = LedgerRecorder()
+        ops(TruncatedContext(BF16, runtime=sink, module="hydro"),
+            FullPrecisionContext(runtime=sink, module="eos"))
+        replayed = RaptorRuntime()
+        sink.ledger().replay(replayed)
+        assert replayed.snapshot() == direct.snapshot()
+
+    def test_times_equals_repeated_replays(self):
+        led = OpLedger(modules=(("hydro", 7, 0), (None, 0, 3)),
+                       truncated_bytes=40, full_bytes=8)
+        once = RaptorRuntime()
+        for _ in range(5):
+            led.replay(once)
+        batched = RaptorRuntime()
+        led.replay(batched, times=5)
+        assert batched.snapshot() == once.snapshot()
+        assert batched.ops.truncated == 35 and batched.mem.full == 40
+
+    def test_empty_ledger_creates_no_module_entries(self):
+        rt = RaptorRuntime()
+        OpLedger(modules=(), truncated_bytes=0, full_bytes=0).replay(rt, times=3)
+        assert rt.snapshot() == RaptorRuntime().snapshot()
+
+    def test_recorder_is_not_a_runtime(self):
+        # recording a ledger must not look like a run to runtime trackers
+        assert not isinstance(LedgerRecorder(), RaptorRuntime)
+
+
+# ---------------------------------------------------------------------------
+# plane selection
+# ---------------------------------------------------------------------------
+class TestLedgerSelection:
+    def test_eligibility_predicate(self):
+        assert is_ledger_eligible(_counting())
+        assert is_ledger_eligible(_counting(count_ops=False))  # bytes only
+        assert is_ledger_eligible(FullPrecisionContext(runtime=RaptorRuntime()))
+        assert not is_ledger_eligible(_counting(track_errors=True))
+        assert not is_ledger_eligible(_counting(optimized=False))
+        assert not is_ledger_eligible(_counting(count_ops=False, track_memory=False))
+        assert not is_ledger_eligible(
+            FullPrecisionContext(runtime=RaptorRuntime(), count_ops=False, track_memory=False)
+        )
+        shadow = ShadowContext.from_config(TruncationConfig(targets={64: BF16}),
+                                           runtime=RaptorRuntime())
+        assert not is_ledger_eligible(shadow)
+
+    @pytest.mark.parametrize("plane", ["fast", "auto"])
+    def test_counting_truncating_context_moves_with_its_flags(self, plane):
+        src = _counting(BF16, RoundingMode.DOWN, count_ops=False)
+        ctx = select_context(src, plane)
+        assert isinstance(ctx, LedgerTruncatedContext)
+        assert (ctx.fmt, ctx.rounding, ctx.module, ctx.runtime) == (
+            src.fmt, src.rounding, src.module, src.runtime)
+        assert (ctx.count_ops, ctx.track_memory, ctx.track_errors) == (False, True, False)
+        assert ctx.optimized and ctx.plane == "fast"
+
+    def test_counting_binary64_moves_under_auto_only(self):
+        src = FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")
+        ctx = select_context(src, "auto")
+        assert isinstance(ctx, LedgerFullContext) and ctx.module == "hydro"
+        assert select_context(src, "instrumented") is src
+
+    def test_measurement_contexts_stay_instrumented(self):
+        for src in (_counting(track_errors=True), _counting(optimized=False)):
+            for plane in ("fast", "auto", "instrumented"):
+                assert select_context(src, plane) is src
+
+    def test_selection_is_idempotent(self):
+        for ctx in (select_context(_counting(), "auto"),
+                    select_context(FullPrecisionContext(runtime=RaptorRuntime()), "auto")):
+            for plane in ("fast", "auto", "instrumented"):
+                assert select_context(ctx, plane) is ctx
+
+    def test_policies_hand_out_counted_contexts(self):
+        rt = RaptorRuntime()
+        cfg = TruncationConfig(targets={64: BF16})
+        pol = AMRCutoffPolicy(cfg, cutoff=1, runtime=rt)
+        assert isinstance(pol.context_for("hydro", level=1, max_level=3), LedgerTruncatedContext)
+        assert isinstance(pol.context_for("hydro", level=3, max_level=3), LedgerFullContext)
+        instrumented = GlobalPolicy(cfg, runtime=rt, plane="instrumented")
+        assert not instrumented.context_for("hydro").ledger
+
+    def test_counted_contexts_count_op_by_op_elsewhere(self):
+        """Kernels without a ledger-aware path see the counting context."""
+        a = np.linspace(1.0, 2.0, 5)
+        src = _counting()
+        ctx = _counted(_counting())
+        np.testing.assert_array_equal(ctx.mul(a, a), src.mul(a, a))
+        assert ctx.runtime.snapshot()["ops"] == src.runtime.snapshot()["ops"]
+        assert ctx.runtime.snapshot()["mem"] == src.runtime.snapshot()["mem"]
+
+
+# ---------------------------------------------------------------------------
+# the hydro block update
+# ---------------------------------------------------------------------------
+def _assert_update_identical(solver, block, src, dt=1e-4):
+    counted = _counted(src)
+    slow = solver.advance_block(block, dt, src)
+    fast = solver.advance_block(block, dt, counted)
+    for name in PRIMITIVE_VARS:
+        np.testing.assert_array_equal(fast[name], slow[name], err_msg=name)
+    assert counted.runtime.snapshot() == src.runtime.snapshot()
+    assert src.runtime.ops.total > 0 or src.runtime.mem.total > 0
+
+
+class TestCountedAdvance:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return _grid(reconstruction="weno5")
+
+    @pytest.mark.parametrize("scheme", ["pcm", "plm", "weno5"])
+    @pytest.mark.parametrize("riemann", ["hll", "hllc", "hlle"])
+    def test_advance_block_identical(self, grid, scheme, riemann):
+        solver = HydroSolver(reconstruction=scheme, riemann=riemann, rk_stages=1)
+        _assert_update_identical(solver, grid.blocks()[0], _counting())
+
+    @pytest.mark.parametrize("rounding", list(RoundingMode.ALL))
+    def test_advance_block_all_roundings(self, grid, rounding):
+        _assert_update_identical(HydroSolver(rk_stages=1), grid.blocks()[1],
+                                 _counting(BF16, rounding))
+
+    @pytest.mark.parametrize("gravity", [(0.3, -1.0), (0.0, -1.0), (0.5, 0.0)])
+    def test_advance_block_with_gravity(self, grid, gravity):
+        _assert_update_identical(HydroSolver(rk_stages=1, gravity=gravity),
+                                 grid.blocks()[0], _counting())
+
+    def test_advance_block_binary64_and_bytes_only(self, grid):
+        solver = HydroSolver(rk_stages=1)
+        block = grid.blocks()[0]
+        _assert_update_identical(solver, block,
+                                 FullPrecisionContext(runtime=RaptorRuntime(), module="hydro"))
+        _assert_update_identical(solver, block, _counting(count_ops=False))
+
+    def test_other_block_shapes(self):
+        grid = create_workload("sod", nxb=6, nyb=10, n_root_x=1, n_root_y=2,
+                               max_level=1, t_end=0.01, rk_stages=1).build_grid()
+        _assert_update_identical(HydroSolver(rk_stages=1), grid.blocks()[0], _counting())
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_counters_never_depend_on_the_data(self, seed):
+        """The ledger is recorded on a uniform probe block; random (even
+        unphysical) data must charge exactly the same counters."""
+        grid = _grid(max_level=1)
+        rng = np.random.default_rng(seed)
+        block = grid.blocks()[0]
+        for name in PRIMITIVE_VARS:
+            block.data[name] = rng.normal(size=block.shape_with_guards)
+        with np.errstate(all="ignore"):
+            src = _counting()
+            solver = HydroSolver(rk_stages=1)
+            solver.advance_block(block, 1e-3, src)
+            counted = _counted(_counting())
+            solver.advance_block(block, 1e-3, counted)
+        assert counted.runtime.snapshot() == src.runtime.snapshot()
+
+    def test_ledger_is_recorded_once_per_signature(self, monkeypatch):
+        monkeypatch.setattr(ledger, "_LEDGERS", {})
+        grid = _grid()
+        solver = HydroSolver(rk_stages=1)
+        ctx = _counted(_counting())
+        provider = lambda module, level=None, max_level=None: ctx
+        solver._substep(grid, 1e-4, provider)
+        recorded = dict(ledger._LEDGERS)
+        assert len(recorded) == 1
+        solver._substep(grid, 1e-4, provider)
+        assert ledger._LEDGERS == recorded
+        # another context kind or module is another ledger
+        solver._substep(grid, 1e-4, lambda *a, **k: _counted(
+            FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")))
+        assert len(ledger._LEDGERS) == 2
+
+
+class TestCountedSubstep:
+    """Batched stacks replay the ledger once per logical block."""
+
+    def _run(self, ctx_factory, batch, monkeypatch=None):
+        grid = _grid()
+        solver = HydroSolver(rk_stages=1, batch_blocks=batch)
+        ctx = ctx_factory()
+        sizes = []
+        if monkeypatch is not None:
+            original = HydroSolver._advance_level_batched
+
+            def spy(self, grid, group, dt, ctx):
+                sizes.append(len(group))
+                return original(self, grid, group, dt, ctx)
+
+            monkeypatch.setattr(HydroSolver, "_advance_level_batched", spy)
+        solver._substep(grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+        states = {key: {v: grid.leaves[key].interior_view(v).copy() for v in PRIMITIVE_VARS}
+                  for key in grid.sorted_keys()}
+        return states, ctx.runtime.snapshot(), sizes
+
+    def test_batched_per_block_and_instrumented_agree(self, monkeypatch):
+        base_states, base_snap, _ = self._run(_counting, batch=False)
+        per_block = self._run(lambda: _counted(_counting()), batch=False)
+        batched = self._run(lambda: _counted(_counting()), batch=True, monkeypatch=monkeypatch)
+        assert max(batched[2]) > 1  # the stack really was batched
+        for states, snap, _ in (per_block, batched):
+            assert snap == base_snap
+            for key in base_states:
+                for var in PRIMITIVE_VARS:
+                    np.testing.assert_array_equal(states[key][var], base_states[key][var])
+
+    def test_mixed_truncated_and_full_levels(self):
+        """An AMR cutoff policy hands both counted kinds to one substep."""
+
+        def run(plane):
+            grid = _grid()
+            rt = RaptorRuntime()
+            pol = AMRCutoffPolicy(TruncationConfig(targets={64: BF16}), cutoff=1,
+                                  runtime=rt, plane=plane)
+            HydroSolver(rk_stages=1)._substep(
+                grid, 5e-4,
+                lambda module, level=None, max_level=None: pol.context_for(
+                    module=module, level=level, max_level=max_level),
+            )
+            return grid, rt.snapshot()
+
+        grid_i, snap_i = run("instrumented")
+        grid_a, snap_a = run("auto")
+        assert snap_a == snap_i
+        assert snap_i["ops"]["truncated"] > 0 and snap_i["ops"]["full"] > 0
+        for key in grid_i.sorted_keys():
+            for var in PRIMITIVE_VARS:
+                np.testing.assert_array_equal(grid_a.leaves[key].data[var],
+                                              grid_i.leaves[key].data[var])
+
+    def test_error_tracking_stays_op_by_op(self):
+        rt = RaptorRuntime()
+        pol = GlobalPolicy(TruncationConfig(targets={64: BF16}, track_errors=True),
+                           runtime=rt, plane="auto")
+        ctx = pol.context_for("hydro")
+        assert not ctx.ledger
+        HydroSolver(rk_stages=1)._substep(_grid(max_level=1), 1e-4, lambda *a, **k: ctx)
+        assert rt.snapshot()["locations"]
+
+
+# ---------------------------------------------------------------------------
+# whole workloads through the engine
+# ---------------------------------------------------------------------------
+def test_instrumented_reference_stays_op_by_op(monkeypatch):
+    """``reference(plane="instrumented")`` is the op-by-op baseline; the
+    default counting reference rides the counted plane, same counters."""
+    counted = create_workload("sod", **TINY_COMPRESSIBLE).reference()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the instrumented plane replayed a ledger")
+
+    monkeypatch.setattr("repro.hydro.solver.ledger_for", refuse)
+    instrumented = create_workload("sod", **TINY_COMPRESSIBLE).reference(plane="instrumented")
+    assert instrumented.snapshot() == counted.snapshot()
+    assert instrumented.runtime.ops.full > 0
+    for key in counted.state:
+        np.testing.assert_array_equal(instrumented.state[key], counted.state[key])
+
+
+def _sweep(plane, policies):
+    return run_sweep(SweepSpec(
+        workloads=list(TINY_CONFIGS),
+        formats=["bf16"],
+        policies=policies,
+        workload_configs=TINY_CONFIGS,
+        plane=plane,
+    ))
+
+
+class TestCountedWorkloads:
+    @pytest.mark.parametrize("policies", [
+        [PolicySpec.everywhere(modules=("hydro", "eos", "advection", "diffusion"))],
+        [PolicySpec.none(), PolicySpec.amr_cutoff(1, modules=("hydro",))],
+    ], ids=["truncate-all", "none+cutoff"])
+    def test_all_seven_workloads_identical_through_run_sweep(self, policies):
+        instrumented = _sweep("instrumented", policies)
+        counted = _sweep("auto", policies)
+        assert not instrumented.failures and not counted.failures
+        assert len(counted.points) == len(instrumented.points)
+        assert {p.workload for p in counted.points} == set(TINY_CONFIGS)
+        for a, b in zip(instrumented.points, counted.points):
+            assert b.metrics_key() == a.metrics_key()
+            assert b.runtime_snapshot == a.runtime_snapshot
+        assert counted.rollup().snapshot() == instrumented.rollup().snapshot()
+        assert counted.rollup().ops.total > 0
+
+    @pytest.mark.parametrize("workload", ["sod", "rayleigh-taylor", "cellular"])
+    def test_find_cliff_identical(self, workload):
+        kwargs = dict(config_kwargs=TINY_CONFIGS[workload],
+                      min_man_bits=4, max_man_bits=20, exp_bits=8)
+        instrumented = find_cliff(workload, **kwargs, plane="instrumented")
+        counted = find_cliff(workload, **kwargs, plane="auto")
+        assert counted.cliff_man_bits == instrumented.cliff_man_bits
+        key = lambda c: [(e.man_bits, e.error, e.passed, e.truncated_fraction)
+                         for e in c.evaluations]
+        assert key(counted) == key(instrumented)

@@ -12,7 +12,8 @@ The load-bearing contracts:
   because it quantises at exactly the same op boundaries;
 * plane selection routes *non-counting* truncating contexts onto
   :class:`TruncFastPlaneContext` under both ``"fast"`` and ``"auto"`` and
-  never substitutes a counting, naive, error-tracking or shadow context;
+  never substitutes it for a counting, naive, error-tracking or shadow
+  context;
 * the scratch workspace and the batched per-level stepping never change a
   bit, and whole truncated workloads (states *and* counter snapshots) are
   identical across planes, backends and the engine entry points.
@@ -243,14 +244,23 @@ class TestTruncPlaneSelection:
         src = _silent()
         assert select_context(src, "instrumented") is src
 
-    def test_counting_truncating_context_stays_put_without_warning(self):
+    def test_counting_truncating_context_keeps_counting_without_warning(self):
         import warnings
 
+        from repro.kernels import LedgerTruncatedContext
+
         counting = _instrumented()
-        for plane in ("fast", "auto", "instrumented"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert select_context(counting, plane) is counting
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_context(counting, "instrumented") is counting
+            for plane in ("fast", "auto"):
+                ctx = select_context(counting, plane)
+                # the counted fused plane: same counters, fused kernels
+                assert isinstance(ctx, LedgerTruncatedContext) and ctx.ledger
+                assert not (ctx.fused or ctx.fused_trunc)
+                assert (ctx.count_ops, ctx.track_memory) == (True, True)
+                assert ctx.fmt is counting.fmt and ctx.rounding == counting.rounding
+                assert ctx.runtime is counting.runtime
 
     def test_naive_and_shadow_contexts_stay_put(self):
         naive = TruncatedContext(BF16, runtime=RaptorRuntime(), optimized=False,
@@ -282,7 +292,7 @@ class TestTruncPlaneSelection:
                                       count_ops=False, track_memory=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert select_context(counting, "auto") is counting
+            assert not isinstance(select_context(counting, "auto"), FastPlaneContext)
             assert isinstance(select_context(silent, "fast"), FastPlaneContext)
             assert isinstance(select_context(_silent(), "fast"), TruncFastPlaneContext)
 
@@ -684,8 +694,8 @@ class TestTruncWorkloadEquivalence:
         for key in instrumented.state:
             np.testing.assert_array_equal(auto.state[key], instrumented.state[key],
                                           err_msg=key)
-        # byte-identical counters: counting policies stay instrumented
-        # under auto; non-counting ones record nothing on either plane
+        # byte-identical counters: counting policies replay ledgers on the
+        # counted plane under auto; non-counting ones record nothing
         assert auto.snapshot() == instrumented.snapshot()
 
     def test_run_sweep_identical_with_and_without_point_counters(self):

@@ -23,7 +23,11 @@ a short rising-bubble run on the fused fast plane vs the op-by-op
 instrumented baseline (``RAPTOR_FAST_NO_BUBBLE=1`` +
 ``plane="instrumented"``), both full-precision and truncated (e8m10) —
 the WENO5 advection, diffusion, level-set and projection twins must all
-match bitwise.
+match bitwise.  A sixth pass covers the *counted* fused plane
+(``repro.kernels.ledger``): counting runs of both golden configurations,
+then a counting ``run_sweep`` over all seven workloads and a counting
+``find_cliff``, each on the instrumented plane vs ``plane="auto"`` — states
+bitwise and ``RaptorRuntime`` snapshots byte-identical.
 
     PYTHONPATH=src python tools/check_plane_equivalence.py
 """
@@ -215,6 +219,81 @@ def _diff_bubble_planes() -> list:
     return failures
 
 
+#: tiny configurations of every registered workload for the counted pass
+COUNTED_SWEEP_CONFIGS = {
+    "sod": dict(GOLDEN_CONFIGS["sod"], t_end=0.004),
+    "sedov": dict(GOLDEN_CONFIGS["sedov"], t_end=0.004),
+    "kelvin-helmholtz": dict(GRID_GOLDEN, max_level=2, t_end=0.004),
+    "rayleigh-taylor": dict(GRID_GOLDEN, max_level=2, t_end=0.004),
+    "double-blast": dict(GRID_GOLDEN, max_level=2, t_end=0.004),
+    "cellular": dict(n_cells=16, n_steps=4),
+    "bubble": BUBBLE_GOLDEN,
+}
+
+
+def _diff_counted_planes() -> list:
+    """Counting runs: the counted fused plane vs the instrumented plane.
+
+    Counters are the object of comparison here: snapshots (op totals,
+    per-module ops, bytes) must be byte-identical, not just the states.
+    """
+    from repro.core import FPFormat, GlobalPolicy, RaptorRuntime, TruncationConfig
+    from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
+    from repro.workloads import create_workload
+
+    failures = []
+    for name, config in GOLDEN_CONFIGS.items():
+        outcomes = {}
+        for plane in ("instrumented", "auto"):
+            runtime = RaptorRuntime()
+            policy = GlobalPolicy(
+                TruncationConfig(targets={64: FPFormat(exp_bits=8, man_bits=10)}),
+                runtime=runtime, plane=plane,
+            )
+            if plane == "auto" and not policy.context_for(module="hydro").ledger:
+                failures.append(f"{name} (counted): counting context not on the counted plane")
+            outcomes[plane] = create_workload(name, **config).run(policy=policy, runtime=runtime)
+        a, b = outcomes["instrumented"], outcomes["auto"]
+        for var in sorted(a.state):
+            if not np.array_equal(a.state[var], b.state[var]):
+                failures.append(f"{name} (counted): variable {var!r} differs")
+        if a.snapshot() != b.snapshot():
+            failures.append(f"{name} (counted): runtime snapshots differ")
+
+    def sweep(plane):
+        return run_sweep(SweepSpec(
+            workloads=list(COUNTED_SWEEP_CONFIGS),
+            formats=["bf16"],
+            policies=[
+                PolicySpec.everywhere(modules=("hydro", "eos", "advection", "diffusion")),
+                PolicySpec.amr_cutoff(1, modules=("hydro",)),
+            ],
+            workload_configs=COUNTED_SWEEP_CONFIGS,
+            plane=plane,
+        ))
+
+    instrumented, counted = sweep("instrumented"), sweep("auto")
+    for a, b in zip(instrumented.points, counted.points):
+        label = f"{a.workload} {a.policy} (counted sweep)"
+        if a.metrics_key() != b.metrics_key():
+            failures.append(f"{label}: metrics differ")
+        if a.runtime_snapshot != b.runtime_snapshot:
+            failures.append(f"{label}: runtime snapshots differ")
+    if len(instrumented.points) != len(counted.points) or counted.failures:
+        failures.append("counted sweep: point sets differ or points failed")
+
+    cliff_kwargs = dict(config_kwargs=COUNTED_SWEEP_CONFIGS["sod"],
+                        min_man_bits=4, max_man_bits=20, exp_bits=8)
+    cliffs = [find_cliff("sod", **cliff_kwargs, plane=plane) for plane in ("instrumented", "auto")]
+    evaluations = [
+        [(e.man_bits, e.error, e.passed, e.truncated_fraction) for e in c.evaluations]
+        for c in cliffs
+    ]
+    if evaluations[0] != evaluations[1]:
+        failures.append("sod (counted cliff search): probe evaluations differ")
+    return failures
+
+
 def main() -> int:
     from repro.kernels.scratch import (
         batching_enabled,
@@ -239,6 +318,7 @@ def main() -> int:
         failures.extend(_diff_trunc_planes(name, config))
     failures.extend(_diff_grid_plane())
     failures.extend(_diff_bubble_planes())
+    failures.extend(_diff_counted_planes())
 
     if failures:
         print("FAIL: fast plane is not bit-identical to the instrumented plane")
@@ -251,7 +331,9 @@ def main() -> int:
         "batched) bitwise identical on both planes, full-precision and "
         "truncated (e8m10); regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
-        "the fused bubble plane, full-precision and truncated"
+        "the fused bubble plane, full-precision and truncated; counting runs, "
+        "a seven-workload counting sweep and a counting cliff search "
+        "bitwise identical with byte-identical counters on the counted plane"
     )
     return 0
 
