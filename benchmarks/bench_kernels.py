@@ -110,6 +110,9 @@ VARIANTS = (
 #: workloads whose hydro hot path has fused truncating twins
 TRUNC_WORKLOADS = ("sod", "sedov", "kelvin-helmholtz")
 
+#: workloads with a counting rung (the bubble's lives in its own section)
+COUNTED_WORKLOADS = TRUNC_WORKLOADS + ("cellular",)
+
 #: bubble workload configurations (the Figure 1 protocol at sweep scale)
 BUBBLE_CONFIGS = dict(
     full=dict(spin_up_time=0.2, truncation_time=0.3,
@@ -117,6 +120,10 @@ BUBBLE_CONFIGS = dict(
     quick=dict(spin_up_time=0.04, truncation_time=0.04,
                snapshot_times=(0.04,), fixed_dt=0.004),
 )
+
+#: phases of the bubble and counted cellular breakdowns, in table order
+BUBBLE_PHASES = ("advection", "diffusion", "levelset", "poisson", "reinit")
+CELLULAR_PHASES = ("eos_inversion", "pressure", "burn")
 
 #: bubble timing variants: label -> (plane, env overrides)
 BUBBLE_VARIANTS = (
@@ -238,7 +245,7 @@ def _phase_breakdown(workload_factory):
 
 
 def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
-                 truncated: bool = False):
+                 truncated: bool = False, counting: bool = False):
     """Best-of-``repeat`` wall-clock of a bubble run on ``plane``.
 
     The full-precision baseline is a non-counting
@@ -246,7 +253,8 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
     solver's own full-precision context op-by-op.  ``truncated=True`` times
     the non-counting e8m10 run
     instead (op-by-op ``TruncatedContext`` on the instrumented plane, the
-    fused truncating twins on ``"auto"``/``"fast"``).
+    fused truncating twins on ``"auto"``/``"fast"``) — the counting one when
+    ``counting`` (the counted fused plane on ``"auto"``).
     """
     from repro.core import (FPFormat, GlobalPolicy, NoTruncationPolicy,
                             RaptorRuntime, TruncationConfig)
@@ -260,8 +268,8 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
             if truncated:
                 fmt = FPFormat(exp_bits=8, man_bits=10)
                 policy = GlobalPolicy(
-                    TruncationConfig(targets={64: fmt}, count_ops=False,
-                                     track_memory=False),
+                    TruncationConfig(targets={64: fmt}, count_ops=counting,
+                                     track_memory=counting),
                     runtime=runtime, plane=plane,
                 )
             else:
@@ -275,25 +283,15 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
     return best, outcome
 
 
-def _bubble_phase_breakdown(workload_factory):
-    """Wall-clock per phase of one fast-plane bubble run.
+def _phase_times(targets, run):
+    """Inclusive wall-clock per phase while ``run()`` executes.
 
-    Wraps the solver's operator entry points at class level: advection and
-    diffusion terms (the paper's truncation targets), the pressure Poisson
-    solve, and the level-set reinitialisation.  The phases don't nest, so
-    plain inclusive timers are exclusive already.
+    ``targets`` maps a phase name to the ``(owner, attribute)`` of the
+    callable to time; each is wrapped for the duration of the run.  The
+    phases must not nest, so inclusive timers are exclusive already.
     """
-    from repro.incomp.levelset import LevelSet
-    from repro.incomp.poisson import PoissonSolver
-    from repro.incomp.solver import BubbleSolver
-
-    acc = {"advection": 0.0, "diffusion": 0.0, "poisson": 0.0, "reinit": 0.0}
-    originals = {
-        "advection": BubbleSolver.advection_term,
-        "diffusion": BubbleSolver.diffusion_term,
-        "poisson": PoissonSolver.solve,
-        "reinit": LevelSet.reinitialize,
-    }
+    acc = {key: 0.0 for key in targets}
+    originals = {key: getattr(owner, attr) for key, (owner, attr) in targets.items()}
 
     def timed(key, fn):
         def wrapper(*args, **kwargs):
@@ -304,26 +302,90 @@ def _bubble_phase_breakdown(workload_factory):
                 acc[key] += time.perf_counter() - start
         return wrapper
 
-    BubbleSolver.advection_term = timed("advection", originals["advection"])
-    BubbleSolver.diffusion_term = timed("diffusion", originals["diffusion"])
-    PoissonSolver.solve = timed("poisson", originals["poisson"])
-    LevelSet.reinitialize = timed("reinit", originals["reinit"])
+    for key, (owner, attr) in targets.items():
+        setattr(owner, attr, timed(key, originals[key]))
     try:
         with _env({}):
-            from repro.core import NoTruncationPolicy, RaptorRuntime
-
-            runtime = RaptorRuntime()
-            workload_factory().run(
-                policy=NoTruncationPolicy(runtime=runtime, count_ops=False,
-                                          track_memory=False, plane="fast"),
-                runtime=runtime,
-            )
+            run()
     finally:
-        BubbleSolver.advection_term = originals["advection"]
-        BubbleSolver.diffusion_term = originals["diffusion"]
-        PoissonSolver.solve = originals["poisson"]
-        LevelSet.reinitialize = originals["reinit"]
+        for key, (owner, attr) in targets.items():
+            setattr(owner, attr, originals[key])
     return {key: round(value, 6) for key, value in acc.items()}
+
+
+def _bubble_phase_breakdown(workload_factory, counting: bool = False):
+    """Wall-clock per phase of one fast-plane bubble run: advection and
+    diffusion terms and level-set transport (the paper's truncation
+    targets), the pressure Poisson solve and the level-set
+    reinitialisation.  ``counting`` times a counting e8m10 run on the
+    counted fused plane instead of the full-precision reference.
+    """
+    from repro.core import (FPFormat, GlobalPolicy, NoTruncationPolicy,
+                            RaptorRuntime, TruncationConfig)
+    from repro.incomp.levelset import LevelSet
+    from repro.incomp.poisson import PoissonSolver
+    from repro.incomp.solver import BubbleSolver
+
+    def run():
+        runtime = RaptorRuntime()
+        if counting:
+            policy = GlobalPolicy(
+                TruncationConfig(targets={64: FPFormat(exp_bits=8, man_bits=10)}),
+                runtime=runtime, plane="auto",
+            )
+        else:
+            policy = NoTruncationPolicy(runtime=runtime, count_ops=False,
+                                        track_memory=False, plane="fast")
+        workload_factory().run(policy=policy, runtime=runtime)
+
+    return _phase_times({
+        "advection": (BubbleSolver, "advection_term"),
+        "diffusion": (BubbleSolver, "diffusion_term"),
+        "levelset": (BubbleSolver, "_advect_levelset"),
+        "poisson": (PoissonSolver, "solve"),
+        "reinit": (LevelSet, "reinitialize"),
+    }, run)
+
+
+def _cellular_phase_breakdown(workload_factory):
+    """Wall-clock per phase of one counting e8m10 cellular run on the
+    counted fused plane: the Newton EOS inversion, the trailing pressure
+    lookup and the burn network."""
+    from repro.burn.network import CarbonBurnNetwork
+    from repro.eos.table import HelmholtzTable
+    from repro.workloads import cellular
+
+    def run():
+        _time_truncated(workload_factory, "auto", 1, counting=True)
+
+    return _phase_times({
+        "eos_inversion": (cellular, "invert_energy"),
+        "pressure": (HelmholtzTable, "pressure"),
+        "burn": (CarbonBurnNetwork, "burn"),
+    }, run)
+
+
+def _counted_record(name, workload_factory, repeat, time_fn):
+    """Counting e8m10 runs op-by-op vs on the counted fused plane:
+    bitwise states and byte-identical runtime snapshots enforced."""
+    slow_secs, slow_out = time_fn("instrumented")
+    fast_secs, fast_out = time_fn("auto")
+    for key in slow_out.state:
+        if not np.array_equal(slow_out.state[key], fast_out.state[key]):
+            raise SystemExit(
+                f"PLANE MISMATCH: counted {name} variable {key!r} differs "
+                "between the instrumented plane and the counted fused plane"
+            )
+    if slow_out.snapshot() != fast_out.snapshot():
+        raise SystemExit(
+            f"COUNTER MISMATCH: counted {name} runtime snapshots differ "
+            "between the instrumented plane and the counted fused plane"
+        )
+    return {
+        "counted_instrumented_seconds": slow_secs,
+        "counted_fast_seconds": fast_secs,
+        "counted_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
+    }
 
 
 def _bubble_record(quick: bool, repeat: int, previous):
@@ -365,6 +427,10 @@ def _bubble_record(quick: bool, repeat: int, previous):
                 "is broken"
             )
 
+    counted_env = {"instrumented": {"RAPTOR_FAST_NO_BUBBLE": "1"}, "auto": {}}
+    counted = _counted_record("bubble", factory, repeat, lambda plane: _time_bubble(
+        factory, plane, counted_env[plane], repeat, truncated=True, counting=True))
+
     return {
         "workload": "bubble",
         "config": config,
@@ -382,6 +448,8 @@ def _bubble_record(quick: bool, repeat: int, previous):
         "trunc_instrumented_seconds": slow_secs,
         "trunc_fast_seconds": fast_secs,
         "trunc_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
+        **counted,
+        "counted_phases": _bubble_phase_breakdown(factory, counting=True),
     }
 
 
@@ -458,24 +526,11 @@ def run_benchmark(quick: bool, repeat: int):
                 "trunc_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
             })
 
-            slow_secs, slow_out = _time_truncated(factory, "instrumented", repeat, counting=True)
-            fast_secs, fast_out = _time_truncated(factory, "auto", repeat, counting=True)
-            for key in slow_out.state:
-                if not np.array_equal(slow_out.state[key], fast_out.state[key]):
-                    raise SystemExit(
-                        f"PLANE MISMATCH: counted {name} variable {key!r} differs "
-                        "between the instrumented plane and the counted fused plane"
-                    )
-            if slow_out.snapshot() != fast_out.snapshot():
-                raise SystemExit(
-                    f"COUNTER MISMATCH: counted {name} runtime snapshots differ "
-                    "between the instrumented plane and the counted fused plane"
-                )
-            record.update({
-                "counted_instrumented_seconds": slow_secs,
-                "counted_fast_seconds": fast_secs,
-                "counted_speedup": slow_secs / fast_secs if fast_secs > 0 else float("inf"),
-            })
+        if name in COUNTED_WORKLOADS:
+            record.update(_counted_record(name, factory, repeat, lambda plane: _time_truncated(
+                factory, plane, repeat, counting=True)))
+        if name == "cellular":
+            record["counted_phases"] = _cellular_phase_breakdown(factory)
 
         records.append(record)
 
@@ -542,20 +597,15 @@ def main(argv=None) -> int:
     ))
 
     bubble_phase_rows = [
-        [
-            r["workload"],
-            f"{r['bubble_phases']['advection']:.3f}",
-            f"{r['bubble_phases']['diffusion']:.3f}",
-            f"{r['bubble_phases']['poisson']:.3f}",
-            f"{r['bubble_phases']['reinit']:.3f}",
-        ]
+        [f"{r['workload']} ({label})"]
+        + [f"{r[key][phase]:.3f}" for phase in BUBBLE_PHASES]
         for r in payload["workloads"]
         if "bubble_phases" in r
+        for label, key in (("reference", "bubble_phases"), ("counted e8m10", "counted_phases"))
     ]
     print(f"\n=== fast bubble plane: phase breakdown, {payload['mode']} mode ===")
     print(format_table(
-        ["workload", "advection [s]", "diffusion [s]", "poisson [s]",
-         "reinit [s]"],
+        ["run"] + [f"{phase} [s]" for phase in BUBBLE_PHASES],
         bubble_phase_rows,
     ))
 
@@ -611,6 +661,17 @@ def main(argv=None) -> int:
         ["workload", "instrumented [s]", "counted-fast [s]", "speedup",
          "bitwise identical + same counters"],
         counted_rows,
+    ))
+
+    cellular_phase_rows = [
+        [r["workload"]] + [f"{r['counted_phases'][phase]:.3f}" for phase in CELLULAR_PHASES]
+        for r in payload["workloads"]
+        if r["workload"] == "cellular"
+    ]
+    print(f"\n=== counted cellular: phase breakdown, {payload['mode']} mode ===")
+    print(format_table(
+        ["workload"] + [f"{phase} [s]" for phase in CELLULAR_PHASES],
+        cellular_phase_rows,
     ))
 
     if args.quick and args.out is None:

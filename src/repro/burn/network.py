@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
+from ..kernels.ledger import replay_fused
 
 __all__ = ["CarbonBurnNetwork"]
 
@@ -79,13 +80,22 @@ class CarbonBurnNetwork:
 
         Uses the exact exponential solution of the linear ODE over each
         substep with the rate frozen at the current temperature — an
-        L-stable update that tolerates the stiffness of the rate.
+        L-stable update that tolerates the stiffness of the rate.  A
+        counted context (``ctx.ledger``) replays the call's op/byte ledger
+        and computes on its non-counting fused twin.
 
         Returns
         -------
         (new_mass_fraction, specific_energy_release)
         """
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
+        if ctx.ledger:
+            # a fixed op stream over whole arrays: one ledger per call
+            key = ("burn", "network", max(substeps, 1), np.shape(mass_fraction),
+                   np.shape(temperature))
+            ctx = replay_fused(
+                key, ctx, lambda twin: self.burn(mass_fraction, temperature, dt, twin, substeps)
+            )
         x = ctx.const(np.asarray(mass_fraction, dtype=np.float64))
         x_initial = ctx.asplain(x).copy()
         sub_dt = ctx.const(dt / max(substeps, 1))

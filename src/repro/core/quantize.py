@@ -14,7 +14,7 @@ IEEE-754 semantics for the target format.
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "is_representable",
     "ulp",
     "quantization_error",
+    "quantize_rne_bits",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -41,6 +42,84 @@ class RoundingMode:
     DOWN = "down"
 
     ALL = (NEAREST_EVEN, TOWARD_ZERO, UP, DOWN)
+
+
+#: the magnitude bits of a binary64 pattern (everything but the sign)
+_ABS_BITS = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+_ONE = np.uint64(1)
+
+#: per-format constants of :func:`quantize_rne_bits`, keyed by
+#: (exp_bits, man_bits): (shift, half - 1, keep mask, min-normal bits - 1,
+#: largest magnitude bits that round to at most ``max_value``)
+_RNE_CACHE: Dict[Tuple[int, int], Tuple[np.uint64, ...]] = {}
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _rne_params(fmt: FPFormat) -> Tuple[np.uint64, ...]:
+    key = (fmt.exp_bits, fmt.man_bits)
+    params = _RNE_CACHE.get(key)
+    if params is None:
+        shift = 52 - fmt.man_bits
+        half = 1 << (shift - 1)
+        keep = ~((1 << shift) - 1) & 0xFFFF_FFFF_FFFF_FFFF
+        # below the midpoint between max_value and the next grid value;
+        # the midpoint itself ties to the even (overflowing) side
+        top = _bits(fmt.max_value) + half - 1
+        # numpy scalars: a Python int operand is converted on every call
+        params = tuple(
+            np.uint64(v) for v in (shift, half - 1, keep, _bits(fmt.min_normal) - 1, top)
+        )
+        _RNE_CACHE[key] = params
+    return params
+
+
+def quantize_rne_bits(
+    arr: np.ndarray,
+    fmt: FPFormat,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Round-to-nearest-even of a binary64 array on its bit patterns.
+
+    Adds ``half - 1`` plus the last retained bit to every pattern and
+    masks the dropped bits off: ties go to the even neighbour, and a
+    carry out of the fraction bumps the exponent exactly as rounding up to
+    the next binade must.  That is the rounding :func:`quantize` performs
+    for every lane that is zero or a normal number of ``fmt`` and does not
+    overflow it — the common case, in a handful of integer ufuncs.
+
+    Returns None, having written nothing, when any lane needs the general
+    path (a target-subnormal, non-finite or overflowing lane), when
+    ``fmt`` keeps all 52 fraction bits or when ``arr`` is empty.  The
+    result lands in ``out`` (which may be ``arr`` itself) or in a fresh
+    array; ``scratch`` is an optional uint64 buffer of ``arr``'s shape.
+    """
+    if fmt.man_bits >= 52 or arr.size == 0:
+        return None
+    shift, half_m1, keep, low_m1, top = _rne_params(fmt)
+    bits = arr.view(np.uint64)
+    if scratch is None:
+        # an explicit buffer keeps 0-d inputs arrays (ufuncs return scalars)
+        scratch = np.empty(arr.shape, dtype=np.uint64)
+    mag = np.bitwise_and(bits, _ABS_BITS, out=scratch)
+    if np.maximum.reduce(mag, axis=None) > top:
+        return None
+    # zeros wrap to the top of the range and pass; (0, min_normal) fails
+    np.subtract(mag, _ONE, out=mag)
+    if np.minimum.reduce(mag, axis=None) < low_m1:
+        return None
+    lsb = np.right_shift(bits, shift, out=mag)
+    np.bitwise_and(lsb, _ONE, out=lsb)
+    if out is None:
+        out = np.empty(arr.shape, dtype=np.float64)
+    dst = out.view(np.uint64)
+    np.add(bits, lsb, out=dst)
+    np.add(dst, half_m1, out=dst)
+    np.bitwise_and(dst, keep, out=dst)
+    return out
 
 
 def quantize(
@@ -72,6 +151,10 @@ def quantize(
     arr = np.asarray(x, dtype=np.float64)
     if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
         return arr.copy()
+    if rounding == RoundingMode.NEAREST_EVEN:
+        fast = quantize_rne_bits(arr, fmt)
+        if fast is not None:
+            return fast
 
     out = arr.copy()
     finite = np.isfinite(arr) & (arr != 0.0)

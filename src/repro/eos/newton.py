@@ -16,12 +16,14 @@ the iteration exhausts ``max_iterations``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
-from .table import HelmholtzTable
+from ..kernels import eos as keos
+from ..kernels.ledger import fused_kind, ledger_for
+from .table import DERIVATIVE_EPS, HelmholtzTable
 
 __all__ = ["NewtonSolverConfig", "NewtonResult", "invert_energy"]
 
@@ -56,6 +58,37 @@ class NewtonResult:
         return not self.converged
 
 
+def _residual(table: HelmholtzTable, rho, temp, energy_target, ctx: FPContext):
+    """``e(rho, temp) - energy_target`` through ``ctx``."""
+    e_guess = table.energy(rho, temp, ctx)
+    return ctx.sub(e_guess, energy_target, "eos:nr_residual")
+
+
+def _update(table: HelmholtzTable, rho, temp, residual, relaxation: float, ctx: FPContext):
+    """The Newton iterate after ``temp``, through ``ctx``."""
+    dedt = table.energy_derivative(rho, temp, ctx)
+    step = ctx.div(residual, dedt, "eos:nr_step")
+    if relaxation != 1.0:
+        step = ctx.mul(ctx.const(relaxation), step, "eos:nr_relax")
+    return ctx.sub(temp, step, "eos:nr_update")
+
+
+def _counted(step: Callable, step_in: Callable, name: str, static: tuple,
+             ctx: FPContext) -> Callable:
+    """The fused ``step`` charged with the ledger of ``step_in``, the same
+    step op by op through a context (its last argument).
+
+    Each step's ops run on whole arrays, so its counters depend only on the
+    operand shapes; the ledger is recorded on the first call with that
+    call's operands.
+    """
+    def counted(*args):
+        key = ("eos", name, static, tuple(np.shape(a) for a in args))
+        ledger_for(key, ctx, lambda twin: step_in(*args, twin)).replay(ctx.runtime)
+        return step(*args)
+    return counted
+
+
 def invert_energy(
     table: HelmholtzTable,
     rho: np.ndarray,
@@ -67,7 +100,12 @@ def invert_energy(
     """Solve ``e(rho, T) = energy_target`` for T with Newton–Raphson.
 
     All floating-point work is routed through ``ctx``; pass a truncating
-    context to reproduce the Cellular EOS-truncation experiment.
+    context to reproduce the Cellular EOS-truncation experiment.  Fused
+    contexts run the steps of :class:`repro.kernels.eos.NewtonSteps`,
+    bit-identical; a counted one charges a residual ledger per iteration
+    and an update ledger per iteration that does not converge — the
+    iteration count depends on the data, each iteration's op stream only
+    on the shapes.
 
     Returns a :class:`NewtonResult`; ``converged`` is True only if **every**
     cell reached the relative tolerance within ``max_iterations``.
@@ -77,32 +115,43 @@ def invert_energy(
 
     rho = np.asarray(rho, dtype=np.float64)
     energy_target = np.asarray(energy_target, dtype=np.float64)
-    temp = ctx.const(np.asarray(temperature_guess, dtype=np.float64))
+    # the two steps of an iteration, op by op through a context
+    residual_in = lambda temp, c: _residual(table, rho, temp, energy_target, c)
+    update_in = lambda temp, residual, c: _update(table, rho, temp, residual, cfg.relaxation, c)
+    residual_of = lambda temp: residual_in(temp, ctx)
+    update_of = lambda temp, residual: update_in(temp, residual, ctx)
+    const, plain = ctx.const, ctx.asplain
+    if fused_kind(ctx) is not None:
+        steps = keos.NewtonSteps(
+            table, rho, energy_target, cfg.relaxation, keos.rounder(ctx), DERIVATIVE_EPS
+        )
+        residual_of, update_of = steps.residual, steps.update
+        const, plain = steps.const, steps.plain
+        if ctx.ledger:
+            static = (rho.shape, energy_target.shape, cfg.relaxation != 1.0)
+            residual_of = _counted(residual_of, residual_in, "newton-residual", static, ctx)
+            update_of = _counted(update_of, update_in, "newton-update", static, ctx)
 
+    temp = const(np.asarray(temperature_guess, dtype=np.float64))
     history = []
     max_res = np.inf
     for iteration in range(1, cfg.max_iterations + 1):
-        e_guess = table.energy(rho, temp, ctx)
-        residual = ctx.sub(e_guess, energy_target, "eos:nr_residual")
-        rel = np.abs(ctx.asplain(residual)) / np.maximum(np.abs(energy_target), 1e-300)
+        residual = residual_of(temp)
+        rel = np.abs(plain(residual)) / np.maximum(np.abs(energy_target), 1e-300)
         max_res = float(np.max(rel))
         history.append(max_res)
         if max_res < cfg.tolerance:
-            return NewtonResult(ctx.asplain(temp), iteration, True, max_res, history)
+            return NewtonResult(plain(temp), iteration, True, max_res, history)
 
-        dedt = table.energy_derivative(rho, temp, ctx)
-        step = ctx.div(residual, dedt, "eos:nr_step")
-        if cfg.relaxation != 1.0:
-            step = ctx.mul(ctx.const(cfg.relaxation), step, "eos:nr_relax")
-        temp_old_plain = ctx.asplain(temp)
-        temp = ctx.sub(temp, step, "eos:nr_update")
+        temp_old_plain = plain(temp)
+        temp = update_of(temp, residual)
         # keep the iterate inside the table and bound the per-iteration change
         # (plain clamps: control flow / safeguarding, not floating-point physics)
         temp_plain = np.clip(
-            ctx.asplain(temp),
+            plain(temp),
             np.maximum(cfg.temperature_floor, temp_old_plain / cfg.max_step_factor),
             np.minimum(cfg.temperature_ceiling, temp_old_plain * cfg.max_step_factor),
         )
-        temp = ctx.const(temp_plain)
+        temp = const(temp_plain)
 
-    return NewtonResult(ctx.asplain(temp), cfg.max_iterations, False, max_res, history)
+    return NewtonResult(plain(temp), cfg.max_iterations, False, max_res, history)

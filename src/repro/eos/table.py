@@ -22,8 +22,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
+from ..kernels import eos as keos
+from ..kernels.ledger import fused_kind, replay_fused
 
-__all__ = ["HelmholtzTable"]
+__all__ = ["HelmholtzTable", "DERIVATIVE_EPS"]
+
+#: relative temperature step of the centred de/dT difference
+DERIVATIVE_EPS = 1e-4
 
 # physical-ish constants in CGS-flavoured units (values only set scales)
 _K_B_OVER_MU = 8.314e7      # ideal-gas specific energy scale (erg/g/K per mean molecular weight)
@@ -94,8 +99,20 @@ class HelmholtzTable:
 
         Index search runs on plain values (integer work); the arithmetic of
         the interpolation itself goes through the numerics context so the
-        EOS module can be truncated.
+        EOS module can be truncated.  Fused and counted contexts run the
+        twin of :mod:`repro.kernels.eos`; a counted one replays the
+        interpolation's ledger (its ops all run on whole arrays, so the
+        counters depend only on the operand shapes).
         """
+        if ctx.ledger:
+            ctx = replay_fused(
+                ("eos", "bilinear", np.shape(rho), np.shape(temp)), ctx,
+                lambda twin: self._bilinear(table, rho, temp, twin),
+            )
+        if fused_kind(ctx) is not None:
+            return keos.bilinear(
+                self, table, ctx.asplain(rho), ctx.asplain(temp), keos.rounder(ctx)
+            )
         log_rho = np.log10(np.maximum(ctx.asplain(rho), 10.0 ** self.log_rho[0]))
         log_temp = np.log10(np.maximum(ctx.asplain(temp), 10.0 ** self.log_temp[0]))
         i = self._locate(self.log_rho, log_rho)
@@ -140,7 +157,8 @@ class HelmholtzTable:
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         return self._bilinear(self.pressure_table, rho, temp, ctx)
 
-    def energy_derivative(self, rho, temp, ctx: Optional[FPContext] = None, eps: float = 1e-4):
+    def energy_derivative(self, rho, temp, ctx: Optional[FPContext] = None,
+                          eps: float = DERIVATIVE_EPS):
         """de/dT at constant density, from a centred difference of the table
         interpolation (this is what the Newton–Raphson update divides by —
         the cancellation-prone operation that reacts badly to truncation)."""

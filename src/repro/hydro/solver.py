@@ -26,7 +26,7 @@ from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels import trunc as trunc_flux
-from ..kernels.ledger import OpLedger, ledger_for
+from ..kernels.ledger import OpLedger, fused_kind, ledger_for
 from ..kernels.scratch import (
     Workspace,
     batching_enabled,
@@ -43,18 +43,6 @@ __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
 ContextProvider = Callable[[str, Optional[int], Optional[int]], FPContext]
 
 PRIMITIVE_VARS = ("dens", "velx", "vely", "pres")
-
-
-def _fused_kind(ctx: FPContext) -> Optional[str]:
-    """The fused block update ``ctx`` runs on: ``"b64"``, ``"trunc"``, or
-    None for the op-by-op path."""
-    if getattr(ctx, "fused", False):
-        return "b64"
-    if getattr(ctx, "fused_trunc", False):
-        return "trunc"
-    if getattr(ctx, "ledger", False):
-        return "trunc" if ctx.truncating else "b64"
-    return None
 
 
 def default_context_provider(module: str, level=None, max_level=None) -> FPContext:
@@ -237,7 +225,7 @@ class HydroSolver:
         byte-identical counters without a single op-by-op call.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        kind = _fused_kind(ctx)
+        kind = fused_kind(ctx)
         if kind is not None:
             if getattr(ctx, "ledger", False):
                 self._block_ledger(block, ctx).replay(ctx.runtime)
@@ -460,7 +448,7 @@ class HydroSolver:
         if getattr(ctx, "ledger", False):
             self._block_ledger(first, ctx).replay(ctx.runtime, times=len(blocks))
         new = self._advance_fused_kind(
-            _fused_kind(ctx), prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
+            fused_kind(ctx), prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
         )
         return {
             key: {name: new[name][i] for name in PRIMITIVE_VARS}

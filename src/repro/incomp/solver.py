@@ -29,6 +29,7 @@ from ..hydro.reconstruction import _weno5_edge
 from ..kernels import FPContext, FullPrecisionContext, select_context
 from ..kernels import bubble as kbubble
 from ..kernels.fused import weno5_edge as _fused_weno5_edge
+from ..kernels.ledger import replay_fused
 from ..kernels.trunc import weno5_edge as _trunc_weno5_edge
 from ..kernels.grid import pad_edge
 from ..kernels.scratch import bubble_plane_enabled, grid_plane_enabled, make_workspace
@@ -130,6 +131,14 @@ class BubbleSolver:
         if self._fused_bubble:
             self.levelset.enable_fused(self._workspace)
 
+    def release_scratch(self) -> None:
+        """Drop the fused twins' scratch buffers (they are reallocated on
+        next use).  The binary64 and truncating twins keep separate buffer
+        families, so a solver moving from a binary64 phase to a truncated
+        one would otherwise hold both."""
+        if self._workspace is not None:
+            self._workspace.clear()
+
     def _pad(self, f: np.ndarray, n: int, key: str = "f") -> np.ndarray:
         """Edge-replicated padding of ``f`` by ``n`` cells.
 
@@ -221,6 +230,20 @@ class BubbleSolver:
             )
         return upwind_derivative(f, vel, spacing, axis, ctx, boundary="edge", padded=padded)
 
+    def _counted(self, key: tuple, ctx: FPContext, run: Callable[[FPContext], object]) -> FPContext:
+        """The context an operator evaluates with.
+
+        On the fused bubble plane a counted context (``ctx.ledger``) is
+        charged the operator's op/byte ledger — every op runs on the whole
+        grid, so the counters depend only on ``key`` (operator, scheme,
+        grid shape, call site) — and swapped for its non-counting fused
+        twin, which computes the bits.  A miss records the ledger by
+        running the operator once op by op (``run``).
+        """
+        if self._fused_bubble and ctx.ledger:
+            return replay_fused(("bubble",) + key, ctx, run)
+        return ctx
+
     def advection_term(self, f: np.ndarray, ctx: FPContext, which: str = "f") -> np.ndarray:
         """u . grad(f) with the configured scheme, through ``ctx``.
 
@@ -228,6 +251,10 @@ class BubbleSolver:
         derivatives into one stacked edge reconstruction
         (:func:`repro.kernels.bubble.weno5_derivative_pair`) — bit-identical
         per batch row to the per-axis twins."""
+        ctx = self._counted(
+            ("advection", self.config.advection_scheme, f.shape, which), ctx,
+            lambda twin: self.advection_term(f, twin, which),
+        )
         if (
             self._fused_bubble
             and self.config.advection_scheme == "weno5"
@@ -277,6 +304,10 @@ class BubbleSolver:
 
     def diffusion_term(self, f: np.ndarray, viscosity: np.ndarray, ctx: FPContext, which: str = "f") -> np.ndarray:
         """div(nu grad f) with second-order central differences, through ``ctx``."""
+        ctx = self._counted(
+            ("diffusion", f.shape, which), ctx,
+            lambda twin: self.diffusion_term(f, viscosity, twin, which),
+        )
         cfg = self.config
         fp = self._pad(f, 1, "diff_f")
         nup = self._pad(viscosity, 1, "diff_nu")
@@ -475,6 +506,7 @@ class BubbleSolver:
         self._last_dt = dt
 
     def _advect_levelset(self, ctx: FPContext) -> np.ndarray:
+        ctx = self._counted(("levelset", self.levelset.phi.shape), ctx, self._advect_levelset)
         cfg = self.config
         if self._fused_bubble and ctx.fused:
             # the twins read phi and return a fresh array, so the defensive

@@ -24,9 +24,10 @@ on:
   optimized op-by-op truncating path, and
 * the **counted fused plane** — :class:`LedgerTruncatedContext` /
   :class:`LedgerFullContext` of :mod:`repro.kernels.ledger`: counting
-  contexts whose kernels run fused and replay a per-block op/byte ledger
-  recorded once from the instrumented update, so the counters stay
-  byte-identical to the instrumented plane.
+  contexts whose kernels run fused and replay op/byte ledgers (per block,
+  per operator call, per Newton iteration) recorded once from the
+  instrumented code, so the counters stay byte-identical to the
+  instrumented plane.
 
 Alongside the context planes, :mod:`repro.kernels.grid` fuses the
 context-free *grid* side — precomputed guard-fill plans, a batched
@@ -37,7 +38,9 @@ numpy outside any context, so instrumented counters stay byte-identical.
 solver — scratch-buffered twins of its advection/diffusion/level-set/
 projection operators, each truncatable one in a binary64 *and* a
 quantize-at-op-boundary variant — gated by ``RAPTOR_FAST_NO_BUBBLE``
-(:func:`bubble_plane_enabled`).
+(:func:`bubble_plane_enabled`).  :mod:`repro.kernels.eos` holds the
+binary64 and truncating twins of the cellular EOS table interpolation and
+Newton steps.
 
 Plane selection (:func:`select_context`) is applied centrally by
 :class:`~repro.core.selective.TruncationPolicy`, so every workload honours

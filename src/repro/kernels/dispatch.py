@@ -26,9 +26,10 @@ computes:
   would record nothing anyway (``count_ops`` and ``track_memory`` both
   off) take the fused planes above, and counting op-mode contexts take the
   **counted fused plane** of :mod:`repro.kernels.ledger` — ledger-aware
-  kernels (the compressible block update) run fused and replay a per-block
-  op/byte ledger, every other kernel counts op by op.  Reported counters
-  are byte-identical to the instrumented plane.
+  kernels (the compressible block update, the bubble operators, the
+  cellular EOS and burn network) run fused and replay op/byte ledgers,
+  any other kernel counts op by op.  Reported counters are byte-identical
+  to the instrumented plane.
 
 Error-tracking, naive (``optimized=False``) and shadow contexts always
 remain instrumented on every plane.

@@ -1,13 +1,13 @@
 """The counted fused plane: replay a per-block op/byte ledger.
 
 A *counting* context — the sweep default, ``count_ops``/``track_memory``
-on, ``track_errors`` off — used to pin every block update to the
-instrumented plane: hundreds of thousands of op-by-op ``_apply`` calls per
-point, each quantising a fresh array and updating four runtime counters.
-Yet in that configuration the counters of a compressible block update
-depend only on the *operation stream* and the *array shapes*, never on the
-data: every context op runs on whole arrays (``where`` selects, it does not
-branch), ``n`` is the result size and the byte charge is
+on, ``track_errors`` off — used to pin every solver to the instrumented
+plane: hundreds of thousands of op-by-op ``_apply`` calls per point, each
+quantising a fresh array and updating four runtime counters.  Yet in that
+configuration the counters of a compressible block update depend only on
+the *operation stream* and the *array shapes*, never on the data: every
+context op runs on whole arrays (``where`` selects, it does not branch),
+``n`` is the result size and the byte charge is
 ``8 * (n + Σ input sizes)``.  So the counters of one block update are a
 fixed **ledger** per (solver configuration, block shape, context kind) —
 
@@ -24,28 +24,53 @@ to the instrumented update.  Snapshots are byte-identical to the
 instrumented plane: the same totals, the same per-module counters, no
 per-location entries (those only exist with ``track_errors``).
 
+The other solvers replay a ledger per call of a whole operator through
+:func:`replay_fused`, which charges the call's ledger and hands back the
+context's non-counting fused twin to compute with: the bubble's
+advection, diffusion and level-set operators, the cellular table
+interpolation, the burn network, and the Newton EOS inversion — whose
+iteration count depends on the data, so it replays one residual ledger
+per iteration and one update ledger per iteration that does not converge.
+
 :class:`LedgerTruncatedContext` / :class:`LedgerFullContext` mark a
 counting context as eligible (``ledger = True``).  They *are* the counting
-contexts in every other respect: a kernel without a ledger-aware path —
-the bubble operators, the cellular EOS and burn network — calls their
-op-by-op methods and counts exactly as before.  Error-tracking, naive
-(``optimized=False``) and shadow (mem-mode) contexts never qualify: their
-records depend on the data.
+contexts in every other respect: a kernel without a ledger-aware path
+calls their op-by-op methods and counts exactly as before.
+Error-tracking, naive (``optimized=False``) and shadow (mem-mode) contexts
+never qualify: their records depend on the data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
+import numpy as np
+
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext
+from .fast import FastPlaneContext
+from .trunc import TruncFastPlaneContext
 
 __all__ = [
     "OpLedger",
     "LedgerRecorder",
     "LedgerTruncatedContext",
     "LedgerFullContext",
+    "fused_kind",
     "ledger_for",
+    "replay_fused",
 ]
+
+
+def fused_kind(ctx: FPContext) -> Optional[str]:
+    """The fused twins ``ctx`` runs on: ``"b64"`` (binary64), ``"trunc"``
+    (quantize at every op boundary), or None for the op-by-op path."""
+    if getattr(ctx, "fused", False):
+        return "b64"
+    if getattr(ctx, "fused_trunc", False):
+        return "trunc"
+    if getattr(ctx, "ledger", False):
+        return "trunc" if ctx.truncating else "b64"
+    return None
 
 
 @dataclass(frozen=True)
@@ -140,6 +165,11 @@ class LedgerTruncatedContext(TruncatedContext):
             rounding=self.rounding,
         )
 
+    def fused_twin(self) -> TruncFastPlaneContext:
+        """The non-counting fused truncating context that computes the
+        bits while the ledger supplies the counters."""
+        return TruncFastPlaneContext.from_context(self)
+
 
 class LedgerFullContext(FullPrecisionContext):
     """A counting binary64 context on the counted fused plane."""
@@ -164,6 +194,9 @@ class LedgerFullContext(FullPrecisionContext):
             module=self.module,
         )
 
+    def fused_twin(self) -> FastPlaneContext:
+        return FastPlaneContext(runtime=self.runtime, module=self.module)
+
 
 #: recorded ledgers, keyed by the caller's op-stream signature plus the
 #: context's counting signature.  A ledger is a pure function of its key,
@@ -179,12 +212,30 @@ def ledger_for(key: Hashable, ctx: FPContext, run: Callable[[FPContext], object]
     from the context (solver configuration, block shape); the context's
     kind, module and counting flags are added here.  On a miss, ``run`` is
     called once with the instrumented recording twin of ``ctx`` — its
-    result is discarded, only the counters it charged are kept.
+    result is discarded, only the counters it charged are kept, so its
+    floating-point warnings are silenced.
     """
     full_key = (key, type(ctx), ctx.module, ctx.count_ops, ctx.track_memory)
     ledger = _LEDGERS.get(full_key)
     if ledger is None:
         sink = LedgerRecorder()
-        run(ctx.recording_twin(sink))
+        with np.errstate(all="ignore"):
+            run(ctx.recording_twin(sink))
         ledger = _LEDGERS[full_key] = sink.ledger()
     return ledger
+
+
+def replay_fused(key: Hashable, ctx: FPContext, run: Callable[[FPContext], object]) -> FPContext:
+    """Charge one ledger of ``run`` (see :func:`ledger_for`) to ``ctx``'s
+    runtime and return the non-counting fused context that computes the
+    call's bits.
+
+    The counted-plane idiom for a whole-operator call whose op stream
+    depends only on shapes::
+
+        if ctx.ledger:
+            ctx = replay_fused(key, ctx, lambda twin: self.op(x, twin))
+        ...  # the fused path of ``ctx`` from here on
+    """
+    ledger_for(key, ctx, run).replay(ctx.runtime)
+    return ctx.fused_twin()

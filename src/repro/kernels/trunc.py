@@ -51,7 +51,7 @@ import numpy as np
 
 from ..core.fpformat import FPFormat
 from ..core.opmode import TruncatedContext
-from ..core.quantize import RoundingMode, quantize
+from ..core.quantize import RoundingMode, quantize, quantize_rne_bits
 from . import fused
 from .fused import where
 from .scratch import Workspace
@@ -128,6 +128,10 @@ def quantize_into(
     temporaries per call.  ``out`` may be ``arr`` itself (the hot in-place
     case: all reads of ``arr`` precede the single masked write) or any
     non-overlapping array; ``None`` allocates a fresh result.
+
+    Round-to-nearest-even first tries the bit-level fast path of
+    :func:`~repro.core.quantize.quantize_rne_bits`, exactly like
+    ``quantize``; the formulas handle every call it declines.
     """
     if rounding not in RoundingMode.ALL:
         raise ValueError(f"unknown rounding mode: {rounding!r}")
@@ -146,6 +150,10 @@ def quantize_into(
         o = lambda key, shape, dtype=np.float64: np.empty(shape, np.dtype(dtype))
     else:
         o = _o(ws)
+    if rounding == RoundingMode.NEAREST_EVEN:
+        fast = quantize_rne_bits(arr, fmt, out=out, scratch=o((_QZ, "bits"), shp, np.uint64))
+        if fast is not None:
+            return fast
     fmt_emin, fmt_man_bits, fmt_max_value = _fmt_scalars(fmt)
     finite = np.isfinite(arr, out=o((_QZ, "fin"), shp, bool))
     mask = np.not_equal(arr, 0.0, out=o((_QZ, "msk"), shp, bool))

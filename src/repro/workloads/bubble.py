@@ -103,6 +103,8 @@ class BubbleWorkload(Scenario):
                 # that continued straight out of the spin-up
                 "step_count": solver.step_count,
             }
+            # the spin-up ran binary64; a truncated phase uses other buffers
+            solver.release_scratch()
         else:
             solver.velx = self._spun_up_state["velx"].copy()
             solver.vely = self._spun_up_state["vely"].copy()

@@ -175,10 +175,17 @@ class CellularWorkload(Scenario):
         pol = policy if policy is not None else NoTruncationPolicy(runtime=rt)
         eos_ctx = pol.context_for(module="eos")
         # burning always runs untruncated, counted on *this run's* runtime
-        # (the policy may have been built on another), but on the policy's
-        # kernel plane so fast-plane reference runs stay fused end to end
+        # (the policy may have been built on another), but with the
+        # policy's counting flags and on its kernel plane, so fast-plane
+        # reference runs stay fused end to end
+        pol_cfg = getattr(pol, "config", None)
         burn_ctx = select_context(
-            FullPrecisionContext(runtime=rt, module="burn"),
+            FullPrecisionContext(
+                runtime=rt,
+                count_ops=pol_cfg.count_ops if pol_cfg is not None else True,
+                track_memory=pol_cfg.track_memory if pol_cfg is not None else True,
+                module="burn",
+            ),
             getattr(pol, "plane", "auto"),
         )
 

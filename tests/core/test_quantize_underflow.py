@@ -7,7 +7,9 @@ decision the vectorised :func:`repro.core.quantize.quantize` makes.  These
 tests pin the two implementations bitwise-equal exactly where the scaled
 ldexp/rint chain is most delicate: the subnormal range around ``2**emin``,
 the below-``min_subnormal`` regime where directed modes must snap to zero
-or the smallest subnormal, and the overflow clamp at ``max_value``.
+or the smallest subnormal, and the overflow clamp at ``max_value``.  The
+bit-level round-to-nearest-even fast path both quantizers try first is
+pinned against the same oracle over raw bit patterns.
 """
 import math
 
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FPFormat, RoundingMode, quantize
+from repro.core.quantize import quantize_rne_bits
 from repro.core.softfloat import exact_quantize
+from repro.kernels.trunc import quantize_into
 
 # small formats put the underflow boundary within easy reach; e5m10/e8m7 are
 # fp16/bf16, e4m3/e5m2 are the FP8 pair, e8m10 is the paper's sweep format
@@ -123,3 +127,80 @@ def test_arbitrary_doubles_match_oracle(fmt, rounding, x):
 def test_oracle_is_idempotent(fmt, rounding, x):
     once = exact_quantize(x, fmt, rounding)
     assert exact_quantize(once, fmt, rounding) == once or math.isnan(once)
+
+
+# ---------------------------------------------------------------------------
+# the bit-level round-to-nearest-even fast path
+# ---------------------------------------------------------------------------
+#: the fast path's formats: the small ones above, the sweep formats and
+#: both ends of the exponent range
+RNE_FORMATS = FORMATS + [
+    FPFormat(exp_bits=8, man_bits=23),
+    FPFormat(exp_bits=11, man_bits=51),
+    FPFormat(exp_bits=11, man_bits=0),
+    FPFormat(exp_bits=2, man_bits=5),
+]
+
+
+def _oracle_bits(values, fmt):
+    want = np.array([exact_quantize(float(v), fmt) for v in values.ravel()])
+    return want.reshape(values.shape).view(np.uint64)
+
+
+@given(
+    fmt=st.sampled_from(RNE_FORMATS),
+    patterns=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=12),
+)
+@settings(max_examples=600, deadline=None)
+def test_rne_raw_bit_patterns_match_oracle(fmt, patterns):
+    """Arbitrary binary64 bit patterns — normals, subnormals, ±0, ±inf,
+    NaN payloads — through both quantizers, fast path or fallback."""
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    want = _oracle_bits(values, fmt)
+    got = quantize(values, fmt).view(np.uint64)
+    into = quantize_into(values.copy(), fmt).view(np.uint64)
+    nan = np.isnan(values)
+    assert np.array_equal(np.isnan(got.view(np.float64)), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(into, got)
+
+
+@given(
+    fmt=st.sampled_from(RNE_FORMATS),
+    exponents=st.lists(st.integers(min_value=-30, max_value=30), min_size=6, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_rne_fast_path_on_arrays_matches_oracle(fmt, exponents, seed):
+    """Normal-range 2-D arrays with zeros (the fast path's own domain):
+    in place, into a separate buffer and fresh, all bitwise the oracle."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((6, 5)) * np.exp2(np.array(exponents))[:, None]
+    values[0, 0], values[-1, -1] = 0.0, -0.0
+    want = _oracle_bits(values, fmt)
+    assert np.array_equal(quantize(values, fmt).view(np.uint64), want)
+    out = np.empty_like(values)
+    assert np.array_equal(quantize_into(values, fmt, out=out).view(np.uint64), want)
+    in_place = values.copy()
+    quantize_into(in_place, fmt, out=in_place)
+    assert np.array_equal(in_place.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("fmt", RNE_FORMATS, ids=lambda f: f"e{f.exp_bits}m{f.man_bits}")
+def test_rne_fast_path_declines_exactly_the_hard_lanes(fmt):
+    """The fast path takes zeros and in-range normals, and declines (writing
+    nothing) a target-subnormal, non-finite or overflowing lane."""
+    normal = np.array([1.0, -0.0, 0.0, fmt.min_normal, -fmt.max_value])
+    assert quantize_rne_bits(normal, fmt) is not None
+    ulp_top = 2.0 ** (fmt.emax - fmt.man_bits)
+    # the overflow midpoint ties to the even side: past max_value
+    for bad in (np.nextafter(fmt.min_normal, 0.0), np.inf, np.nan,
+                fmt.max_value + ulp_top / 2):
+        out = np.full(2, 7.0)
+        assert quantize_rne_bits(np.array([1.0, bad]), fmt, out=out) is None
+        assert np.array_equal(out, [7.0, 7.0])
+    # just below the overflow midpoint still rounds down to max_value
+    below = np.nextafter(fmt.max_value + ulp_top / 2, 0.0)
+    assert quantize_rne_bits(np.array([below]), fmt)[0] == fmt.max_value
+    assert quantize_rne_bits(np.array([1.0]), FPFormat(exp_bits=8, man_bits=52)) is None
+    assert quantize_rne_bits(np.array([]), fmt) is None

@@ -14,6 +14,10 @@ The load-bearing contracts:
   every scheme, solver, rounding, gravity and block shape — per block and
   batched (a batched stack replays the per-block ledger once per block, so
   scalar operands are charged per block);
+* the bubble operators (advection, diffusion, level-set transport) and
+  the cellular EOS (table interpolation, every Newton iteration, the burn
+  network) replay per-call ledgers whose counters never depend on the
+  data — including Newton solves that converge at once, midway or never;
 * whole sweeps and cliff searches over all seven workloads produce
   identical metrics and snapshots on the instrumented and counted planes.
 """
@@ -22,20 +26,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.burn import CarbonBurnNetwork
 from repro.core import (
     BF16,
     AMRCutoffPolicy,
     FPFormat,
     FullPrecisionContext,
     GlobalPolicy,
+    ModulePolicy,
     RaptorRuntime,
     RoundingMode,
     ShadowContext,
     TruncatedContext,
     TruncationConfig,
 )
+from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy
 from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
 from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
+from repro.incomp import BubbleConfig, BubbleSolver
 from repro.kernels import (
     LedgerFullContext,
     LedgerTruncatedContext,
@@ -382,7 +390,7 @@ class TestCountedWorkloads:
         assert counted.rollup().snapshot() == instrumented.rollup().snapshot()
         assert counted.rollup().ops.total > 0
 
-    @pytest.mark.parametrize("workload", ["sod", "rayleigh-taylor", "cellular"])
+    @pytest.mark.parametrize("workload", ["sod", "rayleigh-taylor", "cellular", "bubble"])
     def test_find_cliff_identical(self, workload):
         kwargs = dict(config_kwargs=TINY_CONFIGS[workload],
                       min_man_bits=4, max_man_bits=20, exp_bits=8)
@@ -392,3 +400,222 @@ class TestCountedWorkloads:
         key = lambda c: [(e.man_bits, e.error, e.passed, e.truncated_fraction)
                          for e in c.evaluations]
         assert key(counted) == key(instrumented)
+
+
+
+# ---------------------------------------------------------------------------
+# the bubble operators
+# ---------------------------------------------------------------------------
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _counting_in(module, fmt=E8M10):
+    """Instrumented counting contexts of ``module``: truncating and binary64."""
+    return (TruncatedContext(fmt, runtime=RaptorRuntime(), module=module),
+            FullPrecisionContext(runtime=RaptorRuntime(), module=module))
+
+
+def _assert_call_identical(call, src):
+    """``call(ctx)`` under instrumented ``src`` and under its counted twin:
+    bitwise the same result and a byte-identical runtime snapshot."""
+    counted = _counted(src)
+    with np.errstate(all="ignore"):
+        want = np.array(call(src), dtype=np.float64)
+        got = np.array(call(counted), dtype=np.float64)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert counted.runtime.snapshot() == src.runtime.snapshot()
+    assert src.runtime.ops.total > 0
+
+
+def _bubble_solver(scheme, seed):
+    """A small bubble solver with random fields: velocities of both signs
+    (so every upwind selection goes both ways) and a random level set."""
+    solver = BubbleSolver(BubbleConfig(nx=10, ny=14, xlim=(-1.0, 1.0), ylim=(-1.0, 2.0),
+                                       advection_scheme=scheme))
+    rng = np.random.default_rng(seed)
+    shape = solver.velx.shape
+    solver.velx = rng.normal(size=shape)
+    solver.vely = rng.normal(size=shape)
+    solver.levelset.phi = rng.normal(size=shape)
+    solver._pending_dt = 1e-3
+    return solver, rng.uniform(1e-3, 1.0, size=shape)
+
+
+class TestCountedBubble:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           scheme=st.sampled_from(["weno5", "upwind"]),
+           which=st.sampled_from(["u", "v"]))
+    def test_operator_ledgers_never_depend_on_the_data(self, seed, scheme, which):
+        """Each operator's ledger is recorded on the first example's data;
+        every later example replays it on other random fields."""
+        solver, mu = _bubble_solver(scheme, seed)
+        field = solver.velx if which == "u" else solver.vely
+        calls = [  # (module, operator call)
+            ("advection", lambda c: solver.advection_term(field, c, which)),
+            ("diffusion", lambda c: solver.diffusion_term(field, mu, c, which)),
+            ("advection", lambda c: solver._advect_levelset(c)),
+        ]
+        for module, call in calls:
+            for src in _counting_in(module):
+                _assert_call_identical(call, src)
+
+    @pytest.mark.parametrize("rounding", list(RoundingMode.ALL))
+    def test_operators_all_roundings(self, rounding):
+        solver, _ = _bubble_solver("weno5", 7)
+        src = TruncatedContext(BF16, runtime=RaptorRuntime(), module="advection",
+                               rounding=rounding)
+        _assert_call_identical(lambda c: solver.advection_term(solver.velx, c, "u"), src)
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 2])
+    def test_cutoff_blends_identical(self, cutoff):
+        """M - l cutoffs blend truncated and full-precision cells: the
+        truncated operator still runs on the whole grid."""
+        outcomes = {}
+        for plane in ("instrumented", "auto"):
+            rt = RaptorRuntime()
+            pol = AMRCutoffPolicy(TruncationConfig(targets={64: E8M10}), cutoff=cutoff,
+                                  modules=("advection", "diffusion"), runtime=rt, plane=plane)
+            outcomes[plane] = create_workload("bubble", **TINY_CONFIGS["bubble"]).run(
+                policy=pol, runtime=rt)
+        a, b = outcomes["instrumented"], outcomes["auto"]
+        for key in a.state:
+            assert np.array_equal(_bits(b.state[key]), _bits(a.state[key])), key
+        assert b.snapshot() == a.snapshot()
+        assert a.runtime.ops.truncated > 0
+
+
+# ---------------------------------------------------------------------------
+# the cellular EOS and burn network
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def table():
+    return HelmholtzTable()
+
+
+def _newton_problem(table, n=12):
+    rho = np.geomspace(2e5, 5e7, n)
+    temp = np.geomspace(3e8, 4e9, n)
+    return rho, temp, np.asarray(table.energy(rho, temp))
+
+
+#: wide enough that the Newton tolerance is reachable
+E11M50 = FPFormat(exp_bits=11, man_bits=50)
+
+
+class TestCountedNewton:
+    def _assert_solve_identical(self, table, src, guess, config):
+        rho, _, target = _newton_problem(table)
+        counted = _counted(src)
+        # a stalled low-precision solve divides by a zero derivative
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = invert_energy(table, rho, target, guess, config, src)
+            got = invert_energy(table, rho, target, guess, config, counted)
+        assert np.array_equal(_bits(got.temperature), _bits(want.temperature))
+        assert (got.iterations, got.converged, got.max_residual, got.residual_history) == (
+            want.iterations, want.converged, want.max_residual, want.residual_history)
+        assert counted.runtime.snapshot() == src.runtime.snapshot()
+        return want
+
+    def test_converges_at_the_first_iteration(self, table):
+        _, temp, _ = _newton_problem(table)
+        for src in _counting_in("eos", E11M50):
+            result = self._assert_solve_identical(table, src, temp, NewtonSolverConfig())
+            assert result.converged and result.iterations == 1
+
+    @pytest.mark.parametrize("relaxation", [1.0, 0.7])
+    def test_converges_midway(self, table, relaxation):
+        _, temp, _ = _newton_problem(table)
+        config = NewtonSolverConfig(relaxation=relaxation)
+        for src in _counting_in("eos", E11M50):
+            result = self._assert_solve_identical(table, src, temp * 1.5, config)
+            assert result.converged and 1 < result.iterations < config.max_iterations
+
+    def test_never_converges(self, table):
+        _, temp, _ = _newton_problem(table)
+        config = NewtonSolverConfig(max_iterations=8)
+        for fmt in (E8M10, BF16):
+            src = TruncatedContext(fmt, runtime=RaptorRuntime(), module="eos")
+            result = self._assert_solve_identical(table, src, temp * 1.5, config)
+            assert not result.converged and result.iterations == config.max_iterations
+
+    def test_bytes_only_contexts(self, table):
+        """``track_memory`` without ``count_ops``: the ledgers carry bytes only."""
+        _, temp, _ = _newton_problem(table)
+        src = TruncatedContext(E8M10, runtime=RaptorRuntime(), module="eos", count_ops=False)
+        self._assert_solve_identical(table, src, temp * 1.5, NewtonSolverConfig(max_iterations=5))
+        assert src.runtime.ops.total == 0 and src.runtime.mem.truncated > 0
+        solver, mu = _bubble_solver("upwind", 3)
+        src = TruncatedContext(E8M10, runtime=RaptorRuntime(), module="diffusion",
+                               count_ops=False)
+        counted = _counted(src)
+        solver.diffusion_term(solver.velx, mu, src, "u")
+        solver.diffusion_term(solver.velx, mu, counted, "u")
+        assert counted.runtime.snapshot() == src.runtime.snapshot()
+        assert src.runtime.mem.truncated > 0
+
+    def test_table_lookups_identical(self, table):
+        rho, temp, _ = _newton_problem(table)
+        calls = (lambda c: table.pressure(rho, temp, c),
+                 lambda c: table.energy_derivative(rho, temp, c),
+                 lambda c: table.energy(3e6, 2e9, c))  # scalars
+        for call in calls:
+            for src in _counting_in("eos"):
+                _assert_call_identical(call, src)
+
+    def test_burn_network_identical(self):
+        network = CarbonBurnNetwork(rate_prefactor=1e9, activation_t9=10.0)
+        fuel = np.linspace(0.2, 1.0, 9)
+        temp = np.geomspace(3e8, 5e9, 9)
+        for src in _counting_in("burn"):
+            _assert_call_identical(lambda c: network.burn(fuel, temp, 1e-7, c)[1], src)
+
+
+def _module_run(name, policy):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return create_workload(name, **TINY_CONFIGS[name]).run(policy=policy,
+                                                               runtime=policy.runtime)
+
+
+class TestCountedScenarios:
+    @pytest.mark.parametrize("name,modules", [
+        ("bubble", ("advection", "diffusion")),
+        ("cellular", ("eos",)),
+    ])
+    def test_ledgers_are_recorded_once_per_signature(self, monkeypatch, name, modules):
+        monkeypatch.setattr(ledger, "_LEDGERS", {})
+        cfg = TruncationConfig(targets={64: E8M10})
+        _module_run(name, ModulePolicy(cfg, modules=modules, runtime=RaptorRuntime()))
+        recorded = dict(ledger._LEDGERS)
+        kinds = {key[0][1] for key in recorded}
+        expected = {
+            "bubble": {"advection", "diffusion", "levelset"},
+            "cellular": {"bilinear", "newton-residual", "newton-update", "network"},
+        }[name]
+        assert kinds >= expected
+        # another width, same op streams: nothing new is recorded
+        cfg = TruncationConfig(targets={64: BF16})
+        _module_run(name, ModulePolicy(cfg, modules=modules, runtime=RaptorRuntime()))
+        assert ledger._LEDGERS == recorded
+
+    @pytest.mark.parametrize("name,modules", [
+        ("bubble", ("advection", "diffusion")),
+        ("cellular", ("eos",)),
+    ])
+    def test_error_tracking_stays_op_by_op(self, monkeypatch, name, modules):
+        real = ledger.ledger_for
+
+        def guarded(key, ctx, run):
+            # the untruncated burn network may still ride its ledger
+            assert ctx.module not in modules, "an error-tracking context replayed a ledger"
+            return real(key, ctx, run)
+
+        rt = RaptorRuntime()
+        cfg = TruncationConfig(targets={64: E8M10}, track_errors=True)
+        pol = ModulePolicy(cfg, modules=modules, runtime=rt, plane="auto")
+        assert not pol.context_for(modules[0]).ledger
+        monkeypatch.setattr("repro.kernels.ledger.ledger_for", guarded)
+        monkeypatch.setattr("repro.eos.newton.ledger_for", guarded)
+        _module_run(name, pol)
+        assert rt.snapshot()["locations"]

@@ -1,9 +1,11 @@
 """Integration tests for the Cellular and Bubble workloads (scenario API)."""
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import RaptorRuntime
-from repro.experiments import PolicySpec
+from repro.experiments import PolicySpec, gather_references
 from repro.incomp import BubbleConfig
 from repro.workloads import (
     BubbleExperimentConfig,
@@ -76,6 +78,24 @@ class TestCellular:
         rt = RaptorRuntime()
         broken = cellular.run(policy=cellular.eos_policy(10, runtime=rt), runtime=rt, n_steps=6)
         assert not cellular.acceptable(broken, ref)
+
+    def test_fast_plane_reference_is_warning_free(self):
+        """The burn context follows the policy's counting flags, so the
+        non-counting fast-plane reference never substitutes a counting
+        binary64 context (which warns)."""
+        config = dict(n_cells=16, n_steps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = CellularWorkload(CellularConfig(**config)).reference(plane="fast")
+            gathered = gather_references(("cellular",), lambda name: config)
+        assert ref.runtime.ops.total == 0
+        np.testing.assert_array_equal(gathered["cellular"].state["temp"],
+                                      ref.state["temp"])
+
+    def test_counting_reference_counts_the_burn_network(self):
+        rt = RaptorRuntime()
+        CellularWorkload(CellularConfig(n_cells=16, n_steps=3)).run(runtime=rt)
+        assert rt.snapshot()["modules"]["burn"]["full"] > 0
 
 
 @pytest.fixture(scope="module")

@@ -25,9 +25,12 @@ instrumented baseline (``RAPTOR_FAST_NO_BUBBLE=1`` +
 the WENO5 advection, diffusion, level-set and projection twins must all
 match bitwise.  A sixth pass covers the *counted* fused plane
 (``repro.kernels.ledger``): counting runs of both golden configurations,
-then a counting ``run_sweep`` over all seven workloads and a counting
-``find_cliff``, each on the instrumented plane vs ``plane="auto"`` — states
-bitwise and ``RaptorRuntime`` snapshots byte-identical.
+then a counting ``run_sweep`` over all seven workloads and counting
+``find_cliff`` searches on sod, bubble (an M-1 cutoff, so probes blend
+truncated and full-precision cells) and cellular (probes narrow enough
+that Newton exhausts its iterations), each on the instrumented plane vs
+``plane="auto"`` — states and probe evaluations bitwise, ``RaptorRuntime``
+snapshots byte-identical.
 
     PYTHONPATH=src python tools/check_plane_equivalence.py
 """
@@ -238,7 +241,7 @@ def _diff_counted_planes() -> list:
     per-module ops, bytes) must be byte-identical, not just the states.
     """
     from repro.core import FPFormat, GlobalPolicy, RaptorRuntime, TruncationConfig
-    from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
+    from repro.experiments import PolicySpec, SweepSpec, run_sweep
     from repro.workloads import create_workload
 
     failures = []
@@ -282,15 +285,62 @@ def _diff_counted_planes() -> list:
     if len(instrumented.points) != len(counted.points) or counted.failures:
         failures.append("counted sweep: point sets differ or points failed")
 
-    cliff_kwargs = dict(config_kwargs=COUNTED_SWEEP_CONFIGS["sod"],
-                        min_man_bits=4, max_man_bits=20, exp_bits=8)
-    cliffs = [find_cliff("sod", **cliff_kwargs, plane=plane) for plane in ("instrumented", "auto")]
-    evaluations = [
-        [(e.man_bits, e.error, e.passed, e.truncated_fraction) for e in c.evaluations]
-        for c in cliffs
-    ]
-    if evaluations[0] != evaluations[1]:
-        failures.append("sod (counted cliff search): probe evaluations differ")
+    for name, cutoff, max_bits, check in COUNTED_CLIFFS:
+        failures.extend(_diff_counted_cliff(name, cutoff, max_bits, check))
+    return failures
+
+
+def _newton_gave_up(evaluations) -> bool:
+    return any(e.info["failed_newton_steps"] > 0 for e in evaluations)
+
+
+#: counting cliff searches of the sixth pass: (workload, M - l cutoff of
+#: its default modules or None for everywhere, widest probe, a property
+#: the probes must show so the pass covers what it says)
+COUNTED_CLIFFS = [
+    ("sod", None, 20, None),
+    # the M-1 cutoff blends truncated and full-precision cells (the
+    # full-precision side counts nothing, so no counter shows the blend)
+    ("bubble", 1, 20, None),
+    # narrow probes exhaust the Newton iteration limit
+    ("cellular", None, 40, _newton_gave_up),
+]
+
+
+def _diff_counted_cliff(name, cutoff, max_bits, check) -> list:
+    """A counting ``find_cliff`` on both planes: probe evaluations equal,
+    and every probed width's runtime snapshot byte-identical."""
+    from repro.core import FPFormat, RaptorRuntime
+    from repro.experiments import PolicySpec, find_cliff
+    from repro.experiments.adaptive import default_policy_for
+    from repro.workloads import create_workload
+
+    config = COUNTED_SWEEP_CONFIGS[name]
+    spec = default_policy_for(name)
+    if cutoff is not None:
+        spec = PolicySpec.amr_cutoff(cutoff, modules=spec.modules)
+    label = f"{name} {spec.describe()} (counted cliff search)"
+    evaluations, snapshots = {}, {}
+    for plane in ("instrumented", "auto"):
+        cliff = find_cliff(name, spec, config_kwargs=config, min_man_bits=4,
+                           max_man_bits=max_bits, exp_bits=8, plane=plane)
+        evaluations[plane] = [
+            (e.man_bits, e.error, e.passed, e.truncated_fraction, sorted(e.info.items()))
+            for e in cliff.evaluations
+        ]
+        snapshots[plane] = []
+        for e in cliff.evaluations:
+            runtime = RaptorRuntime()
+            built = spec.build(FPFormat(8, e.man_bits), runtime, plane=plane)
+            create_workload(name, **config).run(policy=built, runtime=runtime)
+            snapshots[plane].append(runtime.snapshot())
+        if check is not None and plane == "auto" and not check(cliff.evaluations):
+            return [f"{label}: the probes miss the case this check covers"]
+    failures = []
+    if evaluations["instrumented"] != evaluations["auto"]:
+        failures.append(f"{label}: probe evaluations differ")
+    if snapshots["instrumented"] != snapshots["auto"]:
+        failures.append(f"{label}: runtime snapshots differ")
     return failures
 
 
@@ -332,8 +382,8 @@ def main() -> int:
         "truncated (e8m10); regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated; counting runs, "
-        "a seven-workload counting sweep and a counting cliff search "
-        "bitwise identical with byte-identical counters on the counted plane"
+        "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
+        "searches bitwise identical with byte-identical counters on the counted plane"
     )
     return 0
 
