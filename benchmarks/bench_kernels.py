@@ -1,18 +1,15 @@
 """Kernel-plane benchmark: instrumented vs fused fast plane, per workload.
 
 Times the full-precision *reference* run of each workload on both kernel
-planes (see ``repro.kernels``), breaks the fast plane down into its three
+planes (see ``repro.kernels``), breaks the fast plane down into its
 optimisation rungs —
 
-* ``fast-flux``    — fused flux pipeline only (``RAPTOR_FAST_NO_SCRATCH`` +
-  ``RAPTOR_FAST_NO_BATCH``): every Riemann/EOS/reconstruction sweep is
-  straight-line numpy, but temporaries are freshly allocated and blocks
-  advance one at a time;
-* ``fast-scratch`` — plus preallocated scratch workspaces (``out=``
-  chaining, no batching);
-* ``fast-nogrid``  — plus batched block stepping but with the fused grid
-  plane disabled (``RAPTOR_FAST_NO_GRID``): per-block guard fills,
-  per-block ``compute_dt`` and per-block refinement estimators;
+* ``fast-flux``    — the fused flux pipeline, blocks stacked into one
+  batched update per substep, without scratch workspaces
+  (``RAPTOR_FAST_NO_SCRATCH``): every temporary is freshly allocated;
+* ``fast-nogrid``  — plus preallocated scratch workspaces but with the
+  fused grid plane disabled (``RAPTOR_FAST_NO_GRID``): per-block guard
+  fills, per-block ``compute_dt`` and per-block refinement estimators;
 * ``fast``         — plus the fused grid plane (the default fast plane) —
 
 verifies the final states are bitwise identical across *all* planes — the
@@ -101,8 +98,7 @@ CONFIGS = {
 #: timing variants: label -> (plane, env overrides)
 VARIANTS = (
     ("instrumented", "instrumented", {}),
-    ("fast-flux", "fast", {"RAPTOR_FAST_NO_SCRATCH": "1", "RAPTOR_FAST_NO_BATCH": "1"}),
-    ("fast-scratch", "fast", {"RAPTOR_FAST_NO_BATCH": "1"}),
+    ("fast-flux", "fast", {"RAPTOR_FAST_NO_SCRATCH": "1"}),
     ("fast-nogrid", "fast", {"RAPTOR_FAST_NO_GRID": "1"}),
     ("fast", "fast", {}),
 )
@@ -136,8 +132,8 @@ BUBBLE_VARIANTS = (
 @contextlib.contextmanager
 def _env(overrides):
     saved = {name: os.environ.get(name) for name in
-             ("RAPTOR_FAST_NO_SCRATCH", "RAPTOR_FAST_NO_BATCH",
-              "RAPTOR_FAST_NO_GRID", "RAPTOR_FAST_NO_BUBBLE")}
+             ("RAPTOR_FAST_NO_SCRATCH", "RAPTOR_FAST_NO_GRID",
+              "RAPTOR_FAST_NO_BUBBLE")}
     for name in saved:
         os.environ.pop(name, None)
     os.environ.update(overrides)
@@ -495,7 +491,6 @@ def run_benchmark(quick: bool, repeat: int):
             "repeat": repeat,
             "instrumented_seconds": seconds["instrumented"],
             "fast_flux_seconds": seconds["fast-flux"],
-            "fast_scratch_seconds": seconds["fast-scratch"],
             "fast_nogrid_seconds": seconds["fast-nogrid"],
             "fast_seconds": seconds["fast"],
             "previous_fast_seconds": previous.get(name),
@@ -558,7 +553,6 @@ def main(argv=None) -> int:
             r["workload"],
             f"{r['instrumented_seconds']:.3f}",
             f"{r['fast_flux_seconds']:.3f}",
-            f"{r['fast_scratch_seconds']:.3f}",
             f"{r['fast_nogrid_seconds']:.3f}",
             f"{r['fast_seconds']:.3f}",
             f"{r['speedup']:.2f}x",
@@ -570,9 +564,8 @@ def main(argv=None) -> int:
     ]
     print(f"\n=== kernel planes: reference runs, {payload['mode']} mode ===")
     print(format_table(
-        ["workload", "instrumented [s]", "fast-flux [s]", "fast-scratch [s]",
-         "fast-nogrid [s]", "fast [s]", "speedup", "grid speedup",
-         "bitwise identical"],
+        ["workload", "instrumented [s]", "fast-flux [s]", "fast-nogrid [s]",
+         "fast [s]", "speedup", "grid speedup", "bitwise identical"],
         rows,
     ))
 

@@ -27,12 +27,7 @@ from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels import trunc as trunc_flux
 from ..kernels.ledger import OpLedger, fused_kind, ledger_for
-from ..kernels.scratch import (
-    Workspace,
-    batching_enabled,
-    grid_plane_enabled,
-    make_workspace,
-)
+from ..kernels.scratch import Workspace, buffer, grid_plane_enabled, make_workspace
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
 from .riemann import SOLVERS
@@ -42,7 +37,8 @@ __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
 #: signature of the context provider: (module, level, max_level) -> FPContext
 ContextProvider = Callable[[str, Optional[int], Optional[int]], FPContext]
 
-PRIMITIVE_VARS = ("dens", "velx", "vely", "pres")
+#: primitive variables, in the row order of the fused pipelines' stacks
+PRIMITIVE_VARS = fused_flux.PRIMITIVES
 
 
 def default_context_provider(module: str, level=None, max_level=None) -> FPContext:
@@ -79,9 +75,11 @@ class HydroSolver:
         fused fast-plane pipeline (bit-identical; ``None`` follows the
         ``RAPTOR_FAST_NO_SCRATCH`` environment switch, default on).
     batch_blocks:
-        On the fast plane, stack same-shaped blocks of one AMR level into a
-        single batched kernel invocation per substep (bit-identical;
-        ``None`` follows ``RAPTOR_FAST_NO_BATCH``, default on).
+        On the fused planes, stack the blocks that share a context
+        signature — across AMR levels, each with its own ``dx``/``dy`` —
+        into a single batched kernel invocation per substep
+        (bit-identical; ``False`` advances one block at a time, the
+        per-block oracle of the tests).
     batch_dt:
         Compute the CFL step as one stacked ``(nblocks, nx, ny)`` reduction
         (:func:`repro.kernels.grid.compute_dt`) instead of looping blocks
@@ -99,7 +97,7 @@ class HydroSolver:
         gravity: Tuple[float, float] = (0.0, 0.0),
         module: str = "hydro",
         scratch: Optional[bool] = None,
-        batch_blocks: Optional[bool] = None,
+        batch_blocks: bool = True,
         batch_dt: Optional[bool] = None,
     ) -> None:
         if riemann not in SOLVERS:
@@ -113,7 +111,7 @@ class HydroSolver:
         self.rk_stages = int(rk_stages)
         self.gravity = (float(gravity[0]), float(gravity[1]))
         self.module = module
-        self.batch_blocks = batching_enabled() if batch_blocks is None else bool(batch_blocks)
+        self.batch_blocks = bool(batch_blocks)
         self.batch_dt = grid_plane_enabled() if batch_dt is None else bool(batch_dt)
         if scratch is None:
             self._workspace: Optional[Workspace] = make_workspace()
@@ -302,9 +300,10 @@ class HydroSolver:
             "pres": update_ctx.asplain(new_pres),
         }
 
-    def _advance_fused(self, prims: Dict, dt: float, dx: float, dy: float,
+    def _advance_fused(self, prims, dt: float, dx, dy,
                        ng: int, nxb: int, nyb: int) -> Dict[str, np.ndarray]:
-        """The fully fused block (or block-stack) update of the fast plane."""
+        """The fully fused block (or block-stack) update of the fast plane;
+        ``dx``/``dy`` are scalars or per-block arrays of a stack."""
         return fused_flux.advance(
             prims, dt, dx, dy, ng, nxb, nyb,
             scheme=self.reconstruction,
@@ -316,7 +315,7 @@ class HydroSolver:
             ws=self._workspace,
         )
 
-    def _advance_fused_trunc(self, prims: Dict, dt: float, dx: float, dy: float,
+    def _advance_fused_trunc(self, prims, dt: float, dx, dy,
                              ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
         """The fully fused truncating block (or block-stack) update."""
         return trunc_flux.advance(
@@ -332,7 +331,7 @@ class HydroSolver:
             ws=self._workspace,
         )
 
-    def _advance_fused_kind(self, kind: str, prims: Dict, dt: float, dx: float, dy: float,
+    def _advance_fused_kind(self, kind: str, prims, dt: float, dx, dy,
                             ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
         """Dispatch to the binary64 (``"b64"``) or truncating fused update."""
         if kind == "trunc":
@@ -372,9 +371,10 @@ class HydroSolver:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
         Blocks whose context rides a fused plane (binary64, truncating or
-        counted) are stacked per AMR level — per (format, rounding)
-        signature on the truncating plane, per context on the counted
-        plane — into one ``(nblocks, nx, ny)`` batched kernel invocation
+        counted) are stacked across AMR levels — one group per binary64
+        plane, per (format, rounding) signature on the truncating plane,
+        per context on the counted plane — into one ``(nblocks, nx, ny)``
+        batched kernel invocation with per-block ``dx``/``dy``
         (element-wise ufuncs are independent per slot, so the batched
         update is bit-identical to the per-block loop; a counted stack
         replays its ledger once per block).  Everything else —
@@ -398,11 +398,11 @@ class HydroSolver:
                 ctx = contexts[key]
                 if getattr(ctx, "ledger", False):
                     rank = counted_rank.setdefault(id(ctx), len(counted_rank))
-                    batched.setdefault((key[0], "ledger", rank), []).append(key)
+                    batched.setdefault(("ledger", rank), []).append(key)
                 elif getattr(ctx, "fused", False):
-                    batched.setdefault((key[0], "b64"), []).append(key)
+                    batched.setdefault(("b64",), []).append(key)
                 elif getattr(ctx, "fused_trunc", False):
-                    sig = (key[0], "trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
+                    sig = ("trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
                     batched.setdefault(sig, []).append(key)
             # a single block gains nothing from stacking
             batched = {sig: group for sig, group in batched.items() if len(group) > 1}
@@ -410,9 +410,7 @@ class HydroSolver:
         updates: Dict = {}
         for sig in sorted(batched):
             group = batched[sig]
-            updates.update(
-                self._advance_level_batched(grid, group, dt, ctx=contexts[group[0]])
-            )
+            updates.update(self._advance_batched(grid, group, dt, ctx=contexts[group[0]]))
         in_batch = {key for group in batched.values() for key in group}
         for key in keys:
             if key in in_batch:
@@ -425,30 +423,33 @@ class HydroSolver:
                 block.set_interior(name, values)
         grid.fill_guard_cells(list(PRIMITIVE_VARS))
 
-    def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
-        """Advance same-level fused blocks as one stacked kernel invocation.
+    def _advance_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
+        """Advance fused blocks of any levels as one stacked kernel invocation.
 
-        ``ctx`` is the (shared) context of the group: a truncating
-        fast-plane context routes the stack through the fused truncating
-        pipeline, anything else through the binary64 one.  A counted
-        context replays its per-block ledger once per stacked block, so
-        scalar and broadcast operands are charged per block exactly as on
-        the per-block instrumented path.
+        ``group`` holds same-shaped blocks; they are copied into one
+        ``(4, nblocks, nx, ny)`` primitive stack and each slot gets its own
+        ``dx``/``dy`` as a ``(nblocks, 1, 1)`` array — block bounds make the
+        spacing differ in the last bit even within a level on non-dyadic
+        root grids.  ``ctx`` is the (shared) context of the group: a
+        truncating fast-plane context routes the stack through the fused
+        truncating pipeline, anything else through the binary64 one.  A
+        counted context replays its per-block ledger once per stacked
+        block, so scalar and broadcast operands are charged per block
+        exactly as on the per-block instrumented path.
         """
         blocks = [grid.leaves[key] for key in group]
         first = blocks[0]
-        shape = (len(blocks), *first.shape_with_guards)
-        ws = self._workspace
-        prims: Dict[str, np.ndarray] = {}
-        for name in PRIMITIVE_VARS:
-            stack = ws.out(("stack", name), shape) if ws is not None else np.empty(shape)
+        shape = (len(PRIMITIVE_VARS), len(blocks), *first.shape_with_guards)
+        prims = buffer(self._workspace, ("stack",), shape)
+        for row, name in enumerate(PRIMITIVE_VARS):
             for i, block in enumerate(blocks):
-                stack[i] = block.data[name]
-            prims[name] = stack
+                prims[row, i] = block.data[name]
+        dx = np.array([block.dx for block in blocks]).reshape(-1, 1, 1)
+        dy = np.array([block.dy for block in blocks]).reshape(-1, 1, 1)
         if getattr(ctx, "ledger", False):
             self._block_ledger(first, ctx).replay(ctx.runtime, times=len(blocks))
         new = self._advance_fused_kind(
-            fused_kind(ctx), prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
+            fused_kind(ctx), prims, dt, dx, dy, first.ng, first.nxb, first.nyb, ctx
         )
         return {
             key: {name: new[name][i] for name in PRIMITIVE_VARS}

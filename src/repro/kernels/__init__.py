@@ -69,7 +69,6 @@ from .fast import FastPlaneContext
 from .ledger import LedgerFullContext, LedgerTruncatedContext
 from .scratch import (
     Workspace,
-    batching_enabled,
     bubble_plane_enabled,
     grid_plane_enabled,
     make_workspace,
@@ -100,7 +99,6 @@ __all__ = [
     "Workspace",
     "make_workspace",
     "scratch_enabled",
-    "batching_enabled",
     "grid_plane_enabled",
     "bubble_plane_enabled",
     # plane selection

@@ -61,7 +61,7 @@ from ..core.fpformat import FPFormat
 from ..core.quantize import RoundingMode
 from . import fused
 from .fused import where
-from .scratch import Workspace
+from .scratch import Workspace, buffer
 from .scratch import out_accessor as _o
 from .trunc import _Q, quantize_into
 from .trunc import weno5_edge as _trunc_weno5_edge
@@ -374,10 +374,7 @@ def _weno_stack(padded, axis, ws, key):
     result is bit-identical to the standalone ``edge(...)`` call it packs."""
     cells = tuple(_weno_cells(padded, axis, k) for k in (-3, -2, -1, 0, 1, 2))
     shp = cells[0].shape
-    o = _o(ws)
-    stack = o((*key, "st"), (5, 4) + shp)
-    if stack is None:
-        stack = np.empty((5, 4) + shp)
+    stack = buffer(ws, (*key, "st"), (5, 4) + shp)
     for s in range(5):
         for e in range(4):
             np.copyto(stack[s, e], cells[_WENO_EDGE_ARGS[e][s]])
@@ -395,10 +392,7 @@ def _weno_stack_pair(padded, ws, key):
         for axis in (0, 1)
     )
     shp = cells[0][0].shape
-    o = _o(ws)
-    stack = o((*key, "st2"), (5, 8) + shp)
-    if stack is None:
-        stack = np.empty((5, 8) + shp)
+    stack = buffer(ws, (*key, "st2"), (5, 8) + shp)
     for s in range(5):
         for e in range(4):
             np.copyto(stack[s, 2 * e], cells[0][_WENO_EDGE_ARGS[e][s]])
@@ -412,9 +406,7 @@ def _upwind_faces_pair(edges, velx, vely, ws, key):
     ``(2, nx, ny)`` face difference ``f_plus - f_minus`` (row 0: axis 0)."""
     o = _o(ws)
     shp = edges.shape[1:]
-    vs = o((*key, "vs"), (2,) + shp)
-    if vs is None:
-        vs = np.empty((2,) + shp)
+    vs = buffer(ws, (*key, "vs"), (2,) + shp)
     np.copyto(vs[0], velx)
     np.copyto(vs[1], vely)
     up = np.greater(vs, 0.0, out=o((*key, "up"), (2,) + shp, bool))

@@ -24,10 +24,13 @@ identical.  Two deliberate liberties that preserve that contract:
   with zero allocations (final outputs excepted — they must survive the
   next invocation, so they are always fresh).
 
-All kernels operate on the *trailing* two dimensions, so a stack of
-same-shaped AMR blocks ``(nblocks, nx, ny)`` flows through unchanged —
-element-wise ufuncs are independent per slot, which is what makes the hydro
-solver's batched block stepping bit-identical to the per-block loop.
+All kernels operate on the *trailing* two dimensions, so stacked lanes
+flow through unchanged — element-wise ufuncs are independent per slot,
+which is what makes the hydro solver's batched block stepping
+bit-identical to the per-block loop.  :func:`advance` stacks every lane a
+substep has: same-shaped blocks of any AMR level (with per-block
+``dx``/``dy``), the four primitive variables, and — for square blocks —
+both sweep directions (:func:`sweep_inputs`).
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import fused
 from .fused import where
-from .scratch import Workspace
+from .scratch import Workspace, buffer
 from .scratch import out_accessor as _o
 
 __all__ = [
@@ -346,41 +349,101 @@ FUSED_SOLVERS = {"hll": hll_flux, "hllc": hllc_flux, "hlle": hlle_flux}
 # ---------------------------------------------------------------------------
 # the full directional sweep and block update
 # ---------------------------------------------------------------------------
-def directional_flux(prims: Dict, axis: int, ng: int, n: int, scheme: str, solver: str,
+#: primitive variables in stacking order (rows of a primitive stack)
+PRIMITIVES = ("dens", "velx", "vely", "pres")
+
+#: rows of a y-sweep input: the primitive stack with its velocities swapped,
+#: so the sweep's normal velocity sits in row 1 as it does for x
+_Y_ROWS = (0, 2, 1, 3)
+
+
+def stack_primitives(prims, ws: Optional[Workspace] = None, key=("prims",)) -> np.ndarray:
+    """The ``(4, ..., X, Y)`` primitive stack of ``prims``.
+
+    ``prims`` is either such a stack already (returned as is) or a mapping
+    of :data:`PRIMITIVES` to same-shaped arrays, copied into one buffer.
+    """
+    if isinstance(prims, np.ndarray):
+        return prims
+    first = np.shape(prims[PRIMITIVES[0]])
+    stack = buffer(ws, key, (len(PRIMITIVES), *first))
+    for row, name in enumerate(PRIMITIVES):
+        stack[row] = prims[name]
+    return stack
+
+
+def sweep_inputs(prims: np.ndarray, ng: int, nxb: int, nyb: int,
+                 ws: Optional[Workspace] = None):
+    """The directional sweeps of a primitive stack, as ``(stack, axis, n)``.
+
+    Each ``stack`` holds (dens, normal velocity, transverse velocity, pres)
+    rows.  Square blocks (``nxb == nyb``) need a single axis-0 sweep: the
+    ``(4, 2, ..., n + 2*ng, n)`` stack carries the x-sweep rows in slot 0
+    and the *transposed* y-sweep columns, velocities swapped, in slot 1.
+    Every flux op is element-wise and the reconstruction reads the same
+    neighbours either way, so both slots produce the bits of the separate
+    sweeps.  Non-square blocks keep one sweep per axis.
+    """
+    # x-sweep uses interior rows in y; y-sweep interior columns in x
+    px = prims[..., :, ng:ng + nyb]
+    py = prims[..., ng:ng + nxb, :]
+    if nxb == nyb:
+        py = py.swapaxes(-1, -2)
+        stack = buffer(ws, ("sweep", "xy"), (len(PRIMITIVES), 2, *px.shape[1:]))
+        stack[:, 0] = px
+        for row, src in enumerate(_Y_ROWS):
+            stack[row, 1] = py[src]
+        return [(stack, 0, nxb)]
+    stack = buffer(ws, ("sweep", "y"), py.shape)
+    for row, src in enumerate(_Y_ROWS):
+        stack[row] = py[src]
+    return [(px, 0, nxb), (stack, 1, nyb)]
+
+
+def conserved_fluxes(sweeps) -> Tuple[Dict, Dict]:
+    """``(flux_x, flux_y)`` keyed by conserved variable, from the outputs
+    of the :func:`sweep_inputs` sweeps (normal/transverse momenta mapped
+    back to x/y; the paired sweep's slot 1 transposed back)."""
+    if len(sweeps) == 1:
+        (paired,) = sweeps
+        fx = {comp: f[0] for comp, f in paired.items()}
+        fy = {comp: f[1].swapaxes(-1, -2) for comp, f in paired.items()}
+    else:
+        fx, fy = sweeps
+    return (
+        {"dens": fx["dens"], "momx": fx["momn"], "momy": fx["momt"], "ener": fx["ener"]},
+        {"dens": fy["dens"], "momx": fy["momt"], "momy": fy["momn"], "ener": fy["ener"]},
+    )
+
+
+def directional_flux(prims: np.ndarray, axis: int, ng: int, n: int, scheme: str, solver: str,
                      gamma: float, dens_floor: float, pres_floor: float,
                      ws: Optional[Workspace] = None) -> Dict:
     """Fluxes at the ``n+1`` interior faces along ``axis``, fully fused.
 
-    Twin of ``HydroSolver._directional_flux``: reconstruct the four
-    primitive variables, floor density/pressure, and resolve the interface
-    states with the requested Riemann solver — one straight-line numpy
-    pass, batched-block aware.
+    Twin of ``HydroSolver._directional_flux``: ``prims`` is a ``(4, ...)``
+    stack of (dens, normal velocity, transverse velocity, pres) rows,
+    reconstructed in one stacked stencil call; density/pressure are
+    floored and the interface states resolved with the requested Riemann
+    solver.  Returns the ``dens``/``momn``/``momt``/``ener`` fluxes.
     """
     o = _o(ws)
-    normal, transverse = ("velx", "vely") if axis == 0 else ("vely", "velx")
-    recon = fused.FUSED_SCHEMES[scheme]
-    left: Dict = {}
-    right: Dict = {}
-    for target, source in (("dens", "dens"), ("velx", normal), ("vely", transverse), ("pres", "pres")):
-        l, r = recon(prims[source], axis, ng, n, ws=ws, key=(axis, "r", target))
-        left[target] = l
-        right[target] = r
+    rec_l, rec_r = fused.FUSED_SCHEMES[scheme](prims, axis, ng, n, ws=ws, key=(axis, "r"))
+    left = dict(zip(PRIMITIVES, rec_l))
+    right = dict(zip(PRIMITIVES, rec_r))
 
     # keep reconstructed density/pressure physical (never in place: pcm
     # returns views of the caller's primitive arrays)
-    shp = np.shape(left["dens"])
+    shp = rec_l.shape[1:]
     left["dens"] = np.maximum(left["dens"], dens_floor, out=o((axis, "lfd"), shp))
     right["dens"] = np.maximum(right["dens"], dens_floor, out=o((axis, "rfd"), shp))
     left["pres"] = np.maximum(left["pres"], pres_floor, out=o((axis, "lfp"), shp))
     right["pres"] = np.maximum(right["pres"], pres_floor, out=o((axis, "rfp"), shp))
 
-    flux = FUSED_SOLVERS[solver](left, right, gamma, ws, (axis, solver))
-    if axis == 0:
-        return {"dens": flux["dens"], "momx": flux["momn"], "momy": flux["momt"], "ener": flux["ener"]}
-    return {"dens": flux["dens"], "momx": flux["momt"], "momy": flux["momn"], "ener": flux["ener"]}
+    return FUSED_SOLVERS[solver](left, right, gamma, ws, (axis, solver))
 
 
-def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb: int, *,
+def advance(prims, dt: float, dx, dy, ng: int, nxb: int, nyb: int, *,
             scheme: str, solver: str, gamma: float, dens_floor: float, pres_floor: float,
             gravity: Tuple[float, float] = (0.0, 0.0),
             ws: Optional[Workspace] = None) -> Dict:
@@ -388,22 +451,22 @@ def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb
 
     Twin of ``HydroSolver.advance_block`` for non-truncating binary64
     contexts.  ``prims`` maps variable name to a guard-cell-filled array of
-    shape ``(..., nxb + 2*ng, nyb + 2*ng)``; leading dimensions batch
-    same-shaped blocks (which must share ``dx``/``dy``, i.e. one AMR
-    level).  Returns the new interior primitives as **fresh** arrays (they
-    must survive later invocations that reuse the workspace).
+    shape ``(..., nxb + 2*ng, nyb + 2*ng)``, or is their
+    :func:`stack_primitives` stack.  Leading dimensions batch same-shaped
+    blocks of any AMR level: ``dx``/``dy`` are scalars or per-block arrays
+    broadcasting against them (``(nblocks, 1, 1)``).  Returns the new
+    interior primitives as **fresh** arrays (they must survive later
+    invocations that reuse the workspace).
     """
     o = _o(ws)
-    # x-sweep uses interior rows in y; y-sweep interior columns in x
-    prims_x = {k: v[..., :, ng:ng + nyb] for k, v in prims.items()}
-    prims_y = {k: v[..., ng:ng + nxb, :] for k, v in prims.items()}
-    flux_x = directional_flux(prims_x, 0, ng, nxb, scheme, solver,
-                              gamma, dens_floor, pres_floor, ws)
-    flux_y = directional_flux(prims_y, 1, ng, nyb, scheme, solver,
-                              gamma, dens_floor, pres_floor, ws)
+    prims = stack_primitives(prims, ws)
+    sweeps = [
+        directional_flux(stack, axis, ng, n, scheme, solver, gamma, dens_floor, pres_floor, ws)
+        for stack, axis, n in sweep_inputs(prims, ng, nxb, nyb, ws)
+    ]
+    flux_x, flux_y = conserved_fluxes(sweeps)
 
-    interior = {k: v[..., ng:ng + nxb, ng:ng + nyb] for k, v in prims.items()}
-    dens, velx, vely, pres = (interior[k] for k in ("dens", "velx", "vely", "pres"))
+    dens, velx, vely, pres = prims[..., ng:ng + nxb, ng:ng + nyb]
     shp = np.shape(dens)
     momx = np.multiply(dens, velx, out=o(("u", "momx"), shp))
     momy = np.multiply(dens, vely, out=o(("u", "momy"), shp))
@@ -411,8 +474,8 @@ def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb
                             out=o(("u", "ener"), shp))
     cons = {"dens": dens, "momx": momx, "momy": momy, "ener": ener}
 
-    dtdx = dt / dx
-    dtdy = dt / dy
+    dtdx = np.divide(dt, dx)
+    dtdy = np.divide(dt, dy)
     new_cons: Dict = {}
     for comp in ("dens", "momx", "momy", "ener"):
         fx = flux_x[comp]

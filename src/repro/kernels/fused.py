@@ -28,9 +28,10 @@ from typing import Tuple
 
 import numpy as np
 
+from .scratch import buffer
 from .scratch import out_accessor as _o
 
-__all__ = ["FUSED_SCHEMES", "pcm", "plm", "weno5", "weno5_edge", "where"]
+__all__ = ["FUSED_SCHEMES", "pcm", "plm", "weno5", "weno5_edge", "weno5_operands", "where"]
 
 #: matches ``repro.hydro.reconstruction._WENO_EPS``
 _WENO_EPS = 1e-6
@@ -212,18 +213,32 @@ def weno5_edge(um2, um1, u0, up1, up2, ws=None, key=(), out=None) -> np.ndarray:
     return np.divide(num, wsum, out=out)
 
 
-def weno5(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.ndarray, np.ndarray]:
-    """Fifth-order WENO reconstruction at the interior faces, fused."""
-    um2 = _shift(u, axis, -2, ng, n)
-    um1 = _shift(u, axis, -1, ng, n)
-    uc = _shift(u, axis, 0, ng, n)
-    up1 = _shift(u, axis, 1, ng, n)
-    up2 = _shift(u, axis, 2, ng, n)
-    up3 = _shift(u, axis, 3, ng, n)
+#: stencil windows of the left and right WENO5 edges, as indices into the
+#: cells ``i-2 .. i+3`` of a face range
+_WENO_EDGES = ((0, 1, 2, 3, 4), (5, 4, 3, 2, 1))
 
-    left = weno5_edge(um2, um1, uc, up1, up2, ws, (*key, "L"))
-    right = weno5_edge(up3, up2, up1, uc, um1, ws, (*key, "R"))
-    return left, right
+
+def weno5_operands(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> np.ndarray:
+    """The ``(5, 2, ...)`` operand stack of both WENO5 edges of ``u``.
+
+    Row ``s`` holds stencil operand ``s`` of the left (slot 0) and right
+    (slot 1) edge, so one element-wise ``weno5_edge`` call evaluates both
+    edges; slot ``e`` of its result carries exactly the bits of the
+    standalone edge call it packs.
+    """
+    cells = [_shift(u, axis, k, ng, n) for k in range(-2, 4)]
+    stack = buffer(ws, (*key, "st"), (5, 2, *cells[0].shape))
+    for s in range(5):
+        for e, window in enumerate(_WENO_EDGES):
+            np.copyto(stack[s, e], cells[window[s]])
+    return stack
+
+
+def weno5(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.ndarray, np.ndarray]:
+    """Fifth-order WENO reconstruction at the interior faces, fused: the
+    left and right edges in one stacked :func:`weno5_edge` call."""
+    edges = weno5_edge(*weno5_operands(u, axis, ng, n, ws, key), ws, (*key, "e"))
+    return edges[0], edges[1]
 
 
 #: scheme name -> fused implementation (same keys as reconstruction.SCHEMES)

@@ -12,7 +12,10 @@ allocations.
 Buffers are keyed by ``(key, shape, dtype)`` where ``key`` encodes the call
 site (typically ``(axis, stage, name)``), so the same workspace serves both
 sweep directions, every variable and every batched block shape at once, and
-is reused across substeps and steps.  A workspace is *scratch*: no buffer's
+is reused across substeps and steps.  (The hydro solver's batched stacks
+mix blocks of every AMR level — each slot carries its own ``dx``/``dy`` —
+so a stack's shape tracks the number of fused blocks sharing a context
+signature, not a per-level count.)  A workspace is *scratch*: no buffer's
 content is assumed to survive between kernel invocations, and every fused
 kernel produces bit-identical results with or without one (``out=`` never
 changes ufunc rounding, and the kernels never write into caller-owned
@@ -22,15 +25,12 @@ Workspaces are deliberately cheap to drop: pickling or deep-copying one
 (e.g. when a solver crosses a process boundary) yields a fresh, empty
 workspace.
 
-Two environment switches gate the fast-plane optimisations that build on
-this module (both default to *on*; they exist for benchmarking and
+Three environment switches gate the fast-plane optimisations that build on
+this module (all default to *on*; they exist for benchmarking and
 debugging, the results are bit-identical either way):
 
 * ``RAPTOR_FAST_NO_SCRATCH=1`` — fused kernels run without preallocated
-  buffers (every temporary freshly allocated, as before PR 5);
-* ``RAPTOR_FAST_NO_BATCH=1`` — the hydro solver advances AMR blocks one at
-  a time instead of stacking same-shaped blocks into one batched kernel
-  invocation per level;
+  buffers (every temporary freshly allocated);
 * ``RAPTOR_FAST_NO_GRID=1`` — the fused grid plane (:mod:`repro.kernels.
   grid`: precomputed guard-fill plans, batched ``compute_dt``, stacked
   regrid estimators, scratch-buffered bubble paddings) is disabled and the
@@ -51,8 +51,8 @@ __all__ = [
     "Workspace",
     "NULL_WORKSPACE",
     "out_accessor",
+    "buffer",
     "scratch_enabled",
-    "batching_enabled",
     "grid_plane_enabled",
     "bubble_plane_enabled",
     "make_workspace",
@@ -71,11 +71,6 @@ def _env_truthy(value) -> bool:
 def scratch_enabled() -> bool:
     """Whether fused kernels should use preallocated scratch buffers."""
     return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_SCRATCH"))
-
-
-def batching_enabled() -> bool:
-    """Whether the hydro solver may batch same-shaped blocks per substep."""
-    return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_BATCH"))
 
 
 def grid_plane_enabled() -> bool:
@@ -109,7 +104,7 @@ class Workspace:
     their keys unique.
 
     Batched kernels key their buffers by the stacked shape, so a long AMR
-    run whose per-level block counts keep changing (regridding) would
+    run whose block counts keep changing (regridding) would
     accumulate one buffer family per group size ever seen.  ``max_bytes``
     bounds that growth: once the pool exceeds the cap, :meth:`trim` drops
     the *stale* buffers — those not requested since the previous trim —
@@ -220,3 +215,12 @@ def out_accessor(ws):
     """The ``out`` accessor of ``ws`` — the single null-workspace fallback
     shared by every fused kernel (``ws=None`` means "allocate normally")."""
     return (ws if ws is not None else NULL_WORKSPACE).out
+
+
+def buffer(ws, key, shape, dtype=np.float64) -> np.ndarray:
+    """The scratch buffer of ``ws`` for ``key`` — a fresh array when ``ws``
+    is ``None`` (for call sites that index into the buffer, where the
+    null workspace's ``None`` cannot stand in)."""
+    if ws is None:
+        return np.empty(shape, dtype=dtype)
+    return ws.out(key, shape, dtype)

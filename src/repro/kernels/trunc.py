@@ -38,10 +38,12 @@ relies on).  The twins reproduce that op stream term for term:
   the raw operands (``abs`` being quantise-closed).
 
 Like :mod:`repro.kernels.flux`, everything operates on the trailing two
-dimensions, so stacked same-shaped blocks ``(nblocks, nx, ny)`` flow
-through unchanged and the solver's batched per-level stepping stays
-bit-identical to the per-block loop.  All intermediates live in the shared
-:class:`~repro.kernels.scratch.Workspace`; final outputs are fresh.
+dimensions and quantises element-wise, so the stacked lanes of
+:func:`advance` — blocks of every AMR level, the four primitive variables,
+both sweep directions, both WENO edges — flow through unchanged and the
+solver's batched stepping stays bit-identical to the per-block loop.  All
+intermediates live in the shared :class:`~repro.kernels.scratch.Workspace`;
+final outputs are fresh.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ from ..core.fpformat import FPFormat
 from ..core.opmode import TruncatedContext
 from ..core.quantize import RoundingMode, quantize, quantize_rne_bits
 from . import fused
+from .flux import PRIMITIVES, conserved_fluxes, stack_primitives, sweep_inputs
 from .fused import where
 from .scratch import Workspace
 from .scratch import out_accessor as _o
@@ -262,8 +265,11 @@ class _Q:
             _CONST_CACHE[key] = v
         return v
 
-    def dyn(self, x: float) -> float:
-        """Uncached quantised scalar for per-step values (``dt/dx``…)."""
+    def dyn(self, x):
+        """Uncached quantised per-step value (``dt/dx``…): a scalar, or an
+        array quantised element-wise (per-block spacings of a stack)."""
+        if np.ndim(x):
+            return quantize(x, self.fmt, self.rounding)
         return float(quantize(x, self.fmt, self.rounding))
 
 
@@ -559,19 +565,12 @@ def weno5_edge(um2, um1, u0, up1, up2, ws=None, key=(), out=None, *,
 
 def weno5(u, axis: int, ng: int, n: int, ws=None, key=(), *,
           fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN):
-    """Fifth-order WENO reconstruction at the interior faces, truncating."""
-    um2 = fused._shift(u, axis, -2, ng, n)
-    um1 = fused._shift(u, axis, -1, ng, n)
-    uc = fused._shift(u, axis, 0, ng, n)
-    up1 = fused._shift(u, axis, 1, ng, n)
-    up2 = fused._shift(u, axis, 2, ng, n)
-    up3 = fused._shift(u, axis, 3, ng, n)
-
-    left = weno5_edge(um2, um1, uc, up1, up2, ws, (*key, "L"),
-                      fmt=fmt, rounding=rounding)
-    right = weno5_edge(up3, up2, up1, uc, um1, ws, (*key, "R"),
-                       fmt=fmt, rounding=rounding)
-    return left, right
+    """Fifth-order WENO reconstruction at the interior faces, truncating:
+    both edges in one stacked :func:`weno5_edge` call (quantisation is
+    element-wise, so each slot rounds exactly as a standalone edge)."""
+    operands = fused.weno5_operands(u, axis, ng, n, ws, key)
+    edges = weno5_edge(*operands, ws, (*key, "e"), fmt=fmt, rounding=rounding)
+    return edges[0], edges[1]
 
 
 #: scheme name -> truncating implementation (same keys as fused.FUSED_SCHEMES)
@@ -994,32 +993,29 @@ TRUNC_SOLVERS = {"hll": hll_flux, "hllc": hllc_flux, "hlle": hlle_flux}
 # ---------------------------------------------------------------------------
 # the full directional sweep and block update
 # ---------------------------------------------------------------------------
-def directional_flux(prims: Dict, axis: int, ng: int, n: int, scheme: str, solver: str,
+def directional_flux(prims: np.ndarray, axis: int, ng: int, n: int, scheme: str, solver: str,
                      gamma: float, dens_floor: float, pres_floor: float,
                      ws: Optional[Workspace] = None, *,
                      fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> Dict:
     """Fluxes at the ``n+1`` interior faces along ``axis``, truncating.
 
-    ``prims`` must already be representable in ``fmt`` (the instrumented
-    solver lifts them through ``ctx.const``; :func:`advance` does the same
-    before calling here).
+    ``prims`` is a ``(4, ...)`` stack of (dens, normal velocity, transverse
+    velocity, pres) rows, already representable in ``fmt`` (the
+    instrumented solver lifts them through ``ctx.const``; :func:`advance`
+    does the same before calling here).  Returns the ``dens``/``momn``/
+    ``momt``/``ener`` fluxes.
     """
     o = _o(ws)
     q = _Q(fmt, rounding, ws)
-    normal, transverse = ("velx", "vely") if axis == 0 else ("vely", "velx")
-    recon = TRUNC_SCHEMES[scheme]
-    left: Dict = {}
-    right: Dict = {}
-    for target, source in (("dens", "dens"), ("velx", normal), ("vely", transverse), ("pres", "pres")):
-        l, r = recon(prims[source], axis, ng, n, ws=ws, key=(axis, "r", target),
-                     fmt=fmt, rounding=rounding)
-        left[target] = l
-        right[target] = r
+    rec_l, rec_r = TRUNC_SCHEMES[scheme](prims, axis, ng, n, ws=ws, key=(axis, "r"),
+                                         fmt=fmt, rounding=rounding)
+    left = dict(zip(PRIMITIVES, rec_l))
+    right = dict(zip(PRIMITIVES, rec_r))
 
     # keep reconstructed density/pressure physical (never in place: pcm
     # returns views of the caller's primitive arrays); the floors are
     # quantise-closed maxima of representable values
-    shp = np.shape(left["dens"])
+    shp = rec_l.shape[1:]
     qdf = q.const(dens_floor)
     qpf = q.const(pres_floor)
     left["dens"] = np.maximum(left["dens"], qdf, out=o((axis, "lfd"), shp))
@@ -1027,14 +1023,11 @@ def directional_flux(prims: Dict, axis: int, ng: int, n: int, scheme: str, solve
     left["pres"] = np.maximum(left["pres"], qpf, out=o((axis, "lfp"), shp))
     right["pres"] = np.maximum(right["pres"], qpf, out=o((axis, "rfp"), shp))
 
-    flux = TRUNC_SOLVERS[solver](left, right, gamma, ws, (axis, solver),
+    return TRUNC_SOLVERS[solver](left, right, gamma, ws, (axis, solver),
                                  fmt=fmt, rounding=rounding)
-    if axis == 0:
-        return {"dens": flux["dens"], "momx": flux["momn"], "momy": flux["momt"], "ener": flux["ener"]}
-    return {"dens": flux["dens"], "momx": flux["momt"], "momy": flux["momn"], "ener": flux["ener"]}
 
 
-def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb: int, *,
+def advance(prims, dt: float, dx, dy, ng: int, nxb: int, nyb: int, *,
             scheme: str, solver: str, gamma: float, dens_floor: float, pres_floor: float,
             gravity: Tuple[float, float] = (0.0, 0.0),
             fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN,
@@ -1042,32 +1035,29 @@ def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb
     """One flux-divergence update of a block (or stack of blocks), truncating.
 
     Twin of ``HydroSolver.advance_block`` under an optimized truncating
-    context.  The guard-cell-filled primitives are first *lifted* — rounded
-    whole into ``fmt``, the twin of the solver's ``ctx.const`` lift — then
-    the fused truncating pipeline runs with a quantisation at every op
-    boundary.  Returns the new interior primitives as **fresh** arrays.
+    context, with the inputs of :func:`repro.kernels.flux.advance`
+    (stacked blocks of any AMR level, per-block ``dx``/``dy``).  The
+    guard-cell-filled primitives are first *lifted* — rounded whole into
+    ``fmt``, the twin of the solver's ``ctx.const`` lift — then the fused
+    truncating pipeline runs with a quantisation at every op boundary.
+    Returns the new interior primitives as **fresh** arrays.
     """
     o = _o(ws)
     q = _Q(fmt, rounding, ws)
 
     # lift: quantise the guard-filled inputs once at block entry
-    lifted: Dict = {}
-    for name, v in prims.items():
-        buf = o(("lift", name), np.shape(v))
-        lifted[name] = quantize_into(v, fmt, rounding, ws, out=buf)
+    stacked = stack_primitives(prims, ws, ("lift",))
+    lift_buf = stacked if stacked is not prims else o(("lift",), stacked.shape)
+    lifted = quantize_into(stacked, fmt, rounding, ws, out=lift_buf)
 
-    # x-sweep uses interior rows in y; y-sweep interior columns in x
-    prims_x = {k: v[..., :, ng:ng + nyb] for k, v in lifted.items()}
-    prims_y = {k: v[..., ng:ng + nxb, :] for k, v in lifted.items()}
-    flux_x = directional_flux(prims_x, 0, ng, nxb, scheme, solver,
-                              gamma, dens_floor, pres_floor, ws,
-                              fmt=fmt, rounding=rounding)
-    flux_y = directional_flux(prims_y, 1, ng, nyb, scheme, solver,
-                              gamma, dens_floor, pres_floor, ws,
-                              fmt=fmt, rounding=rounding)
+    sweeps = [
+        directional_flux(stack, axis, ng, n, scheme, solver, gamma, dens_floor, pres_floor,
+                         ws, fmt=fmt, rounding=rounding)
+        for stack, axis, n in sweep_inputs(lifted, ng, nxb, nyb, ws)
+    ]
+    flux_x, flux_y = conserved_fluxes(sweeps)
 
-    interior = {k: v[..., ng:ng + nxb, ng:ng + nyb] for k, v in lifted.items()}
-    dens, velx, vely, pres = (interior[k] for k in ("dens", "velx", "vely", "pres"))
+    dens, velx, vely, pres = lifted[..., ng:ng + nxb, ng:ng + nyb]
     shp = np.shape(dens)
     momx = np.multiply(dens, velx, out=o(("u", "momx"), shp))
     q(momx)
@@ -1077,9 +1067,10 @@ def advance(prims: Dict, dt: float, dx: float, dy: float, ng: int, nxb: int, nyb
                             out=o(("u", "ener"), shp), fmt=fmt, rounding=rounding)
     cons = {"dens": dens, "momx": momx, "momy": momy, "ener": ener}
 
-    # per-step scalars are quantised like ctx.const(dt / dx) — uncached
-    dtdx = q.dyn(dt / dx)
-    dtdy = q.dyn(dt / dy)
+    # per-step scalars are quantised like ctx.const(dt / dx) — uncached,
+    # element-wise for per-block spacings
+    dtdx = q.dyn(np.divide(dt, dx))
+    dtdy = q.dyn(np.divide(dt, dy))
     new_cons: Dict = {}
     for comp in ("dens", "momx", "momy", "ener"):
         fx = flux_x[comp]

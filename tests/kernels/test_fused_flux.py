@@ -492,9 +492,12 @@ class TestFusedAdvance:
                     batched[name][i], single[name], err_msg=f"block {i}: {name}"
                 )
 
-    def test_substep_batched_vs_unbatched_vs_instrumented(self):
+    @pytest.mark.parametrize("n_root", [2, 3])
+    def test_substep_batched_vs_unbatched_vs_instrumented(self, n_root):
         """One full substep: batched fast plane == per-block fast plane ==
-        instrumented, on a multi-level grid."""
+        instrumented, on a multi-level grid.  A 3x3 root grid is
+        non-dyadic: block bounds make ``dx`` differ in the last bit within
+        a level, so the cross-level stack must carry per-block spacings."""
         results = {}
         for label, batch, scratch, plane in (
             ("instrumented", False, False, "instrumented"),
@@ -502,7 +505,7 @@ class TestFusedAdvance:
             ("fast-noscratch", True, False, "fast"),
             ("fast-batched", True, True, "fast"),
         ):
-            workload = _sod_workload(max_level=3)
+            workload = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root)
             grid = workload.build_grid()
             solver = HydroSolver(rk_stages=1, batch_blocks=batch, scratch=scratch)
             ctx = FastPlaneContext() if plane == "fast" else _slow()
@@ -537,19 +540,21 @@ class TestFusedAdvance:
 
 
 class TestEnvironmentKnobs:
-    def test_env_switches_disable_scratch_and_batching(self, monkeypatch):
+    def test_env_switch_disables_scratch_not_batching(self, monkeypatch):
         monkeypatch.setenv("RAPTOR_FAST_NO_SCRATCH", "1")
+        # batching has no environment switch (a stale one is ignored);
+        # only HydroSolver(batch_blocks=False) advances block by block
         monkeypatch.setenv("RAPTOR_FAST_NO_BATCH", "1")
         solver = HydroSolver()
         assert solver._workspace is None
-        assert not solver.batch_blocks
+        assert solver.batch_blocks
+        assert not HydroSolver(batch_blocks=False).batch_blocks
         from repro.incomp.solver import BubbleSolver
 
         assert BubbleSolver()._workspace is None
 
     def test_defaults_enable_scratch_and_batching(self, monkeypatch):
         monkeypatch.delenv("RAPTOR_FAST_NO_SCRATCH", raising=False)
-        monkeypatch.delenv("RAPTOR_FAST_NO_BATCH", raising=False)
         solver = HydroSolver()
         assert solver._workspace is not None
         assert solver.batch_blocks
@@ -557,11 +562,79 @@ class TestEnvironmentKnobs:
     def test_disabled_paths_still_bitwise(self, monkeypatch):
         reference = _sod_workload().reference(plane="fast")
         monkeypatch.setenv("RAPTOR_FAST_NO_SCRATCH", "1")
-        monkeypatch.setenv("RAPTOR_FAST_NO_BATCH", "1")
         plain = _sod_workload().reference(plane="fast")
         assert plain.time == reference.time
         for key in reference.state:
             np.testing.assert_array_equal(plain.state[key], reference.state[key], err_msg=key)
+
+
+class TestNonSquareBlocks:
+    """``nxb != nyb``: the x and y sweeps cannot share one transposed stack,
+    so the fused update keeps one sweep call per axis."""
+
+    @staticmethod
+    def _contexts(kind):
+        """(instrumented, fused) context factories of one precision kind."""
+        from repro.core import FPFormat, TruncatedContext
+        from repro.kernels import TruncFastPlaneContext, select_context
+
+        if kind == "binary64":
+            return _slow, FastPlaneContext
+        e8m10 = FPFormat(exp_bits=8, man_bits=10)
+
+        def instrumented():
+            return TruncatedContext(e8m10, runtime=RaptorRuntime())
+
+        def counted():
+            twin = select_context(instrumented(), "auto")
+            assert twin.ledger
+            twin.runtime = RaptorRuntime()
+            return twin
+
+        if kind == "e8m10":
+            return instrumented, lambda: TruncFastPlaneContext(e8m10)
+        return instrumented, counted
+
+    def test_sweep_inputs_pair_only_square_blocks(self):
+        prims = np.zeros((4, 3, 12, 8))
+        assert len(flux.sweep_inputs(prims, 2, 8, 4)) == 2
+        square = flux.sweep_inputs(np.zeros((4, 3, 12, 12)), 2, 8, 8)
+        assert len(square) == 1 and square[0][0].shape == (4, 2, 3, 12, 8)
+
+    @pytest.mark.parametrize("kind", ["binary64", "e8m10", "counted e8m10"])
+    def test_batched_per_block_and_instrumented_agree(self, kind, monkeypatch):
+        instrumented, fused_ctx = self._contexts(kind)
+        sizes = []
+        original = HydroSolver._advance_batched
+
+        def spy(self, grid, group, dt, ctx):
+            sizes.append(len(group))
+            return original(self, grid, group, dt, ctx)
+
+        monkeypatch.setattr(HydroSolver, "_advance_batched", spy)
+
+        def run(ctx, batch):
+            grid = _sod_workload(nxb=8, nyb=4, ng=2, max_level=3).build_grid()
+            HydroSolver(rk_stages=1, batch_blocks=batch)._substep(
+                grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+            return {key: {v: grid.leaves[key].interior_view(v).copy()
+                          for v in ("dens", "velx", "vely", "pres")}
+                    for key in grid.sorted_keys()}
+
+        base_ctx = instrumented()
+        base = run(base_ctx, batch=False)
+        for batch in (False, True):
+            ctx = fused_ctx()
+            states = run(ctx, batch)
+            assert set(states) == set(base)
+            for key in base:
+                for var in base[key]:
+                    np.testing.assert_array_equal(
+                        states[key][var], base[key][var], err_msg=f"batch={batch}: {key} {var}"
+                    )
+            if kind == "counted e8m10":
+                assert ctx.runtime.snapshot() == base_ctx.runtime.snapshot()
+        assert sizes and max(sizes) > 1  # the batched run really stacked blocks
 
 
 class TestBubbleWorkspacePath:

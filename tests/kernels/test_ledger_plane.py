@@ -287,13 +287,13 @@ class TestCountedSubstep:
         ctx = ctx_factory()
         sizes = []
         if monkeypatch is not None:
-            original = HydroSolver._advance_level_batched
+            original = HydroSolver._advance_batched
 
             def spy(self, grid, group, dt, ctx):
                 sizes.append(len(group))
                 return original(self, grid, group, dt, ctx)
 
-            monkeypatch.setattr(HydroSolver, "_advance_level_batched", spy)
+            monkeypatch.setattr(HydroSolver, "_advance_batched", spy)
         solver._substep(grid, 5e-4, lambda module, level=None, max_level=None: ctx)
         states = {key: {v: grid.leaves[key].interior_view(v).copy() for v in PRIMITIVE_VARS}
                   for key in grid.sorted_keys()}

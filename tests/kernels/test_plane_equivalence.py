@@ -68,11 +68,11 @@ class TestAllWorkloadsThroughRunSweep:
     def test_scratch_and_batching_are_active(self):
         """The fast-plane sweeps in this module must exercise the fused
         flux pipeline with scratch buffers and batched block stepping —
-        the defaults, unless the environment disabled them."""
+        the defaults, unless the environment disabled scratch."""
         from repro.hydro.solver import HydroSolver
-        from repro.kernels.scratch import batching_enabled, scratch_enabled
+        from repro.kernels.scratch import scratch_enabled
 
-        assert scratch_enabled() and batching_enabled()
+        assert scratch_enabled()
         solver = HydroSolver()
         assert solver._workspace is not None and solver.batch_blocks
 

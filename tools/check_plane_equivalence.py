@@ -7,9 +7,11 @@ variable matches **bitwise** — the contract that lets the experiment
 engine route reference tasks through the fast plane silently.  A second
 pass runs the golden Sedov configuration (WENO5 + HLLC) through the fast
 plane's full fused-flux pipeline — Riemann/EOS fusion, preallocated
-scratch workspaces and batched block stepping, which this script insists
-are enabled — and diffs it against the instrumented plane the same way.
-A third pass repeats both golden configurations as *truncated* (e8m10,
+scratch workspaces (which this script insists are enabled) and batched
+block stepping, stacked across AMR levels — and diffs it against the
+instrumented plane the same way; golden Sod on a non-dyadic 3x3 root grid
+follows, whose blocks differ in ``dx`` by the last bit within a level.
+A third pass repeats these configurations as *truncated* (e8m10,
 non-counting) runs: the instrumented op-by-op ``TruncatedContext`` path
 vs the fused truncating plane (``repro.kernels.trunc``), which quantizes
 at the same op boundaries and must match bitwise too.  A fourth pass
@@ -52,6 +54,11 @@ GOLDEN_CONFIGS = {
     ),
 }
 
+#: golden Sod on a non-dyadic 3x3 root grid: block bounds make ``dx``
+#: differ in the last bit between blocks of one level, so batched stacks
+#: must carry per-block spacings to stay bitwise on the fast planes
+SOD_3ROOT = dict(GOLDEN_CONFIGS["sod"], n_root_x=3, n_root_y=3)
+
 #: regrid-heavy golden pass for the fused grid plane: regrid every step so
 #: guard-fill plans are invalidated and rebuilt constantly, deep enough
 #: that coarse/fine guard strips are exercised throughout
@@ -61,24 +68,25 @@ GRID_GOLDEN = dict(
 )
 
 
-def _diff_planes(name: str, config: dict) -> list:
+def _diff_planes(name: str, config: dict, label: str = "") -> list:
     from repro.workloads import create_workload
 
+    label = label or name
     instrumented = create_workload(name, **config).reference(plane="instrumented")
     fast = create_workload(name, **config).reference(plane="fast")
 
     failures = []
     if instrumented.time != fast.time:
-        failures.append(f"{name}: final time differs: {instrumented.time} vs {fast.time}")
+        failures.append(f"{label}: final time differs: {instrumented.time} vs {fast.time}")
     for var in sorted(instrumented.state):
         a, b = instrumented.state[var], fast.state[var]
         if not np.array_equal(a, b):
             diverged = int(np.sum(a != b))
-            failures.append(f"{name}: variable {var!r}: {diverged}/{a.size} cells differ")
+            failures.append(f"{label}: variable {var!r}: {diverged}/{a.size} cells differ")
     return failures
 
 
-def _diff_trunc_planes(name: str, config: dict) -> list:
+def _diff_trunc_planes(name: str, config: dict, label: str = "") -> list:
     from repro.core import FPFormat, GlobalPolicy, RaptorRuntime, TruncationConfig
     from repro.workloads import create_workload
 
@@ -91,20 +99,21 @@ def _diff_trunc_planes(name: str, config: dict) -> list:
         )
         return create_workload(name, **config).run(policy=policy, runtime=runtime)
 
+    label = label or name
     instrumented = run("instrumented")
     fast = run("auto")
 
     failures = []
     if instrumented.time != fast.time:
         failures.append(
-            f"{name} (truncated): final time differs: {instrumented.time} vs {fast.time}"
+            f"{label} (truncated): final time differs: {instrumented.time} vs {fast.time}"
         )
     for var in sorted(instrumented.state):
         a, b = instrumented.state[var], fast.state[var]
         if not np.array_equal(a, b):
             diverged = int(np.sum(a != b))
             failures.append(
-                f"{name} (truncated): variable {var!r}: {diverged}/{a.size} cells differ"
+                f"{label} (truncated): variable {var!r}: {diverged}/{a.size} cells differ"
             )
     return failures
 
@@ -346,19 +355,16 @@ def _diff_counted_cliff(name, cutoff, max_bits, check) -> list:
 
 def main() -> int:
     from repro.kernels.scratch import (
-        batching_enabled,
         bubble_plane_enabled,
         grid_plane_enabled,
         scratch_enabled,
     )
 
-    if not (scratch_enabled() and batching_enabled() and grid_plane_enabled()
-            and bubble_plane_enabled()):
+    if not (scratch_enabled() and grid_plane_enabled() and bubble_plane_enabled()):
         print(
-            "FAIL: RAPTOR_FAST_NO_SCRATCH / RAPTOR_FAST_NO_BATCH / "
-            "RAPTOR_FAST_NO_GRID / RAPTOR_FAST_NO_BUBBLE are set — this "
-            "check must exercise the scratch + batched + fused-grid + "
-            "fused-bubble fast plane"
+            "FAIL: RAPTOR_FAST_NO_SCRATCH / RAPTOR_FAST_NO_GRID / "
+            "RAPTOR_FAST_NO_BUBBLE are set — this check must exercise the "
+            "scratch + fused-grid + fused-bubble fast plane"
         )
         return 1
 
@@ -366,6 +372,8 @@ def main() -> int:
     for name, config in GOLDEN_CONFIGS.items():
         failures.extend(_diff_planes(name, config))
         failures.extend(_diff_trunc_planes(name, config))
+    failures.extend(_diff_planes("sod", SOD_3ROOT, "sod (3x3 root blocks)"))
+    failures.extend(_diff_trunc_planes("sod", SOD_3ROOT, "sod (3x3 root blocks)"))
     failures.extend(_diff_grid_plane())
     failures.extend(_diff_bubble_planes())
     failures.extend(_diff_counted_planes())
@@ -378,8 +386,9 @@ def main() -> int:
 
     print(
         "OK: golden Sod (PLM) and Sedov (WENO5, fused flux + scratch + "
-        "batched) bitwise identical on both planes, full-precision and "
-        "truncated (e8m10); regrid-heavy KH bitwise identical with the "
+        "cross-level batched stacks) and Sod on a 3x3 root grid bitwise "
+        "identical on both planes, full-precision and truncated (e8m10); "
+        "regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated; counting runs, "
         "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
