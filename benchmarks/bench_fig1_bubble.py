@@ -43,11 +43,12 @@ def _workload() -> BubbleWorkload:
 
 def run_experiment():
     workload = _workload()
-    reference = workload.run_strategy("none", 52)
+    prefix = workload.initial_state()  # one spin-up shared by every run
+    reference = workload.run_strategy("none", 52, prefix=prefix)
     records = []
     for man_bits in MANTISSAS:
         for strategy in STRATEGIES:
-            result = workload.run_strategy(strategy, man_bits)
+            result = workload.run_strategy(strategy, man_bits, prefix=prefix)
             records.append(
                 {
                     "strategy": strategy,

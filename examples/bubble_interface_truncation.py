@@ -47,14 +47,15 @@ def main() -> None:
     )
 
     print("Spin-up + full-precision reference ...")
-    reference = workload.run_strategy("none", 52)
+    prefix = workload.initial_state()  # one spin-up shared by every run
+    reference = workload.run_strategy("none", 52, prefix=prefix)
 
     cases = [("everywhere", 4), ("everywhere", 12), ("cutoff-1", 4), ("cutoff-2", 4)]
     rows = []
     results = {}
     for strategy, man_bits in cases:
         print(f"Running strategy={strategy!r}, mantissa={man_bits} bits ...")
-        result = workload.run_strategy(strategy, man_bits)
+        result = workload.run_strategy(strategy, man_bits, prefix=prefix)
         results[(strategy, man_bits)] = result
         rows.append(
             [

@@ -56,6 +56,9 @@ from .engine import (
     ReferenceResult,
     _exception_failure,
     _fault_failure,
+    _build_prefix,
+    _prefix_kwargs,
+    _prefix_source,
     _resolve_cache,
     gather_references,
     nonfinite_variables,
@@ -259,13 +262,14 @@ def _evaluate_bits(
     plane: str = "auto",
     count_ops: bool = True,
     check_finite: bool = False,
+    prefix=None,
 ) -> CliffEvaluation:
     runtime = RaptorRuntime(f"{workload.name}-cliff-m{man_bits}")
     built = policy.build(
         FPFormat(exp_bits, man_bits), runtime,
         rounding=rounding, plane=plane, count_ops=count_ops,
     )
-    outcome = workload.run(policy=built, runtime=runtime)
+    outcome = workload.run(policy=built, runtime=runtime, **_prefix_kwargs(prefix))
     if check_finite:
         bad = nonfinite_variables(outcome.state)
         if bad:
@@ -305,6 +309,7 @@ def find_cliff(
     plane: str = "auto",
     count_ops: bool = True,
     on_error: str = "raise",
+    prefix=None,
 ) -> CliffResult:
     """Bisect the mantissa axis of one (workload, policy) pair.
 
@@ -317,7 +322,9 @@ def find_cliff(
     argument, from ``cache`` (a :class:`ReferenceCache` or a directory
     path), or computed on the spot (on the fused fast kernel plane unless
     ``plane="instrumented"``; ``plane`` likewise selects the plane of every
-    probe's non-truncating contexts — see :mod:`repro.kernels`).
+    probe's non-truncating contexts — see :mod:`repro.kernels`).  Every
+    probe (and a computed reference) starts from one ``prefix``, the
+    workload's ``initial_state()``, built here unless one is passed.
 
     ``on_error="collect"`` isolates probe failures: a probe that raises, or
     finishes with non-finite state, becomes a failed
@@ -353,6 +360,8 @@ def find_cliff(
             stacklevel=2,
         )
 
+    if prefix is None:
+        prefix = _build_prefix(obj)
     if reference is None:
         ref_cache = cache if isinstance(cache, ReferenceCache) else (
             ReferenceCache(cache) if cache is not None else None
@@ -372,10 +381,10 @@ def find_cliff(
         if key is not None:
             reference = ref_cache.get(key)
             if reference is None:
-                reference = run_reference(obj, plane=plane).detach()
+                reference = run_reference(obj, plane=plane, prefix=prefix).detach()
                 ref_cache.put(key, reference)
         else:
-            reference = run_reference(obj, plane=plane).detach()
+            reference = run_reference(obj, plane=plane, prefix=prefix).detach()
 
     collect = on_error == "collect"
 
@@ -383,13 +392,13 @@ def find_cliff(
         if not collect:
             return _evaluate_bits(
                 obj, pol, reference, bits, exp_bits, rounding, threshold,
-                plane=plane, count_ops=count_ops,
+                plane=plane, count_ops=count_ops, prefix=prefix,
             )
         probe_started = time.perf_counter()
         try:
             return _evaluate_bits(
                 obj, pol, reference, bits, exp_bits, rounding, threshold,
-                plane=plane, count_ops=count_ops, check_finite=True,
+                plane=plane, count_ops=count_ops, check_finite=True, prefix=prefix,
             )
         except Exception as exc:
             # a crashing/blowing-up probe counts as a failed width; the
@@ -606,6 +615,8 @@ class _CliffTask:
     plane: str = "auto"
     count_ops: bool = True
     on_error: str = "raise"
+    #: the workload's ``initial_state()`` (None: find_cliff builds it)
+    prefix: object = None
 
 
 def _execute_cliff(task: _CliffTask):
@@ -653,6 +664,7 @@ def _run_cliff_task(task: _CliffTask) -> CliffResult:
         plane=task.plane,
         count_ops=task.count_ops,
         on_error=task.on_error,
+        prefix=task.prefix,
     )
 
 
@@ -872,6 +884,8 @@ def run_adaptive_sweep(
     stats_before = ref_cache.stats.to_dict() if ref_cache is not None else None
 
     needed = list(dict.fromkeys(cell.workload for cell in cells))
+    # one binary64 prefix per workload for this call (see run_sweep)
+    prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
     gathered = gather_references(
         needed,
         spec.config_kwargs,
@@ -882,6 +896,7 @@ def run_adaptive_sweep(
         on_error=spec.on_error,
         timeout=spec.point_timeout,
         retries=spec.retries,
+        prefix_for=prefix_for,
     )
     references: Dict[str, ReferenceResult] = {}
     ref_failures: Dict[str, PointFailure] = {}
@@ -894,6 +909,10 @@ def run_adaptive_sweep(
     failures: Dict[int, PointFailure] = {}
     todo = []
     for cell in cells:
+        if cell.workload not in ref_failures:
+            prefix = prefix_for(cell.workload)
+            if isinstance(prefix, PointFailure):
+                ref_failures[cell.workload] = prefix
         if cell.workload in ref_failures:
             ref_failure = ref_failures[cell.workload]
             failures[cell.index] = PointFailure(
@@ -923,6 +942,7 @@ def run_adaptive_sweep(
             plane=spec.plane,
             count_ops=spec.count_probe_ops,
             on_error=spec.on_error,
+            prefix=prefix_for(cell.workload),
         )
         for cell in todo
     ]

@@ -72,6 +72,8 @@ class _ReferenceTask:
     config_kwargs: Dict[str, object]
     plane: str = "auto"
     on_error: str = "raise"
+    #: the workload's ``initial_state()`` (None: the run builds its own)
+    prefix: object = None
 
 
 @dataclass
@@ -86,6 +88,8 @@ class _PointTask:
     plane: str = "auto"
     count_ops: bool = True
     on_error: str = "raise"
+    #: the workload's ``initial_state()`` (None: the run builds its own)
+    prefix: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +595,58 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
+# the shared binary64 prefix
+# ---------------------------------------------------------------------------
+def _build_prefix(workload):
+    """``workload.initial_state()``: the policy-independent binary64 start
+    of every run, or None for a scenario without one."""
+    initial_state = getattr(workload, "initial_state", None)
+    return initial_state() if initial_state is not None else None
+
+
+def _prefix_kwargs(prefix) -> dict:
+    """The ``run()`` keyword handing over ``prefix``; empty without one, so
+    scenarios that build their own state are called unchanged."""
+    return {} if prefix is None else {"prefix": prefix}
+
+
+def _prefix_source(config_kwargs_fn, on_error: str = "raise"):
+    """``name -> prefix``, building each workload's prefix on first request
+    and at most once per source.
+
+    Every sweep call makes its own source and drops it on return: a memo
+    outliving the call would let repeated in-process sweeps skip builds
+    that a single sweep pays every time.  Under ``on_error="collect"`` a
+    build that raises yields a :class:`PointFailure` (``index=-1``), which
+    the callers route down the failed-reference path.
+    """
+    built: Dict[str, object] = {}
+
+    def prefix_for(name: str):
+        if name not in built:
+            started = time.perf_counter()
+            try:
+                built[name] = _build_prefix(create_workload(name, **config_kwargs_fn(name)))
+            except Exception as exc:
+                if on_error != "collect":
+                    raise
+                built[name] = _exception_failure(
+                    exc,
+                    index=-1,
+                    workload=name,
+                    format_name="-",
+                    policy="-",
+                    seconds=time.perf_counter() - started,
+                )
+        return built[name]
+
+    return prefix_for
+
+
+# ---------------------------------------------------------------------------
 # task execution (module-level so tasks pickle under every start method)
 # ---------------------------------------------------------------------------
-def run_reference(workload, plane: str = "auto") -> Outcome:
+def run_reference(workload, plane: str = "auto", prefix=None) -> Outcome:
     """Execute a workload's full-precision reference on the requested
     kernel plane (``"auto"`` resolves to the fused fast plane).  The
     substitution is free for the engine because it never consumes
@@ -605,7 +658,8 @@ def run_reference(workload, plane: str = "auto") -> Outcome:
     executed unchanged on the instrumented plane.  Only an explicit
     ``plane`` parameter opts in — a bare ``**kwargs`` signature (the old
     protocol default forwarded kwargs straight into ``run``) must not
-    receive the keyword.
+    receive the keyword.  ``prefix`` (see :func:`_build_prefix`) is passed
+    through to ``run()``.
     """
     resolved = reference_plane(plane)
     try:
@@ -613,8 +667,8 @@ def run_reference(workload, plane: str = "auto") -> Outcome:
     except (TypeError, ValueError):
         parameters = {}
     if "plane" in parameters:
-        return workload.reference(plane=resolved)
-    return workload.reference()
+        return workload.reference(plane=resolved, **_prefix_kwargs(prefix))
+    return workload.reference(**_prefix_kwargs(prefix))
 
 
 def _execute_reference(task: _ReferenceTask):
@@ -638,7 +692,7 @@ def _execute_reference(task: _ReferenceTask):
 
 def _run_reference_task(task: _ReferenceTask) -> ReferenceResult:
     workload = create_workload(task.workload, **task.config_kwargs)
-    outcome = run_reference(workload, plane=task.plane).detach()
+    outcome = run_reference(workload, plane=task.plane, prefix=task.prefix).detach()
     # key the result by the name the spec used (possibly an alias), so the
     # engine's reference lookup matches its points
     outcome.workload = task.workload
@@ -672,7 +726,7 @@ def _run_point_task(task: _PointTask, started: float, check_finite: bool = False
     policy = point.policy.build(
         point.fmt, runtime, rounding=task.rounding, plane=task.plane, count_ops=task.count_ops
     )
-    run = workload.run(policy=policy, runtime=runtime)
+    run = workload.run(policy=policy, runtime=runtime, **_prefix_kwargs(task.prefix))
     if check_finite:
         # collect mode reports a blow-up as a structured failure instead of
         # letting NaN/Inf flow into the error norms downstream
@@ -783,6 +837,7 @@ def gather_references(
     on_error: str = "raise",
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
+    prefix_for=None,
 ) -> Dict[str, Union[ReferenceResult, PointFailure]]:
     """Phase 1 of every experiment: one full-precision reference per
     workload, served from ``cache`` when possible and computed on the
@@ -792,9 +847,12 @@ def gather_references(
     :func:`run_sweep` and the adaptive cliff search
     (:mod:`repro.experiments.adaptive`).
 
-    With ``on_error="collect"`` a failing reference maps its workload name
-    to a :class:`PointFailure` (``index=-1``) instead of raising; failed
-    references are never cached."""
+    ``prefix_for`` (a :func:`_prefix_source`) supplies the prefix each
+    computed reference starts from; without it references build their own.
+
+    With ``on_error="collect"`` a failing reference (or prefix) maps its
+    workload name to a :class:`PointFailure` (``index=-1``) instead of
+    raising; failed references are never cached."""
     references: Dict[str, Union[ReferenceResult, PointFailure]] = {}
     if cache is not None:
         keys = {name: reference_key(name, config_kwargs_fn(name)) for name in names}
@@ -809,12 +867,21 @@ def gather_references(
         keys = {}
         missing = list(names)
 
-    reference_tasks = [
-        _ReferenceTask(
-            workload=name, config_kwargs=config_kwargs_fn(name), plane=plane, on_error=on_error
+    reference_tasks = []
+    for name in missing:
+        prefix = prefix_for(name) if prefix_for is not None else None
+        if isinstance(prefix, PointFailure):
+            references[name] = prefix
+            continue
+        reference_tasks.append(
+            _ReferenceTask(
+                workload=name,
+                config_kwargs=config_kwargs_fn(name),
+                plane=plane,
+                on_error=on_error,
+                prefix=prefix,
+            )
         )
-        for name in missing
-    ]
     outcomes = run_tasks(
         _execute_reference,
         reference_tasks,
@@ -896,6 +963,9 @@ def run_sweep(
     references: Dict[str, ReferenceResult] = {
         name: ref for name, ref in journal_refs.items() if name in needed
     }
+    # each workload's binary64 prefix is built here, on first need, once
+    # for this call; a workload with nothing left to run builds none
+    prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
     gathered = gather_references(
         [name for name in needed if name not in references],
         spec.config_kwargs,
@@ -906,6 +976,7 @@ def run_sweep(
         on_error=spec.on_error,
         timeout=spec.point_timeout,
         retries=spec.retries,
+        prefix_for=prefix_for,
     )
     ref_failures: Dict[str, PointFailure] = {}
     for name, ref in gathered.items():
@@ -926,6 +997,10 @@ def run_sweep(
     for point in points:
         if point.index in done:
             continue
+        if point.workload not in ref_failures:
+            prefix = prefix_for(point.workload)
+            if isinstance(prefix, PointFailure):
+                ref_failures[point.workload] = prefix
         if point.workload in ref_failures:
             failure = _reference_failure_for_point(point, ref_failures[point.workload])
             failures[point.index] = failure
@@ -934,10 +1009,13 @@ def run_sweep(
         else:
             todo.append(point)
 
-    # every task carries its workload's reference arrays; at the checkpoint
-    # sizes these experiments use (tens to hundreds of KB) re-pickling the
-    # reference per point is cheaper than coordinating a per-worker cache —
-    # revisit if sweeps move to large grids (see ROADMAP: sharding/caching)
+    # every task carries its workload's reference arrays and prefix; at the
+    # sizes these experiments use re-pickling both per point is cheaper
+    # than coordinating a per-worker cache.  A reference is tens to hundreds
+    # of KB.  A pickled prefix is ~100-260 KB for the compressible grids at
+    # benchmark size (a round trip costs ~0.5-1.4 ms, a rebuild 10-30 ms),
+    # ~50 KB for the spun-up bubble and a few KB for cellular.  Revisit if
+    # sweeps move to large grids (see ROADMAP: sharding/caching)
     point_tasks = [
         _PointTask(
             point=point,
@@ -950,6 +1028,7 @@ def run_sweep(
             plane=spec.plane,
             count_ops=spec.count_point_ops,
             on_error=spec.on_error,
+            prefix=prefix_for(point.workload),
         )
         for point in todo
     ]

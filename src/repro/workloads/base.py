@@ -13,6 +13,7 @@ sfocu L1 norm of the density field.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -126,6 +127,10 @@ class CompressibleWorkload(Scenario):
         )
         return grid
 
+    def initial_state(self) -> AMRGrid:
+        """The refined initial grid: the binary64 prefix of every run."""
+        return self.build_grid()
+
     def build_solver(self) -> HydroSolver:
         cfg = self.config
         from ..hydro.eos import GammaLawEOS
@@ -147,17 +152,20 @@ class CompressibleWorkload(Scenario):
         t_end: Optional[float] = None,
         fixed_dt: Optional[float] = None,
         regrid: Optional[bool] = None,
+        prefix: Optional[AMRGrid] = None,
     ) -> Outcome:
         """Execute the workload under a truncation policy.
 
         ``policy=None`` runs the full-precision reference (with operation
         counting still enabled so truncated fractions can be reported).
+        ``prefix`` is an :meth:`initial_state` grid to start from; the run
+        evolves a deep copy of it, so one prefix serves many runs.
         """
         cfg = self.config
         rt = runtime if runtime is not None else RaptorRuntime(self.name)
         pol = policy if policy is not None else NoTruncationPolicy(runtime=rt)
 
-        grid = self.build_grid()
+        grid = copy.deepcopy(prefix) if prefix is not None else self.build_grid()
         solver = self.build_solver()
 
         def provider(module, level=None, max_level=None):

@@ -84,34 +84,44 @@ class BubbleWorkload(Scenario):
 
     def __init__(self, config: Optional[BubbleExperimentConfig] = None) -> None:
         self.config = config or BubbleExperimentConfig()
-        self._spun_up_state = None
 
     # ------------------------------------------------------------------
-    def _fresh_solver(self, plane: str = "auto") -> BubbleSolver:
+    def initial_state(self) -> Dict[str, object]:
+        """The solver state after the binary64 spin-up (standing in for the
+        paper's archived t = 3 checkpoint): the prefix every truncation
+        phase starts from."""
+        cfg = self.config
+        solver = BubbleSolver(cfg.solver)
+        solver.run(t_end=cfg.spin_up_time, fixed_dt=cfg.fixed_dt)
+        return {
+            "velx": solver.velx,
+            "vely": solver.vely,
+            "pres": solver.pres,
+            "phi": solver.levelset.phi,
+            "time": solver.time,
+            # step_count phases the periodic level-set reinitialisation;
+            # restoring it keeps a restored run bit-identical to one that
+            # continued straight out of the spin-up
+            "step_count": solver.step_count,
+        }
+
+    def _fresh_solver(self, plane: str, prefix: Optional[Dict[str, object]]) -> BubbleSolver:
+        """A solver on ``plane`` restored from a copy of ``prefix``, or spun
+        up in place when there is none (one solver set-up instead of two;
+        the restored state is bit-identical to the continued one)."""
         cfg = self.config
         solver = BubbleSolver(cfg.solver, plane=plane)
-        if self._spun_up_state is None:
+        if prefix is None:
             solver.run(t_end=cfg.spin_up_time, fixed_dt=cfg.fixed_dt)
-            self._spun_up_state = {
-                "velx": solver.velx.copy(),
-                "vely": solver.vely.copy(),
-                "pres": solver.pres.copy(),
-                "phi": solver.levelset.phi.copy(),
-                "time": solver.time,
-                # step_count phases the periodic level-set reinitialisation;
-                # restoring it keeps restored runs bit-identical to the run
-                # that continued straight out of the spin-up
-                "step_count": solver.step_count,
-            }
             # the spin-up ran binary64; a truncated phase uses other buffers
             solver.release_scratch()
-        else:
-            solver.velx = self._spun_up_state["velx"].copy()
-            solver.vely = self._spun_up_state["vely"].copy()
-            solver.pres = self._spun_up_state["pres"].copy()
-            solver.levelset.phi = self._spun_up_state["phi"].copy()
-            solver.time = self._spun_up_state["time"]
-            solver.step_count = self._spun_up_state["step_count"]
+            return solver
+        solver.velx = prefix["velx"].copy()
+        solver.vely = prefix["vely"].copy()
+        solver.pres = prefix["pres"].copy()
+        solver.levelset.phi = prefix["phi"].copy()
+        solver.time = prefix["time"]
+        solver.step_count = prefix["step_count"]
         return solver
 
     def _cutoff_mask_fn(self, cutoff: int) -> Callable[[BubbleSolver], np.ndarray]:
@@ -133,6 +143,7 @@ class BubbleWorkload(Scenario):
         self,
         policy: Optional[TruncationPolicy] = None,
         runtime: Optional[RaptorRuntime] = None,
+        prefix: Optional[Dict[str, object]] = None,
     ) -> Outcome:
         """Run the truncation phase under a truncation policy.
 
@@ -140,7 +151,9 @@ class BubbleWorkload(Scenario):
         reference.  An :class:`AMRCutoffPolicy` maps to the paper's
         interface-distance cutoff strategy (the level-set band standing in
         for the AMR hierarchy); every other truncating policy truncates
-        the advection and diffusion operators everywhere.
+        the advection and diffusion operators everywhere.  ``prefix`` is
+        an :meth:`initial_state` to start from (copied); without one the
+        run performs its own spin-up.
         """
         rt = runtime if runtime is not None else RaptorRuntime(self.name)
         pol = policy if policy is not None else NoTruncationPolicy(runtime=rt)
@@ -165,16 +178,21 @@ class BubbleWorkload(Scenario):
                 strategy = f"{strategy}[{covered[0]}]"
         return self._execute(
             adv_ctx, diff_ctx, mask_fn, rt, strategy, pol.describe(),
-            plane=getattr(pol, "plane", "auto"),
+            plane=getattr(pol, "plane", "auto"), prefix=prefix,
         )
 
     def run_strategy(
-        self, strategy: str, man_bits: int, runtime: Optional[RaptorRuntime] = None
+        self,
+        strategy: str,
+        man_bits: int,
+        runtime: Optional[RaptorRuntime] = None,
+        prefix: Optional[Dict[str, object]] = None,
     ) -> Outcome:
         """Run one (strategy, mantissa) combination of Figure 1.
 
         ``strategy`` is one of :data:`STRATEGIES`; ``man_bits`` is ignored
-        for the "none" (reference) strategy.
+        for the "none" (reference) strategy.  Pass one :meth:`initial_state`
+        as ``prefix`` to share the spin-up across strategies.
         """
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -188,7 +206,9 @@ class BubbleWorkload(Scenario):
             adv_ctx = TruncatedContext(fmt, runtime=rt, module="advection")
             diff_ctx = TruncatedContext(fmt, runtime=rt, module="diffusion")
             mask_fn = self._mask_fn(strategy)
-        return self._execute(adv_ctx, diff_ctx, mask_fn, rt, strategy, f"{strategy}@m{man_bits}")
+        return self._execute(
+            adv_ctx, diff_ctx, mask_fn, rt, strategy, f"{strategy}@m{man_bits}", prefix=prefix
+        )
 
     # ------------------------------------------------------------------
     def _execute(
@@ -200,9 +220,10 @@ class BubbleWorkload(Scenario):
         strategy: str,
         policy_label: str,
         plane: str = "auto",
+        prefix: Optional[Dict[str, object]] = None,
     ) -> Outcome:
         cfg = self.config
-        solver = self._fresh_solver(plane)
+        solver = self._fresh_solver(plane, prefix)
 
         snapshots: Dict[float, np.ndarray] = {}
         centroids: List[float] = []

@@ -76,7 +76,9 @@ class CellularWorkload(Scenario):
         self.table = HelmholtzTable()
 
     # ------------------------------------------------------------------
-    def _initial_state(self) -> Dict[str, np.ndarray]:
+    def initial_state(self) -> Dict[str, np.ndarray]:
+        """The fuel column with its ignited strip: the binary64 prefix of
+        every run."""
         cfg = self.config
         n = cfg.n_cells
         x = (np.arange(n) + 0.5) * (cfg.length / n)
@@ -164,11 +166,13 @@ class CellularWorkload(Scenario):
         policy: Optional[TruncationPolicy] = None,
         runtime: Optional[RaptorRuntime] = None,
         n_steps: Optional[int] = None,
+        prefix: Optional[Dict[str, np.ndarray]] = None,
     ) -> Outcome:
         """Run the detonation under a truncation policy.
 
         The policy is consulted for the ``eos`` module only (the paper's
         module-selective truncation); burning and hydrodynamics run in FP64.
+        ``prefix`` is an :meth:`initial_state` to start from (copied).
         """
         cfg = self.config
         rt = runtime if runtime is not None else RaptorRuntime(self.name)
@@ -189,7 +193,9 @@ class CellularWorkload(Scenario):
             getattr(pol, "plane", "auto"),
         )
 
-        state = self._initial_state()
+        if prefix is None:
+            prefix = self.initial_state()
+        state = {name: values.copy() for name, values in prefix.items()}
         dx = cfg.length / cfg.n_cells
 
         times: List[float] = []

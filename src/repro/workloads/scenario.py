@@ -6,8 +6,16 @@ surface, which is what lets the sweep engine, the reference cache, the
 sharding machinery, and the adaptive cliff search treat all of them
 uniformly:
 
+* ``initial_state()`` — the policy-independent binary64 prefix of a run
+  (the refined initial grid, the spun-up bubble solver state, the cellular
+  initial arrays), or ``None`` for a scenario without one.  The sweep
+  engine builds it once per workload per sweep call and hands it to every
+  reference, point and cliff probe;
 * ``run(policy=None, runtime=None) -> Outcome`` — execute under a
-  truncation policy (``None`` = full-precision reference behaviour);
+  truncation policy (``None`` = full-precision reference behaviour).  A
+  scenario with a prefix also accepts ``prefix=`` (the value of
+  ``initial_state()``) and starts from a private copy of it, so the
+  caller's prefix is never mutated;
 * ``reference() -> Outcome`` — the full-precision reference run;
 * ``error(outcome, reference) -> float`` — the workload's scalar error
   metric (sfocu L1 for the compressible workloads, detonation-front
@@ -144,6 +152,12 @@ class Scenario:
     default_modules: Tuple[str, ...] = ()
     #: default failure threshold of the adaptive cliff search
     cliff_threshold: float = 1e-3
+
+    def initial_state(self):
+        """The binary64 prefix every run of this scenario starts from, or
+        ``None`` when :meth:`run` builds its own state (then it is never
+        passed a ``prefix``)."""
+        return None
 
     def run(self, policy=None, runtime=None) -> Outcome:
         raise NotImplementedError

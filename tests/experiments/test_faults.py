@@ -24,8 +24,15 @@ from repro.experiments import (
     run_adaptive_sweep,
     run_sweep,
 )
+from repro.core import NoTruncationPolicy
 from repro.testing import Fault, FaultInjected, FaultPlan
-from repro.workloads import create_workload, get_workload_class
+from repro.workloads import (
+    Outcome,
+    create_workload,
+    get_workload_class,
+    register_workload,
+    unregister_workload,
+)
 
 #: the cheapest sweepable workload: a handful of reactive-Euler cells
 CELLULAR = dict(n_cells=16, n_steps=4)
@@ -284,6 +291,131 @@ class TestAdaptiveFaults:
         assert revived.on_error == "raise"
         assert revived.point_timeout is None
         assert revived.retries is None
+
+
+class TestPrefixFaults:
+    """A workload whose ``initial_state()`` raises takes the failed-reference
+    path: one ``index=-1`` record plus a ``kind="reference"`` failure per
+    point or cell that needed it."""
+
+    @staticmethod
+    def _break_prefix(monkeypatch):
+        def exploding_initial_state(self):
+            raise RuntimeError("prefix exploded")
+
+        monkeypatch.setattr(get_workload_class("cellular"), "initial_state", exploding_initial_state)
+
+    def test_collect_mode_fails_the_reference_and_its_points(self, monkeypatch):
+        self._break_prefix(monkeypatch)
+        result = run_sweep(_spec(on_error="collect"))
+        assert result.points == [] and result.references == {}
+        assert [f.index for f in result.failures] == [-1, 0, 1, 2]
+        prefix_failure = result.failures[0]
+        assert prefix_failure.kind == "exception"
+        assert prefix_failure.exc_type == "RuntimeError"
+        assert "prefix exploded" in prefix_failure.message
+        assert "exploding_initial_state" in prefix_failure.traceback
+        assert {f.kind for f in result.failures[1:]} == {"reference"}
+        assert all("prefix exploded" in f.message for f in result.failures[1:])
+
+    def test_collect_mode_with_a_cached_reference(self, monkeypatch, tmp_path):
+        """The reference comes from the cache, so the prefix is first
+        needed by the points; they still fail as reference failures."""
+        run_sweep(_spec(formats=["e11m46"]), cache=tmp_path / "refs")
+        self._break_prefix(monkeypatch)
+        result = run_sweep(_spec(on_error="collect"), cache=tmp_path / "refs")
+        assert result.cache_stats["hits"] == 1
+        assert result.points == []
+        assert [f.index for f in result.failures] == [-1, 0, 1, 2]
+        assert {f.kind for f in result.failures[1:]} == {"reference"}
+
+    def test_raise_mode_propagates(self, monkeypatch):
+        self._break_prefix(monkeypatch)
+        with pytest.raises(RuntimeError, match="prefix exploded"):
+            run_sweep(_spec())
+
+    def test_adaptive_collect_and_raise(self, monkeypatch):
+        self._break_prefix(monkeypatch)
+        spec = dict(
+            workloads=["cellular"],
+            min_man_bits=8,
+            max_man_bits=12,
+            workload_configs={"cellular": dict(CELLULAR)},
+        )
+        result = run_adaptive_sweep(AdaptiveSpec(on_error="collect", **spec))
+        assert result.cliffs == []
+        assert [(f.index, f.kind) for f in result.failures] == [(-1, "exception"), (0, "reference")]
+        with pytest.raises(RuntimeError, match="prefix exploded"):
+            run_adaptive_sweep(AdaptiveSpec(**spec))
+
+
+class PrefixlessScenario:
+    """A scenario by surface alone: no ``Scenario`` base, no
+    ``initial_state``, and a ``run`` that accepts no ``prefix``.  Its error
+    at m mantissa bits is ``2**-m - 2**-53``."""
+
+    name = "prefixless-duck"
+    config_class = None
+    kind = "duck"
+    error_variables = ("value",)
+    default_error_variables = ("value",)
+    cliff_threshold = 2.0 ** -10
+
+    def run(self, policy=None, runtime=None):
+        bits = 53
+        if policy is not None and not isinstance(policy, NoTruncationPolicy):
+            bits = policy.config.targets[64].man_bits
+        return Outcome(
+            workload=self.name,
+            state={"value": np.array([2.0 ** -bits])},
+            kind=self.kind,
+            runtime=runtime,
+        )
+
+    def reference(self):
+        return self.run()
+
+    def error(self, outcome, reference):
+        return float(abs(outcome.state["value"][0] - reference.state["value"][0]))
+
+    def acceptable(self, outcome, reference, threshold=None):
+        limit = self.cliff_threshold if threshold is None else threshold
+        return self.error(outcome, reference) <= limit
+
+
+class TestPrefixlessScenario:
+    @pytest.fixture(autouse=True)
+    def registered(self):
+        register_workload(PrefixlessScenario)
+        yield
+        unregister_workload(PrefixlessScenario.name)
+
+    def test_sweeps(self):
+        result = run_sweep(
+            SweepSpec(
+                workloads=[PrefixlessScenario.name],
+                formats=["e11m20", "e11m8"],
+                policies=[PolicySpec(kind="global")],
+            )
+        )
+        assert not result.failures
+        assert [p.scalar_error for p in result.points] == [
+            2.0 ** -20 - 2.0 ** -53, 2.0 ** -8 - 2.0 ** -53,
+        ]
+
+    def test_cliff_searches(self):
+        result = run_adaptive_sweep(
+            AdaptiveSpec(
+                workloads=[PrefixlessScenario.name],
+                policies=[PolicySpec(kind="global")],
+                min_man_bits=2,
+                max_man_bits=30,
+            )
+        )
+        assert [c.cliff_man_bits for c in result.cliffs] == [10]
+        assert find_cliff(
+            PrefixlessScenario(), PolicySpec(kind="global"), min_man_bits=2, max_man_bits=30
+        ).cliff_man_bits == 10
 
 
 class TestProcessBackendChaos:

@@ -179,3 +179,155 @@ class TestMixedKindSweep:
         assert warm.cache_stats["hits"] == 3 and warm.cache_stats["misses"] == 0
         for a, b in zip(cold.points, warm.points):
             assert a.metrics_key() == b.metrics_key()
+
+
+# ---------------------------------------------------------------------------
+# the shared binary64 prefix
+# ---------------------------------------------------------------------------
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is counted; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+PREFIX_CONFIGS = {
+    "sod": SOD_FAST,
+    "sedov": SOD_FAST,
+    "cellular": CELLULAR_FAST,
+    "bubble": BUBBLE_FAST,
+}
+
+
+def _prefix_spec(workloads=tuple(PREFIX_CONFIGS), **overrides) -> SweepSpec:
+    base = dict(
+        workloads=list(workloads),
+        formats=["e11m50", "e11m46", "e11m42"],
+        policies=[PolicySpec.everywhere(modules=("hydro", "eos", "advection", "diffusion"))],
+        workload_configs={name: PREFIX_CONFIGS[name] for name in workloads},
+    )
+    base.update(overrides)
+    return SweepSpec(**base)
+
+
+class TestSharedPrefix:
+    """Each workload's ``initial_state()`` is built once per sweep call and
+    shipped to its reference and every point."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        from repro.amr.grid import AMRGrid
+        from repro.workloads import get_workload_class
+
+        return {
+            "refine": _count_calls(monkeypatch, AMRGrid, "initialize_with_refinement"),
+            "spin_up": _count_calls(monkeypatch, get_workload_class("bubble"), "initial_state"),
+            "cellular": _count_calls(monkeypatch, get_workload_class("cellular"), "initial_state"),
+        }
+
+    def test_serial_sweep_builds_each_prefix_once(self, counters):
+        result = run_sweep(_prefix_spec())
+        assert len(result.points) == 12 and not result.failures
+        # one refined grid per compressible workload serves its reference
+        # and its three points; likewise one spin-up, one cellular column
+        assert len(counters["refine"]) == 2
+        assert len(counters["spin_up"]) == 1
+        assert len(counters["cellular"]) == 1
+
+    def test_runs_mutating_their_state_leave_later_points_unchanged(self, monkeypatch):
+        """Points share one prefix object on the serial backend.  Each run
+        evolves its own copy; a run that also scribbles in place over its
+        grid or solver state must not reach the points after it.  The
+        result must equal a sweep in which every run builds its own
+        prefix."""
+        from repro.experiments import engine
+        from repro.incomp.solver import BubbleSolver
+        from repro.workloads import get_workload_class
+
+        sod = get_workload_class("sod")
+        original = sod.run
+
+        def scribbling_run(self, **kwargs):
+            outcome = original(self, **kwargs)
+            for block in outcome.grid.leaves.values():
+                for values in block.data.values():
+                    values[...] = -1.0
+            return outcome
+
+        def scribbling_step(self, *args, **kwargs):
+            for values in (self.velx, self.vely, self.pres, self.levelset.phi):
+                values *= 1.0 + 2.0 ** -20
+            return original_step(self, *args, **kwargs)
+
+        original_step = BubbleSolver.step
+        monkeypatch.setattr(sod, "run", scribbling_run)
+        monkeypatch.setattr(BubbleSolver, "step", scribbling_step)
+        shared = run_sweep(_prefix_spec())
+        monkeypatch.setattr(engine, "_build_prefix", lambda workload: None)
+        private = run_sweep(_prefix_spec())
+        assert [p.metrics_key() for p in shared.points] == [
+            p.metrics_key() for p in private.points
+        ]
+        for name, reference in shared.references.items():
+            for variable, values in reference.state.items():
+                np.testing.assert_array_equal(values, private.references[name].state[variable])
+
+    def test_no_prefix_outlives_a_sweep_call(self, counters):
+        spec = _prefix_spec(workloads=["sod"], formats=["e11m42"])
+        run_sweep(spec)
+        assert len(counters["refine"]) == 1
+        run_sweep(spec)
+        assert len(counters["refine"]) == 2
+
+    def test_resume_with_every_point_done_builds_no_prefix(self, tmp_path, monkeypatch):
+        spec = _prefix_spec(workloads=["sod", "bubble"], formats=["e11m42"])
+        first = run_sweep(spec, checkpoint=tmp_path / "journal")
+        from repro.amr.grid import AMRGrid
+        from repro.workloads import get_workload_class
+
+        refine = _count_calls(monkeypatch, AMRGrid, "initialize_with_refinement")
+        spin_up = _count_calls(monkeypatch, get_workload_class("bubble"), "initial_state")
+        resumed = run_sweep(spec, checkpoint=tmp_path / "journal")
+        assert refine == [] and spin_up == []
+        assert [p.metrics_key() for p in resumed.points] == [
+            p.metrics_key() for p in first.points
+        ]
+
+    def test_process_backend_ships_the_prefix(self, monkeypatch):
+        """The parent builds each prefix once and ships it in the tasks.  A
+        pool worker that built one would raise (forked workers inherit the
+        guard), and the points match the serial sweep bitwise."""
+        import os
+
+        from repro.amr.grid import AMRGrid
+        from repro.workloads import get_workload_class
+
+        parent = os.getpid()
+        builds = []
+
+        def guarded(owner, name):
+            original = getattr(owner, name)
+
+            def build(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError(f"a pool worker called {name}")
+                builds.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, build)
+
+        spec = _prefix_spec(workloads=["sod", "bubble"], formats=["e11m46", "e11m42"])
+        serial = run_sweep(spec)
+        guarded(AMRGrid, "initialize_with_refinement")
+        guarded(get_workload_class("bubble"), "initial_state")
+        process = run_sweep(spec.with_backend("process", max_workers=2))
+        assert sorted(builds) == ["initial_state", "initialize_with_refinement"]
+        assert [p.metrics_key() for p in serial.points] == [
+            p.metrics_key() for p in process.points
+        ]

@@ -12,6 +12,8 @@ batched block stepping) by default, so every sweep below also covers the
 scratch/batched path; ``test_scratch_and_batching_are_active`` pins that
 the defaults were indeed in effect.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,8 +92,20 @@ class TestAllWorkloadsThroughRunSweep:
                 keep_states=True,
             )
 
+        def sweep(plane, backend):
+            if (plane, backend) != ("fast", "serial"):
+                return run_sweep(spec(plane, backend))
+            # counting points forced onto the non-counting fast plane warn
+            # in this process (pool workers keep their warnings).  The bf16
+            # cellular EOS inversion breaks down and divides by zero on
+            # every plane; pytest.warns would re-emit each of those
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "divide by zero encountered", RuntimeWarning)
+                with pytest.warns(UserWarning, match="substitutes the non-counting fast plane"):
+                    return run_sweep(spec(plane, backend))
+
         return {
-            (plane, backend): run_sweep(spec(plane, backend))
+            (plane, backend): sweep(plane, backend)
             for plane in ("instrumented", "fast")
             for backend in ("serial", "process")
         }

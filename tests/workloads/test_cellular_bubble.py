@@ -135,9 +135,16 @@ class TestBubbleStrategies:
         np.testing.assert_array_equal(ref.state["phi"], ref.state[f"phi_snap{last}"])
 
     def test_spun_up_state_reused_between_runs(self, bubble_workload):
-        a = bubble_workload.run_strategy("none", 52)
-        b = bubble_workload.run_strategy("none", 52)
-        assert np.array_equal(a.state["phi"], b.state["phi"])
+        """Runs restored from one shared spin-up match a run that spins up
+        itself, and leave the shared state untouched."""
+        prefix = bubble_workload.initial_state()
+        phi = prefix["phi"].copy()
+        a = bubble_workload.run_strategy("none", 52, prefix=prefix)
+        b = bubble_workload.run_strategy("everywhere", 4, prefix=prefix)
+        c = bubble_workload.run_strategy("none", 52)
+        assert np.array_equal(a.state["phi"], c.state["phi"])
+        assert not np.array_equal(a.state["phi"], b.state["phi"])
+        np.testing.assert_array_equal(prefix["phi"], phi)
 
     def test_truncation_everywhere_perturbs_interface(self, bubble_workload):
         ref = bubble_workload.run_strategy("none", 52)
