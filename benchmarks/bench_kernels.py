@@ -250,16 +250,13 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
     the non-counting e8m10 run
     instead (op-by-op ``TruncatedContext`` on the instrumented plane, the
     fused truncating twins on ``"auto"``/``"fast"``) — the counting one when
-    ``counting`` (the counted fused plane on ``"auto"``).  Every run starts
-    from one binary64 spin-up built outside the timer: the spin-up is the
-    same work on every plane, and a sweep builds it once.
+    ``counting`` (the counted fused plane on ``"auto"``).
     """
     from repro.core import (FPFormat, GlobalPolicy, NoTruncationPolicy,
                             RaptorRuntime, TruncationConfig)
 
     best = np.inf
     outcome = None
-    prefix = workload_factory().initial_state()
     with _env(env_overrides):
         for _ in range(repeat):
             workload = workload_factory()
@@ -277,7 +274,7 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
                     plane=plane,
                 )
             start = time.perf_counter()
-            outcome = workload.run(policy=policy, runtime=runtime, prefix=prefix)
+            outcome = workload.run(policy=policy, runtime=runtime)
             best = min(best, time.perf_counter() - start)
     return best, outcome
 

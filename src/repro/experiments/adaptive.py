@@ -329,7 +329,10 @@ def find_cliff(
     ``on_error="collect"`` isolates probe failures: a probe that raises, or
     finishes with non-finite state, becomes a failed
     :class:`CliffEvaluation` carrying a structured ``failure`` record (see
-    that class) and the bisection continues.  The default ``"raise"``
+    that class) and the bisection continues; a shared prefix that fails to
+    build is left to the probes, so each records that failure.  With a
+    computed reference, that reference's own build still raises.  The
+    default ``"raise"``
     preserves today's behaviour — the first probe exception aborts the
     search.
     """
@@ -360,8 +363,16 @@ def find_cliff(
             stacklevel=2,
         )
 
+    collect = on_error == "collect"
     if prefix is None:
-        prefix = _build_prefix(obj)
+        try:
+            prefix = _build_prefix(obj)
+        except Exception:
+            if not collect:
+                raise
+            # every probe retries the build inside its own isolation and
+            # records the failure, as it would without a shared prefix
+            prefix = None
     if reference is None:
         ref_cache = cache if isinstance(cache, ReferenceCache) else (
             ReferenceCache(cache) if cache is not None else None
@@ -385,8 +396,6 @@ def find_cliff(
                 ref_cache.put(key, reference)
         else:
             reference = run_reference(obj, plane=plane, prefix=prefix).detach()
-
-    collect = on_error == "collect"
 
     def evaluate(bits: int) -> CliffEvaluation:
         if not collect:
@@ -909,10 +918,6 @@ def run_adaptive_sweep(
     failures: Dict[int, PointFailure] = {}
     todo = []
     for cell in cells:
-        if cell.workload not in ref_failures:
-            prefix = prefix_for(cell.workload)
-            if isinstance(prefix, PointFailure):
-                ref_failures[cell.workload] = prefix
         if cell.workload in ref_failures:
             ref_failure = ref_failures[cell.workload]
             failures[cell.index] = PointFailure(

@@ -838,6 +838,7 @@ def gather_references(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     prefix_for=None,
+    known: Optional[Mapping[str, ReferenceResult]] = None,
 ) -> Dict[str, Union[ReferenceResult, PointFailure]]:
     """Phase 1 of every experiment: one full-precision reference per
     workload, served from ``cache`` when possible and computed on the
@@ -847,41 +848,44 @@ def gather_references(
     :func:`run_sweep` and the adaptive cliff search
     (:mod:`repro.experiments.adaptive`).
 
-    ``prefix_for`` (a :func:`_prefix_source`) supplies the prefix each
-    computed reference starts from; without it references build their own.
+    ``known`` maps names to references fixed beforehand (a resumed sweep's
+    journal); they are used as given and never cached.  ``prefix_for`` (a
+    :func:`_prefix_source`) builds the prefix of every name, which computed
+    references start from and the caller's runs reuse; without it
+    references build their own.
 
-    With ``on_error="collect"`` a failing reference (or prefix) maps its
+    With ``on_error="collect"`` a failing reference or prefix maps its
     workload name to a :class:`PointFailure` (``index=-1``) instead of
-    raising; failed references are never cached."""
+    raising — a failed prefix also when the reference was at hand; failed
+    references are never cached."""
     references: Dict[str, Union[ReferenceResult, PointFailure]] = {}
-    if cache is not None:
-        keys = {name: reference_key(name, config_kwargs_fn(name)) for name in names}
-        missing = []
-        for name in names:
-            cached = cache.get(keys[name])
-            if cached is not None:
-                references[name] = cached
-            else:
-                missing.append(name)
-    else:
-        keys = {}
-        missing = list(names)
+    keys: Dict[str, str] = {}
+    missing = []
+    for name in names:
+        ref = (known or {}).get(name)
+        if ref is None and cache is not None:
+            keys[name] = reference_key(name, config_kwargs_fn(name))
+            ref = cache.get(keys[name])
+        if ref is None:
+            missing.append(name)
+        else:
+            references[name] = ref
 
-    reference_tasks = []
-    for name in missing:
-        prefix = prefix_for(name) if prefix_for is not None else None
+    prefixes = {name: prefix_for(name) for name in names} if prefix_for is not None else {}
+    for name, prefix in prefixes.items():
         if isinstance(prefix, PointFailure):
             references[name] = prefix
-            continue
-        reference_tasks.append(
-            _ReferenceTask(
-                workload=name,
-                config_kwargs=config_kwargs_fn(name),
-                plane=plane,
-                on_error=on_error,
-                prefix=prefix,
-            )
+    reference_tasks = [
+        _ReferenceTask(
+            workload=name,
+            config_kwargs=config_kwargs_fn(name),
+            plane=plane,
+            on_error=on_error,
+            prefix=prefixes.get(name),
         )
+        for name in missing
+        if name not in references
+    ]
     outcomes = run_tasks(
         _execute_reference,
         reference_tasks,
@@ -960,14 +964,14 @@ def run_sweep(
     # journaled points were compared against — so a resumed run never
     # recomputes (or re-fetches) what the interrupted run already fixed.
     needed = list(dict.fromkeys(point.workload for point in points))
-    references: Dict[str, ReferenceResult] = {
-        name: ref for name, ref in journal_refs.items() if name in needed
-    }
-    # each workload's binary64 prefix is built here, on first need, once
-    # for this call; a workload with nothing left to run builds none
+    journaled = {name: ref for name, ref in journal_refs.items() if name in needed}
+    references: Dict[str, ReferenceResult] = dict(journaled)
+    pending = {point.workload for point in points if point.index not in done}
+    # each workload's binary64 prefix is built here, once for this call; a
+    # workload with nothing left to run builds none
     prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
     gathered = gather_references(
-        [name for name in needed if name not in references],
+        [name for name in needed if name not in journaled or name in pending],
         spec.config_kwargs,
         cache=ref_cache,
         backend=spec.backend,
@@ -977,12 +981,13 @@ def run_sweep(
         timeout=spec.point_timeout,
         retries=spec.retries,
         prefix_for=prefix_for,
+        known=journaled,
     )
     ref_failures: Dict[str, PointFailure] = {}
     for name, ref in gathered.items():
         if isinstance(ref, PointFailure):
             ref_failures[name] = ref
-        else:
+        elif name not in journaled:
             references[name] = ref
             if journal is not None:
                 journal.record_reference(name, ref)
@@ -997,10 +1002,6 @@ def run_sweep(
     for point in points:
         if point.index in done:
             continue
-        if point.workload not in ref_failures:
-            prefix = prefix_for(point.workload)
-            if isinstance(prefix, PointFailure):
-                ref_failures[point.workload] = prefix
         if point.workload in ref_failures:
             failure = _reference_failure_for_point(point, ref_failures[point.workload])
             failures[point.index] = failure

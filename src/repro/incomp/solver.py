@@ -131,14 +131,6 @@ class BubbleSolver:
         if self._fused_bubble:
             self.levelset.enable_fused(self._workspace)
 
-    def release_scratch(self) -> None:
-        """Drop the fused twins' scratch buffers (they are reallocated on
-        next use).  The binary64 and truncating twins keep separate buffer
-        families, so a solver moving from a binary64 phase to a truncated
-        one would otherwise hold both."""
-        if self._workspace is not None:
-            self._workspace.clear()
-
     def _pad(self, f: np.ndarray, n: int, key: str = "f") -> np.ndarray:
         """Edge-replicated padding of ``f`` by ``n`` cells.
 

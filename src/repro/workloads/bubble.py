@@ -106,16 +106,11 @@ class BubbleWorkload(Scenario):
         }
 
     def _fresh_solver(self, plane: str, prefix: Optional[Dict[str, object]]) -> BubbleSolver:
-        """A solver on ``plane`` restored from a copy of ``prefix``, or spun
-        up in place when there is none (one solver set-up instead of two;
-        the restored state is bit-identical to the continued one)."""
-        cfg = self.config
-        solver = BubbleSolver(cfg.solver, plane=plane)
+        """A solver on ``plane`` restored from a copy of ``prefix`` (spun up
+        here when there is none)."""
         if prefix is None:
-            solver.run(t_end=cfg.spin_up_time, fixed_dt=cfg.fixed_dt)
-            # the spin-up ran binary64; a truncated phase uses other buffers
-            solver.release_scratch()
-            return solver
+            prefix = self.initial_state()
+        solver = BubbleSolver(self.config.solver, plane=plane)
         solver.velx = prefix["velx"].copy()
         solver.vely = prefix["vely"].copy()
         solver.pres = prefix["pres"].copy()

@@ -319,8 +319,8 @@ class TestPrefixFaults:
         assert all("prefix exploded" in f.message for f in result.failures[1:])
 
     def test_collect_mode_with_a_cached_reference(self, monkeypatch, tmp_path):
-        """The reference comes from the cache, so the prefix is first
-        needed by the points; they still fail as reference failures."""
+        """The reference comes from the cache, yet the failed prefix still
+        fails it and its points."""
         run_sweep(_spec(formats=["e11m46"]), cache=tmp_path / "refs")
         self._break_prefix(monkeypatch)
         result = run_sweep(_spec(on_error="collect"), cache=tmp_path / "refs")
@@ -329,10 +329,36 @@ class TestPrefixFaults:
         assert [f.index for f in result.failures] == [-1, 0, 1, 2]
         assert {f.kind for f in result.failures[1:]} == {"reference"}
 
+    def test_collect_mode_on_resume_from_a_journaled_reference(self, monkeypatch, tmp_path):
+        """The reference comes from an interrupted sweep's journal: only the
+        point still to run fails, and the journaled points are kept."""
+        clean = run_sweep(_spec(), checkpoint=tmp_path / "journal")
+        (tmp_path / "journal" / "point-000002.pkl").unlink()
+        self._break_prefix(monkeypatch)
+        result = run_sweep(_spec(on_error="collect"), checkpoint=tmp_path / "journal")
+        assert [p.metrics_key() for p in result.points] == [
+            p.metrics_key() for p in clean.points[:2]
+        ]
+        assert [(f.index, f.kind) for f in result.failures] == [(-1, "exception"), (2, "reference")]
+
     def test_raise_mode_propagates(self, monkeypatch):
         self._break_prefix(monkeypatch)
         with pytest.raises(RuntimeError, match="prefix exploded"):
             run_sweep(_spec())
+
+    def test_find_cliff_collect_leaves_the_build_to_each_probe(self, monkeypatch):
+        """A direct search with a given reference: the failed build becomes
+        a failure record of every probe instead of escaping the search."""
+        reference = create_workload("cellular", **CELLULAR).reference()
+        self._break_prefix(monkeypatch)
+        search = dict(reference=reference, min_man_bits=8, max_man_bits=12)
+        result = find_cliff("cellular", config_kwargs=CELLULAR, on_error="collect", **search)
+        assert not result.found
+        assert result.probe_failures and all(
+            "prefix exploded" in f.message for f in result.probe_failures
+        )
+        with pytest.raises(RuntimeError, match="prefix exploded"):
+            find_cliff("cellular", config_kwargs=CELLULAR, **search)
 
     def test_adaptive_collect_and_raise(self, monkeypatch):
         self._break_prefix(monkeypatch)
