@@ -7,10 +7,8 @@ optimisation rungs —
 * ``fast-flux``    — the fused flux pipeline, blocks stacked into one
   batched update per substep, without scratch workspaces
   (``RAPTOR_FAST_NO_SCRATCH``): every temporary is freshly allocated;
-* ``fast-nogrid``  — plus preallocated scratch workspaces but with the
-  fused grid plane disabled (``RAPTOR_FAST_NO_GRID``): per-block guard
-  fills, per-block ``compute_dt`` and per-block refinement estimators;
-* ``fast``         — plus the fused grid plane (the default fast plane) —
+* ``fast``         — plus preallocated scratch workspaces (the default
+  fast plane) —
 
 verifies the final states are bitwise identical across *all* planes — the
 fast plane's contract — and records the comparison to
@@ -40,8 +38,12 @@ only meaningful at the full sizes).
 
 For the AMR workloads a third pass records a phase-level breakdown of one
 fast-plane run — wall-clock attributed to guard-cell fills, ``compute_dt``,
-regridding and the flux sweeps — so the grid-plane wins stay visible
-PR-over-PR next to the end-to-end numbers.
+regridding and the flux sweeps — so the grid-side wins stay visible
+PR-over-PR next to the end-to-end numbers.  The ``guard_fill`` rung times
+one guard fill of the workload's refined initial grid through the
+per-block oracle (``tests/grid_oracle.py``) against the stacked fill over
+the block store, interleaved, keeping every sample; the fills must agree
+bitwise.  The record carries a machine fingerprint.
 
 The bubble workload (incompressible multiphase) gets its own section: its
 reference run is timed op-by-op (``plane="instrumented"`` with
@@ -60,6 +62,8 @@ import argparse
 import contextlib
 import json
 import os
+import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -67,6 +71,12 @@ from pathlib import Path
 import numpy as np
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_kernels.json"
+
+#: the per-block grid oracle lives with the tests
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+
+#: interleaved oracle/store guard-fill samples per AMR workload
+GUARD_FILL_SAMPLES = dict(full=40, quick=5)
 
 #: per-workload reference configurations (sweep-scale grids, the engine's
 #: actual hot path); the quick variant trims steps, not structure
@@ -99,7 +109,6 @@ CONFIGS = {
 VARIANTS = (
     ("instrumented", "instrumented", {}),
     ("fast-flux", "fast", {"RAPTOR_FAST_NO_SCRATCH": "1"}),
-    ("fast-nogrid", "fast", {"RAPTOR_FAST_NO_GRID": "1"}),
     ("fast", "fast", {}),
 )
 
@@ -132,8 +141,7 @@ BUBBLE_VARIANTS = (
 @contextlib.contextmanager
 def _env(overrides):
     saved = {name: os.environ.get(name) for name in
-             ("RAPTOR_FAST_NO_SCRATCH", "RAPTOR_FAST_NO_GRID",
-              "RAPTOR_FAST_NO_BUBBLE")}
+             ("RAPTOR_FAST_NO_SCRATCH", "RAPTOR_FAST_NO_BUBBLE")}
     for name in saved:
         os.environ.pop(name, None)
     os.environ.update(overrides)
@@ -238,6 +246,63 @@ def _phase_breakdown(workload_factory):
         AMRGrid.regrid = originals["regrid"]
         HydroSolver._substep = originals["substep"]
     return {key: round(value, 6) for key, value in acc.items()}
+
+
+def _guard_fill_record(workload_factory, samples: int):
+    """One guard fill of the refined initial grid: per-block oracle vs the
+    stacked fill over the block store, interleaved sample by sample.
+
+    The topology plan is built (and timed) once before the samples, as a
+    run builds it once per topology; both fills must leave the grid
+    bitwise identical.
+    """
+    if str(TESTS) not in sys.path:
+        sys.path.insert(0, str(TESTS))
+    import grid_oracle
+    from repro.kernels.grid import TopologyPlan
+
+    grid = workload_factory().initial_state()
+    start = time.perf_counter()
+    TopologyPlan(grid)
+    plan_seconds = time.perf_counter() - start
+    grid.fill_guard_cells()
+    oracle, store = [], []
+    for _ in range(samples):
+        start = time.perf_counter()
+        grid_oracle.fill_guard_cells(grid)
+        oracle.append(time.perf_counter() - start)
+        after_oracle = grid.unk.copy()
+        start = time.perf_counter()
+        grid.fill_guard_cells()
+        store.append(time.perf_counter() - start)
+        if grid.unk.tobytes() != after_oracle.tobytes():
+            raise SystemExit("GUARD-FILL MISMATCH: the stacked fill differs from the oracle")
+    oracle_s, store_s = statistics.median(oracle), statistics.median(store)
+    return {
+        "n_leaves": grid.n_leaves,
+        "oracle_seconds": oracle_s,
+        "store_seconds": store_s,
+        "plan_build_seconds": plan_seconds,
+        "speedup": oracle_s / store_s if store_s > 0 else float("inf"),
+        "oracle_samples": oracle,
+        "store_samples": store,
+    }
+
+
+def _fingerprint() -> dict:
+    """The machine the record was taken on."""
+    cpu = ""
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), "")
+    return {
+        "cpu": cpu or platform.processor() or platform.machine(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
 
 
 def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
@@ -494,18 +559,16 @@ def run_benchmark(quick: bool, repeat: int):
             "repeat": repeat,
             "instrumented_seconds": seconds["instrumented"],
             "fast_flux_seconds": seconds["fast-flux"],
-            "fast_nogrid_seconds": seconds["fast-nogrid"],
             "fast_seconds": seconds["fast"],
             "previous_fast_seconds": previous.get(name),
             "speedup": seconds["instrumented"] / seconds["fast"]
-            if seconds["fast"] > 0 else float("inf"),
-            "grid_speedup": seconds["fast-nogrid"] / seconds["fast"]
             if seconds["fast"] > 0 else float("inf"),
             "bitwise_identical": True,
         }
 
         if name != "cellular":
             record["phases"] = _phase_breakdown(factory)
+            record["guard_fill"] = _guard_fill_record(factory, GUARD_FILL_SAMPLES[flavour])
 
         if name in TRUNC_WORKLOADS:
             slow_secs, slow_out = _time_truncated(factory, "instrumented", repeat)
@@ -533,7 +596,7 @@ def run_benchmark(quick: bool, repeat: int):
         records.append(record)
 
     records.append(_bubble_record(quick, repeat, previous))
-    return {"mode": flavour, "workloads": records}
+    return {"mode": flavour, "fingerprint": _fingerprint(), "workloads": records}
 
 
 def main(argv=None) -> int:
@@ -556,10 +619,8 @@ def main(argv=None) -> int:
             r["workload"],
             f"{r['instrumented_seconds']:.3f}",
             f"{r['fast_flux_seconds']:.3f}",
-            f"{r['fast_nogrid_seconds']:.3f}",
             f"{r['fast_seconds']:.3f}",
             f"{r['speedup']:.2f}x",
-            f"{r['grid_speedup']:.2f}x",
             "yes",
         ]
         for r in payload["workloads"]
@@ -567,9 +628,28 @@ def main(argv=None) -> int:
     ]
     print(f"\n=== kernel planes: reference runs, {payload['mode']} mode ===")
     print(format_table(
-        ["workload", "instrumented [s]", "fast-flux [s]", "fast-nogrid [s]",
-         "fast [s]", "speedup", "grid speedup", "bitwise identical"],
+        ["workload", "instrumented [s]", "fast-flux [s]", "fast [s]",
+         "speedup", "bitwise identical"],
         rows,
+    ))
+
+    guard_rows = [
+        [
+            r["workload"],
+            str(r["guard_fill"]["n_leaves"]),
+            f"{1e3 * r['guard_fill']['oracle_seconds']:.3f}",
+            f"{1e3 * r['guard_fill']['store_seconds']:.3f}",
+            f"{1e3 * r['guard_fill']['plan_build_seconds']:.3f}",
+            f"{r['guard_fill']['speedup']:.1f}x",
+        ]
+        for r in payload["workloads"]
+        if "guard_fill" in r
+    ]
+    print(f"\n=== guard fill of the initial grid: per-block oracle vs block store, "
+          f"{payload['mode']} mode (median of interleaved samples) ===")
+    print(format_table(
+        ["workload", "leaves", "oracle [ms]", "store [ms]", "plan build [ms]", "speedup"],
+        guard_rows,
     ))
 
     bubble_rows = [
@@ -689,12 +769,14 @@ def main(argv=None) -> int:
             "speedup the fused flux pipeline targets", file=sys.stderr,
         )
         return 1
-    grid_fast = [r for r in payload["workloads"]
-                 if "phases" in r and r["grid_speedup"] >= 1.5]
-    if payload["mode"] == "full" and not grid_fast:
+    fill_slow = [r for r in payload["workloads"]
+                 if "guard_fill" in r and r["guard_fill"]["speedup"] < 3.0]
+    if payload["mode"] == "full" and fill_slow:
         print(
-            "WARNING: no AMR workload reached the 1.5x additional speedup "
-            "the fused grid plane targets over fast-nogrid", file=sys.stderr,
+            "WARNING: the stacked guard fill fell below the 3x floor over the "
+            "per-block oracle: "
+            + ", ".join(f"{r['workload']} ({r['guard_fill']['speedup']:.2f}x)" for r in fill_slow),
+            file=sys.stderr,
         )
         return 1
     # the bubble's op-by-op baseline is cheaper per op than the hydro one

@@ -8,7 +8,7 @@ blocks.  This module provides the 2-D block used by :mod:`repro.amr.grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,11 @@ class Block:
     Data arrays are stored with shape ``(nxb + 2*ng, nyb + 2*ng)`` and are
     indexed ``[i, j]`` with ``i`` along x and ``j`` along y; the interior
     occupies ``[ng:-ng, ng:-ng]``.
+
+    A leaf of an :class:`~repro.amr.grid.AMRGrid` owns no arrays: ``slot``
+    is its index in the grid's block store and ``data[name]`` is the view
+    ``unk[row(name), slot]``.  A standalone block (``slot`` is ``None``)
+    gets its own arrays from :meth:`allocate`.
     """
 
     key: BlockKey
@@ -37,6 +42,7 @@ class Block:
     ylo: float
     yhi: float
     data: Dict[str, np.ndarray] = field(default_factory=dict)
+    slot: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property

@@ -12,18 +12,22 @@ This is the reproduction's stand-in for PARAMESH/AmReX as used by Flash-X:
   coarser neighbours by prolongation, from finer neighbours by restriction,
   and from the domain boundary conditions.
 
-The physics solvers never look at the tree: they receive one block at a
-time with filled guard cells, which is exactly the Flash-X solver contract
-the paper's per-block (M−l cutoff) truncation policies rely on.
+Like PARAMESH/AmReX in Flash-X, the grid keeps every leaf's data in one
+store ``unk[var, slot, i, j]``; a :class:`~repro.amr.block.Block` is a set
+of views into its slot.  The physics solvers never look at the tree: they
+see blocks (or stacks of them) with filled guard cells, which is exactly
+the Flash-X solver contract the paper's per-block (M−l cutoff) truncation
+policies rely on.
 """
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels.grid import GuardFillPlan
-from ..kernels.scratch import grid_plane_enabled, make_workspace
+from ..kernels.grid import TopologyPlan
+from ..kernels.scratch import make_workspace
 from .block import Block, BlockKey
 from .refinement import (
     block_error,
@@ -79,13 +83,15 @@ class AMRGrid:
     reflect_vars:
         For reflecting boundaries: mapping direction ('x' or 'y') to the
         variable whose sign flips across that boundary (normal velocity).
-    fused_grid:
-        Fill guard cells through a precomputed
-        :class:`~repro.kernels.grid.GuardFillPlan` (rebuilt only when the
-        tree topology changes) and run batching-capable regrid estimators
-        over one stacked array — both bit-identical to the per-block
-        Python paths.  ``None`` follows the ``RAPTOR_FAST_NO_GRID``
-        environment switch (default on).
+
+    Storage: :attr:`unk` has shape ``(len(variables), capacity, nxb+2*ng,
+    nyb+2*ng)``.  Each leaf holds a slot taken from a free list and
+    returned when the leaf is refined or merged away; when no slot is free
+    the capacity doubles and every leaf's views are rebound (a view taken
+    from ``block.data`` before a refine may be stale after it).  Guard
+    filling, ``compute_dt`` and the regrid estimators run stacked over the
+    store through the :class:`~repro.kernels.grid.TopologyPlan` of the
+    current topology.
     """
 
     def __init__(
@@ -101,7 +107,6 @@ class AMRGrid:
         ng: int = 3,
         boundary="outflow",
         reflect_vars: Optional[Dict[str, str]] = None,
-        fused_grid: Optional[bool] = None,
     ) -> None:
         if nxb % 2 or nyb % 2:
             raise ValueError("nxb and nyb must be even")
@@ -139,25 +144,51 @@ class AMRGrid:
         self.boundary_y = boundary_y
         self.reflect_vars = reflect_vars or {"x": "velx", "y": "vely"}
 
-        self.fused_grid = grid_plane_enabled() if fused_grid is None else bool(fused_grid)
-        #: bumped on every refine/derefine; the guard-fill plan caches it
+        #: bumped on every refine/derefine; the topology plan caches it
         self._topology_epoch = 0
-        self._guard_plan: Optional[GuardFillPlan] = None
-        self._workspace = make_workspace() if self.fused_grid else None
+        self._plan: Optional[TopologyPlan] = None
+        self._workspace = make_workspace()
+        self._rows = {name: row for row, name in enumerate(self.variables)}
 
+        n_roots = self.n_root_x * self.n_root_y
+        #: the block store: ``unk[row, slot]`` is one leaf's variable,
+        #: guard cells included
+        self.unk = np.zeros((len(self.variables), n_roots,
+                             self.nxb + 2 * self.ng, self.nyb + 2 * self.ng))
+        self._free: List[int] = list(range(n_roots - 1, -1, -1))
         self.leaves: Dict[BlockKey, Block] = {}
-        for ix in range(self.n_root_x):
-            for iy in range(self.n_root_y):
-                key = (1, ix, iy)
-                self.leaves[key] = self._new_block(key)
+        roots = [(1, ix, iy) for ix in range(self.n_root_x) for iy in range(self.n_root_y)]
+        for block in self._new_blocks(roots):
+            self.leaves[block.key] = block
 
     def __getstate__(self):
-        # the guard-fill plan holds views into the current block arrays;
-        # it is cheap to rebuild and must not cross a pickle boundary
-        # (the Workspace already reduces to a fresh, empty instance)
+        # ship the live slots only; the views are rebuilt on arrival, and
+        # the leaves keep their slots, so the topology plan stays valid
         state = self.__dict__.copy()
-        state["_guard_plan"] = None
+        keys = list(self.leaves)
+        slots = np.array([self.leaves[key].slot for key in keys], dtype=np.intp)
+        state["leaves"] = (keys, slots)
+        state["unk"] = (self.unk.shape[1], self.unk[:, slots])
         return state
+
+    def __setstate__(self, state) -> None:
+        keys, slots = state.pop("leaves")
+        capacity, live = state.pop("unk")
+        self.__dict__.update(state)
+        self.unk = np.zeros((live.shape[0], capacity, *live.shape[2:]))
+        self.unk[:, slots] = live
+        self.leaves = {key: self._bind(key, int(slot)) for key, slot in zip(keys, slots)}
+
+    def __deepcopy__(self, memo) -> "AMRGrid":
+        # the shipped store and leaf list are fresh already (keys are
+        # tuples of ints), so only the rest is deep-copied
+        state = self.__getstate__()
+        clone = object.__new__(type(self))
+        clone.__setstate__({
+            name: value if name in ("unk", "leaves") else copy.deepcopy(value, memo)
+            for name, value in state.items()
+        })
+        return clone
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -176,11 +207,66 @@ class AMRGrid:
         ylo = self.ylim[0] + iy * sy
         return xlo, xlo + sx, ylo, ylo + sy
 
-    def _new_block(self, key: BlockKey) -> Block:
+    def _views(self, slot: int) -> Dict[str, np.ndarray]:
+        return {name: self.unk[row, slot] for name, row in self._rows.items()}
+
+    def _bind(self, key: BlockKey, slot: int) -> Block:
+        """The block of ``key`` viewing store slot ``slot``."""
         xlo, xhi, ylo, yhi = self._block_bounds(key)
-        block = Block(key, self.nxb, self.nyb, self.ng, xlo, xhi, ylo, yhi)
-        block.allocate(self.variables)
-        return block
+        return Block(key, self.nxb, self.nyb, self.ng, xlo, xhi, ylo, yhi, self._views(slot), slot)
+
+    def _new_blocks(self, keys: Sequence[BlockKey]) -> List[Block]:
+        """Zero-filled blocks for ``keys`` in free slots.  When too few
+        slots are free the store doubles first, rebinding every leaf."""
+        while len(self._free) < len(keys):
+            capacity = self.unk.shape[1]
+            grown = np.zeros((self.unk.shape[0], 2 * capacity, *self.unk.shape[2:]))
+            grown[:, :capacity] = self.unk
+            self.unk = grown
+            for block in self.leaves.values():
+                block.data = self._views(block.slot)
+            self._free[:0] = range(2 * capacity - 1, capacity - 1, -1)
+        blocks = []
+        for key in keys:
+            slot = self._free.pop()
+            self.unk[:, slot] = 0.0
+            blocks.append(self._bind(key, slot))
+        return blocks
+
+    # ------------------------------------------------------------------
+    # stacked access to the store
+    # ------------------------------------------------------------------
+    def topology_plan(self) -> TopologyPlan:
+        """The slot-index plan of the current topology (cached per epoch)."""
+        plan = self._plan
+        if plan is None or plan.epoch != self._topology_epoch:
+            plan = self._plan = TopologyPlan(self)
+        return plan
+
+    def _var_rows(self, names: Iterable[str]) -> np.ndarray:
+        """Store rows of ``names`` (unknown names raise ``KeyError``)."""
+        return np.array([self._rows[name] for name in names], dtype=np.intp)
+
+    def _window(self, names, slots, interior: bool) -> tuple:
+        ng = self.ng
+        cells = (slice(ng, ng + self.nxb), slice(ng, ng + self.nyb)) if interior else ()
+        return (self._var_rows(names)[:, None], slots) + cells
+
+    def stack(self, names: Sequence[str], slots: np.ndarray, out=None,
+              interior: bool = False) -> np.ndarray:
+        """Copy of ``names`` over the leaves in store ``slots``, shape
+        ``(len(names), len(slots), nx, ny)`` — guard cells included unless
+        ``interior``; written into ``out`` when given."""
+        values = self.unk[self._window(names, slots, interior)]
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
+
+    def scatter_interior(self, names: Sequence[str], slots: np.ndarray, values) -> None:
+        """Write ``values`` (shape ``(len(names), len(slots), nxb, nyb)``)
+        into the interiors of the leaves in store ``slots``."""
+        self.unk[self._window(names, slots, True)] = values
 
     # ------------------------------------------------------------------
     # basic queries
@@ -303,179 +389,43 @@ class AMRGrid:
 
         Corners are filled with the nearest interior value; the dimension-by-
         dimension solvers only consume face guard cells, so corners only need
-        to hold finite values.
-
-        On the fused grid plane (``fused_grid``) the fill executes a
-        precomputed :class:`~repro.kernels.grid.GuardFillPlan` — the same
-        copies bound once per topology instead of re-deriving neighbours
-        and slices every call; bit-identical because every strip reads
-        interior cells only, so the fill is order independent.
+        to hold finite values.  The fill runs the stacked operations of the
+        :class:`~repro.kernels.grid.TopologyPlan` over the store and touches
+        only the rows of ``variables``.
         """
-        names = list(variables) if variables is not None else self.variables
-        if self.fused_grid:
-            self._guard_fill_plan().fill(names)
-            return
-        for key in self.sorted_keys():
-            block = self.leaves[key]
-            for name in names:
-                self._fill_block_guards(block, name)
-
-    def _guard_fill_plan(self) -> GuardFillPlan:
-        """The guard-fill plan for the current topology (cached per epoch)."""
-        plan = self._guard_plan
-        if plan is None or plan.epoch != self._topology_epoch:
-            plan = GuardFillPlan(self)
-            self._guard_plan = plan
-        return plan
-
-    def _fill_block_guards(self, block: Block, name: str) -> None:
-        ng, nxb, nyb = self.ng, self.nxb, self.nyb
-        data = block.data[name]
-
-        for side in _SIDES:
-            kind, info = self.neighbor(block.key, side)
-            strip = self._neighbor_strip(block, name, side, kind, info)
-            if side == "-x":
-                data[0:ng, ng:ng + nyb] = strip
-            elif side == "+x":
-                data[ng + nxb:, ng:ng + nyb] = strip
-            elif side == "-y":
-                data[ng:ng + nxb, 0:ng] = strip
-            else:
-                data[ng:ng + nxb, ng + nyb:] = strip
-
-        # corners: nearest interior value (never consumed by the solvers)
-        data[0:ng, 0:ng] = data[ng, ng]
-        data[0:ng, ng + nyb:] = data[ng, ng + nyb - 1]
-        data[ng + nxb:, 0:ng] = data[ng + nxb - 1, ng]
-        data[ng + nxb:, ng + nyb:] = data[ng + nxb - 1, ng + nyb - 1]
-
-    def _neighbor_strip(
-        self, block: Block, name: str, side: str, kind: str, info
-    ) -> np.ndarray:
-        """Compute the guard-cell strip for one side of one block."""
-        ng, nxb, nyb = self.ng, self.nxb, self.nyb
-
-        if kind == "boundary":
-            return self._boundary_strip(block, name, side)
-
-        if kind == "same":
-            nb = self.leaves[info]
-            src = nb.data[name]
-            if side == "-x":
-                return src[nxb:nxb + ng, ng:ng + nyb]
-            if side == "+x":
-                return src[ng:2 * ng, ng:ng + nyb]
-            if side == "-y":
-                return src[ng:ng + nxb, nyb:nyb + ng]
-            return src[ng:ng + nxb, ng:2 * ng]
-
-        if kind == "coarse":
-            return self._coarse_strip(block, name, side, info)
-
-        # fine
-        return self._fine_strip(block, name, side, info)
-
-    def _boundary_strip(self, block: Block, name: str, side: str) -> np.ndarray:
-        ng, nxb, nyb = self.ng, self.nxb, self.nyb
-        data = block.data[name]
-        if side in ("-x", "+x"):
-            edge = data[ng, ng:ng + nyb] if side == "-x" else data[ng + nxb - 1, ng:ng + nyb]
-            if self.boundary_x == "outflow":
-                return np.tile(edge, (ng, 1))
-            # reflect
-            if side == "-x":
-                strip = data[ng:2 * ng, ng:ng + nyb][::-1, :].copy()
-            else:
-                strip = data[nxb:nxb + ng, ng:ng + nyb][::-1, :].copy()
-            if name == self.reflect_vars.get("x"):
-                strip = -strip
-            return strip
-        edge = data[ng:ng + nxb, ng] if side == "-y" else data[ng:ng + nxb, ng + nyb - 1]
-        if self.boundary_y == "outflow":
-            return np.tile(edge[:, None], (1, ng))
-        if side == "-y":
-            strip = data[ng:ng + nxb, ng:2 * ng][:, ::-1].copy()
-        else:
-            strip = data[ng:ng + nxb, nyb:nyb + ng][:, ::-1].copy()
-        if name == self.reflect_vars.get("y"):
-            strip = -strip
-        return strip
-
-    def _coarse_strip(self, block: Block, name: str, side: str, ckey: BlockKey) -> np.ndarray:
-        """Guard strip taken from a coarser neighbour (prolongation)."""
-        ng, nxb, nyb = self.ng, self.nxb, self.nyb
-        nb = self.leaves[ckey]
-        src = nb.data[name]
-        ngc = (ng + 1) // 2  # coarse cells needed to cover ng fine cells
-
-        _, ix, iy = block.key
-        if side in ("-x", "+x"):
-            # our block covers the lower or upper half of the coarse
-            # neighbour's y extent
-            j0 = ng + (iy % 2) * (nyb // 2)
-            if side == "-x":
-                patch = src[ng + nxb - ngc:ng + nxb, j0:j0 + nyb // 2]
-                fine = prolong(patch)
-                return fine[-ng:, :]
-            patch = src[ng:ng + ngc, j0:j0 + nyb // 2]
-            fine = prolong(patch)
-            return fine[:ng, :]
-        i0 = ng + (ix % 2) * (nxb // 2)
-        if side == "-y":
-            patch = src[i0:i0 + nxb // 2, ng + nyb - ngc:ng + nyb]
-            fine = prolong(patch)
-            return fine[:, -ng:]
-        patch = src[i0:i0 + nxb // 2, ng:ng + ngc]
-        fine = prolong(patch)
-        return fine[:, :ng]
-
-    def _fine_strip(self, block: Block, name: str, side: str, fine_keys: List[BlockKey]) -> np.ndarray:
-        """Guard strip taken from two finer neighbours (restriction)."""
-        ng, nxb, nyb = self.ng, self.nxb, self.nyb
-        lo, hi = (self.leaves[k] for k in sorted(fine_keys, key=lambda k: (k[2], k[1])))
-
-        if side in ("-x", "+x"):
-            pieces = []
-            for nb in (lo, hi):
-                src = nb.data[name]
-                if side == "-x":
-                    patch = src[ng + nxb - 2 * ng:ng + nxb, ng:ng + nyb]
-                else:
-                    patch = src[ng:ng + 2 * ng, ng:ng + nyb]
-                pieces.append(restrict(patch))
-            return np.concatenate(pieces, axis=1)
-        pieces = []
-        for nb in (lo, hi):
-            src = nb.data[name]
-            if side == "-y":
-                patch = src[ng:ng + nxb, ng + nyb - 2 * ng:ng + nyb]
-            else:
-                patch = src[ng:ng + nxb, ng:ng + 2 * ng]
-            pieces.append(restrict(patch))
-        return np.concatenate(pieces, axis=0)
+        rows = slice(None) if variables is None else self._var_rows(variables)
+        self.topology_plan().fill(self.unk, rows)
 
     # ------------------------------------------------------------------
     # refinement / derefinement
     # ------------------------------------------------------------------
+    def _interior(self, slot: int) -> np.ndarray:
+        """All variables of the interior of ``slot``: ``(nvar, nxb, nyb)``."""
+        ng = self.ng
+        return self.unk[:, slot, ng:ng + self.nxb, ng:ng + self.nyb]
+
+    def _quadrant(self, child_key: BlockKey) -> Tuple[slice, slice]:
+        """The interior cells of its parent that a child covers."""
+        hx, hy = self.nxb // 2, self.nyb // 2
+        ox, oy = (child_key[1] % 2) * hx, (child_key[2] % 2) * hy
+        return slice(ox, ox + hx), slice(oy, oy + hy)
+
     def refine_block(self, key: BlockKey) -> List[BlockKey]:
         """Split a leaf into its four children (piecewise-constant prolongation)."""
         if key not in self.leaves:
             raise KeyError(f"{key} is not a leaf")
         self._topology_epoch += 1
+        # the parent stays a leaf until its children hold slots, so a
+        # store growth rebinds it too
+        children = self._new_blocks(self.leaves[key].child_keys())
         parent = self.leaves.pop(key)
-        children: List[BlockKey] = []
-        for child_key in parent.child_keys():
-            child = self._new_block(child_key)
-            _, cix, ciy = child_key
-            ox = (cix % 2) * (self.nxb // 2)
-            oy = (ciy % 2) * (self.nyb // 2)
-            for name in self.variables:
-                coarse_patch = parent.interior_view(name)[ox:ox + self.nxb // 2, oy:oy + self.nyb // 2]
-                child.set_interior(name, prolong(coarse_patch))
-            self.leaves[child_key] = child
-            children.append(child_key)
-        return children
+        coarse = self._interior(parent.slot)
+        for child in children:
+            qx, qy = self._quadrant(child.key)
+            self._interior(child.slot)[...] = prolong(coarse[:, qx, qy])
+            self.leaves[child.key] = child
+        self._free.append(parent.slot)
+        return [child.key for child in children]
 
     def derefine_siblings(self, parent_key: BlockKey) -> BlockKey:
         """Merge the four children of ``parent_key`` back into one leaf."""
@@ -489,16 +439,13 @@ class AMRGrid:
         if not all(k in self.leaves for k in child_keys):
             raise KeyError(f"not all children of {parent_key} are leaves")
         self._topology_epoch += 1
-        parent = self._new_block(parent_key)
+        (parent,) = self._new_blocks([parent_key])
+        coarse = self._interior(parent.slot)
         for child_key in child_keys:
             child = self.leaves.pop(child_key)
-            _, cix, ciy = child_key
-            ox = (cix % 2) * (self.nxb // 2)
-            oy = (ciy % 2) * (self.nyb // 2)
-            for name in self.variables:
-                parent.interior_view(name)[ox:ox + self.nxb // 2, oy:oy + self.nyb // 2] = restrict(
-                    child.interior_view(name)
-                )
+            qx, qy = self._quadrant(child_key)
+            coarse[:, qx, qy] = restrict(self._interior(child.slot))
+            self._free.append(child.slot)
         self.leaves[parent_key] = parent
         return parent_key
 
@@ -508,20 +455,18 @@ class AMRGrid:
     def _estimate_errors(self, refine_vars: Sequence[str], estimator) -> Dict[BlockKey, float]:
         """Per-leaf error map (the estimator pass of :meth:`regrid`).
 
-        On the fused grid plane, estimators that declare
-        ``supports_batching`` run once over a ``(nblocks, nx, ny)`` stack;
-        custom 2-D estimators (and the knob-off path) evaluate per block.
-        Both forms are bit-identical.
+        Estimators that declare ``supports_batching`` run once over a
+        ``(nleaves, nx, ny)`` stack gathered from the store; custom 2-D
+        estimators evaluate per block.  Both forms are bit-identical.
         """
-        keys = self.sorted_keys()
-        if self.fused_grid and getattr(estimator, "supports_batching", False):
+        keys = self.topology_plan().keys
+        if getattr(estimator, "supports_batching", False):
             if self._workspace is not None:
                 # quiescent point: stack shapes change with the leaf count,
                 # so let the workspace drop stale families when over cap
                 self._workspace.trim()
-            values = stacked_block_errors(
-                self.blocks(), refine_vars, estimator=estimator, ws=self._workspace
-            )
+            values = stacked_block_errors(self, refine_vars, estimator=estimator,
+                                          ws=self._workspace)
             return {key: float(v) for key, v in zip(keys, values)}
         return {
             key: block_error(self.leaves[key], refine_vars, estimator=estimator)

@@ -115,44 +115,36 @@ def block_error(
 
 
 def stacked_block_errors(
-    blocks,
+    grid,
     variables: Iterable[str],
     estimator=lohner_error,
     ws=None,
 ) -> np.ndarray:
-    """Per-block :func:`block_error` over a stack of same-shape blocks.
+    """Per-leaf :func:`block_error` of ``grid``, in sorted-key order.
 
-    The fused grid plane's estimator pass: all blocks (every AMR level —
-    they share one cell shape) are copied into a ``(nblocks, nx, ny)``
-    scratch stack and the estimator runs once over the trailing axes.
-    Bit-identical to ``[block_error(b, variables, estimator) for b in
-    blocks]`` (with guards, the default) because the stacked estimator is
-    element-wise equal to the per-slice one and the max reductions are
-    exact.  Only estimators declaring ``supports_batching`` are accepted —
-    a plain 2-D estimator applied to a 3-D stack would silently mix axes.
+    For each variable the leaves (every AMR level — they share one cell
+    shape) are gathered from the grid's block store into one
+    ``(nleaves, nx, ny)`` stack, guard cells included, and the estimator
+    runs once over the trailing axes.  Bit-identical to
+    ``[block_error(b, variables, estimator) for b in grid.blocks()]``
+    because the stacked estimator is element-wise equal to the per-slice
+    one and the max reductions are exact.  Only estimators declaring
+    ``supports_batching`` are accepted — a plain 2-D estimator applied to a
+    3-D stack would silently mix axes.
     """
     if not getattr(estimator, "supports_batching", False):
         raise ValueError(
             "estimator does not support stacked evaluation; "
             "evaluate block_error per block instead"
         )
-    from ..kernels.scratch import out_accessor
+    from ..kernels.scratch import buffer
 
-    blocks = list(blocks)
-    if not blocks:
-        return np.zeros(0)
-    o = out_accessor(ws)
-    first = blocks[0]
-    ng = first.ng
-    shape = (len(blocks), *first.shape_with_guards)
-    stack = o(("estimator", "stack"), shape)
-    if stack is None:
-        stack = np.empty(shape)
-    worst = np.zeros(len(blocks))
+    slots = grid.topology_plan().slots
+    ng = grid.ng
+    stack = buffer(ws, ("estimator", "stack"), (1, len(slots), *grid.unk.shape[2:]))
+    worst = np.zeros(len(slots))
     for name in variables:
-        for i, block in enumerate(blocks):
-            np.copyto(stack[i], block.data[name])
-        err = estimator(stack)
+        err = estimator(grid.stack([name], slots, out=stack)[0])
         if ng > 0:
             err = err[:, ng:-ng, ng:-ng]
         np.maximum(worst, err.max(axis=(1, 2)), out=worst)
@@ -168,15 +160,33 @@ def prolong(coarse: np.ndarray, factor: int = 2) -> np.ndarray:
     Each coarse cell value is copied into the ``factor x factor`` fine cells
     it covers; this preserves cell averages exactly and never creates new
     extrema, which keeps the transfer benign for the truncation studies.
+    Acts on the trailing two axes, so a stack of patches prolongs in one
+    call (pure copies, so bitwise equal to prolonging each patch).
     """
     coarse = np.asarray(coarse, dtype=np.float64)
-    return np.repeat(np.repeat(coarse, factor, axis=0), factor, axis=1)
+    return np.repeat(np.repeat(coarse, factor, axis=-2), factor, axis=-1)
 
 
-def restrict(fine: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Conservative restriction fine -> coarse (mean over each ``factor^2`` patch)."""
+def restrict(fine: np.ndarray) -> np.ndarray:
+    """Conservative restriction fine -> coarse: the mean of each 2x2 cell group.
+
+    Acts on the trailing two axes and reproduces, bit for bit, numpy's
+    ``reshape(nx // 2, 2, ny // 2, 2).mean(axis=(1, 3))`` of a 2-D patch
+    that is a view into a block (the form this function had before it was
+    stacked).  That reduction's summation order depends on the memory
+    layout numpy iterates, and a stack gathered from the block store has
+    another one, so the order is written out element-wise: each group
+    ``[[a, b], [c, d]]`` sums as ``(0 + (a + b)) + (c + d)`` — or, when the
+    patch is two cells wide (a single output column), as
+    ``((((0 + a) + b) + c) + d)`` — and divides by 4.  Pinned against the
+    2-D mean by the grid tests; a NaN result stays NaN, its sign bit is
+    not pinned.
+    """
     fine = np.asarray(fine, dtype=np.float64)
-    nx, ny = fine.shape
-    if nx % factor or ny % factor:
-        raise ValueError(f"fine shape {fine.shape} not divisible by factor {factor}")
-    return fine.reshape(nx // factor, factor, ny // factor, factor).mean(axis=(1, 3))
+    nx, ny = fine.shape[-2:]
+    if nx % 2 or ny % 2:
+        raise ValueError(f"fine shape {fine.shape} not divisible by 2")
+    a, b = fine[..., 0::2, 0::2], fine[..., 0::2, 1::2]
+    c, d = fine[..., 1::2, 0::2], fine[..., 1::2, 1::2]
+    total = 0.0 + a + b + c + d if ny == 2 else 0.0 + (a + b) + (c + d)
+    return total / 4

@@ -401,7 +401,7 @@ class NpzReferenceStore:
         if not path.is_file():
             return None
         try:
-            with np.load(path, allow_pickle=False) as npz:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 if "_metadata" not in npz.files:
                     return None
                 meta = json.loads(bytes(npz["_metadata"].tobytes()).decode("utf-8"))

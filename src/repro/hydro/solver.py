@@ -27,7 +27,7 @@ from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels import trunc as trunc_flux
 from ..kernels.ledger import OpLedger, fused_kind, ledger_for
-from ..kernels.scratch import Workspace, buffer, grid_plane_enabled, make_workspace
+from ..kernels.scratch import Workspace, buffer, make_workspace
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
 from .riemann import SOLVERS
@@ -80,11 +80,6 @@ class HydroSolver:
         into a single batched kernel invocation per substep
         (bit-identical; ``False`` advances one block at a time, the
         per-block oracle of the tests).
-    batch_dt:
-        Compute the CFL step as one stacked ``(nblocks, nx, ny)`` reduction
-        (:func:`repro.kernels.grid.compute_dt`) instead of looping blocks
-        (bit-identical; ``None`` follows ``RAPTOR_FAST_NO_GRID``, default
-        on).
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class HydroSolver:
         module: str = "hydro",
         scratch: Optional[bool] = None,
         batch_blocks: bool = True,
-        batch_dt: Optional[bool] = None,
     ) -> None:
         if riemann not in SOLVERS:
             raise ValueError(f"unknown riemann solver {riemann!r}")
@@ -112,7 +106,6 @@ class HydroSolver:
         self.gravity = (float(gravity[0]), float(gravity[1]))
         self.module = module
         self.batch_blocks = bool(batch_blocks)
-        self.batch_dt = grid_plane_enabled() if batch_dt is None else bool(batch_dt)
         if scratch is None:
             self._workspace: Optional[Workspace] = make_workspace()
         else:
@@ -122,33 +115,12 @@ class HydroSolver:
     # time step (full-precision diagnostic, as in the paper's fixed-dt runs)
     # ------------------------------------------------------------------
     def compute_dt(self, grid: AMRGrid) -> float:
-        """Global CFL time step over all leaf blocks.
-
-        The batched path (``batch_dt``, default) stacks every leaf interior
-        into one ``(nblocks, nx, ny)`` reduction; the per-block loop below
-        is the differential reference.  Both share the fused EOS
-        sound-speed helper of :mod:`repro.kernels.flux` — a single source
-        of truth for the floor/sound-speed math — and are bit-identical.
-        """
-        if self.batch_dt:
-            return grid_kernels.compute_dt(grid, self.eos, self.cfl, ws=self._workspace)
-        return self._compute_dt_per_block(grid)
-
-    def _compute_dt_per_block(self, grid: AMRGrid) -> float:
-        """Per-block CFL reduction (the reference twin of the batched path)."""
-        dt = np.inf
-        for block in grid.blocks():
-            dens = block.interior_view("dens")
-            velx = block.interior_view("velx")
-            vely = block.interior_view("vely")
-            pres = block.interior_view("pres")
-            dens_f, pres_f = self.eos.apply_floors(dens, pres)
-            cs = fused_flux.eos_sound_speed(dens_f, pres_f, self.eos.gamma)
-            sx = np.max(np.abs(velx) + cs)
-            sy = np.max(np.abs(vely) + cs)
-            speed = max(sx / block.dx, sy / block.dy, 1e-30)
-            dt = min(dt, 1.0 / speed)
-        return self.cfl * float(dt)
+        """Global CFL time step over all leaf blocks: one stacked
+        ``(nleaves, nx, ny)`` reduction over the grid's block store
+        (:func:`repro.kernels.grid.compute_dt`), sharing the fused EOS
+        sound-speed helper of :mod:`repro.kernels.flux` with the flux
+        pipelines."""
+        return grid_kernels.compute_dt(grid, self.eos, self.cfl, ws=self._workspace)
 
     # ------------------------------------------------------------------
     # per-block update
@@ -379,11 +351,13 @@ class HydroSolver:
         update is bit-identical to the per-block loop; a counted stack
         replays its ledger once per block).  Everything else —
         instrumented, shadow and error-tracking contexts — takes the
-        per-block op-by-op path.
+        per-block op-by-op path.  Every update reads only its own block,
+        so each group writes its interiors back to the store as soon as it
+        is computed.
         """
         max_level = grid.finest_level
-        keys = grid.sorted_keys()
-        contexts = {key: provider(self.module, key[0], max_level) for key in keys}
+        plan = grid.topology_plan()
+        contexts = [provider(self.module, key[0], max_level) for key in plan.keys]
         if self._workspace is not None:
             # quiescent point: no scratch value is live between substeps, so
             # a regrid-heavy run cannot accumulate buffer families unboundedly
@@ -394,87 +368,74 @@ class HydroSolver:
             # counted contexts group by identity (their runtime takes the
             # replay), ranked by first appearance so the order is stable
             counted_rank: Dict[int, int] = {}
-            for key in keys:
-                ctx = contexts[key]
+            for i, ctx in enumerate(contexts):
                 if getattr(ctx, "ledger", False):
                     rank = counted_rank.setdefault(id(ctx), len(counted_rank))
-                    batched.setdefault(("ledger", rank), []).append(key)
+                    batched.setdefault(("ledger", rank), []).append(i)
                 elif getattr(ctx, "fused", False):
-                    batched.setdefault(("b64",), []).append(key)
+                    batched.setdefault(("b64",), []).append(i)
                 elif getattr(ctx, "fused_trunc", False):
                     sig = ("trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
-                    batched.setdefault(sig, []).append(key)
+                    batched.setdefault(sig, []).append(i)
             # a single block gains nothing from stacking
             batched = {sig: group for sig, group in batched.items() if len(group) > 1}
 
-        updates: Dict = {}
         for sig in sorted(batched):
             group = batched[sig]
-            updates.update(self._advance_batched(grid, group, dt, ctx=contexts[group[0]]))
-        in_batch = {key for group in batched.values() for key in group}
-        for key in keys:
-            if key in in_batch:
-                continue
-            updates[key] = self.advance_block(grid.leaves[key], dt, contexts[key])
+            self._advance_batched(grid, group, dt, ctx=contexts[group[0]])
+        in_batch = {i for group in batched.values() for i in group}
+        singles = [i for i in range(len(plan.keys)) if i not in in_batch]
+        if singles:
+            new = [self.advance_block(grid.leaves[plan.keys[i]], dt, contexts[i]) for i in singles]
+            grid.scatter_interior(PRIMITIVE_VARS, plan.slots[singles],
+                                  [[prims[name] for prims in new] for name in PRIMITIVE_VARS])
+        grid.fill_guard_cells(PRIMITIVE_VARS)
 
-        for key, prims in updates.items():
-            block = grid.leaves[key]
-            for name, values in prims.items():
-                block.set_interior(name, values)
-        grid.fill_guard_cells(list(PRIMITIVE_VARS))
-
-    def _advance_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
+    def _advance_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> None:
         """Advance fused blocks of any levels as one stacked kernel invocation.
 
-        ``group`` holds same-shaped blocks; they are copied into one
-        ``(4, nblocks, nx, ny)`` primitive stack and each slot gets its own
-        ``dx``/``dy`` as a ``(nblocks, 1, 1)`` array — block bounds make the
-        spacing differ in the last bit even within a level on non-dyadic
-        root grids.  ``ctx`` is the (shared) context of the group: a
-        truncating fast-plane context routes the stack through the fused
-        truncating pipeline, anything else through the binary64 one.  A
-        counted context replays its per-block ledger once per stacked
-        block, so scalar and broadcast operands are charged per block
-        exactly as on the per-block instrumented path.
+        ``group`` holds positions in the grid's topology plan; the blocks'
+        primitives are gathered from the store into one
+        ``(4, nblocks, nx, ny)`` stack and the new interiors scattered back.
+        Each slot gets its own ``dx``/``dy`` as a ``(nblocks, 1, 1)``
+        array — block bounds make the spacing differ in the last bit even
+        within a level on non-dyadic root grids.  ``ctx`` is the (shared)
+        context of the group: a truncating fast-plane context routes the
+        stack through the fused truncating pipeline, anything else through
+        the binary64 one.  A counted context replays its per-block ledger
+        once per stacked block, so scalar and broadcast operands are
+        charged per block exactly as on the per-block instrumented path.
         """
-        blocks = [grid.leaves[key] for key in group]
-        first = blocks[0]
-        shape = (len(PRIMITIVE_VARS), len(blocks), *first.shape_with_guards)
-        prims = buffer(self._workspace, ("stack",), shape)
-        for row, name in enumerate(PRIMITIVE_VARS):
-            for i, block in enumerate(blocks):
-                prims[row, i] = block.data[name]
-        dx = np.array([block.dx for block in blocks]).reshape(-1, 1, 1)
-        dy = np.array([block.dy for block in blocks]).reshape(-1, 1, 1)
+        plan = grid.topology_plan()
+        slots = plan.slots[group]
+        first = grid.leaves[plan.keys[group[0]]]
+        shape = (len(PRIMITIVE_VARS), len(group), *first.shape_with_guards)
+        prims = grid.stack(PRIMITIVE_VARS, slots, out=buffer(self._workspace, ("stack",), shape))
+        dx = plan.dx[group].reshape(-1, 1, 1)
+        dy = plan.dy[group].reshape(-1, 1, 1)
         if getattr(ctx, "ledger", False):
-            self._block_ledger(first, ctx).replay(ctx.runtime, times=len(blocks))
+            self._block_ledger(first, ctx).replay(ctx.runtime, times=len(group))
         new = self._advance_fused_kind(
             fused_kind(ctx), prims, dt, dx, dy, first.ng, first.nxb, first.nyb, ctx
         )
-        return {
-            key: {name: new[name][i] for name in PRIMITIVE_VARS}
-            for i, key in enumerate(group)
-        }
+        grid.scatter_interior(PRIMITIVE_VARS, slots, [new[name] for name in PRIMITIVE_VARS])
 
-    def _conserved_interior(self, block) -> Dict[str, np.ndarray]:
-        dens = block.interior_view("dens").copy()
-        velx = block.interior_view("velx").copy()
-        vely = block.interior_view("vely").copy()
-        pres = block.interior_view("pres").copy()
+    def _conserved(self, prims: np.ndarray) -> Dict[str, np.ndarray]:
+        """Conserved variables of a ``(4, ...)`` primitive stack."""
+        dens, velx, vely, pres = prims
         eint = pres / ((self.eos.gamma - 1.0) * dens)
         ener = dens * eint + 0.5 * dens * (velx ** 2 + vely ** 2)
         return {"dens": dens, "momx": dens * velx, "momy": dens * vely, "ener": ener}
 
-    def _write_conserved(self, block, cons: Dict[str, np.ndarray]) -> None:
+    def _primitives(self, cons: Dict[str, np.ndarray]) -> list:
+        """Floored primitive variables (``PRIMITIVE_VARS`` order) of
+        conserved ones."""
         dens = np.maximum(cons["dens"], self.eos.density_floor)
         velx = cons["momx"] / dens
         vely = cons["momy"] / dens
         eint_dens = cons["ener"] - 0.5 * dens * (velx ** 2 + vely ** 2)
         pres = np.maximum((self.eos.gamma - 1.0) * eint_dens, self.eos.pressure_floor)
-        block.set_interior("dens", dens)
-        block.set_interior("velx", velx)
-        block.set_interior("vely", vely)
-        block.set_interior("pres", pres)
+        return [dens, velx, vely, pres]
 
     def step(
         self,
@@ -492,17 +453,14 @@ class HydroSolver:
             self._substep(grid, dt, provider)
             return
 
-        old_cons = {key: self._conserved_interior(grid.leaves[key]) for key in grid.sorted_keys()}
+        slots = grid.topology_plan().slots
+        cons0 = self._conserved(grid.stack(PRIMITIVE_VARS, slots, interior=True))
         self._substep(grid, dt, provider)
         self._substep(grid, dt, provider)
-        for key, cons0 in old_cons.items():
-            block = grid.leaves[key]
-            cons2 = self._conserved_interior(block)
-            blended = {
-                comp: 0.5 * cons0[comp] + 0.5 * cons2[comp] for comp in cons0
-            }
-            self._write_conserved(block, blended)
-        grid.fill_guard_cells(list(PRIMITIVE_VARS))
+        cons2 = self._conserved(grid.stack(PRIMITIVE_VARS, slots, interior=True))
+        blended = {comp: 0.5 * cons0[comp] + 0.5 * cons2[comp] for comp in cons0}
+        grid.scatter_interior(PRIMITIVE_VARS, slots, self._primitives(blended))
+        grid.fill_guard_cells(PRIMITIVE_VARS)
 
     def evolve(
         self,

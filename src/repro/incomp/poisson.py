@@ -38,16 +38,16 @@ class PoissonSolver:
         self._lu = spla.splu(self._build_matrix().tocsc())
 
     # ------------------------------------------------------------------
-    def _build_matrix(self) -> sp.spmatrix:
+    def _build_matrix(self) -> sp.csr_matrix:
         """Banded (vectorised) assembly of the pinned Neumann Laplacian.
 
-        Exactly equal — values and sparsity structure — to the reference
-        per-cell loop (:meth:`_build_matrix_reference`, kept as the test
-        oracle): the diagonal accumulates ``-w`` per in-bounds neighbour in
-        the same (i-1, i+1, j-1, j+1) order, and the ``±1`` bands carry
-        zeros at the row seams (j-coupling across i-rows), which
-        ``eliminate_zeros`` then drops so the stored structure matches the
-        loop-built matrix.
+        Exactly equal — values and sparsity structure — to the per-cell
+        reference loop kept as the test oracle in ``tests/incomp/``: the
+        diagonal accumulates ``-w`` per in-bounds neighbour in the same
+        (i-1, i+1, j-1, j+1) order, and the ``±1`` bands carry zeros at the
+        row seams (j-coupling across i-rows), which ``eliminate_zeros``
+        then drops so the stored structure matches the loop-built matrix.
+        The first row is pinned on the CSR arrays directly.
         """
         nx, ny = self.nx, self.ny
         n = nx * ny
@@ -73,44 +73,16 @@ class PoissonSolver:
 
         mat = sp.diags(diagonals, offsets, shape=(n, n), format="csr")
         mat.eliminate_zeros()
-        mat = mat.tolil()
-        # pin the first cell to remove the constant nullspace
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        return mat
-
-    def _build_matrix_reference(self) -> sp.spmatrix:
-        """The original per-cell COO loop — quadratic-ish Python, kept as
-        the exact-equality oracle for the banded assembly."""
-        nx, ny = self.nx, self.ny
-        idx = np.arange(nx * ny).reshape(nx, ny)
-        inv_dx2 = 1.0 / self.dx ** 2
-        inv_dy2 = 1.0 / self.dy ** 2
-
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-        for i in range(nx):
-            for j in range(ny):
-                r = idx[i, j]
-                diag = 0.0
-                for di, dj, w in ((-1, 0, inv_dx2), (1, 0, inv_dx2), (0, -1, inv_dy2), (0, 1, inv_dy2)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny:
-                        add(r, idx[ii, jj], w)
-                        diag -= w
-                    # Neumann: missing neighbour contributes nothing (zero flux)
-                add(r, r, diag)
-
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny)).tolil()
-        # pin the first cell to remove the constant nullspace
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        return mat
+        # pin the first cell to remove the constant nullspace: row 0
+        # becomes the single entry (0, 0) = 1
+        end = mat.indptr[1]
+        indptr = mat.indptr - (end - 1)
+        indptr[0] = 0
+        return sp.csr_matrix(
+            (np.concatenate(([1.0], mat.data[end:])),
+             np.concatenate(([0], mat.indices[end:])), indptr),
+            shape=(n, n),
+        )
 
     # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:

@@ -32,7 +32,7 @@ from ..kernels.fused import weno5_edge as _fused_weno5_edge
 from ..kernels.ledger import replay_fused
 from ..kernels.trunc import weno5_edge as _trunc_weno5_edge
 from ..kernels.grid import pad_edge
-from ..kernels.scratch import bubble_plane_enabled, grid_plane_enabled, make_workspace
+from ..kernels.scratch import bubble_plane_enabled, make_workspace
 from .levelset import LevelSet, circle_level_set, upwind_derivative
 from .poisson import PoissonSolver
 
@@ -119,9 +119,6 @@ class BubbleSolver:
         # preallocated scratch for the fused WENO5 edge evaluations
         # (bit-identical; dropped on pickle/deepcopy)
         self._workspace = make_workspace()
-        # scratch-buffered edge paddings for the stencil operators
-        # (bit-identical pure copies; RAPTOR_FAST_NO_GRID restores np.pad)
-        self._grid_pad = grid_plane_enabled()
         # the fused bubble plane: whole-operator twins from
         # repro.kernels.bubble replace the op-by-op paths — context-bearing
         # operators only for fused contexts, context-free glue (forces,
@@ -134,15 +131,14 @@ class BubbleSolver:
     def _pad(self, f: np.ndarray, n: int, key: str = "f") -> np.ndarray:
         """Edge-replicated padding of ``f`` by ``n`` cells.
 
-        On the fused grid plane the padding lands in a workspace buffer
-        keyed per call site (``key``), so simultaneously-live paddings
-        (e.g. the two in :meth:`diffusion_term`) never alias; each buffer
-        is only valid until the same site pads again, which the operators
-        satisfy by consuming the padding within one evaluation.
+        The padding lands in a workspace buffer keyed per call site
+        (``key``), so simultaneously-live paddings (e.g. the two in
+        :meth:`diffusion_term`) never alias; each buffer is only valid until
+        the same site pads again, which the operators satisfy by consuming
+        the padding within one evaluation.  Bitwise ``np.pad(f, n,
+        mode="edge")``.
         """
-        if self._grid_pad:
-            return pad_edge(f, n, ws=self._workspace, key=("pad", key))
-        return np.pad(f, n, mode="edge")
+        return pad_edge(f, n, ws=self._workspace, key=("pad", key))
 
     # ------------------------------------------------------------------
     # differential operators (these are the truncation targets)

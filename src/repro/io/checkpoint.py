@@ -84,8 +84,13 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as npz:
+        """Read a checkpoint written by :meth:`save`.
+
+        The file is opened here and handed to ``np.load``: given a path,
+        numpy leaks its own handle when a corrupt archive fails inside
+        ``NpzFile`` (``BadZipFile``).
+        """
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             data = {
                 key[len("var_"):]: np.asarray(npz[key], dtype=np.float64)
                 for key in npz.files

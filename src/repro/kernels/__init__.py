@@ -29,11 +29,11 @@ on:
   instrumented code, so the counters stay byte-identical to the
   instrumented plane.
 
-Alongside the context planes, :mod:`repro.kernels.grid` fuses the
-context-free *grid* side — precomputed guard-fill plans, a batched
-``compute_dt`` and stacked regrid estimators — gated by
-``RAPTOR_FAST_NO_GRID`` (:func:`grid_plane_enabled`); it is plain binary64
-numpy outside any context, so instrumented counters stay byte-identical.
+Alongside the context planes, :mod:`repro.kernels.grid` holds the
+context-free *grid* side — the slot-index topology plan that fills guard
+cells with stacked gathers over the AMR block store, and a stacked
+``compute_dt``; it is plain binary64 numpy outside any context, so
+instrumented counters stay byte-identical.
 :mod:`repro.kernels.bubble` does the same for the incompressible bubble
 solver — scratch-buffered twins of its advection/diffusion/level-set/
 projection operators, each truncatable one in a binary64 *and* a
@@ -70,7 +70,6 @@ from .ledger import LedgerFullContext, LedgerTruncatedContext
 from .scratch import (
     Workspace,
     bubble_plane_enabled,
-    grid_plane_enabled,
     make_workspace,
     scratch_enabled,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Workspace",
     "make_workspace",
     "scratch_enabled",
-    "grid_plane_enabled",
     "bubble_plane_enabled",
     # plane selection
     "PLANES",

@@ -19,7 +19,7 @@ Two families live here:
   twin, so the results are bit-identical.  The context-free operators
   (Heaviside/delta/material fields, curvature, surface tension, buoyancy,
   reinitialisation, the :func:`np.gradient` twin of the projection step)
-  never touch a context at all, so — like the fused grid plane — they run
+  never touch a context at all, so — like the grid side — they run
   on *every* plane when the knob is on and instrumented counters stay
   byte-identical.
 * **truncating twins** (``*_trunc``) — dispatched on ``fused_trunc``

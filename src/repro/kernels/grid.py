@@ -1,294 +1,252 @@
-"""Fused grid plane: batched twins of the grid-side hot loops.
+"""Grid-side kernels: the topology plan of the AMR block store, the
+stacked CFL reduction and edge padding.
 
-PRs 4–6 fused the flux pipeline, which leaves fast-plane runs dominated by
-the *grid* side: guard-cell filling walks every leaf x side x variable in
-Python re-deriving the tree topology each call, ``compute_dt`` loops blocks
-with fresh temporaries, and the regrid estimators evaluate per block.  This
-module provides their fused twins:
+* :class:`TopologyPlan` — slot-index arrays for one AMR topology.  Every
+  leaf of an :class:`~repro.amr.grid.AMRGrid` lives in one store
+  ``unk[var, slot, i, j]``; the plan records the leaves' sorted keys, their
+  store slots and spacings, and the guard-cell fill as flat indices into
+  one variable plane of the store.  It is built once per topology (the
+  grid compares :attr:`TopologyPlan.epoch` with its ``_topology_epoch``)
+  and holds no array views, so it pickles and survives a deep copy of the
+  grid, whose store keeps every leaf in the same slot.  Executing the fill
+  is a handful of stacked operations over all leaves and all requested
+  variables: one gather/scatter for every pure copy (same-level strips,
+  outflow and reflect boundaries, corners), a sign flip of the reflected
+  normal velocity, and per side a stacked :func:`~repro.amr.refinement.
+  prolong` of coarse-neighbour patches or a stacked
+  :func:`~repro.amr.refinement.restrict` of fine-neighbour patches.  Every
+  guard strip reads *interior* cells only and the fill writes guard cells
+  only, so the operations commute and the result is bitwise the per-block
+  reference fill (kept as the test oracle in ``tests/grid_oracle.py``).
 
-* :class:`GuardFillPlan` — a precomputed guard-fill schedule for one AMR
-  topology.  Neighbour lookup, boundary classification and all slice
-  arithmetic happen once per topology (the plan is rebuilt only when the
-  tree changes, tracked by ``AMRGrid._topology_epoch``); executing the plan
-  is a flat list of direct array copies.  Every guard strip reads only
-  *interior* cells of its source block (verified per neighbour kind below)
-  and guard filling never writes interiors, so the fill is order-independent
-  and the plan is bit-identical to the per-block reference loop by
-  construction — the copies move exactly the same values.
-
-* :func:`compute_dt` — the CFL reduction over all leaves stacked into one
-  ``(nblocks, nx, ny)`` kernel invocation, reusing the fused EOS sound-speed
-  helper of :mod:`repro.kernels.flux` (all blocks share one cell shape, so
-  the stack spans refinement levels).  ``dx``/``dy`` are applied per block
-  — block-bounds arithmetic can make them differ in the last bit even
-  within one level — and the max/min reductions are exact (order
-  independent), so the batched reduction matches the per-block loop
-  bitwise.
+* :func:`compute_dt` — the CFL reduction over all leaves as one stacked
+  ``(nleaves, nx, ny)`` kernel invocation that reads the interiors straight
+  from the store, reusing the fused EOS sound-speed helper of
+  :mod:`repro.kernels.flux`.  ``dx``/``dy`` are applied per leaf —
+  block-bounds arithmetic can make them differ in the last bit even within
+  one level — and the max/min reductions are exact (order independent),
+  so the stacked reduction matches a per-block loop bitwise.
 
 * :func:`pad_edge` — a scratch-buffered twin of ``np.pad(f, n,
   mode="edge")`` for the bubble solver's stencil paddings.
 
-The stacked refinement estimators live next to the estimators themselves in
-:mod:`repro.amr.refinement` (``stacked_block_errors``).  All of this is
-plain binary64 numpy outside any numerics context, so it is safe on every
-kernel plane and leaves instrumented counters byte-identical.  The
-``RAPTOR_FAST_NO_GRID`` environment switch
-(:func:`repro.kernels.scratch.grid_plane_enabled`) restores the per-block
-reference paths for benchmarking and differential testing.
+All of this is plain binary64 numpy outside any numerics context, so it is
+safe on every kernel plane and leaves instrumented counters byte-identical.
 """
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List, Sequence
+import copy
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import flux
 from .scratch import out_accessor
 
-__all__ = ["GuardFillPlan", "compute_dt", "pad_edge"]
+__all__ = ["TopologyPlan", "compute_dt", "pad_edge"]
 
 _SIDES = ("-x", "+x", "-y", "+y")
 
 
-def _fill_corners(data: np.ndarray, ng: int, nxe: int, nye: int) -> None:
-    """Corner guard regions take the nearest interior value (the solvers
-    only consume face guards; corners merely need to be finite)."""
-    data[0:ng, 0:ng] = data[ng, ng]
-    data[0:ng, nye:] = data[ng, nye - 1]
-    data[nxe:, 0:ng] = data[nxe - 1, ng]
-    data[nxe:, nye:] = data[nxe - 1, nye - 1]
+class TopologyPlan:
+    """Slot-index schedule of one AMR topology (see the module docstring).
 
-
-def _prolong_strip(dst: np.ndarray, patch: np.ndarray, sub, prolong) -> None:
-    """Coarse-neighbour strip: prolong the coarse patch, keep the face-side
-    ``ng`` rows/columns (``sub``)."""
-    np.copyto(dst, prolong(patch)[sub])
-
-
-def _restrict_strip(dst: np.ndarray, pl: np.ndarray, ph: np.ndarray,
-                    axis: int, restrict) -> None:
-    """Fine-neighbour strip: restrict the two fine patches into the lower /
-    upper half of the strip along the transverse ``axis``."""
-    half = dst.shape[axis] // 2
-    if axis == 1:
-        np.copyto(dst[:, :half], restrict(pl))
-        np.copyto(dst[:, half:], restrict(ph))
-    else:
-        np.copyto(dst[:half, :], restrict(pl))
-        np.copyto(dst[half:, :], restrict(ph))
-
-
-class GuardFillPlan:
-    """Precomputed guard-fill schedule for one AMR topology.
-
-    Built from a grid's current leaf set; holds, per variable, a flat list
-    of zero-argument operations (bound to views of the live block arrays)
-    that together fill every guard cell of every leaf:
-
-    * ``same``      — one ``np.copyto`` from the neighbour's interior edge;
-    * ``boundary``  — outflow: broadcast-copy of the interior edge row/
-      column; reflect: copy (or ``np.negative`` for the flipped normal
-      velocity) of the reversed interior edge view;
-    * ``coarse``    — prolong a coarse interior patch, copy the face side;
-    * ``fine``      — restrict two fine interior patches into the strip
-      halves;
-    * corners       — nearest interior value.
-
-    Because every operation *reads* interior cells only and *writes* guard
-    cells only, the operations commute and the plan reproduces the
-    reference per-block fill bitwise in any execution order.  Block arrays
-    are allocated once and mutated in place, so the captured views stay
-    valid until the tree topology changes — the owning grid compares
-    :attr:`epoch` against its ``_topology_epoch`` and rebuilds the plan
-    after any refine/derefine.
+    ``keys``, ``slots``, ``dx`` and ``dy`` list the leaves in sorted-key
+    order; :meth:`fill` fills every guard cell of every leaf.  Indices into
+    a variable plane are ``slot * cells + local`` with ``cells`` the cell
+    count of a block including guards, so they do not depend on the
+    store's capacity.
     """
 
-    __slots__ = ("epoch", "n_blocks", "kind_counts", "_ops")
+    __slots__ = ("epoch", "keys", "slots", "dx", "dy", "kind_counts",
+                 "_copy", "_negate", "_coarse", "_fine")
 
     def __init__(self, grid) -> None:
-        # imported lazily so repro.kernels never depends on repro.amr at
-        # import time (the amr package imports this module)
-        from ..amr.refinement import prolong, restrict
-
         ng, nxb, nyb = grid.ng, grid.nxb, grid.nyb
-        self.epoch = grid._topology_epoch
-        keys = grid.sorted_keys()
-        self.n_blocks = len(keys)
-        self.kind_counts = {"boundary": 0, "same": 0, "coarse": 0, "fine": 0}
-        ops: Dict[str, List] = {name: [] for name in grid.variables}
+        hx, hy = nxb // 2, nyb // 2
+        ngc = (ng + 1) // 2  # coarse cells covering ng fine cells
+        cell = np.arange((nxb + 2 * ng) * (nyb + 2 * ng)).reshape(nxb + 2 * ng, nyb + 2 * ng)
+        I, J = slice(ng, ng + nxb), slice(ng, ng + nyb)
+        xe, ye = ng + nxb, ng + nyb  # first guard row / column past the interior
 
-        dst_slices = {
-            "-x": (slice(0, ng), slice(ng, ng + nyb)),
-            "+x": (slice(ng + nxb, None), slice(ng, ng + nyb)),
-            "-y": (slice(ng, ng + nxb), slice(0, ng)),
-            "+y": (slice(ng, ng + nxb), slice(ng + nyb, None)),
+        # local index templates, per side: the guard strip a side fills and
+        # the cells each neighbour kind reads for it
+        face = {"-x": cell[:ng, J], "+x": cell[xe:, J], "-y": cell[I, :ng], "+y": cell[I, ye:]}
+        same = {"-x": cell[nxb:xe, J], "+x": cell[ng:2 * ng, J],
+                "-y": cell[I, nyb:ye], "+y": cell[I, ng:2 * ng]}
+        outflow = {"-x": cell[ng:ng + 1, J], "+x": cell[xe - 1:xe, J],
+                   "-y": cell[I, ng:ng + 1], "+y": cell[I, ye - 1:ye]}
+        reflect = {"-x": cell[ng:2 * ng, J][::-1], "+x": cell[nxb:xe, J][::-1],
+                   "-y": cell[I, ng:2 * ng][:, ::-1], "+y": cell[I, nyb:ye][:, ::-1]}
+        # coarse patches by the leaf's position (parity) in its parent
+        coarse = {
+            "-x": [cell[xe - ngc:xe, ng + p * hy:ng + p * hy + hy] for p in (0, 1)],
+            "+x": [cell[ng:ng + ngc, ng + p * hy:ng + p * hy + hy] for p in (0, 1)],
+            "-y": [cell[ng + p * hx:ng + p * hx + hx, ye - ngc:ye] for p in (0, 1)],
+            "+y": [cell[ng + p * hx:ng + p * hx + hx, ng:ng + ngc] for p in (0, 1)],
         }
+        keep = {"-x": (slice(-ng, None), slice(None)), "+x": (slice(None, ng), slice(None)),
+                "-y": (slice(None), slice(-ng, None)), "+y": (slice(None), slice(None, ng))}
+        # fine patches and the strip half each one restricts into (lo, hi)
+        fine = {"-x": cell[xe - 2 * ng:xe, J], "+x": cell[ng:3 * ng, J],
+                "-y": cell[I, ye - 2 * ng:ye], "+y": cell[I, ng:3 * ng]}
+        halves = {
+            "-x": (cell[:ng, ng:ng + hy], cell[:ng, ng + hy:ye]),
+            "+x": (cell[xe:, ng:ng + hy], cell[xe:, ng + hy:ye]),
+            "-y": (cell[ng:ng + hx, :ng], cell[ng + hx:xe, :ng]),
+            "+y": (cell[ng:ng + hx, ye:], cell[ng + hx:xe, ye:]),
+        }
+        corner_dst = [cell[:ng, :ng], cell[:ng, ye:], cell[xe:, :ng], cell[xe:, ye:]]
+        corner_src = [cell[ng, ng], cell[ng, ye - 1], cell[xe - 1, ng], cell[xe - 1, ye - 1]]
 
-        for key in keys:
-            block = grid.leaves[key]
+        self.epoch = grid._topology_epoch
+        self.keys = grid.sorted_keys()
+        leaves = [grid.leaves[key] for key in self.keys]
+        self.slots = np.array([block.slot for block in leaves], dtype=np.intp)
+        self.dx = np.array([block.dx for block in leaves])
+        self.dy = np.array([block.dy for block in leaves])
+        self.kind_counts = {"boundary": 0, "same": 0, "coarse": 0, "fine": 0}
+
+        # (destination slots, source slots) per (kind, side)
+        pairs: Dict[Tuple[str, str], Tuple[List[int], List[int]]] = {}
+        parity: Dict[str, List[int]] = {side: [] for side in _SIDES}
+
+        def add(kind, side, dst, src):
+            d, s = pairs.setdefault((kind, side), ([], []))
+            d.append(dst)
+            s.append(src)
+
+        for key, block in zip(self.keys, leaves):
             for side in _SIDES:
                 kind, info = grid.neighbor(key, side)
                 self.kind_counts[kind] += 1
-                for name in grid.variables:
-                    dst = block.data[name][dst_slices[side]]
-                    ops[name].append(self._strip_op(
-                        grid, block, name, side, kind, info, dst,
-                        prolong, restrict,
-                    ))
-            nxe, nye = ng + nxb, ng + nyb
-            for name in grid.variables:
-                ops[name].append(partial(_fill_corners, block.data[name], ng, nxe, nye))
-        self._ops = ops
-
-    @staticmethod
-    def _strip_op(grid, block, name, side, kind, info, dst, prolong, restrict):
-        """One side strip as a bound zero-argument operation.
-
-        The source slices below mirror ``AMRGrid._neighbor_strip`` /
-        ``_boundary_strip`` / ``_coarse_strip`` / ``_fine_strip`` exactly.
-        """
-        ng, nxb, nyb = grid.ng, grid.nxb, grid.nyb
-        data = block.data[name]
-
-        if kind == "same":
-            src = grid.leaves[info].data[name]
-            if side == "-x":
-                view = src[nxb:nxb + ng, ng:ng + nyb]
-            elif side == "+x":
-                view = src[ng:2 * ng, ng:ng + nyb]
-            elif side == "-y":
-                view = src[ng:ng + nxb, nyb:nyb + ng]
-            else:
-                view = src[ng:ng + nxb, ng:2 * ng]
-            return partial(np.copyto, dst, view)
-
-        if kind == "boundary":
-            axis = "x" if side in ("-x", "+x") else "y"
-            bkind = grid.boundary_x if axis == "x" else grid.boundary_y
-            if bkind == "outflow":
-                if side == "-x":
-                    edge = data[ng:ng + 1, ng:ng + nyb]
-                elif side == "+x":
-                    edge = data[ng + nxb - 1:ng + nxb, ng:ng + nyb]
-                elif side == "-y":
-                    edge = data[ng:ng + nxb, ng:ng + 1]
+                if kind == "boundary":
+                    axis = side[1]
+                    bkind = grid.boundary_x if axis == "x" else grid.boundary_y
+                    add(bkind, side, block.slot, block.slot)
+                elif kind == "same":
+                    add("same", side, block.slot, grid.leaves[info].slot)
+                elif kind == "coarse":
+                    add("coarse", side, block.slot, grid.leaves[info].slot)
+                    parity[side].append(key[2] % 2 if side[1] == "x" else key[1] % 2)
                 else:
-                    edge = data[ng:ng + nxb, ng + nyb - 1:ng + nyb]
-                return partial(np.copyto, dst, edge)  # broadcasts across ng
-            # reflect: mirrored interior edge, sign-flipped for the normal
-            # velocity of this axis
-            if side == "-x":
-                view = data[ng:2 * ng, ng:ng + nyb][::-1, :]
-            elif side == "+x":
-                view = data[nxb:nxb + ng, ng:ng + nyb][::-1, :]
-            elif side == "-y":
-                view = data[ng:ng + nxb, ng:2 * ng][:, ::-1]
-            else:
-                view = data[ng:ng + nxb, nyb:nyb + ng][:, ::-1]
-            if name == grid.reflect_vars.get(axis):
-                return partial(np.negative, view, dst)
-            return partial(np.copyto, dst, view)
+                    lo, hi = sorted(info, key=lambda k: (k[2], k[1]))
+                    add("fine-lo", side, block.slot, grid.leaves[lo].slot)
+                    add("fine-hi", side, block.slot, grid.leaves[hi].slot)
 
-        if kind == "coarse":
-            src = grid.leaves[info].data[name]
-            ngc = (ng + 1) // 2  # coarse cells covering ng fine cells
-            _, ix, iy = block.key
-            if side in ("-x", "+x"):
-                j0 = ng + (iy % 2) * (nyb // 2)
-                if side == "-x":
-                    patch = src[ng + nxb - ngc:ng + nxb, j0:j0 + nyb // 2]
-                    sub = (slice(-ng, None), slice(None))
-                else:
-                    patch = src[ng:ng + ngc, j0:j0 + nyb // 2]
-                    sub = (slice(None, ng), slice(None))
-            else:
-                i0 = ng + (ix % 2) * (nxb // 2)
-                if side == "-y":
-                    patch = src[i0:i0 + nxb // 2, ng + nyb - ngc:ng + nyb]
-                    sub = (slice(None), slice(-ng, None))
-                else:
-                    patch = src[i0:i0 + nxb // 2, ng:ng + ngc]
-                    sub = (slice(None), slice(None, ng))
-            return partial(_prolong_strip, dst, patch, sub, prolong)
+        n = cell.size
 
-        # fine: two finer neighbours, ordered along the transverse direction
-        lo_key, hi_key = sorted(info, key=lambda k: (k[2], k[1]))
-        lo = grid.leaves[lo_key].data[name]
-        hi = grid.leaves[hi_key].data[name]
-        if side == "-x":
-            pl = lo[ng + nxb - 2 * ng:ng + nxb, ng:ng + nyb]
-            ph = hi[ng + nxb - 2 * ng:ng + nxb, ng:ng + nyb]
-        elif side == "+x":
-            pl = lo[ng:3 * ng, ng:ng + nyb]
-            ph = hi[ng:3 * ng, ng:ng + nyb]
-        elif side == "-y":
-            pl = lo[ng:ng + nxb, ng + nyb - 2 * ng:ng + nyb]
-            ph = hi[ng:ng + nxb, ng + nyb - 2 * ng:ng + nyb]
-        else:
-            pl = lo[ng:ng + nxb, ng:3 * ng]
-            ph = hi[ng:ng + nxb, ng:3 * ng]
-        axis = 1 if side in ("-x", "+x") else 0
-        return partial(_restrict_strip, dst, pl, ph, axis, restrict)
+        def index(slots, template):
+            return np.asarray(slots, dtype=np.intp).reshape(-1, *([1] * template.ndim)) * n + template
 
-    # ------------------------------------------------------------------
-    def fill(self, names: Sequence[str]) -> None:
-        """Fill every guard cell of every leaf for ``names``."""
-        ops = self._ops
-        for name in names:
-            for op in ops[name]:
-                op()
+        copy_dst, copy_src = [], []
+        for (kind, side), (dst, src) in pairs.items():
+            if kind in ("same", "outflow", "reflect"):
+                source = {"same": same, "outflow": outflow, "reflect": reflect}[kind][side]
+                copy_dst.append(index(dst, face[side]).ravel())
+                copy_src.append(np.broadcast_to(index(src, source), (len(src),) + face[side].shape).ravel())
+        for dst, src in zip(corner_dst, corner_src):
+            copy_dst.append(index(self.slots, dst).ravel())
+            copy_src.append(np.repeat(self.slots * n + src, dst.size))
+        self._copy = (np.concatenate(copy_dst), np.concatenate(copy_src))
 
-    @property
-    def n_ops(self) -> int:
-        """Total operations across all variables (diagnostic)."""
-        return sum(len(v) for v in self._ops.values())
+        # the reflected normal velocity flips sign: (variable row, guard cells)
+        self._negate = []
+        for axis in ("x", "y"):
+            name = grid.reflect_vars.get(axis)
+            cells = [index(pairs[("reflect", side)][0], face[side]).ravel()
+                     for side in ("-" + axis, "+" + axis) if ("reflect", side) in pairs]
+            if name in grid.variables and cells:
+                self._negate.append((grid.variables.index(name), np.concatenate(cells)))
+
+        # coarse neighbours: (patch indices, strip indices, kept rows/columns)
+        self._coarse = []
+        for side in _SIDES:
+            if ("coarse", side) in pairs:
+                dst, src = pairs[("coarse", side)]
+                patch = np.stack(coarse[side])[parity[side]]
+                self._coarse.append((
+                    np.asarray(src, dtype=np.intp)[:, None, None] * n + patch,
+                    index(dst, face[side]), keep[side],
+                ))
+
+        # fine neighbours, both sides of an axis and both halves in one
+        # stack: (patch indices, strip-half indices)
+        self._fine = []
+        for axis in ("x", "y"):
+            patches, strips = [], []
+            for side in ("-" + axis, "+" + axis):
+                for half, label in enumerate(("fine-lo", "fine-hi")):
+                    if (label, side) in pairs:
+                        dst, src = pairs[(label, side)]
+                        patches.append(index(src, fine[side]))
+                        strips.append(index(dst, halves[side][half]))
+            if patches:
+                self._fine.append((np.concatenate(patches), np.concatenate(strips)))
+
+    def __deepcopy__(self, memo) -> "TopologyPlan":
+        clone = object.__new__(TopologyPlan)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            # keys are tuples of ints: a new list of the same tuples is a copy
+            setattr(clone, name, list(value) if name == "keys" else copy.deepcopy(value, memo))
+        return clone
+
+    def fill(self, unk: np.ndarray, rows=slice(None)) -> None:
+        """Fill every guard cell of every leaf in the store ``unk`` for the
+        variable ``rows`` (a slice or an index array)."""
+        from ..amr.refinement import prolong, restrict
+
+        flat = unk.reshape(-1)  # a view: the store is contiguous
+        plane = unk[0].size if len(unk) else 0
+        selected = np.arange(len(unk))[rows]
+        offsets = selected * plane
+
+        def at(index):
+            """``index`` (within one variable plane) in every selected row."""
+            return offsets.reshape(-1, *([1] * index.ndim)) + index
+
+        dst, src = self._copy
+        flat[at(dst)] = flat[at(src)]
+        for row, cells in self._negate:
+            if row in selected:
+                cells = row * plane + cells
+                flat[cells] = np.negative(flat[cells])
+        for patch, strip, keep in self._coarse:
+            flat[at(strip)] = prolong(flat[at(patch)])[(Ellipsis,) + keep]
+        for patch, strip in self._fine:
+            flat[at(strip)] = restrict(flat[at(patch)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"GuardFillPlan(epoch={self.epoch}, blocks={self.n_blocks}, "
-            f"ops={self.n_ops}, kinds={self.kind_counts})"
+            f"TopologyPlan(epoch={self.epoch}, leaves={len(self.keys)}, "
+            f"kinds={self.kind_counts})"
         )
 
 
 # ---------------------------------------------------------------------------
-# batched CFL time step
+# stacked CFL time step
 # ---------------------------------------------------------------------------
 def compute_dt(grid, eos, cfl: float, ws=None) -> float:
     """Global CFL time step over all leaves, as one stacked reduction.
 
-    Bit-identical to the per-block reference loop
-    (``HydroSolver._compute_dt_per_block``): the floors, the fused
-    sound-speed expression (``flux.eos_sound_speed``) and the ``|v| + c``
-    combination are the same ufunc sequences applied to the same values,
-    ``dx``/``dy`` divide per block (they may differ in the last bit even
-    within a level), and the max/min reductions are exact, hence order
-    independent.
+    Bit-identical to a per-block loop: the floors, the fused sound-speed
+    expression (``flux.eos_sound_speed``) and the ``|v| + c`` combination
+    are the same ufunc sequences applied to the same values, ``dx``/``dy``
+    divide per leaf (they may differ in the last bit even within a level),
+    and the max/min reductions are exact, hence order independent.
     """
-    keys = grid.sorted_keys()
-    n = len(keys)
+    plan = grid.topology_plan()
+    n = len(plan.slots)
     o = out_accessor(ws)
-    shape = (n, grid.nxb, grid.nyb)
 
-    def buf(name, shp=shape):
+    def buf(name, shp):
         b = o(("dt", name), shp)
         return b if b is not None else np.empty(shp)
 
-    dens = buf("dens")
-    velx = buf("velx")
-    vely = buf("vely")
-    pres = buf("pres")
-    dxs = buf("dxs", (n,))
-    dys = buf("dys", (n,))
-    for i, key in enumerate(keys):
-        block = grid.leaves[key]
-        np.copyto(dens[i], block.interior_view("dens"))
-        np.copyto(velx[i], block.interior_view("velx"))
-        np.copyto(vely[i], block.interior_view("vely"))
-        np.copyto(pres[i], block.interior_view("pres"))
-        dxs[i] = block.dx
-        dys[i] = block.dy
-
+    prims = grid.stack(("dens", "velx", "vely", "pres"), plan.slots,
+                       out=buf("prims", (4, n, grid.nxb, grid.nyb)), interior=True)
+    dens, velx, vely, pres = prims
     dens_f = np.maximum(dens, eos.density_floor, out=dens)
     pres_f = np.maximum(pres, eos.pressure_floor, out=pres)
     cs = flux.eos_sound_speed(dens_f, pres_f, eos.gamma, ws, ("dt", "cs"))
@@ -298,8 +256,8 @@ def compute_dt(grid, eos, cfl: float, ws=None) -> float:
     np.add(ay, cs, out=ay)
     sx = np.max(ax, axis=(1, 2), out=buf("sx", (n,)))
     sy = np.max(ay, axis=(1, 2), out=buf("sy", (n,)))
-    np.divide(sx, dxs, out=sx)
-    np.divide(sy, dys, out=sy)
+    np.divide(sx, plan.dx, out=sx)
+    np.divide(sy, plan.dy, out=sy)
     speed = np.maximum(sx, sy, out=sx)
     np.maximum(speed, 1e-30, out=speed)
     np.divide(1.0, speed, out=speed)

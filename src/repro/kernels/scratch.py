@@ -25,16 +25,12 @@ Workspaces are deliberately cheap to drop: pickling or deep-copying one
 (e.g. when a solver crosses a process boundary) yields a fresh, empty
 workspace.
 
-Three environment switches gate the fast-plane optimisations that build on
-this module (all default to *on*; they exist for benchmarking and
+Two environment switches gate the fast-plane optimisations that build on
+this module (both default to *on*; they exist for benchmarking and
 debugging, the results are bit-identical either way):
 
 * ``RAPTOR_FAST_NO_SCRATCH=1`` — fused kernels run without preallocated
   buffers (every temporary freshly allocated);
-* ``RAPTOR_FAST_NO_GRID=1`` — the fused grid plane (:mod:`repro.kernels.
-  grid`: precomputed guard-fill plans, batched ``compute_dt``, stacked
-  regrid estimators, scratch-buffered bubble paddings) is disabled and the
-  per-block Python reference paths run instead;
 * ``RAPTOR_FAST_NO_BUBBLE=1`` — the fused bubble plane
   (:mod:`repro.kernels.bubble`: scratch-buffered advection/diffusion/
   level-set/projection twins of the incompressible solver) is disabled and
@@ -53,7 +49,6 @@ __all__ = [
     "out_accessor",
     "buffer",
     "scratch_enabled",
-    "grid_plane_enabled",
     "bubble_plane_enabled",
     "make_workspace",
 ]
@@ -71,13 +66,6 @@ def _env_truthy(value) -> bool:
 def scratch_enabled() -> bool:
     """Whether fused kernels should use preallocated scratch buffers."""
     return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_SCRATCH"))
-
-
-def grid_plane_enabled() -> bool:
-    """Whether the fused grid plane (guard-fill plans, batched dt, stacked
-    estimators) is active.  The grid side is context-free plain numpy, so
-    the switch is bit-neutral on every kernel plane."""
-    return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_GRID"))
 
 
 def bubble_plane_enabled() -> bool:

@@ -206,6 +206,27 @@ class TestNpzStore:
         entry = store.read(key)
         assert entry is not None and entry[1] == "fp"
 
+    @pytest.mark.parametrize("garbage", [b"not an npz", b"PK\x03\x04torn-by-a-crash"])
+    def test_corrupt_entry_leaks_no_file_handle(self, tmp_path, garbage):
+        """numpy leaks the handle it opens for a path when ``NpzFile``
+        fails (``BadZipFile``); reads must open and close the file
+        themselves."""
+        import gc
+        import warnings
+
+        store = NpzReferenceStore(tmp_path)
+        key = reference_key("kh", FAST)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path.write_bytes(garbage)
+            assert store.read_fingerprint(key) is None
+            assert store.read(key) is None
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         store = NpzReferenceStore(tmp_path)
         store.write(reference_key("kh", FAST), _reference(), "fp")

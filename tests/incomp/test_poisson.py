@@ -1,9 +1,43 @@
 """Tests for the pressure Poisson solver."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.incomp import PoissonSolver
 from repro.kernels.scratch import Workspace
+
+
+def build_matrix_reference(nx, ny, dx, dy):
+    """The oracle of ``PoissonSolver._build_matrix``: the original per-cell
+    COO loop, with the nullspace pinned through LIL."""
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    inv_dx2 = 1.0 / dx ** 2
+    inv_dy2 = 1.0 / dy ** 2
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for i in range(nx):
+        for j in range(ny):
+            r = idx[i, j]
+            diag = 0.0
+            for di, dj, w in ((-1, 0, inv_dx2), (1, 0, inv_dx2), (0, -1, inv_dy2), (0, 1, inv_dy2)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nx and 0 <= jj < ny:
+                    add(r, idx[ii, jj], w)
+                    diag -= w
+                # Neumann: missing neighbour contributes nothing (zero flux)
+            add(r, r, diag)
+
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny)).tolil()
+    # pin the first cell to remove the constant nullspace
+    mat[0, :] = 0.0
+    mat[0, 0] = 1.0
+    return mat
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +57,16 @@ class TestBandedAssembly:
     def test_matches_reference_loop_exactly(self, nx, ny, dx, dy):
         solver = PoissonSolver(nx=nx, ny=ny, dx=dx, dy=dy)
         banded = solver._build_matrix().tocsr()
-        reference = solver._build_matrix_reference().tocsr()
+        reference = build_matrix_reference(nx, ny, dx, dy).tocsr()
         assert (banded - reference).nnz == 0
         # identical stored structure, not just identical values
         np.testing.assert_array_equal(banded.indptr, reference.indptr)
         np.testing.assert_array_equal(banded.indices, reference.indices)
         np.testing.assert_array_equal(banded.data, reference.data)
+        # splu factors the CSC form, so it must match as well
+        banded, reference = banded.tocsc(), reference.tocsc()
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(banded, attr), getattr(reference, attr))
 
     def test_solve_with_workspace_bitwise_identical(self, solver):
         rng = np.random.default_rng(11)

@@ -1,14 +1,16 @@
-"""Differential bit-identity harness for the fused grid plane
-(repro.kernels.grid + the AMRGrid/HydroSolver/BubbleSolver dispatch).
+"""Differential bit-identity harness for the grid side
+(repro.kernels.grid + the AMRGrid/HydroSolver dispatch) against the
+per-block oracle of ``tests/grid_oracle.py``.
 
 The load-bearing contracts:
 
-* a :class:`GuardFillPlan` fill is **bitwise identical** to the per-block
-  reference loop across every neighbour kind (boundary/same/coarse/fine),
-  every boundary condition (outflow/periodic/reflect/mixed) and the
-  reflect-variable sign flips — property-tested over randomly generated,
-  properly nested refinement patterns;
-* the batched ``compute_dt`` equals the per-block loop bit-for-bit, and
+* a :class:`TopologyPlan` fill over the block store is **bitwise
+  identical** to the per-block reference fill across every neighbour kind
+  (boundary/same/coarse/fine), every boundary condition
+  (outflow/periodic/reflect/mixed) and the reflect-variable sign flips
+  (the property test over random topologies lives in
+  ``tests/amr/test_store.py``);
+* the stacked ``compute_dt`` equals the per-block loop bit-for-bit, and
   both ride the fused ``kernels.flux`` EOS sound-speed helper (single
   source of truth for the floor/sound-speed math);
 * stacked refinement estimators are element-wise identical to per-block
@@ -17,13 +19,14 @@ The load-bearing contracts:
 * workspace discipline mirrors the fused-flux suite: steady-state zero
   allocation, poisoned buffers never leak into results, inputs are never
   written;
-* the whole plane sits behind ``RAPTOR_FAST_NO_GRID`` and every registered
-  workload produces bit-identical states with the knob on or off, with
-  instrumented sweep counters byte-identical either way.
+* every compressible workload produces bit-identical states with the
+  grid side swapped for the oracle, with instrumented counters
+  byte-identical either way.
 """
 import copy
 import pickle
 
+import grid_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +42,8 @@ from repro.amr.refinement import (
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.solver import HydroSolver
 from repro.kernels import grid as grid_kernels
-from repro.kernels.grid import GuardFillPlan, pad_edge
-from repro.kernels.scratch import Workspace, grid_plane_enabled
+from repro.kernels.grid import pad_edge
+from repro.kernels.scratch import Workspace
 from repro.workloads import create_workload
 
 VARS = ["dens", "velx", "vely", "pres"]
@@ -59,15 +62,6 @@ COMPRESSIBLE = ("sod", "sedov", "kelvin-helmholtz", "rayleigh-taylor", "double-b
 TINY_COMPRESSIBLE = dict(
     nxb=8, nyb=8, n_root_x=2, n_root_y=2, max_level=2, t_end=0.004, rk_stages=1
 )
-TINY_CONFIGS = {
-    "sod": TINY_COMPRESSIBLE,
-    "sedov": TINY_COMPRESSIBLE,
-    "kelvin-helmholtz": TINY_COMPRESSIBLE,
-    "rayleigh-taylor": TINY_COMPRESSIBLE,
-    "double-blast": TINY_COMPRESSIBLE,
-    "cellular": dict(n_cells=16, n_steps=4),
-    "bubble": dict(spin_up_time=0.04, truncation_time=0.04, snapshot_times=(0.04,)),
-}
 
 seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
 
@@ -75,10 +69,10 @@ seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
 # ---------------------------------------------------------------------------
 # grid construction helpers
 # ---------------------------------------------------------------------------
-def make_grid(boundary="outflow", fused=True, max_level=3, n_root=2, nxb=8, nyb=8):
+def make_grid(boundary="outflow", max_level=3, n_root=2, nxb=8, nyb=8):
     return AMRGrid(
         VARS, nxb=nxb, nyb=nyb, n_root_x=n_root, n_root_y=n_root,
-        max_level=max_level, boundary=boundary, fused_grid=fused,
+        max_level=max_level, boundary=boundary,
     )
 
 
@@ -130,21 +124,18 @@ def assert_snapshots_equal(a, b):
             )
 
 
-def fused_vs_reference_fill(grid, variables=None):
-    """Fill via the plan, then via the per-block loop, from the same state.
+def store_vs_oracle_fill(grid, variables=None):
+    """Fill via the topology plan, then via the per-block oracle, from the
+    same state.
 
-    Guard filling reads interiors only, so running the reference fill
-    second re-derives every guard cell from the same inputs — the two
-    snapshots must agree bitwise.
+    Guard filling reads interiors only, so running the oracle fill second
+    re-derives every guard cell from the same inputs — the two snapshots
+    must agree bitwise.
     """
-    grid.fused_grid = True
     grid.fill_guard_cells(variables)
-    fused_snap = snapshot(grid)
-    grid.fused_grid = False
-    grid.fill_guard_cells(variables)
-    ref_snap = snapshot(grid)
-    grid.fused_grid = True
-    return fused_snap, ref_snap
+    store_snap = snapshot(grid)
+    grid_oracle.fill_guard_cells(grid, variables)
+    return store_snap, snapshot(grid)
 
 
 def nested_grid(boundary="outflow", topology_seed=0, data_seed=1):
@@ -158,72 +149,68 @@ def nested_grid(boundary="outflow", topology_seed=0, data_seed=1):
 
 
 # ---------------------------------------------------------------------------
-# guard-fill plan: unit tests
+# topology plan: unit tests
 # ---------------------------------------------------------------------------
-class TestGuardFillPlan:
+class TestTopologyPlan:
     @pytest.mark.parametrize("boundary", BOUNDARIES, ids=BOUNDARY_IDS)
     def test_fill_bitwise_identical(self, boundary):
         grid = nested_grid(boundary=boundary)
-        fused_snap, ref_snap = fused_vs_reference_fill(grid)
-        assert_snapshots_equal(fused_snap, ref_snap)
+        store_snap, oracle_snap = store_vs_oracle_fill(grid)
+        assert_snapshots_equal(store_snap, oracle_snap)
 
     def test_plan_covers_all_neighbor_kinds(self):
         grid = nested_grid(boundary="outflow")
-        grid.fill_guard_cells()
-        counts = grid._guard_plan.kind_counts
+        counts = grid.topology_plan().kind_counts
         assert all(counts[k] > 0 for k in ("boundary", "same", "coarse", "fine"))
         assert sum(counts.values()) == 4 * grid.n_leaves
 
-    def test_plan_op_count(self):
+    def test_plan_lists_the_leaves_in_sorted_order(self):
         grid = nested_grid()
-        grid.fill_guard_cells()
-        plan = grid._guard_plan
-        # four side strips + one corner op per (leaf, variable)
-        assert plan.n_ops == 5 * grid.n_leaves * len(grid.variables)
-        assert plan.n_blocks == grid.n_leaves
+        plan = grid.topology_plan()
+        assert plan.keys == grid.sorted_keys()
+        assert list(plan.slots) == [grid.leaves[k].slot for k in plan.keys]
+        assert list(plan.dx) == [grid.leaves[k].dx for k in plan.keys]
+        assert list(plan.dy) == [grid.leaves[k].dy for k in plan.keys]
 
     def test_plan_cached_while_topology_unchanged(self):
         grid = nested_grid()
         grid.fill_guard_cells()
-        plan = grid._guard_plan
+        plan = grid.topology_plan()
         grid.fill_guard_cells()
-        assert grid._guard_plan is plan
+        assert grid.topology_plan() is plan
 
     def test_plan_rebuilt_after_refine(self):
         grid = nested_grid()
-        grid.fill_guard_cells()
-        plan = grid._guard_plan
+        plan = grid.topology_plan()
         refine_nested(grid, grid.sorted_keys()[0])
         fill_random(grid, 3)
-        fused_snap, ref_snap = fused_vs_reference_fill(grid)
-        assert grid._guard_plan is not plan
-        assert grid._guard_plan.epoch == grid._topology_epoch
-        assert_snapshots_equal(fused_snap, ref_snap)
+        store_snap, oracle_snap = store_vs_oracle_fill(grid)
+        assert grid.topology_plan() is not plan
+        assert grid.topology_plan().epoch == grid._topology_epoch
+        assert_snapshots_equal(store_snap, oracle_snap)
 
     def test_plan_rebuilt_after_derefine(self):
         grid = make_grid(max_level=2)
         grid.refine_block((1, 0, 0))
         fill_random(grid, 4)
-        grid.fill_guard_cells()
-        plan = grid._guard_plan
+        plan = grid.topology_plan()
         grid.derefine_siblings((1, 0, 0))
         fill_random(grid, 5)
-        fused_snap, ref_snap = fused_vs_reference_fill(grid)
-        assert grid._guard_plan is not plan
-        assert_snapshots_equal(fused_snap, ref_snap)
+        store_snap, oracle_snap = store_vs_oracle_fill(grid)
+        assert grid.topology_plan() is not plan
+        assert_snapshots_equal(store_snap, oracle_snap)
 
     def test_fill_variable_subset(self):
         grid = nested_grid()
-        fused_snap, ref_snap = fused_vs_reference_fill(grid, variables=["dens"])
-        assert_snapshots_equal(fused_snap, ref_snap)
+        store_snap, oracle_snap = store_vs_oracle_fill(grid, variables=["dens"])
+        assert_snapshots_equal(store_snap, oracle_snap)
 
     def test_unknown_variable_raises_on_both_paths(self):
         grid = nested_grid()
         with pytest.raises(KeyError):
             grid.fill_guard_cells(["nope"])
-        grid.fused_grid = False
         with pytest.raises(KeyError):
-            grid.fill_guard_cells(["nope"])
+            grid_oracle.fill_guard_cells(grid, ["nope"])
 
     def test_reflect_flips_normal_velocity_x(self):
         grid = make_grid(boundary="reflect", n_root=1, max_level=1)
@@ -273,60 +260,27 @@ class TestGuardFillPlan:
                     grid.leaves[key].interior_view(name), before[key][name]
                 )
 
-    def test_pickle_drops_plan_and_refills_correctly(self):
+    def test_pickle_carries_the_plan_and_refills_correctly(self):
         grid = nested_grid()
         grid.fill_guard_cells()
-        assert grid._guard_plan is not None
         clone = pickle.loads(pickle.dumps(grid))
-        assert clone._guard_plan is None
+        assert clone._plan is not None and clone._plan.epoch == grid._topology_epoch
         clone.fill_guard_cells()
         assert_snapshots_equal(snapshot(clone), snapshot(grid))
 
-    def test_deepcopy_drops_plan_and_refills_correctly(self):
+    def test_deepcopy_carries_the_plan_and_refills_correctly(self):
         grid = nested_grid()
         grid.fill_guard_cells()
         clone = copy.deepcopy(grid)
+        assert clone._plan is not grid._plan and clone._plan.epoch == grid._plan.epoch
         clone.fill_guard_cells()
         assert_snapshots_equal(snapshot(clone), snapshot(grid))
 
     def test_single_root_periodic_wraps_to_itself(self):
         grid = make_grid(boundary="periodic", n_root=1, max_level=1)
         fill_random(grid, 8)
-        fused_snap, ref_snap = fused_vs_reference_fill(grid)
-        assert_snapshots_equal(fused_snap, ref_snap)
-
-    def test_ctor_flag_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        assert make_grid(fused=True).fused_grid
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID")
-        assert not make_grid(fused=False).fused_grid
-
-
-# ---------------------------------------------------------------------------
-# guard-fill plan: hypothesis over random properly nested topologies
-# ---------------------------------------------------------------------------
-class TestGuardFillProperty:
-    @pytest.mark.parametrize("boundary", BOUNDARIES, ids=BOUNDARY_IDS)
-    @given(refine_seed=seeds, data_seed=seeds, n_refines=st.integers(0, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_random_topologies_bitwise(self, boundary, refine_seed, data_seed, n_refines):
-        grid = make_grid(boundary=boundary)
-        random_topology(grid, refine_seed, n_refines)
-        fill_random(grid, data_seed)
-        fused_snap, ref_snap = fused_vs_reference_fill(grid)
-        assert_snapshots_equal(fused_snap, ref_snap)
-
-    @given(data_seed=seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_fill_after_regrid_cycles(self, data_seed):
-        grid = make_grid(boundary="outflow")
-        fill_random(grid, data_seed)
-        grid.fill_guard_cells()
-        for i in range(3):
-            grid.regrid(["dens", "pres"], refine_cutoff=0.3, derefine_cutoff=0.1)
-            fill_random(grid, data_seed + i + 1)
-            fused_snap, ref_snap = fused_vs_reference_fill(grid)
-            assert_snapshots_equal(fused_snap, ref_snap)
+        store_snap, oracle_snap = store_vs_oracle_fill(grid)
+        assert_snapshots_equal(store_snap, oracle_snap)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +300,7 @@ class TestComputeDt:
         grid = workload.build_grid()
         solver = workload.build_solver()
         batched = solver.compute_dt(grid)
-        reference = solver._compute_dt_per_block(grid)
+        reference = grid_oracle.compute_dt(solver, grid)
         assert np.float64(batched).tobytes() == np.float64(reference).tobytes()
 
     def test_batched_vs_per_block_after_evolution(self):
@@ -355,7 +309,7 @@ class TestComputeDt:
         solver = workload.build_solver()
         solver.evolve(grid, t_end=0.004)
         batched = solver.compute_dt(grid)
-        reference = solver._compute_dt_per_block(grid)
+        reference = grid_oracle.compute_dt(solver, grid)
         assert np.float64(batched).tobytes() == np.float64(reference).tobytes()
 
     @given(refine_seed=seeds, data_seed=seeds)
@@ -366,15 +320,8 @@ class TestComputeDt:
         fill_random(grid, data_seed)
         solver = HydroSolver()
         batched = solver.compute_dt(grid)
-        reference = solver._compute_dt_per_block(grid)
+        reference = grid_oracle.compute_dt(solver, grid)
         assert np.float64(batched).tobytes() == np.float64(reference).tobytes()
-
-    def test_batch_dt_flag_dispatch(self):
-        grid = _workload("sod").build_grid()
-        on = HydroSolver(batch_dt=True)
-        off = HydroSolver(batch_dt=False)
-        assert on.batch_dt and not off.batch_dt
-        assert on.compute_dt(grid) == off.compute_dt(grid)
 
     def test_never_writes_grid_data(self):
         grid = _workload("sod").build_grid()
@@ -458,9 +405,8 @@ class TestStackedEstimators:
     @pytest.mark.parametrize("name", ["sod", "kelvin-helmholtz"])
     def test_stacked_block_errors_match_block_error(self, name):
         grid = _workload(name).build_grid()
-        blocks = grid.blocks()
-        stacked = stacked_block_errors(blocks, ["dens", "pres"], ws=Workspace())
-        reference = [block_error(b, ["dens", "pres"]) for b in blocks]
+        stacked = stacked_block_errors(grid, ["dens", "pres"], ws=Workspace())
+        reference = [block_error(b, ["dens", "pres"]) for b in grid.blocks()]
         assert [float(v) for v in stacked] == reference
 
     def test_unbatchable_estimator_rejected(self):
@@ -470,51 +416,48 @@ class TestStackedEstimators:
             return np.zeros_like(u)
 
         with pytest.raises(ValueError):
-            stacked_block_errors(grid.blocks(), ["dens"], estimator=plain_2d)
+            stacked_block_errors(grid, ["dens"], estimator=plain_2d)
 
     def test_regrid_falls_back_for_custom_estimator(self):
         def custom(u):  # no supports_batching attribute
             return gradient_error(u)
 
-        fused = nested_grid(data_seed=12)
+        store = nested_grid(data_seed=12)
         reference = nested_grid(data_seed=12)
-        reference.fused_grid = False
-        s1 = fused.regrid(["dens"], 0.3, 0.05, estimator=custom)
-        s2 = reference.regrid(["dens"], 0.3, 0.05, estimator=custom)
-        assert set(fused.leaves) == set(reference.leaves)
+        s1 = store.regrid(["dens"], 0.3, 0.05, estimator=custom)
+        with grid_oracle.swapped():
+            s2 = reference.regrid(["dens"], 0.3, 0.05, estimator=custom)
+        assert set(store.leaves) == set(reference.leaves)
         assert (s1.refined, s1.derefined) == (s2.refined, s2.derefined)
 
-    def test_regrid_decisions_identical_across_planes(self):
-        fused = nested_grid(data_seed=13)
+    def test_regrid_decisions_identical_to_the_oracle(self):
+        store = nested_grid(data_seed=13)
         reference = nested_grid(data_seed=13)
-        reference.fused_grid = False
-        s1 = fused.regrid(["dens", "pres"], 0.25, 0.05)
-        s2 = reference.regrid(["dens", "pres"], 0.25, 0.05)
-        assert set(fused.leaves) == set(reference.leaves)
+        s1 = store.regrid(["dens", "pres"], 0.25, 0.05)
+        with grid_oracle.swapped():
+            s2 = reference.regrid(["dens", "pres"], 0.25, 0.05)
+        assert set(store.leaves) == set(reference.leaves)
         assert (s1.refined, s1.derefined) == (s2.refined, s2.derefined)
-        assert_snapshots_equal(snapshot(fused), snapshot(reference))
+        assert_snapshots_equal(snapshot(store), snapshot(reference))
 
     def test_workspace_steady_state(self):
         grid = nested_grid()
         ws = Workspace()
-        first = stacked_block_errors(grid.blocks(), VARS, ws=ws)
+        first = stacked_block_errors(grid, VARS, ws=ws)
         misses = ws.misses
-        again = stacked_block_errors(grid.blocks(), VARS, ws=ws)
+        again = stacked_block_errors(grid, VARS, ws=ws)
         np.testing.assert_array_equal(first, again)
         assert ws.misses == misses
 
     def test_poisoned_workspace_never_leaks(self):
         grid = nested_grid()
         ws = Workspace()
-        reference = stacked_block_errors(grid.blocks(), VARS, ws=None)
-        stacked_block_errors(grid.blocks(), VARS, ws=ws)
+        reference = stacked_block_errors(grid, VARS, ws=None)
+        stacked_block_errors(grid, VARS, ws=ws)
         for buf in ws._buffers.values():
             buf.fill(np.nan)
-        poisoned = stacked_block_errors(grid.blocks(), VARS, ws=ws)
+        poisoned = stacked_block_errors(grid, VARS, ws=ws)
         np.testing.assert_array_equal(poisoned, reference)
-
-    def test_empty_block_list(self):
-        assert stacked_block_errors([], ["dens"]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +497,7 @@ class TestPadEdge:
 
 
 # ---------------------------------------------------------------------------
-# environment knob + whole-workload differential runs
+# whole-workload differential runs against the oracle
 # ---------------------------------------------------------------------------
 def _assert_states_equal(a, b, label):
     assert set(a) == set(b), label
@@ -562,59 +505,32 @@ def _assert_states_equal(a, b, label):
         np.testing.assert_array_equal(a[key], b[key], err_msg=f"{label}: {key}")
 
 
-class TestEnvironmentKnob:
-    def test_grid_plane_enabled_values(self, monkeypatch):
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID", raising=False)
-        assert grid_plane_enabled()
-        for value in ("1", "true", "yes"):
-            monkeypatch.setenv("RAPTOR_FAST_NO_GRID", value)
-            assert not grid_plane_enabled()
-        for value in ("", "0", "false", "off"):
-            monkeypatch.setenv("RAPTOR_FAST_NO_GRID", value)
-            assert grid_plane_enabled()
+class TestOracleRuns:
+    def test_swap_routes_through_the_oracle(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grid_oracle, "fill_block_guards",
+                            lambda grid, block, name: calls.append(name))
+        grid = make_grid(n_root=1, max_level=1)
+        with grid_oracle.swapped():
+            grid.fill_guard_cells(["dens"])
+        assert calls == ["dens"]
+        assert AMRGrid.fill_guard_cells is not grid_oracle.fill_guard_cells
 
-    def test_amr_grid_follows_knob(self, monkeypatch):
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        assert not AMRGrid(VARS).fused_grid
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID")
-        assert AMRGrid(VARS).fused_grid
+    @pytest.mark.parametrize("name", COMPRESSIBLE)
+    def test_workload_bitwise_against_oracle(self, name):
+        store = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="fast")
+        with grid_oracle.swapped():
+            oracle = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="fast")
+        assert store.time == oracle.time
+        assert store.info == oracle.info
+        _assert_states_equal(store.state, oracle.state, name)
 
-    def test_hydro_solver_follows_knob(self, monkeypatch):
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        assert not HydroSolver().batch_dt
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID")
-        assert HydroSolver().batch_dt
-
-    def test_bubble_solver_follows_knob(self, monkeypatch):
-        from repro.incomp.solver import BubbleConfig, BubbleSolver
-
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        assert not BubbleSolver(BubbleConfig(nx=8, ny=8))._grid_pad
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID")
-        assert BubbleSolver(BubbleConfig(nx=8, ny=8))._grid_pad
-
-    def test_grid_plane_is_active_by_default(self):
-        """The differential runs below must exercise the fused grid plane
-        unless the environment disabled it on purpose."""
-        assert grid_plane_enabled()
-
-    @pytest.mark.parametrize("name", sorted(TINY_CONFIGS))
-    def test_workload_bitwise_across_knob(self, name, monkeypatch):
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID", raising=False)
-        on = create_workload(name, **TINY_CONFIGS[name]).reference(plane="fast")
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        off = create_workload(name, **TINY_CONFIGS[name]).reference(plane="fast")
-        assert on.time == off.time
-        _assert_states_equal(on.state, off.state, name)
-
-    def test_instrumented_counters_byte_identical_across_knob(self, monkeypatch):
-        """The grid side is context-free, so toggling the fused grid plane
+    def test_instrumented_counters_byte_identical_against_oracle(self):
+        """The grid side is context-free, so swapping it for the oracle
         must not move a single instrumented counter."""
-        cfg = TINY_CONFIGS["sod"]
-        monkeypatch.delenv("RAPTOR_FAST_NO_GRID", raising=False)
-        on = create_workload("sod", **cfg).reference(plane="instrumented")
-        monkeypatch.setenv("RAPTOR_FAST_NO_GRID", "1")
-        off = create_workload("sod", **cfg).reference(plane="instrumented")
-        assert on.runtime.ops.full == off.runtime.ops.full
-        assert on.runtime.ops.total == off.runtime.ops.total
-        _assert_states_equal(on.state, off.state, "sod instrumented")
+        store = create_workload("sod", **TINY_COMPRESSIBLE).reference(plane="instrumented")
+        with grid_oracle.swapped():
+            oracle = create_workload("sod", **TINY_COMPRESSIBLE).reference(plane="instrumented")
+        assert store.runtime.ops.full == oracle.runtime.ops.full
+        assert store.runtime.ops.total == oracle.runtime.ops.total
+        _assert_states_equal(store.state, oracle.state, "sod instrumented")

@@ -15,11 +15,14 @@ A third pass repeats these configurations as *truncated* (e8m10,
 non-counting) runs: the instrumented op-by-op ``TruncatedContext`` path
 vs the fused truncating plane (``repro.kernels.trunc``), which quantizes
 at the same op boundaries and must match bitwise too.  A fourth pass
-drives a regrid-heavy Kelvin–Helmholtz configuration (``max_level=3``,
-regrid every step, so guard-fill plans are rebuilt constantly and
-coarse/fine strips stay hot) through the fused *grid* plane — batched
-guard fills, batched ``compute_dt`` and stacked refinement estimators —
-and diffs it against a run with ``RAPTOR_FAST_NO_GRID`` set.
+drives regrid-heavy Kelvin–Helmholtz configurations (regrid every step, so
+topology plans are rebuilt constantly and coarse/fine strips stay hot)
+through the grid side — stacked guard fills over the AMR block store,
+stacked ``compute_dt`` and stacked refinement estimators — and diffs each
+against a run whose guard fill, regrid estimators and ``compute_dt`` are
+swapped for the per-block oracle of ``tests/grid_oracle.py``: the golden
+2x2-root ``max_level=3`` grid, and a 3x3-root ``max_level=4`` grid with
+reflecting and with mixed periodic/reflecting boundaries.
 A fifth pass covers the fused *bubble* plane (``repro.kernels.bubble``):
 a short rising-bubble run on the fused fast plane vs the op-by-op
 instrumented baseline (``RAPTOR_FAST_NO_BUBBLE=1`` +
@@ -39,8 +42,12 @@ snapshots byte-identical.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import numpy as np
+
+#: the per-block grid oracle lives with the tests
+TESTS = Path(__file__).resolve().parent.parent / "tests"
 
 #: the golden configurations of tests/test_golden.py
 GOLDEN_CONFIGS = {
@@ -59,13 +66,23 @@ GOLDEN_CONFIGS = {
 #: must carry per-block spacings to stay bitwise on the fast planes
 SOD_3ROOT = dict(GOLDEN_CONFIGS["sod"], n_root_x=3, n_root_y=3)
 
-#: regrid-heavy golden pass for the fused grid plane: regrid every step so
-#: guard-fill plans are invalidated and rebuilt constantly, deep enough
-#: that coarse/fine guard strips are exercised throughout
+#: regrid-heavy golden pass for the grid side: regrid every step so
+#: topology plans are invalidated and rebuilt constantly, deep enough that
+#: coarse/fine guard strips are exercised throughout
 GRID_GOLDEN = dict(
     nxb=8, nyb=8, n_root_x=2, n_root_y=2, max_level=3,
     t_end=0.01, rk_stages=1, regrid_interval=1,
 )
+
+#: the grid-side passes: (label, config); each run must refine past level 2
+GRID_PASSES = [
+    ("kelvin-helmholtz (grid)", GRID_GOLDEN),
+    ("kelvin-helmholtz (grid, 3x3 roots, reflect)",
+     dict(GRID_GOLDEN, n_root_x=3, n_root_y=3, max_level=4, boundary="reflect")),
+    ("kelvin-helmholtz (grid, 3x3 roots, periodic x / reflect y)",
+     dict(GRID_GOLDEN, n_root_x=3, n_root_y=3, max_level=4,
+          boundary={"x": "periodic", "y": "reflect"})),
+]
 
 
 def _diff_planes(name: str, config: dict, label: str = "") -> list:
@@ -118,46 +135,33 @@ def _diff_trunc_planes(name: str, config: dict, label: str = "") -> list:
     return failures
 
 
-def _diff_grid_plane() -> list:
-    """Regrid-heavy KH run: fused grid plane vs per-block grid paths."""
-    import os
-
+def _diff_grid_plane(label: str, config: dict) -> list:
+    """Regrid-heavy KH run: stacked grid side vs the per-block oracle."""
     from repro.workloads import create_workload
 
-    fused = create_workload("kelvin-helmholtz", **GRID_GOLDEN).reference(plane="fast")
-    os.environ["RAPTOR_FAST_NO_GRID"] = "1"
-    try:
-        reference = create_workload("kelvin-helmholtz", **GRID_GOLDEN).reference(
-            plane="fast"
-        )
-    finally:
-        del os.environ["RAPTOR_FAST_NO_GRID"]
+    sys.path.insert(0, str(TESTS))
+    import grid_oracle
+
+    store = create_workload("kelvin-helmholtz", **config).reference(plane="fast")
+    with grid_oracle.swapped():
+        reference = create_workload("kelvin-helmholtz", **config).reference(plane="fast")
 
     failures = []
-    if fused.info["finest_level"] < 2:
+    if store.info["finest_level"] <= 2:
         failures.append(
-            "kelvin-helmholtz (grid plane): run never refined past level "
-            f"{fused.info['finest_level']:.0f} — coarse/fine guard strips "
+            f"{label}: run never refined past level "
+            f"{store.info['finest_level']:.0f} — coarse/fine guard strips "
             "were not exercised"
         )
-    if fused.info != reference.info:
-        failures.append(
-            "kelvin-helmholtz (grid plane): run summaries differ: "
-            f"{fused.info} vs {reference.info}"
-        )
-    if fused.time != reference.time:
-        failures.append(
-            f"kelvin-helmholtz (grid plane): final time differs: "
-            f"{fused.time} vs {reference.time}"
-        )
-    for var in sorted(fused.state):
-        a, b = fused.state[var], reference.state[var]
+    if store.info != reference.info:
+        failures.append(f"{label}: run summaries differ: {store.info} vs {reference.info}")
+    if store.time != reference.time:
+        failures.append(f"{label}: final time differs: {store.time} vs {reference.time}")
+    for var in sorted(store.state):
+        a, b = store.state[var], reference.state[var]
         if not np.array_equal(a, b):
             diverged = int(np.sum(a != b))
-            failures.append(
-                f"kelvin-helmholtz (grid plane): variable {var!r}: "
-                f"{diverged}/{a.size} cells differ"
-            )
+            failures.append(f"{label}: variable {var!r}: {diverged}/{a.size} cells differ")
     return failures
 
 
@@ -354,17 +358,12 @@ def _diff_counted_cliff(name, cutoff, max_bits, check) -> list:
 
 
 def main() -> int:
-    from repro.kernels.scratch import (
-        bubble_plane_enabled,
-        grid_plane_enabled,
-        scratch_enabled,
-    )
+    from repro.kernels.scratch import bubble_plane_enabled, scratch_enabled
 
-    if not (scratch_enabled() and grid_plane_enabled() and bubble_plane_enabled()):
+    if not (scratch_enabled() and bubble_plane_enabled()):
         print(
-            "FAIL: RAPTOR_FAST_NO_SCRATCH / RAPTOR_FAST_NO_GRID / "
-            "RAPTOR_FAST_NO_BUBBLE are set — this check must exercise the "
-            "scratch + fused-grid + fused-bubble fast plane"
+            "FAIL: RAPTOR_FAST_NO_SCRATCH / RAPTOR_FAST_NO_BUBBLE are set — "
+            "this check must exercise the scratch + fused-bubble fast plane"
         )
         return 1
 
@@ -374,7 +373,8 @@ def main() -> int:
         failures.extend(_diff_trunc_planes(name, config))
     failures.extend(_diff_planes("sod", SOD_3ROOT, "sod (3x3 root blocks)"))
     failures.extend(_diff_trunc_planes("sod", SOD_3ROOT, "sod (3x3 root blocks)"))
-    failures.extend(_diff_grid_plane())
+    for label, config in GRID_PASSES:
+        failures.extend(_diff_grid_plane(label, config))
     failures.extend(_diff_bubble_planes())
     failures.extend(_diff_counted_planes())
 
@@ -388,8 +388,9 @@ def main() -> int:
         "OK: golden Sod (PLM) and Sedov (WENO5, fused flux + scratch + "
         "cross-level batched stacks) and Sod on a 3x3 root grid bitwise "
         "identical on both planes, full-precision and truncated (e8m10); "
-        "regrid-heavy KH bitwise identical with the "
-        "fused grid plane on and off; rising bubble bitwise identical on "
+        "regrid-heavy KH (2x2 roots, and 3x3 roots to level 4 with reflecting "
+        "and mixed boundaries) bitwise identical to the per-block grid oracle; "
+        "rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated; counting runs, "
         "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
         "searches bitwise identical with byte-identical counters on the counted plane"
