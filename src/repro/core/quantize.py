@@ -63,14 +63,16 @@ def _rne_params(fmt: FPFormat) -> Tuple[np.uint64, ...]:
     params = _RNE_CACHE.get(key)
     if params is None:
         shift = 52 - fmt.man_bits
-        half = 1 << (shift - 1)
+        # at shift 0 no bit is dropped: nothing is added, and every
+        # binary64 past max_value lies a binade above it and overflows
+        half_m1 = (1 << (shift - 1)) - 1 if shift else 0
         keep = ~((1 << shift) - 1) & 0xFFFF_FFFF_FFFF_FFFF
         # below the midpoint between max_value and the next grid value;
         # the midpoint itself ties to the even (overflowing) side
-        top = _bits(fmt.max_value) + half - 1
+        top = _bits(fmt.max_value) + half_m1
         # numpy scalars: a Python int operand is converted on every call
         params = tuple(
-            np.uint64(v) for v in (shift, half - 1, keep, _bits(fmt.min_normal) - 1, top)
+            np.uint64(v) for v in (shift, half_m1, keep, _bits(fmt.min_normal) - 1, top)
         )
         _RNE_CACHE[key] = params
     return params
@@ -89,15 +91,18 @@ def quantize_rne_bits(
     carry out of the fraction bumps the exponent exactly as rounding up to
     the next binade must.  That is the rounding :func:`quantize` performs
     for every lane that is zero or a normal number of ``fmt`` and does not
-    overflow it — the common case, in a handful of integer ufuncs.
+    overflow it — the common case, in a handful of integer ufuncs.  A
+    format with all 52 fraction bits (and a narrower exponent than
+    binary64) drops no bits, so there the rounding of such lanes is a
+    copy, or nothing when ``out`` is ``arr``.
 
     Returns None, having written nothing, when any lane needs the general
-    path (a target-subnormal, non-finite or overflowing lane), when
-    ``fmt`` keeps all 52 fraction bits or when ``arr`` is empty.  The
-    result lands in ``out`` (which may be ``arr`` itself) or in a fresh
-    array; ``scratch`` is an optional uint64 buffer of ``arr``'s shape.
+    path (a target-subnormal, non-finite or overflowing lane) or when
+    ``arr`` is empty.  The result lands in ``out`` (which may be ``arr``
+    itself) or in a fresh array; ``scratch`` is an optional uint64 buffer
+    of ``arr``'s shape.
     """
-    if fmt.man_bits >= 52 or arr.size == 0:
+    if arr.size == 0:
         return None
     shift, half_m1, keep, low_m1, top = _rne_params(fmt)
     bits = arr.view(np.uint64)
@@ -111,6 +116,12 @@ def quantize_rne_bits(
     np.subtract(mag, _ONE, out=mag)
     if np.minimum.reduce(mag, axis=None) < low_m1:
         return None
+    if not shift:
+        if out is None:
+            return arr.copy()
+        if out is not arr:
+            np.copyto(out, arr)
+        return out
     lsb = np.right_shift(bits, shift, out=mag)
     np.bitwise_and(lsb, _ONE, out=lsb)
     if out is None:

@@ -28,6 +28,11 @@ class PoissonSolver:
     all four walls.  The operator has a nullspace (constant fields); it is
     removed by pinning the first cell and projecting the right-hand side to
     zero mean, which is the compatible choice for the projection method.
+
+    The matrix is factorised on the first solve and never modified, so
+    solvers of one grid may share it.  A pickled or deep-copied solver
+    leaves the factorisation behind (a ``SuperLU`` object does not
+    pickle) and factorises again on its own first solve.
     """
 
     def __init__(self, nx: int, ny: int, dx: float, dy: float) -> None:
@@ -35,7 +40,10 @@ class PoissonSolver:
         self.ny = int(ny)
         self.dx = float(dx)
         self.dy = float(dy)
-        self._lu = spla.splu(self._build_matrix().tocsc())
+        self._lu = None
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _lu=None)
 
     # ------------------------------------------------------------------
     def _build_matrix(self) -> sp.csr_matrix:
@@ -103,6 +111,8 @@ class PoissonSolver:
             flat = b.reshape(-1)
         b -= b.mean()  # compatibility with the Neumann problem
         flat[0] = 0.0  # pinned cell
+        if self._lu is None:
+            self._lu = spla.splu(self._build_matrix().tocsc())
         p = self._lu.solve(flat)
         p = p.reshape(self.nx, self.ny)
         p -= p.mean()

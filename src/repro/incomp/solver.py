@@ -93,10 +93,13 @@ class BubbleSolver:
     cells): the default ``"auto"`` rides the fused fast plane — the
     internal context records nothing, so the substitution is a pure,
     bit-identical win — while ``"instrumented"`` keeps every operation on
-    the classic op-by-op plane (the diagnostic escape hatch).
+    the classic op-by-op plane (the diagnostic escape hatch).  ``poisson``
+    shares the pressure solver (and its factorisation) of another solver
+    on the same grid.
     """
 
-    def __init__(self, config: Optional[BubbleConfig] = None, plane: str = "auto") -> None:
+    def __init__(self, config: Optional[BubbleConfig] = None, plane: str = "auto",
+                 poisson: Optional[PoissonSolver] = None) -> None:
         self.config = config or BubbleConfig()
         cfg = self.config
         x = cfg.xlim[0] + (np.arange(cfg.nx) + 0.5) * cfg.dx
@@ -107,7 +110,9 @@ class BubbleSolver:
         self.pres = np.zeros((cfg.nx, cfg.ny))
         phi0 = circle_level_set(self.x, self.y, cfg.bubble_center, cfg.bubble_diameter / 2.0)
         self.levelset = LevelSet(phi0, cfg.dx, cfg.dy)
-        self.poisson = PoissonSolver(cfg.nx, cfg.ny, cfg.dx, cfg.dy)
+        if poisson is None:
+            poisson = PoissonSolver(cfg.nx, cfg.ny, cfg.dx, cfg.dy)
+        self.poisson = poisson
         self.time = 0.0
         self.step_count = 0
         # non-counting by construction, so "auto" substitutes the fused

@@ -67,33 +67,42 @@ def rounder(ctx: FPContext):
     return _EXACT
 
 
-def _weight(value, grid: np.ndarray, idx, q):
-    """``(value - grid[idx]) / spacing``: one interpolation weight."""
-    t = q(np.subtract(value, grid[idx]))
-    return q(np.divide(t, q.const(grid[1] - grid[0])))
-
-
 def bilinear(table, values: np.ndarray, rho, temp, q):
     """Twin of ``HelmholtzTable._bilinear``: ``values`` interpolated at
     (``rho``, ``temp``) with rounder ``q`` (see :func:`rounder`).
 
-    ``1 - tx`` and ``1 - ty`` are computed once each — the op-by-op path
-    evaluates each twice, to the same bits.
+    Independent ops of the op-by-op path run as one stacked op each: the
+    two weight numerators and quotients, ``1 - tx`` and ``1 - ty`` (which
+    the op-by-op path evaluates twice each, to the same bits), the four
+    weight products, the four corner products and the two pair sums —
+    seven roundings per call.  Every op is element-wise, so each lane of
+    a stack has the bits of its own op.
     """
     log_rho = np.log10(np.maximum(rho, 10.0 ** table.log_rho[0]))
     log_temp = np.log10(np.maximum(temp, 10.0 ** table.log_temp[0]))
     i = table._locate(table.log_rho, log_rho)
     j = table._locate(table.log_temp, log_temp)
-    tx = _weight(log_rho, table.log_rho, i, q)
-    ty = _weight(log_temp, table.log_temp, j, q)
-    one = q.const(1.0)
-    omtx = q(np.subtract(one, tx))
-    omty = q(np.subtract(one, ty))
-    c00 = q(np.multiply(q(np.multiply(omtx, omty)), values[i, j]))
-    c10 = q(np.multiply(q(np.multiply(tx, omty)), values[i + 1, j]))
-    c01 = q(np.multiply(q(np.multiply(omtx, ty)), values[i, j + 1]))
-    c11 = q(np.multiply(q(np.multiply(tx, ty)), values[i + 1, j + 1]))
-    return q(np.add(q(np.add(c00, c10)), q(np.add(c01, c11))))
+    shape = np.broadcast_shapes(np.shape(log_rho), np.shape(log_temp))
+    lanes = (1,) * len(shape)
+    # tw[a, axis]: a = 0 is ``1 - t``, a = 1 the weight t; axis 0 is rho
+    tw = np.empty((2, 2) + shape)
+    t = tw[1]
+    np.subtract(log_rho, table.log_rho[i], out=t[0, ...])
+    np.subtract(log_temp, table.log_temp[j], out=t[1, ...])
+    q(t)
+    spacing = np.array([q.const(table.log_rho[1] - table.log_rho[0]),
+                        q.const(table.log_temp[1] - table.log_temp[0])])
+    q(np.divide(t, spacing.reshape((2,) + lanes), out=t))
+    q(np.subtract(q.const(1.0), t, out=tw[0]))
+    # w[b, a] = (x-weight a) * (y-weight b): w00, w10 / w01, w11
+    w = q(np.multiply(tw[None, :, 0], tw[:, None, 1]))
+    # the matching corners values[i + a, j + b]
+    n_temp = values.shape[1]
+    corners = np.array([[0, n_temp], [1, n_temp + 1]]).reshape((2, 2) + lanes)
+    f = np.take(values.ravel(), corners + (i * n_temp + j))
+    c = q(np.multiply(w, f, out=w))
+    pair = q(np.add(c[:, 0], c[:, 1]))
+    return q(np.add(pair[0], pair[1]))
 
 
 class NewtonSteps:

@@ -89,11 +89,13 @@ class BubbleWorkload(Scenario):
     def initial_state(self) -> Dict[str, object]:
         """The solver state after the binary64 spin-up (standing in for the
         paper's archived t = 3 checkpoint): the prefix every truncation
-        phase starts from."""
+        phase starts from, with the spin-up's pressure solver, whose
+        factorisation every run from the prefix shares."""
         cfg = self.config
         solver = BubbleSolver(cfg.solver)
         solver.run(t_end=cfg.spin_up_time, fixed_dt=cfg.fixed_dt)
         return {
+            "poisson": solver.poisson,
             "velx": solver.velx,
             "vely": solver.vely,
             "pres": solver.pres,
@@ -110,7 +112,7 @@ class BubbleWorkload(Scenario):
         here when there is none)."""
         if prefix is None:
             prefix = self.initial_state()
-        solver = BubbleSolver(self.config.solver, plane=plane)
+        solver = BubbleSolver(self.config.solver, plane=plane, poisson=prefix.get("poisson"))
         solver.velx = prefix["velx"].copy()
         solver.vely = prefix["vely"].copy()
         solver.pres = prefix["pres"].copy()

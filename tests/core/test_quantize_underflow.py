@@ -136,6 +136,7 @@ def test_oracle_is_idempotent(fmt, rounding, x):
 #: both ends of the exponent range
 RNE_FORMATS = FORMATS + [
     FPFormat(exp_bits=8, man_bits=23),
+    FPFormat(exp_bits=8, man_bits=52),
     FPFormat(exp_bits=11, man_bits=51),
     FPFormat(exp_bits=11, man_bits=0),
     FPFormat(exp_bits=2, man_bits=5),
@@ -202,5 +203,33 @@ def test_rne_fast_path_declines_exactly_the_hard_lanes(fmt):
     # just below the overflow midpoint still rounds down to max_value
     below = np.nextafter(fmt.max_value + ulp_top / 2, 0.0)
     assert quantize_rne_bits(np.array([below]), fmt)[0] == fmt.max_value
-    assert quantize_rne_bits(np.array([1.0]), FPFormat(exp_bits=8, man_bits=52)) is None
     assert quantize_rne_bits(np.array([]), fmt) is None
+
+
+@pytest.mark.parametrize("fmt", [FPFormat(exp_bits=8, man_bits=52),
+                                 FPFormat(exp_bits=5, man_bits=52)],
+                         ids=lambda f: f"e{f.exp_bits}m{f.man_bits}")
+def test_rne_fast_path_at_52_bits_copies_in_range_lanes(fmt):
+    """With all 52 fraction bits the fast path takes in-range lanes (zeros
+    and normals up to ``max_value``) as a copy, bitwise the general path's
+    oracle, and still declines the hard lanes, writing nothing."""
+    rng = np.random.default_rng(52)
+    values = (rng.choice([-1.0, 1.0], 9) * rng.uniform(1.0, 2.0, 9)
+              * np.exp2(rng.integers(fmt.emin, fmt.emax + 1, 9)))
+    values = np.concatenate([values, [0.0, -0.0, fmt.min_normal, -fmt.max_value]])
+    want = _oracle_bits(values, fmt)
+    assert np.array_equal(quantize_rne_bits(values, fmt).view(np.uint64), want)
+    out = np.empty_like(values)
+    assert quantize_rne_bits(values, fmt, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want)
+    in_place = values.copy()
+    assert quantize_rne_bits(in_place, fmt, out=in_place) is in_place
+    assert np.array_equal(in_place.view(np.uint64), want)
+    zero_d = quantize_rne_bits(np.array(fmt.max_value), fmt)
+    assert zero_d.shape == () and zero_d == fmt.max_value
+    # past max_value is the next binade: it overflows
+    for bad in (np.nextafter(fmt.min_normal, 0.0), np.inf, -np.inf, np.nan,
+                np.nextafter(fmt.max_value, np.inf)):
+        out = np.full(2, 7.0)
+        assert quantize_rne_bits(np.array([1.0, bad]), fmt, out=out) is None
+        assert np.array_equal(out, [7.0, 7.0])

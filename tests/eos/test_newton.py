@@ -1,9 +1,12 @@
 """Tests for the Newton-Raphson EOS inversion (the Hypothesis 2 mechanism)."""
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import FPFormat, RaptorRuntime, TruncatedContext
 from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy
+from repro.kernels import select_context
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +89,18 @@ class TestTruncatedConvergence:
         result = self._run(table, 16)
         assert result.max_residual > 1e-10
         assert np.all(np.isfinite(result.temperature))
+
+    @pytest.mark.parametrize("plane", ["instrumented", "auto"])
+    @pytest.mark.parametrize("count_ops", [True, False])
+    def test_stalled_solve_warns_nothing(self, table, plane, count_ops):
+        """A stalled e8m10 solve divides by a zero derivative by design
+        (the clip bounds the step): expected, so it raises no warning, on
+        the op-by-op, counted and fast truncating planes alike."""
+        rho, _, energy, guess = make_problem(table, seed=4)
+        ctx = select_context(TruncatedContext(
+            FPFormat(8, 10), runtime=RaptorRuntime(), module="eos", count_ops=count_ops,
+            track_memory=count_ops), plane)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invert_energy(table, rho, energy, guess, NewtonSolverConfig(), ctx)
+        assert not result.converged

@@ -1,4 +1,7 @@
 """Tests for the pressure Poisson solver."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -98,6 +101,19 @@ class TestBandedAssembly:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copy_refactors_lazily_and_solves_bitwise(self, solver, clone):
+        """A copy leaves the factorisation behind and rebuilds it on its
+        first solve, to the same bits; the original keeps its own."""
+        rhs = np.random.default_rng(2).normal(size=(32, 24))
+        want = solver.solve(rhs)
+        copied = clone(solver)
+        assert copied._lu is None and solver._lu is not None
+        got = copied.solve(rhs)
+        assert copied._lu is not None
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_rhs_shape_validated(self, solver):
         with pytest.raises(ValueError):
             solver.solve(np.zeros((8, 8)))

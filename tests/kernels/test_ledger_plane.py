@@ -40,7 +40,7 @@ from repro.core import (
     TruncatedContext,
     TruncationConfig,
 )
-from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy
+from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy, newton
 from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
 from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.incomp import BubbleConfig, BubbleSolver
@@ -51,7 +51,9 @@ from repro.kernels import (
     ledger,
     select_context,
 )
+from repro.kernels import eos as keos
 from repro.kernels.ledger import LedgerRecorder, OpLedger
+from repro.kernels.trunc import TruncFastPlaneContext
 from repro.workloads import create_workload
 
 E8M10 = FPFormat(exp_bits=8, man_bits=10)
@@ -504,19 +506,81 @@ def _newton_problem(table, n=12):
 E11M50 = FPFormat(exp_bits=11, man_bits=50)
 
 
+#: stalled truncated solves of ``_newton_problem(table, cells)`` from a
+#: 1.5x guess: (cells, mantissa bits, relaxation, the (first, k) of the
+#: first iterate k that repeats iterate ``first`` bitwise, or None when
+#: none repeats within 40 iterations)
+STALLED_SOLVES = [
+    pytest.param(3, 19, 1.0, (4, 5), id="fixed-point"),
+    pytest.param(12, 17, 0.7, (12, 13), id="fixed-point-relaxed"),
+    pytest.param(12, 10, 1.0, (1, 3), id="2-cycle"),
+    pytest.param(12, 13, 0.7, (17, 19), id="2-cycle-relaxed"),
+    pytest.param(12, 12, 1.0, None, id="no-repeat"),
+    pytest.param(12, 12, 0.7, None, id="no-repeat-relaxed"),
+]
+
+
 class TestCountedNewton:
-    def _assert_solve_identical(self, table, src, guess, config):
-        rho, _, target = _newton_problem(table)
+    def _assert_solve_identical(self, table, src, guess, config, cells=12):
+        """The solve under instrumented ``src``, its counted twin and, for a
+        truncating ``src``, the fast truncating plane: the same result
+        bitwise, and byte-identical counters on the counted plane."""
+        rho, _, target = _newton_problem(table, cells)
         counted = _counted(src)
         # a stalled low-precision solve divides by a zero derivative
         with np.errstate(divide="ignore", invalid="ignore"):
             want = invert_energy(table, rho, target, guess, config, src)
-            got = invert_energy(table, rho, target, guess, config, counted)
-        assert np.array_equal(_bits(got.temperature), _bits(want.temperature))
-        assert (got.iterations, got.converged, got.max_residual, got.residual_history) == (
-            want.iterations, want.converged, want.max_residual, want.residual_history)
+            got = [invert_energy(table, rho, target, guess, config, counted)]
+            if src.truncating:
+                fast = TruncFastPlaneContext.from_context(src)
+                got.append(invert_energy(table, rho, target, guess, config, fast))
+        for result in got:
+            assert np.array_equal(_bits(result.temperature), _bits(want.temperature))
+            assert (result.iterations, result.converged, result.max_residual,
+                    result.residual_history) == (want.iterations, want.converged,
+                                                 want.max_residual, want.residual_history)
         assert counted.runtime.snapshot() == src.runtime.snapshot()
         return want
+
+    @pytest.mark.parametrize("cells,man_bits,relaxation,repeat", STALLED_SOLVES)
+    def test_stalled_solves_replay_their_cycle(self, table, monkeypatch, cells, man_bits,
+                                               relaxation, repeat):
+        """The fused planes replay a cycling solve's tail, to the bits and
+        counters of iterating it out; the limits include the repeat landing
+        on the last iteration (nothing left to replay) and one before it."""
+        replays = []
+        real = newton._replay_tail
+        monkeypatch.setattr(newton, "_replay_tail", lambda iterates, history, first, *rest: (
+            replays.append((first, len(iterates) - 1))
+            or real(iterates, history, first, *rest)))
+        _, temp, _ = _newton_problem(table, cells)
+        limits = [40] if repeat is None else [repeat[1], repeat[1] + 1, 40]
+        for max_iterations in limits:
+            config = NewtonSolverConfig(relaxation=relaxation, max_iterations=max_iterations)
+            src = TruncatedContext(FPFormat(8, man_bits), runtime=RaptorRuntime(), module="eos")
+            replays.clear()
+            result = self._assert_solve_identical(table, src, temp * 1.5, config, cells)
+            assert not result.converged and result.iterations == max_iterations
+            # once per fused plane (counted and fast truncating)
+            fired = repeat is not None and max_iterations > repeat[1]
+            assert replays == ([repeat] * 2 if fired else [])
+
+    def test_cycling_solve_skips_its_tail(self, table, monkeypatch):
+        """A solve that cycles evaluates fewer residuals than it reports
+        iterations, so the tail replay cannot silently stop firing."""
+        calls = []
+        real = keos.NewtonSteps.residual
+        monkeypatch.setattr(keos.NewtonSteps, "residual",
+                            lambda steps, temp: calls.append(1) or real(steps, temp))
+        rho, temp, target = _newton_problem(table)
+        config = NewtonSolverConfig()
+        src = TruncatedContext(E8M10, runtime=RaptorRuntime(), module="eos")
+        for ctx in (_counted(src), TruncFastPlaneContext.from_context(src)):
+            calls.clear()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = invert_energy(table, rho, target, temp * 1.5, config, ctx)
+            assert not result.converged and result.iterations == config.max_iterations
+            assert 0 < len(calls) < config.max_iterations
 
     def test_converges_at_the_first_iteration(self, table):
         _, temp, _ = _newton_problem(table)
@@ -563,6 +627,30 @@ class TestCountedNewton:
         for call in calls:
             for src in _counting_in("eos"):
                 _assert_call_identical(call, src)
+
+    @given(
+        shape=st.sampled_from([(), (5,), (3, 5)]),
+        rounding=st.sampled_from(RoundingMode.ALL),
+        man_bits=st.integers(min_value=2, max_value=52),
+        log_rho=st.lists(st.floats(2.0, 10.0), min_size=5, max_size=5),
+        log_temp=st.lists(st.floats(6.0, 11.0), min_size=15, max_size=15),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_bilinear_matches_op_by_op(self, table, shape, rounding, man_bits,
+                                               log_rho, log_temp):
+        """The stacked twin against the op-by-op ``TruncatedContext`` path,
+        at points inside the table and clamped outside it: 0-d, 1-D and a
+        ``(3, n)`` temperature stack over 1-D densities."""
+        rho = 10.0 ** np.array(log_rho[:shape[-1]] if shape else log_rho[0])
+        temp = 10.0 ** np.array(log_temp[:int(np.prod(shape))]).reshape(shape)
+        fmt = FPFormat(exp_bits=8, man_bits=man_bits)
+        ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), module="eos", rounding=rounding)
+        with np.errstate(all="ignore"):
+            want = table._bilinear(table.energy_table, rho, temp, ctx)
+            got = keos.bilinear(table, table.energy_table, rho, temp, keos.rounder(
+                TruncFastPlaneContext.from_context(ctx)))
+        assert np.shape(got) == np.shape(want) == np.broadcast_shapes(rho.shape, shape)
+        assert np.array_equal(_bits(got), _bits(want))
 
     def test_burn_network_identical(self):
         network = CarbonBurnNetwork(rate_prefactor=1e9, activation_t9=10.0)

@@ -146,6 +146,28 @@ class TestBubbleStrategies:
         assert not np.array_equal(a.state["phi"], b.state["phi"])
         np.testing.assert_array_equal(prefix["phi"], phi)
 
+    def test_runs_from_one_prefix_share_one_factorisation(self, bubble_workload, monkeypatch):
+        """The prefix carries the spin-up's Poisson factorisation: runs
+        from it factorise nothing, and a pickled prefix (as shipped to a
+        worker) factorises once, lazily, and runs to the same bits."""
+        import pickle
+
+        import scipy.sparse.linalg as spla
+
+        real, calls = spla.splu, []
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        prefix = bubble_workload.initial_state()
+        assert len(calls) == 1
+        runs = [bubble_workload.run_strategy(strategy, bits, prefix=prefix)
+                for strategy, bits in (("none", 52), ("everywhere", 10), ("cutoff-1", 10))]
+        assert len(calls) == 1
+        shipped = pickle.loads(pickle.dumps(prefix))
+        again = bubble_workload.run_strategy("everywhere", 10, prefix=shipped)
+        bubble_workload.run_strategy("none", 52, prefix=shipped)
+        assert len(calls) == 2
+        for key, values in runs[1].state.items():
+            assert np.array_equal(np.asarray(again.state[key]), np.asarray(values)), key
+
     def test_truncation_everywhere_perturbs_interface(self, bubble_workload):
         ref = bubble_workload.run_strategy("none", 52)
         low = bubble_workload.run_strategy("everywhere", 4)

@@ -35,7 +35,12 @@ then a counting ``run_sweep`` over all seven workloads and counting
 truncated and full-precision cells) and cellular (probes narrow enough
 that Newton exhausts its iterations), each on the instrumented plane vs
 ``plane="auto"`` — states and probe evaluations bitwise, ``RaptorRuntime``
-snapshots byte-identical.
+snapshots byte-identical.  A seventh pass runs truncated Newton EOS
+inversions (``repro.eos.newton.invert_energy``, e8m7 to e8m40, relaxation
+1.0 and 0.7) on the instrumented plane against the fast truncating and the
+counted planes, which replay the periodic tail of a stalled solve instead
+of iterating it: results bitwise, counters byte-identical, and the cases
+must include both a replayed and an iterated tail.
 
     PYTHONPATH=src python tools/check_plane_equivalence.py
 """
@@ -357,6 +362,69 @@ def _diff_counted_cliff(name, cutoff, max_bits, check) -> list:
     return failures
 
 
+#: the Newton pass: truncated EOS inversions at these widths (e8) and
+#: relaxations, from a guess 1.5x off; the narrow ones stall in a cycle
+NEWTON_WIDTHS = (7, 10, 13, 20, 26, 33, 40)
+NEWTON_RELAXATIONS = (1.0, 0.7)
+
+
+def _diff_newton_planes() -> list:
+    """``invert_energy`` on the instrumented plane against the fast
+    truncating and the counted plane: results bitwise, counters
+    byte-identical.  The fused planes replay a cycling solve's tail
+    instead of iterating it; the pass fails unless some case took that
+    replay and some did not."""
+    from repro.core import FPFormat, RaptorRuntime, TruncatedContext
+    from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy, newton
+    from repro.kernels import select_context
+
+    table = HelmholtzTable()
+    rho = np.geomspace(2e5, 5e7, 12)
+    temp = np.geomspace(3e8, 4e9, 12)
+    target = np.asarray(table.energy(rho, temp))
+    replays = []
+    real = newton._replay_tail
+
+    def spy(*args):
+        replays.append(args)
+        return real(*args)
+
+    failures, replayed = [], []
+    newton._replay_tail = spy
+    try:
+        for man_bits in NEWTON_WIDTHS:
+            for relaxation in NEWTON_RELAXATIONS:
+                label = f"newton e8m{man_bits} relaxation {relaxation}"
+                config = NewtonSolverConfig(relaxation=relaxation)
+                src = TruncatedContext(FPFormat(8, man_bits), runtime=RaptorRuntime(),
+                                       module="eos")
+                counted = select_context(src, "auto")
+                counted.runtime = RaptorRuntime()
+                fast = select_context(TruncatedContext(
+                    FPFormat(8, man_bits), runtime=RaptorRuntime(), module="eos",
+                    count_ops=False, track_memory=False), "fast")
+                if not (counted.ledger and getattr(fast, "fused_trunc", False)):
+                    failures.append(f"{label}: contexts not on the counted / fast planes")
+                    continue
+                want = invert_energy(table, rho, target, temp * 1.5, config, src)
+                replays.clear()
+                for plane, ctx in (("counted", counted), ("fast", fast)):
+                    got = invert_energy(table, rho, target, temp * 1.5, config, ctx)
+                    if not (np.array_equal(got.temperature.view(np.uint64),
+                                           want.temperature.view(np.uint64))
+                            and (got.iterations, got.converged, got.residual_history)
+                            == (want.iterations, want.converged, want.residual_history)):
+                        failures.append(f"{label}: {plane} plane result differs")
+                if counted.runtime.snapshot() != src.runtime.snapshot():
+                    failures.append(f"{label}: counted runtime snapshot differs")
+                replayed.append(bool(replays))
+    finally:
+        newton._replay_tail = real
+    if not (any(replayed) and not all(replayed)):
+        failures.append("newton: the cases do not cover both a replayed and an iterated tail")
+    return failures
+
+
 def main() -> int:
     from repro.kernels.scratch import bubble_plane_enabled, scratch_enabled
 
@@ -377,6 +445,7 @@ def main() -> int:
         failures.extend(_diff_grid_plane(label, config))
     failures.extend(_diff_bubble_planes())
     failures.extend(_diff_counted_planes())
+    failures.extend(_diff_newton_planes())
 
     if failures:
         print("FAIL: fast plane is not bit-identical to the instrumented plane")
@@ -393,7 +462,9 @@ def main() -> int:
         "rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated; counting runs, "
         "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
-        "searches bitwise identical with byte-identical counters on the counted plane"
+        "searches bitwise identical with byte-identical counters on the counted plane; "
+        "Newton EOS inversions (e8m7-e8m40, relaxation 1.0/0.7) bitwise identical on "
+        "the fast truncating and counted planes, cycling tails replayed"
     )
     return 0
 
