@@ -23,6 +23,7 @@ from .fpformat import FPFormat
 __all__ = [
     "RoundingMode",
     "quantize",
+    "quantize_into",
     "quantize_like",
     "is_representable",
     "ulp",
@@ -133,6 +134,156 @@ def quantize_rne_bits(
     return out
 
 
+#: per-format scalar cache: (exp_bits, man_bits) -> (emin, man_bits, max_value)
+#: — the FPFormat properties recompute these from the bias on every access,
+#: which is measurable at quantise-per-op call rates
+_FMT_CACHE: Dict[Tuple[int, int], Tuple[int, int, float]] = {}
+
+
+def _fmt_scalars(fmt: FPFormat) -> Tuple[int, int, float]:
+    key = (fmt.exp_bits, fmt.man_bits)
+    v = _FMT_CACHE.get(key)
+    if v is None:
+        v = (fmt.emin, fmt.man_bits, fmt.max_value)
+        _FMT_CACHE[key] = v
+    return v
+
+
+#: scratch key family of the :func:`quantize_into` intermediates — no
+#: quantisation scratch survives a call, so one family serves every caller
+_QZ = "qz"
+
+
+def _fresh(key, shape, dtype=np.float64) -> np.ndarray:
+    return np.empty(shape, np.dtype(dtype))
+
+
+def quantize_into(
+    arr: ArrayLike,
+    fmt: FPFormat,
+    rounding: str = RoundingMode.NEAREST_EVEN,
+    ws=None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Round ``arr`` to ``fmt`` into ``out``, with optional scratch buffers.
+
+    ``out`` may be ``arr`` itself (the hot in-place case: all reads of
+    ``arr`` precede the single masked write) or any non-overlapping array;
+    ``None`` allocates a fresh result.  ``ws`` is anything with an
+    ``out(key, shape, dtype)`` method returning a buffer (a
+    :class:`~repro.kernels.scratch.Workspace`), or ``None`` for fresh
+    intermediates.
+
+    Round-to-nearest-even first tries the bit-level fast path of
+    :func:`quantize_rne_bits`.  The general path decomposes, rounds and
+    recomposes **all** lanes: every step is element-wise, so each finite
+    non-zero lane gets its own rounding, and the non-finite and zero lanes
+    are restored from ``arr`` at the end.
+    """
+    if rounding not in RoundingMode.ALL:
+        raise ValueError(f"unknown rounding mode: {rounding!r}")
+    arr = np.asarray(arr, dtype=np.float64)
+    shp = arr.shape
+    if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
+        if out is None:
+            return arr.copy()
+        if out is not arr:
+            np.copyto(out, arr)
+        return out
+
+    # frexp/ldexp need real out arrays: the chain reads them back
+    o = _fresh if ws is None else ws.out
+    if rounding == RoundingMode.NEAREST_EVEN:
+        fast = quantize_rne_bits(arr, fmt, out=out, scratch=o((_QZ, "bits"), shp, np.uint64))
+        if fast is not None:
+            return fast
+    fmt_emin, fmt_man_bits, fmt_max_value = _fmt_scalars(fmt)
+    finite = np.isfinite(arr, out=o((_QZ, "fin"), shp, bool))
+    mask = np.not_equal(arr, 0.0, out=o((_QZ, "msk"), shp, bool))
+    np.logical_and(finite, mask, out=finite)
+    if not finite.any():
+        if out is None:
+            return arr.copy()
+        if out is not arr:
+            np.copyto(out, arr)
+        return out
+
+    sign = np.signbit(arr, out=o((_QZ, "sgn"), shp, bool))
+    mag = np.abs(arr, out=o((_QZ, "mag"), shp))
+
+    # The formulas run on non-finite lanes too (restored below), and
+    # rounding up near the largest binary64 overflows ldexp; silence both:
+    # the overflow is the rounding's real result, handled below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |x| = m * 2**e with m in [0.5, 1): the leading significand bit
+        # has unbiased exponent E = e - 1
+        m = o((_QZ, "m"), shp)
+        e = o((_QZ, "e"), shp, np.int32)
+        np.frexp(mag, m, e)
+        E = np.subtract(e, 1, out=e)
+        # effective precision: man_bits fraction bits for normals; values
+        # below emin lose one bit per binade (gradual underflow)
+        prec = np.subtract(fmt_emin, E, out=o((_QZ, "p"), shp, np.int32))
+        np.maximum(prec, 0, out=prec)
+        np.subtract(fmt_man_bits, prec, out=prec)
+        # scale so the last retained fraction bit sits at the units place
+        p1 = np.add(prec, 1, out=o((_QZ, "p1"), shp, np.int32))
+        scaled = np.ldexp(m, p1, out=m)
+        if rounding == RoundingMode.NEAREST_EVEN:
+            rounded = np.rint(scaled, out=scaled)
+        elif rounding == RoundingMode.TOWARD_ZERO:
+            rounded = np.trunc(scaled, out=scaled)
+        elif rounding == RoundingMode.UP:
+            other = np.floor(scaled, out=o((_QZ, "aux"), shp))
+            rounded = np.ceil(scaled, out=scaled)
+            np.copyto(rounded, other, where=sign)
+        else:  # DOWN
+            other = np.ceil(scaled, out=o((_QZ, "aux"), shp))
+            rounded = np.floor(scaled, out=scaled)
+            np.copyto(rounded, other, where=sign)
+        expo = np.subtract(E, prec, out=E)
+        q = np.ldexp(rounded, expo, out=rounded)
+        neg = np.negative(q, out=o((_QZ, "aux"), shp))
+        np.copyto(q, neg, where=sign)
+
+        # overflow: beyond the largest finite value lies ±inf under nearest
+        # and away-from-zero directions, the clamp under toward-zero (as in
+        # IEEE-754 / MPFR)
+        absq = np.abs(q, out=o((_QZ, "aux"), shp))
+        over = np.greater(absq, fmt_max_value, out=mask)
+        if over.any():
+            if rounding == RoundingMode.TOWARD_ZERO:
+                clamp = np.copysign(fmt_max_value, q, out=absq)
+                np.copyto(q, clamp, where=over)
+            elif rounding == RoundingMode.UP:
+                pos = np.logical_not(sign, out=o((_QZ, "b2"), shp, bool))
+                np.logical_and(over, pos, out=pos)
+                np.copyto(q, np.inf, where=pos)
+                np.logical_and(over, sign, out=over)
+                np.copyto(q, -fmt_max_value, where=over)
+            elif rounding == RoundingMode.DOWN:
+                neg_over = np.logical_and(over, sign, out=o((_QZ, "b2"), shp, bool))
+                np.copyto(q, -np.inf, where=neg_over)
+                pos = np.logical_not(sign, out=o((_QZ, "b3"), shp, bool))
+                np.logical_and(over, pos, out=pos)
+                np.copyto(q, fmt_max_value, where=pos)
+            else:
+                clamp = np.copysign(np.inf, q, out=absq)
+                np.copyto(q, clamp, where=over)
+
+        # values that underflowed to zero keep their sign
+        zero = np.equal(q, 0.0, out=mask)
+        np.logical_and(zero, sign, out=zero)
+        np.copyto(q, -0.0, where=zero)
+
+    if out is None:
+        out = arr.copy()
+    elif out is not arr:
+        np.copyto(out, arr)
+    np.copyto(out, q, where=finite)
+    return out
+
+
 def quantize(
     x: ArrayLike,
     fmt: FPFormat,
@@ -152,76 +303,12 @@ def quantize(
     Returns
     -------
     numpy.ndarray
-        Array of binary64 values, every element exactly representable in
-        ``fmt`` (or ±inf on overflow, NaN propagated).  Scalars come back as
-        0-d arrays; use ``float(...)`` if a Python float is needed.
+        A fresh array of binary64 values, every element exactly
+        representable in ``fmt`` (or ±inf on overflow, NaN propagated).
+        Scalars come back as 0-d arrays; use ``float(...)`` if a Python
+        float is needed.  The unbuffered form of :func:`quantize_into`.
     """
-    if rounding not in RoundingMode.ALL:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
-
-    arr = np.asarray(x, dtype=np.float64)
-    if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
-        return arr.copy()
-    if rounding == RoundingMode.NEAREST_EVEN:
-        fast = quantize_rne_bits(arr, fmt)
-        if fast is not None:
-            return fast
-
-    out = arr.copy()
-    finite = np.isfinite(arr) & (arr != 0.0)
-    if not np.any(finite):
-        return out
-
-    vals = arr[finite]
-    sign = np.signbit(vals)
-    mag = np.abs(vals)
-
-    # Decompose |x| = m * 2**e with m in [0.5, 1).  The unbiased exponent of
-    # the leading significand bit is then E = e - 1 and the significand is
-    # s = 2*m in [1, 2).
-    m, e = np.frexp(mag)
-    E = e - 1
-
-    # Effective precision: man_bits fraction bits for normals; values whose
-    # exponent falls below emin lose one bit per binade (gradual underflow).
-    prec = fmt.man_bits - np.maximum(fmt.emin - E, 0)
-
-    # Scale so the last retained fraction bit sits at the units place:
-    # scaled = s * 2**prec = m * 2**(prec + 1).
-    scaled = np.ldexp(m, prec + 1)
-    if rounding == RoundingMode.NEAREST_EVEN:
-        rounded = np.rint(scaled)
-    elif rounding == RoundingMode.TOWARD_ZERO:
-        rounded = np.trunc(scaled)
-    elif rounding == RoundingMode.UP:
-        rounded = np.where(sign, np.floor(scaled), np.ceil(scaled))
-    else:  # DOWN
-        rounded = np.where(sign, np.ceil(scaled), np.floor(scaled))
-
-    q = np.ldexp(rounded, E - prec)
-    q = np.where(sign, -q, q)
-
-    # Overflow handling: magnitudes beyond the largest finite value become
-    # ±inf under nearest/away-from-zero directions, and are clamped to the
-    # largest finite value under toward-zero (as in IEEE-754 / MPFR).
-    over = np.abs(q) > fmt.max_value
-    if np.any(over):
-        if rounding == RoundingMode.TOWARD_ZERO:
-            q = np.where(over, np.copysign(fmt.max_value, q), q)
-        elif rounding == RoundingMode.UP:
-            q = np.where(over & ~sign, np.inf, q)
-            q = np.where(over & sign, -fmt.max_value, q)
-        elif rounding == RoundingMode.DOWN:
-            q = np.where(over & sign, -np.inf, q)
-            q = np.where(over & ~sign, fmt.max_value, q)
-        else:
-            q = np.where(over, np.copysign(np.inf, q), q)
-
-    # Preserve the sign of values that underflowed to zero.
-    q = np.where((q == 0.0) & sign, -0.0, q)
-
-    out[finite] = q
-    return out
+    return quantize_into(x, fmt, rounding)
 
 
 def quantize_like(x: ArrayLike, fmt: FPFormat, template: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import eos as keos
-from ..kernels.ledger import fused_kind, ledger_for
+from ..kernels.ledger import fused_kind, fused_rounder, ledger_for
 from .table import DERIVATIVE_EPS, HelmholtzTable
 
 __all__ = ["NewtonSolverConfig", "NewtonResult", "invert_energy"]
@@ -134,7 +134,7 @@ def invert_energy(
     fused = fused_kind(ctx) is not None
     if fused:
         steps = keos.NewtonSteps(
-            table, rho, energy_target, cfg.relaxation, keos.rounder(ctx), DERIVATIVE_EPS
+            table, rho, energy_target, cfg.relaxation, fused_rounder(ctx), DERIVATIVE_EPS
         )
         residual_of, update_of = steps.residual, steps.update
         const, plain = steps.const, steps.plain

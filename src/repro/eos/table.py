@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import eos as keos
-from ..kernels.ledger import fused_kind, replay_fused
+from ..kernels.ledger import fused_kind, fused_rounder, replay_fused
 
 __all__ = ["HelmholtzTable", "DERIVATIVE_EPS"]
 
@@ -111,7 +111,7 @@ class HelmholtzTable:
             )
         if fused_kind(ctx) is not None:
             return keos.bilinear(
-                self, table, ctx.asplain(rho), ctx.asplain(temp), keos.rounder(ctx)
+                self, table, ctx.asplain(rho), ctx.asplain(temp), fused_rounder(ctx)
             )
         log_rho = np.log10(np.maximum(ctx.asplain(rho), 10.0 ** self.log_rho[0]))
         log_temp = np.log10(np.maximum(ctx.asplain(temp), 10.0 ** self.log_temp[0]))

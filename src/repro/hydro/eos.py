@@ -5,11 +5,11 @@ the truncation experiments exactly like the rest of the solver (it is one of
 the modules the paper truncates selectively in the Cellular study; for the
 Sedov/Sod hydro experiments the ideal-gas EOS below is used).
 
-When the supplied context is on the fused binary64 fast plane
-(``ctx.fused``), every helper dispatches to its straight-line numpy twin in
-:mod:`repro.kernels.flux` — bit-identical values, zero per-op dispatch; on
-the fused truncating plane (``ctx.fused_trunc``) it dispatches to the
-quantize-at-op-boundary twin in :mod:`repro.kernels.trunc`.
+When the supplied context is on a fused fast plane (``ctx.fused`` or
+``ctx.fused_trunc``), every helper dispatches to its straight-line numpy
+twin in :mod:`repro.kernels.flux`, run with the context's rounder
+(:func:`~repro.kernels.trunc.plane_rounder`) — bit-identical values, zero
+per-op dispatch.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..kernels import FPContext, FullPrecisionContext
 from ..kernels import flux as _fused_flux
-from ..kernels import trunc as _trunc_flux
+from ..kernels.trunc import plane_rounder
 
 __all__ = ["GammaLawEOS"]
 
@@ -52,13 +52,10 @@ class GammaLawEOS:
     # ------------------------------------------------------------------
     def pressure_from_internal_energy(self, dens, eint, ctx: Optional[FPContext] = None):
         """p = (gamma - 1) * rho * e_int (with the pressure floor applied)."""
-        if getattr(ctx, "fused", False):
+        q = plane_rounder(ctx)
+        if q is not None:
             return _fused_flux.eos_pressure_from_internal_energy(
-                dens, eint, self.gamma, self.pressure_floor
-            )
-        if getattr(ctx, "fused_trunc", False):
-            return _trunc_flux.eos_pressure_from_internal_energy(
-                dens, eint, self.gamma, self.pressure_floor, fmt=ctx.fmt, rounding=ctx.rounding
+                dens, eint, self.gamma, self.pressure_floor, q=q
             )
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         pres = ctx.mul(ctx.const(self.gamma - 1.0), ctx.mul(dens, eint, "eos:rho_e"), "eos:pres")
@@ -66,36 +63,27 @@ class GammaLawEOS:
 
     def internal_energy_from_pressure(self, dens, pres, ctx: Optional[FPContext] = None):
         """e_int = p / ((gamma - 1) rho)."""
-        if getattr(ctx, "fused", False):
-            return _fused_flux.eos_internal_energy(dens, pres, self.gamma)
-        if getattr(ctx, "fused_trunc", False):
-            return _trunc_flux.eos_internal_energy(
-                dens, pres, self.gamma, fmt=ctx.fmt, rounding=ctx.rounding
-            )
+        q = plane_rounder(ctx)
+        if q is not None:
+            return _fused_flux.eos_internal_energy(dens, pres, self.gamma, q=q)
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         denom = ctx.mul(ctx.const(self.gamma - 1.0), dens, "eos:gm1_rho")
         return ctx.div(pres, denom, "eos:eint")
 
     def sound_speed(self, dens, pres, ctx: Optional[FPContext] = None):
         """c = sqrt(gamma * p / rho)."""
-        if getattr(ctx, "fused", False):
-            return _fused_flux.eos_sound_speed(dens, pres, self.gamma)
-        if getattr(ctx, "fused_trunc", False):
-            return _trunc_flux.eos_sound_speed(
-                dens, pres, self.gamma, fmt=ctx.fmt, rounding=ctx.rounding
-            )
+        q = plane_rounder(ctx)
+        if q is not None:
+            return _fused_flux.eos_sound_speed(dens, pres, self.gamma, q=q)
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         ratio = ctx.div(ctx.mul(ctx.const(self.gamma), pres, "eos:gp"), dens, "eos:gp_rho")
         return ctx.sqrt(ratio, "eos:cs")
 
     def total_energy(self, dens, velx, vely, pres, ctx: Optional[FPContext] = None):
         """Total energy density E = rho e_int + 0.5 rho (u^2 + v^2)."""
-        if getattr(ctx, "fused", False):
-            return _fused_flux.eos_total_energy(dens, velx, vely, pres, self.gamma)
-        if getattr(ctx, "fused_trunc", False):
-            return _trunc_flux.eos_total_energy(
-                dens, velx, vely, pres, self.gamma, fmt=ctx.fmt, rounding=ctx.rounding
-            )
+        q = plane_rounder(ctx)
+        if q is not None:
+            return _fused_flux.eos_total_energy(dens, velx, vely, pres, self.gamma, q=q)
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         eint = self.internal_energy_from_pressure(dens, pres, ctx)
         ke = ctx.mul(
@@ -111,14 +99,10 @@ class GammaLawEOS:
 
     def pressure_from_total_energy(self, dens, momx, momy, ener, ctx: Optional[FPContext] = None):
         """Recover pressure from conserved variables (with floors)."""
-        if getattr(ctx, "fused", False):
+        q = plane_rounder(ctx)
+        if q is not None:
             return _fused_flux.eos_pressure_from_total_energy(
-                dens, momx, momy, ener, self.gamma, self.pressure_floor, self.density_floor
-            )
-        if getattr(ctx, "fused_trunc", False):
-            return _trunc_flux.eos_pressure_from_total_energy(
-                dens, momx, momy, ener, self.gamma, self.pressure_floor, self.density_floor,
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                dens, momx, momy, ener, self.gamma, self.pressure_floor, self.density_floor, q=q
             )
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         dens_f = ctx.maximum(dens, ctx.const(self.density_floor), "eos:rho_floor")

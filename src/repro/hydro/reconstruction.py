@@ -15,12 +15,11 @@ All arithmetic is expressed through the numerics context obtained from the
 kernel-plane layer (:mod:`repro.kernels`), so the reconstruction stage can
 be truncated, shadow-tracked (mem-mode "Recon" module of Table 2) or
 excluded, independently of the other solver stages.  When the active
-context is on the fused binary64 fast plane (``ctx.fused``),
+context is on a fused fast plane (``ctx.fused`` or ``ctx.fused_trunc``),
 :func:`reconstruct` dispatches to the pre-fused numpy stencils of
-:mod:`repro.kernels.fused` instead of the op-by-op path — bit-identical
-results, zero per-op dispatch; on the fused truncating plane
-(``ctx.fused_trunc``) it dispatches to the quantize-at-op-boundary
-stencils of :mod:`repro.kernels.trunc`.
+:mod:`repro.kernels.fused` instead of the op-by-op path, run with the
+context's rounder (:func:`~repro.kernels.trunc.plane_rounder`) —
+bit-identical results, zero per-op dispatch.
 
 The functions operate on 2-D block arrays including guard cells along the
 sweep axis and return the left/right states at the ``n+1`` interior faces.
@@ -29,7 +28,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..kernels import FPContext, fused, trunc
+from ..kernels import FPContext, fused
+from ..kernels.trunc import plane_rounder
 
 __all__ = ["reconstruct", "SCHEMES"]
 
@@ -205,11 +205,14 @@ def reconstruct(
     scheme:
         "pcm", "plm" or "weno5".
 
-    The fused branches serve direct callers holding a fast-plane context;
-    the hydro solver's own fast paths never reach them (``advance_block``
-    short-circuits into :func:`repro.kernels.flux.advance` /
-    :func:`repro.kernels.trunc.advance`, which invoke the fused stencils
-    with workspace-threaded scratch keys themselves).
+    The fused branch serves direct callers holding a fast-plane context
+    (``ctx.fused`` or ``ctx.fused_trunc``): one stencil of
+    :mod:`repro.kernels.fused`, run with the context's rounder.  Counted
+    contexts take the op-by-op path here, so every op is counted.  The
+    hydro solver's own fused paths never reach this branch
+    (``advance_block`` short-circuits into
+    :func:`repro.kernels.flux.advance`, which invokes the stencils with
+    workspace-threaded scratch keys itself).
     """
     try:
         fn = SCHEMES[scheme]
@@ -219,10 +222,7 @@ def reconstruct(
         raise ValueError("weno5 needs at least 3 guard cells")
     if scheme == "plm" and ng < 2:
         raise ValueError("plm needs at least 2 guard cells")
-    if getattr(ctx, "fused", False):
-        return fused.FUSED_SCHEMES[scheme](u, axis, ng, n_faces_minus_1)
-    if getattr(ctx, "fused_trunc", False):
-        return trunc.TRUNC_SCHEMES[scheme](
-            u, axis, ng, n_faces_minus_1, fmt=ctx.fmt, rounding=ctx.rounding
-        )
+    q = plane_rounder(ctx)
+    if q is not None:
+        return fused.FUSED_SCHEMES[scheme](u, axis, ng, n_faces_minus_1, q=q)
     return fn(u, axis, ng, n_faces_minus_1, ctx)

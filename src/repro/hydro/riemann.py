@@ -9,11 +9,11 @@ through the numerics context.
 Three solvers are provided: ``hll`` (Davis wave-speed estimates), ``hlle``
 (the Einfeldt variant — Roe-averaged wave speeds on the same HLL
 combination) and ``hllc`` (restores the contact wave).  When the active
-context is on the fused binary64 fast plane (``ctx.fused``), each solver
-dispatches to its pre-fused straight-line twin in
-:mod:`repro.kernels.flux` — bit-identical results, zero per-op dispatch;
-on the fused truncating plane (``ctx.fused_trunc``) it dispatches to the
-quantize-at-op-boundary twin in :mod:`repro.kernels.trunc`.
+context is on a fused fast plane (``ctx.fused`` or ``ctx.fused_trunc``),
+each solver dispatches to its pre-fused straight-line twin in
+:mod:`repro.kernels.flux`, run with the context's rounder
+(:func:`~repro.kernels.trunc.plane_rounder`) — bit-identical results,
+zero per-op dispatch.
 
 States are passed as dictionaries of face arrays with keys ``dens``,
 ``velx``, ``vely``, ``pres`` where ``velx`` denotes the velocity normal to
@@ -27,7 +27,7 @@ from typing import Dict
 
 from ..kernels import FPContext
 from ..kernels import flux as _fused_flux
-from ..kernels import trunc as _trunc_flux
+from ..kernels.trunc import plane_rounder
 from .eos import GammaLawEOS
 
 __all__ = ["euler_flux", "hll_flux", "hllc_flux", "hlle_flux", "SOLVERS"]
@@ -165,30 +165,27 @@ def _hll_from_speeds(sl, sr, left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPC
 
 def hll_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """Harten–Lax–van Leer flux (Davis wave speeds)."""
-    if getattr(ctx, "fused", False):
-        return _fused_flux.hll_flux(left, right, eos.gamma)
-    if getattr(ctx, "fused_trunc", False):
-        return _trunc_flux.hll_flux(left, right, eos.gamma, fmt=ctx.fmt, rounding=ctx.rounding)
+    q = plane_rounder(ctx)
+    if q is not None:
+        return _fused_flux.hll_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)
     return _hll_from_speeds(sl, sr, left, right, eos, ctx)
 
 
 def hlle_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLE flux: the HLL combination with Einfeldt wave speeds."""
-    if getattr(ctx, "fused", False):
-        return _fused_flux.hlle_flux(left, right, eos.gamma)
-    if getattr(ctx, "fused_trunc", False):
-        return _trunc_flux.hlle_flux(left, right, eos.gamma, fmt=ctx.fmt, rounding=ctx.rounding)
+    q = plane_rounder(ctx)
+    if q is not None:
+        return _fused_flux.hlle_flux(left, right, eos.gamma, q=q)
     sl, sr = _einfeldt_wave_speeds(left, right, eos, ctx)
     return _hll_from_speeds(sl, sr, left, right, eos, ctx)
 
 
 def hllc_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLC flux (restores the contact wave missing from HLL)."""
-    if getattr(ctx, "fused", False):
-        return _fused_flux.hllc_flux(left, right, eos.gamma)
-    if getattr(ctx, "fused_trunc", False):
-        return _trunc_flux.hllc_flux(left, right, eos.gamma, fmt=ctx.fmt, rounding=ctx.rounding)
+    q = plane_rounder(ctx)
+    if q is not None:
+        return _fused_flux.hllc_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)
     ul = _conserved(left, eos, ctx)
     ur = _conserved(right, eos, ctx)

@@ -25,8 +25,7 @@ from ..amr.grid import AMRGrid
 from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
-from ..kernels import trunc as trunc_flux
-from ..kernels.ledger import OpLedger, fused_kind, ledger_for
+from ..kernels.ledger import OpLedger, fused_kind, fused_rounder, ledger_for
 from ..kernels.scratch import Workspace, buffer, make_workspace
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
@@ -182,25 +181,24 @@ class HydroSolver:
         interior primitive variables as plain binary64 arrays (the AMR grid
         stores plain arrays regardless of the instrumentation in use).
 
-        On the fused fast plane (``ctx.fused``) the whole update —
-        reconstruct → wave speeds → flux → conserved update — runs through
-        the pre-fused pipeline of :mod:`repro.kernels.flux` without a
-        single context dispatch, bit-identical to the op-by-op path.  On
-        the fused *truncating* plane (``ctx.fused_trunc``) the same
-        pipeline runs through :mod:`repro.kernels.trunc`, quantised at
-        every op boundary — bit-identical to the optimized instrumented
-        truncating path.  A counting context on the counted fused plane
-        (``ctx.ledger``) takes the matching fused pipeline and replays the
-        block's op/byte ledger (:meth:`_block_ledger`) into its runtime —
-        byte-identical counters without a single op-by-op call.
+        On a fused fast plane the whole update — reconstruct → wave
+        speeds → flux → conserved update — runs through the pre-fused
+        pipeline of :mod:`repro.kernels.flux` without a single context
+        dispatch: in binary64 for ``ctx.fused``, rounded at every op
+        boundary for ``ctx.fused_trunc`` (the rounder of
+        :func:`~repro.kernels.ledger.fused_rounder`), bit-identical to the
+        op-by-op path either way.  A counting context on the counted fused
+        plane (``ctx.ledger``) takes the pipeline with the matching
+        rounder and replays the block's op/byte ledger
+        (:meth:`_block_ledger`) into its runtime — byte-identical counters
+        without a single op-by-op call.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        kind = fused_kind(ctx)
-        if kind is not None:
+        if fused_kind(ctx) is not None:
             if getattr(ctx, "ledger", False):
                 self._block_ledger(block, ctx).replay(ctx.runtime)
             prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused_kind(kind, prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
+            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -272,10 +270,12 @@ class HydroSolver:
             "pres": update_ctx.asplain(new_pres),
         }
 
-    def _advance_fused(self, prims, dt: float, dx, dy,
-                       ng: int, nxb: int, nyb: int) -> Dict[str, np.ndarray]:
-        """The fully fused block (or block-stack) update of the fast plane;
-        ``dx``/``dy`` are scalars or per-block arrays of a stack."""
+    def _advance_fused(self, prims, dt: float, dx, dy, ng: int, nxb: int, nyb: int,
+                       ctx: Optional[FPContext] = None) -> Dict[str, np.ndarray]:
+        """The fully fused block (or block-stack) update, with the rounder
+        of the fused twin ``ctx`` runs (truncating, or binary64 — also for
+        ``ctx=None``); ``dx``/``dy`` are scalars or per-block arrays of a
+        stack."""
         return fused_flux.advance(
             prims, dt, dx, dy, ng, nxb, nyb,
             scheme=self.reconstruction,
@@ -285,30 +285,8 @@ class HydroSolver:
             pres_floor=self.eos.pressure_floor,
             gravity=self.gravity,
             ws=self._workspace,
+            q=fused_rounder(ctx, self._workspace),
         )
-
-    def _advance_fused_trunc(self, prims, dt: float, dx, dy,
-                             ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
-        """The fully fused truncating block (or block-stack) update."""
-        return trunc_flux.advance(
-            prims, dt, dx, dy, ng, nxb, nyb,
-            scheme=self.reconstruction,
-            solver=self.riemann,
-            gamma=self.eos.gamma,
-            dens_floor=self.eos.density_floor,
-            pres_floor=self.eos.pressure_floor,
-            gravity=self.gravity,
-            fmt=ctx.fmt,
-            rounding=ctx.rounding,
-            ws=self._workspace,
-        )
-
-    def _advance_fused_kind(self, kind: str, prims, dt: float, dx, dy,
-                            ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
-        """Dispatch to the binary64 (``"b64"``) or truncating fused update."""
-        if kind == "trunc":
-            return self._advance_fused_trunc(prims, dt, dx, dy, ng, nxb, nyb, ctx)
-        return self._advance_fused(prims, dt, dx, dy, ng, nxb, nyb)
 
     def _block_ledger(self, block, ctx: FPContext) -> OpLedger:
         """The counters one update of a ``block``-shaped block charges
@@ -400,9 +378,7 @@ class HydroSolver:
         Each slot gets its own ``dx``/``dy`` as a ``(nblocks, 1, 1)``
         array — block bounds make the spacing differ in the last bit even
         within a level on non-dyadic root grids.  ``ctx`` is the (shared)
-        context of the group: a truncating fast-plane context routes the
-        stack through the fused truncating pipeline, anything else through
-        the binary64 one.  A counted context replays its per-block ledger
+        context of the group, which picks the pipeline's rounder.  A counted context replays its per-block ledger
         once per stacked block, so scalar and broadcast operands are
         charged per block exactly as on the per-block instrumented path.
         """
@@ -415,9 +391,7 @@ class HydroSolver:
         dy = plan.dy[group].reshape(-1, 1, 1)
         if getattr(ctx, "ledger", False):
             self._block_ledger(first, ctx).replay(ctx.runtime, times=len(group))
-        new = self._advance_fused_kind(
-            fused_kind(ctx), prims, dt, dx, dy, first.ng, first.nxb, first.nyb, ctx
-        )
+        new = self._advance_fused(prims, dt, dx, dy, first.ng, first.nxb, first.nyb, ctx)
         grid.scatter_interior(PRIMITIVE_VARS, slots, [new[name] for name in PRIMITIVE_VARS])
 
     def _conserved(self, prims: np.ndarray) -> Dict[str, np.ndarray]:

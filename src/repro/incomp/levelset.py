@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import bubble as kbubble
+from ..kernels.trunc import plane_rounder
 
 __all__ = ["LevelSet", "circle_level_set", "interface_level_map", "upwind_derivative"]
 
@@ -199,15 +200,10 @@ class LevelSet:
     ) -> None:
         """Advance phi by one advection step ``phi_t + u . grad(phi) = 0``."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        if self._fused and ctx.fused:
+        q = plane_rounder(ctx, self._ws) if self._fused else None
+        if q is not None:
             self.phi = kbubble.levelset_advect(
-                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv")
-            )
-            return
-        if self._fused and ctx.fused_trunc:
-            self.phi = kbubble.levelset_advect_trunc(
-                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws,
-                key=("ls", "adv"), fmt=ctx.fmt, rounding=ctx.rounding,
+                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv"), q=q
             )
             return
         phi = ctx.const(self.phi)

@@ -30,7 +30,7 @@ from ..kernels import FPContext, FullPrecisionContext, select_context
 from ..kernels import bubble as kbubble
 from ..kernels.fused import weno5_edge as _fused_weno5_edge
 from ..kernels.ledger import replay_fused
-from ..kernels.trunc import weno5_edge as _trunc_weno5_edge
+from ..kernels.trunc import plane_rounder
 from ..kernels.grid import pad_edge
 from ..kernels.scratch import bubble_plane_enabled, make_workspace
 from .levelset import LevelSet, circle_level_set, upwind_derivative
@@ -145,6 +145,12 @@ class BubbleSolver:
         """
         return pad_edge(f, n, ws=self._workspace, key=("pad", key))
 
+    def _rounder(self, ctx: FPContext):
+        """The rounder the fused bubble operators run with under ``ctx``
+        (:func:`~repro.kernels.trunc.plane_rounder`), or None when ``ctx``
+        evaluates op by op or the fused bubble plane is off."""
+        return plane_rounder(ctx, self._workspace) if self._fused_bubble else None
+
     # ------------------------------------------------------------------
     # differential operators (these are the truncation targets)
     # ------------------------------------------------------------------
@@ -159,14 +165,10 @@ class BubbleSolver:
         ``ctx`` (which keeps instrumented counters byte-identical).
         """
         padded = self._pad(f, 3, "weno")
-        if self._fused_bubble and ctx.fused:
+        q = plane_rounder(ctx, self._workspace)
+        if q is not None and self._fused_bubble:
             return kbubble.weno5_derivative(
-                padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis)
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.weno5_derivative_trunc(
-                padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis), q=q
             )
 
         def cells(offset):
@@ -177,18 +179,12 @@ class BubbleSolver:
         um3, um2, um1 = cells(-3), cells(-2), cells(-1)
         u0, up1, up2, up3 = cells(0), cells(1), cells(2), cells(3)
 
-        if getattr(ctx, "fused", False):
+        if q is not None:
             # each call site gets its own scratch key: all four edge values
             # stay live until the upwind selection below
             ws = self._workspace
             edge = lambda a, b, c, d, e, k: _fused_weno5_edge(
-                a, b, c, d, e, ws=ws, key=("adv", axis, k)
-            )
-        elif getattr(ctx, "fused_trunc", False):
-            ws = self._workspace
-            edge = lambda a, b, c, d, e, k: _trunc_weno5_edge(
-                a, b, c, d, e, ws=ws, key=("adv", axis, k),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                a, b, c, d, e, ws=ws, key=("adv", axis, k), q=q
             )
         else:
             edge = lambda a, b, c, d, e, k: _weno5_edge(a, b, c, d, e, ctx)
@@ -210,16 +206,11 @@ class BubbleSolver:
 
     def _upwind_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext, which: str = "f"):
         padded = self._pad(f, 1, "upwind")
-        if self._fused_bubble and ctx.fused:
+        q = self._rounder(ctx)
+        if q is not None:
             return kbubble.upwind_derivative(
                 f, vel, spacing, axis, "edge", padded,
-                ws=self._workspace, key=("uadv", which, axis),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.upwind_derivative_trunc(
-                f, vel, spacing, axis, "edge", padded,
-                ws=self._workspace, key=("uadv", which, axis),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                ws=self._workspace, key=("uadv", which, axis), q=q,
             )
         return upwind_derivative(f, vel, spacing, axis, ctx, boundary="edge", padded=padded)
 
@@ -248,29 +239,16 @@ class BubbleSolver:
             ("advection", self.config.advection_scheme, f.shape, which), ctx,
             lambda twin: self.advection_term(f, twin, which),
         )
-        if (
-            self._fused_bubble
-            and self.config.advection_scheme == "weno5"
-            and (ctx.fused or ctx.fused_trunc)
-        ):
+        q = self._rounder(ctx)
+        if q is not None and self.config.advection_scheme == "weno5":
             cfg = self.config
             ws = self._workspace
             padded = self._pad(f, 3, "weno")
-            if ctx.fused:
-                fx, fy = kbubble.weno5_derivative_pair(
-                    padded, self.velx, self.vely, cfg.dx, cfg.dy,
-                    ws=ws, key=("adv", which),
-                )
-                return kbubble.advection_term(
-                    fx, fy, self.velx, self.vely, ws=ws, key=("adv", which)
-                )
-            fx, fy = kbubble.weno5_derivative_pair_trunc(
-                padded, self.velx, self.vely, cfg.dx, cfg.dy,
-                ws=ws, key=("adv", which), fmt=ctx.fmt, rounding=ctx.rounding,
+            fx, fy = kbubble.weno5_derivative_pair(
+                padded, self.velx, self.vely, cfg.dx, cfg.dy, ws=ws, key=("adv", which), q=q,
             )
-            return kbubble.advection_term_trunc(
-                fx, fy, self.velx, self.vely, ws=ws, key=("adv", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+            return kbubble.advection_term(
+                fx, fy, self.velx, self.vely, ws=ws, key=("adv", which), q=q
             )
         deriv = (
             self._weno5_derivative
@@ -279,14 +257,9 @@ class BubbleSolver:
         )
         fx = deriv(f, self.velx, self.config.dx, 0, ctx, which)
         fy = deriv(f, self.vely, self.config.dy, 1, ctx, which)
-        if self._fused_bubble and ctx.fused:
+        if q is not None:
             return kbubble.advection_term(
-                fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which)
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.advection_term_trunc(
-                fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which), q=q
             )
         out = ctx.add(
             ctx.mul(ctx.const(self.velx), fx, "adv:u_fx"),
@@ -304,16 +277,11 @@ class BubbleSolver:
         cfg = self.config
         fp = self._pad(f, 1, "diff_f")
         nup = self._pad(viscosity, 1, "diff_nu")
-        if self._fused_bubble and ctx.fused:
+        q = self._rounder(ctx)
+        if q is not None:
             return kbubble.diffusion_term(
                 f, viscosity, fp, nup, cfg.dx, cfg.dy,
-                ws=self._workspace, key=("diff", which),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.diffusion_term_trunc(
-                f, viscosity, fp, nup, cfg.dx, cfg.dy,
-                ws=self._workspace, key=("diff", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                ws=self._workspace, key=("diff", which), q=q,
             )
 
         def shifted(arr, di, dj):
@@ -501,18 +469,13 @@ class BubbleSolver:
     def _advect_levelset(self, ctx: FPContext) -> np.ndarray:
         ctx = self._counted(("levelset", self.levelset.phi.shape), ctx, self._advect_levelset)
         cfg = self.config
-        if self._fused_bubble and ctx.fused:
-            # the twins read phi and return a fresh array, so the defensive
+        q = self._rounder(ctx)
+        if q is not None:
+            # the twin reads phi and returns a fresh array, so the defensive
             # LevelSet copy of the op-by-op path is unnecessary
             return kbubble.levelset_advect(
                 self.levelset.phi, self.velx, self.vely, self._pending_dt,
-                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.levelset_advect_trunc(
-                self.levelset.phi, self.velx, self.vely, self._pending_dt,
-                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"), q=q,
             )
         ls = LevelSet(self.levelset.phi, cfg.dx, cfg.dy)
         ls.advect(self.velx, self.vely, self._pending_dt, ctx)

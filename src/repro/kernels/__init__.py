@@ -16,18 +16,23 @@ on:
   non-truncating, non-instrumenting contexts run as plain vectorized
   numpy with zero per-op bookkeeping and (steady-state) zero temporary
   allocation, bit-identical to the instrumented plane, and
-* the **fused truncating fast plane** — :class:`TruncFastPlaneContext`
-  plus the quantize-at-op-boundary kernel twins of
-  :mod:`repro.kernels.trunc`: non-counting truncating contexts run the
-  same fused pipeline with a vectorised quantisation at exactly the op
-  boundaries the instrumented plane rounds at, bit-identical to the
-  optimized op-by-op truncating path, and
+* the **fused truncating fast plane** — :class:`TruncFastPlaneContext`:
+  non-counting truncating contexts run the *same* fused kernels with a
+  :class:`~repro.kernels.trunc.Round` rounder, which quantises every op
+  result at exactly the op boundaries the instrumented plane rounds at,
+  bit-identical to the optimized op-by-op truncating path, and
 * the **counted fused plane** — :class:`LedgerTruncatedContext` /
   :class:`LedgerFullContext` of :mod:`repro.kernels.ledger`: counting
   contexts whose kernels run fused and replay op/byte ledgers (per block,
   per operator call, per Newton iteration) recorded once from the
   instrumented code, so the counters stay byte-identical to the
   instrumented plane.
+
+Every fused kernel is written once, against a rounder ``q``
+(:mod:`repro.kernels.trunc`): :data:`~repro.kernels.trunc.EXACT`, the
+identity, evaluates its binary64 op tree; a ``Round`` rounds each op
+result to a format.  The precision is swapped underneath one physics
+source, as RAPTOR swaps each instruction for an emulated one.
 
 Alongside the context planes, :mod:`repro.kernels.grid` holds the
 context-free *grid* side — the slot-index topology plan that fills guard
@@ -36,11 +41,10 @@ cells with stacked gathers over the AMR block store, and a stacked
 instrumented counters stay byte-identical.
 :mod:`repro.kernels.bubble` does the same for the incompressible bubble
 solver — scratch-buffered twins of its advection/diffusion/level-set/
-projection operators, each truncatable one in a binary64 *and* a
-quantize-at-op-boundary variant — gated by ``RAPTOR_FAST_NO_BUBBLE``
-(:func:`bubble_plane_enabled`).  :mod:`repro.kernels.eos` holds the
-binary64 and truncating twins of the cellular EOS table interpolation and
-Newton steps.
+projection operators, the truncatable ones written against a rounder —
+gated by ``RAPTOR_FAST_NO_BUBBLE`` (:func:`bubble_plane_enabled`).
+:mod:`repro.kernels.eos` holds the rounder-parameterised twins of the
+cellular EOS table interpolation and Newton steps.
 
 Plane selection (:func:`select_context`) is applied centrally by
 :class:`~repro.core.selective.TruncationPolicy`, so every workload honours

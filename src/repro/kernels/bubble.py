@@ -11,25 +11,26 @@ of every hot bubble operator, threading all intermediates through a
 :mod:`repro.kernels.flux` does, gated by ``RAPTOR_FAST_NO_BUBBLE``
 (:func:`~repro.kernels.scratch.bubble_plane_enabled`).
 
-Two families live here:
+Two kinds of operator live here:
 
-* **binary64 fast twins** — dispatched when the active context carries the
-  ``fused`` flag (:class:`~repro.kernels.fast.FastPlaneContext`).  Each
+* **the truncation targets** — the WENO5/upwind advection derivatives,
+  the advection total, diffusion and level-set transport — are written
+  once against a rounder ``q`` (:mod:`repro.kernels.trunc`).  With the
+  default :data:`~repro.kernels.trunc.EXACT` (contexts carrying the
+  ``fused`` flag, :class:`~repro.kernels.fast.FastPlaneContext`) each
   evaluates exactly the same ufuncs on the same operands as its op-by-op
-  twin, so the results are bit-identical.  The context-free operators
-  (Heaviside/delta/material fields, curvature, surface tension, buoyancy,
-  reinitialisation, the :func:`np.gradient` twin of the projection step)
-  never touch a context at all, so — like the grid side — they run
-  on *every* plane when the knob is on and instrumented counters stay
-  byte-identical.
-* **truncating twins** (``*_trunc``) — dispatched on ``fused_trunc``
-  (:class:`~repro.kernels.trunc.TruncFastPlaneContext`).  Built on
-  :func:`~repro.kernels.trunc.quantize_into`, they insert a vectorised
-  quantisation after every arithmetic op — the exact boundaries the
-  optimized :class:`~repro.core.opmode.TruncatedContext` rounds at —
-  while ``where``/comparison/constant fills stay quantise-closed.
-  Constants are computed in binary64 first and quantised once, matching
-  ``TruncatedContext.const``.
+  twin.  With a :class:`~repro.kernels.trunc.Round` (``fused_trunc``,
+  :class:`~repro.kernels.trunc.TruncFastPlaneContext`) every arithmetic
+  result is rounded in place — the exact boundaries the optimized
+  :class:`~repro.core.opmode.TruncatedContext` rounds at — while
+  ``where``/comparison/constant fills stay quantise-closed, and constants
+  are computed in binary64 first and rounded once, matching
+  ``TruncatedContext.const``.  Either way the results are bit-identical.
+* **the context-free operators** (Heaviside/delta/material fields,
+  curvature, surface tension, buoyancy, reinitialisation, the
+  :func:`np.gradient` twin of the projection step) never touch a context
+  at all, so — like the grid side — they run on *every* plane when the
+  knob is on and instrumented counters stay byte-identical.
 
 Boundary subtlety the twins preserve bit-for-bit: the *momentum* upwind
 and WENO5 stencils of ``incomp/solver.py`` are edge-padded (walls), while
@@ -45,8 +46,8 @@ Workspace lifecycle: every function takes ``ws=`` plus a call-site ``key``
 and derives all internal buffer keys from it, so simultaneously-live
 results (``adv_u`` vs ``adv_v``, the truncated and full-precision sides of
 a blended evaluation) never alias as long as call sites pass distinct
-keys; truncating twins additionally prefix their keys with ``"T"`` so a
-blended cell can hold both evaluations at once.  Results that become
+keys; truncating evaluations additionally prefix their keys with ``"T"``
+so a blended cell can hold both evaluations at once.  Results that become
 solver *state* (the advected/reinitialised level set) are fresh
 allocations; everything else, including returned operator fields, lives in
 scratch and is only valid until the same call site runs again.
@@ -57,14 +58,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.fpformat import FPFormat
-from ..core.quantize import RoundingMode
 from . import fused
 from .fused import where
 from .scratch import Workspace, buffer
 from .scratch import out_accessor as _o
-from .trunc import _Q, quantize_into
-from .trunc import weno5_edge as _trunc_weno5_edge
+# ``quantize_into`` stays importable here because perfbench/bench_trace.py
+# wraps it by name; every rounding of these kernels resolves it through
+# ``repro.kernels.trunc``
+from .trunc import EXACT, Exact, quantize_into  # noqa: F401
 
 __all__ = [
     "roll1",
@@ -77,15 +78,11 @@ __all__ = [
     "surface_tension",
     "buoyancy",
     "weno5_derivative",
-    "weno5_derivative_trunc",
+    "weno5_derivative_pair",
     "upwind_derivative",
-    "upwind_derivative_trunc",
     "advection_term",
-    "advection_term_trunc",
     "diffusion_term",
-    "diffusion_term_trunc",
     "levelset_advect",
-    "levelset_advect_trunc",
 ]
 
 
@@ -416,35 +413,25 @@ def _upwind_faces_pair(edges, velx, vely, ws, key):
     return np.subtract(fp, fm, out=fp)
 
 
+def _scoped(key, q):
+    """The scratch keys of an evaluation with rounder ``q``: a truncating
+    one prefixes ``"T"``, so a blended cell can hold the truncated and the
+    full-precision evaluation of one call site at once."""
+    return key if isinstance(q, Exact) else ("T", *key)
+
+
 def weno5_derivative_pair(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray,
                           dx: float, dy: float,
-                          ws: Optional[Workspace] = None, key=()) -> Tuple[np.ndarray, np.ndarray]:
+                          ws: Optional[Workspace] = None, key=(), *,
+                          q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
     """Both momentum-advection WENO5 derivatives (``d f/dx``, ``d f/dy``) of
     one padded field in a single batched ``fused.weno5_edge`` call — row
-    ``a`` of every elementwise intermediate carries exactly the bits of the
-    standalone axis-``a`` :func:`weno5_derivative`."""
+    ``a`` of every elementwise intermediate (and rounding) carries exactly
+    the bits of the standalone axis-``a`` :func:`weno5_derivative`."""
+    key = _scoped(key, q)
     stack = _weno_stack_pair(padded, ws, key)
     edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                             ws=ws, key=(*key, "e"))
-    d = _upwind_faces_pair(edges, velx, vely, ws, key)
-    np.multiply(d[0], 1.0 / dx, out=d[0])
-    np.multiply(d[1], 1.0 / dy, out=d[1])
-    return d[0], d[1]
-
-
-def weno5_derivative_pair_trunc(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                                dx: float, dy: float,
-                                ws: Optional[Workspace] = None, key=(), *,
-                                fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN
-                                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Truncating twin of :func:`weno5_derivative_pair`: quantisation is
-    elementwise, so the batched rows round exactly as the standalone
-    :func:`weno5_derivative_trunc` calls they pack."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    stack = _weno_stack_pair(padded, ws, key)
-    edges = _trunc_weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                              ws=ws, key=(*key, "e"), fmt=fmt, rounding=rounding)
+                             ws=ws, key=(*key, "e"), q=q)
     d = _upwind_faces_pair(edges, velx, vely, ws, key)
     d = q(d)
     np.multiply(d[0], q.const(1.0 / dx), out=d[0])
@@ -454,39 +441,19 @@ def weno5_derivative_pair_trunc(padded: np.ndarray, velx: np.ndarray, vely: np.n
 
 
 def weno5_derivative(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                     ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of ``BubbleSolver._weno5_derivative`` (minus the
-    padding, which the caller supplies): four WENO5 edge reconstructions
-    batched into one stacked ``fused.weno5_edge`` call, upwind face
-    selection, ``(f_plus - f_minus) * (1/spacing)``."""
+                     ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Twin of ``BubbleSolver._weno5_derivative`` (minus the padding, which
+    the caller supplies): four WENO5 edge reconstructions batched into one
+    stacked ``fused.weno5_edge`` call, upwind face selection,
+    ``(f_plus - f_minus) * (1/spacing)`` — rounded after the face
+    difference and the reciprocal-spacing multiply, the boundaries
+    ``adv:face_diff`` / ``adv:weno_deriv`` round at.  Rounding is
+    elementwise, so each batch row rounds exactly as its standalone edge
+    call would."""
+    key = _scoped(key, q)
     stack = _weno_stack(padded, axis, ws, key)
     edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                             ws=ws, key=(*key, "e"))
-    lm, lp, rm, rp = edges[0], edges[1], edges[2], edges[3]
-    o = _o(ws)
-    shp = lm.shape
-    up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
-    fm = where(up, lm, rm, out=o((*key, "fm"), shp))
-    fp = where(up, lp, rp, out=o((*key, "fp"), shp))
-    d = np.subtract(fp, fm, out=fp)
-    return np.multiply(d, 1.0 / spacing, out=d)
-
-
-def weno5_derivative_trunc(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                           ws: Optional[Workspace] = None, key=(), *,
-                           fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin: quantised WENO5 edges (``trunc.weno5_edge``), then
-    quantise after the face difference and the reciprocal-spacing multiply
-    — the boundaries ``adv:face_diff`` / ``adv:weno_deriv`` round at.
-
-    Like the binary64 twin, the four edges are reconstructed in one stacked
-    ``trunc.weno5_edge`` call: quantisation is elementwise, so each batch
-    row rounds exactly as its standalone call would."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    stack = _weno_stack(padded, axis, ws, key)
-    edges = _trunc_weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                              ws=ws, key=(*key, "e"), fmt=fmt, rounding=rounding)
+                             ws=ws, key=(*key, "e"), q=q)
     lm, lp, rm, rp = edges[0], edges[1], edges[2], edges[3]
     o = _o(ws)
     shp = lm.shape
@@ -516,37 +483,19 @@ def _upwind_neighbours(f, axis, boundary, padded, o, key):
 
 def upwind_derivative(f: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
                       boundary: str = "wrap", padded: Optional[np.ndarray] = None,
-                      ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of the shared first-order upwind derivative.
+                      ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Twin of the shared first-order upwind derivative.
 
     ``boundary="edge"`` consumes a caller-supplied edge padding (the
     momentum stencil of ``incomp/solver.py``); ``boundary="wrap"`` rolls
-    periodically (the level-set stencil).  Forward/backward differences are
-    independent per-op computations, so their evaluation order does not
-    affect the bits."""
-    o = _o(ws)
-    shp = f.shape
-    fm, fp = _upwind_neighbours(f, axis, boundary, padded, o, key)
-    inv = 1.0 / spacing
-    bwd = np.subtract(f, fm, out=o((*key, "bwd"), shp))
-    bwd = np.multiply(bwd, inv, out=bwd)
-    fwd = np.subtract(fp, f, out=o((*key, "fwd"), shp))
-    fwd = np.multiply(fwd, inv, out=fwd)
-    up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
-    return where(up, bwd, fwd, out=o((*key, "res"), shp))
-
-
-def upwind_derivative_trunc(f: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                            boundary: str = "wrap", padded: Optional[np.ndarray] = None,
-                            ws: Optional[Workspace] = None, key=(), *,
-                            fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin: quantise after each difference and each
-    reciprocal-spacing multiply (``adv:bwd_diff``/``adv:bwd``/
+    periodically (the level-set stencil).  Rounds after each difference
+    and each reciprocal-spacing multiply (``adv:bwd_diff``/``adv:bwd``/
     ``adv:fwd_diff``/``adv:fwd``); the upwind selection is
     quantise-closed.  Operands stay raw, exactly like the optimized
-    instrumented context."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+    instrumented context.  Forward/backward differences are independent
+    per-op computations, so their evaluation order does not affect the
+    bits."""
+    key = _scoped(key, q)
     o = _o(ws)
     shp = f.shape
     fm, fp = _upwind_neighbours(f, axis, boundary, padded, o, key)
@@ -567,29 +516,19 @@ def upwind_derivative_trunc(f: np.ndarray, vel: np.ndarray, spacing: float, axis
 # the advection total u . grad(f)
 # ---------------------------------------------------------------------------
 def advection_term(fx: np.ndarray, fy: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                   ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 tail of ``BubbleSolver.advection_term``:
-    ``velx * fx + vely * fy``.  ``fx``/``fy`` are derivative results owned
-    by this evaluation and are consumed in place."""
-    t1 = np.multiply(velx, fx, out=fx)
-    t2 = np.multiply(vely, fy, out=fy)
-    return np.add(t1, t2, out=_o(ws)((*key, "res"), t1.shape))
-
-
-def advection_term_trunc(fx: np.ndarray, fy: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                         ws: Optional[Workspace] = None, key=(), *,
-                         fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating tail: the velocities go through ``const`` (an array
-    quantisation, like ``ctx.const(self.velx)``), each product and the sum
-    are quantised (``adv:u_fx``/``adv:v_fy``/``adv:total``)."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+                   ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Tail of ``BubbleSolver.advection_term``: ``velx * fx + vely * fy``.
+    ``fx``/``fy`` are derivative results owned by this evaluation and are
+    consumed in place.  The velocities go through ``q.array`` (like
+    ``ctx.const(self.velx)``), each product and the sum are rounded
+    (``adv:u_fx``/``adv:v_fy``/``adv:total``)."""
+    key = _scoped(key, q)
     o = _o(ws)
     shp = fx.shape
-    qvx = quantize_into(velx, fmt, rounding, ws, out=o((*key, "qvx"), shp))
+    qvx = q.array(velx, out=o((*key, "qvx"), shp))
     t1 = np.multiply(qvx, fx, out=fx)
     t1 = q(t1)
-    qvy = quantize_into(vely, fmt, rounding, ws, out=o((*key, "qvy"), shp))
+    qvy = q.array(vely, out=o((*key, "qvy"), shp))
     t2 = np.multiply(qvy, fy, out=fy)
     t2 = q(t2)
     res = np.add(t1, t2, out=o((*key, "res"), shp))
@@ -607,45 +546,24 @@ def _shifted(arr, di, dj):
 
 
 def diffusion_term(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.ndarray,
-                   dx: float, dy: float, ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of ``BubbleSolver.diffusion_term``: per face,
+                   dx: float, dy: float, ws: Optional[Workspace] = None, key=(), *,
+                   q=EXACT) -> np.ndarray:
+    """Twin of ``BubbleSolver.diffusion_term``: per face,
     ``0.5 * (nu + nu_shifted) * (f_shifted - f) / spacing^2``, accumulated
     over the four faces starting from zeros.  ``fp``/``nup`` are the
-    caller-supplied edge paddings of ``f`` and ``nu``."""
-    o = _o(ws)
-    shp = f.shape
-    acc = o((*key, "res"), shp)
-    if acc is None:
-        acc = np.zeros(shp)
-    else:
-        acc.fill(0.0)
-    for di, dj in _FACES:
-        spacing = dx if dj == 0 else dy
-        s = np.add(nu, _shifted(nup, di, dj), out=o((*key, "t1"), shp))
-        nu_face = np.multiply(0.5, s, out=s)
-        g = np.subtract(_shifted(fp, di, dj), f, out=o((*key, "t2"), shp))
-        g = np.multiply(g, 1.0 / spacing ** 2, out=g)
-        flx = np.multiply(nu_face, g, out=nu_face)
-        acc = np.add(acc, flx, out=acc)
-    return acc
+    caller-supplied edge paddings of ``f`` and ``nu``.
 
-
-def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.ndarray,
-                         dx: float, dy: float, ws: Optional[Workspace] = None, key=(), *,
-                         fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin.  ``const`` boundaries: ``nu``, ``f`` and each
-    shifted padding are array-quantised (the instrumented loop re-quantises
-    ``nu``/``f`` per face, but quantisation is idempotent, so hoisting
-    them is exact); every arithmetic op is quantised
-    (``diff:nu_sum``/``diff:nu_face``/``diff:df``/``diff:grad``/
+    ``nu``, ``f`` and each shifted padding go through ``q.array`` (the
+    instrumented loop re-quantises ``nu``/``f`` per face, but quantisation
+    is idempotent, so hoisting them is exact); every arithmetic op is
+    rounded (``diff:nu_sum``/``diff:nu_face``/``diff:df``/``diff:grad``/
     ``diff:flux``/``diff:accum``), including the first accumulate onto the
     zero field."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+    key = _scoped(key, q)
     o = _o(ws)
     shp = f.shape
-    qnu = quantize_into(nu, fmt, rounding, ws, out=o((*key, "qnu"), shp))
-    qf = quantize_into(f, fmt, rounding, ws, out=o((*key, "qf"), shp))
+    qnu = q.array(nu, out=o((*key, "qnu"), shp))
+    qf = q.array(f, out=o((*key, "qf"), shp))
     half = q.const(0.5)
     acc = o((*key, "res"), shp)
     if acc is None:
@@ -654,12 +572,12 @@ def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.
         acc.fill(0.0)
     for di, dj in _FACES:
         spacing = dx if dj == 0 else dy
-        qns = quantize_into(_shifted(nup, di, dj), fmt, rounding, ws, out=o((*key, "qns"), shp))
+        qns = q.array(_shifted(nup, di, dj), out=o((*key, "qns"), shp))
         s = np.add(qnu, qns, out=o((*key, "t1"), shp))
         s = q(s)
         nu_face = np.multiply(half, s, out=s)
         nu_face = q(nu_face)
-        qfs = quantize_into(_shifted(fp, di, dj), fmt, rounding, ws, out=o((*key, "qfs"), shp))
+        qfs = q.array(_shifted(fp, di, dj), out=o((*key, "qfs"), shp))
         g = np.subtract(qfs, qf, out=o((*key, "t2"), shp))
         g = q(g)
         g = np.multiply(g, q.const(1.0 / spacing ** 2), out=g)
@@ -676,36 +594,19 @@ def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.
 # ---------------------------------------------------------------------------
 def levelset_advect(phi: np.ndarray, velx: np.ndarray, vely: np.ndarray, dt: float,
                     dx: float, dy: float, ws: Optional[Workspace] = None,
-                    key=("lsadv",)) -> np.ndarray:
-    """Binary64 twin of ``LevelSet.advect``:
+                    key=("lsadv",), *, q=EXACT) -> np.ndarray:
+    """Twin of ``LevelSet.advect``:
     ``phi - dt * (velx * dphi/dx + vely * dphi/dy)`` with roll-based upwind
-    derivatives.  Returns a fresh array (it becomes ``LevelSet.phi``)."""
-    dpx = upwind_derivative(phi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0))
-    dpy = upwind_derivative(phi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1))
-    t1 = np.multiply(velx, dpx, out=dpx)
-    t2 = np.multiply(vely, dpy, out=dpy)
-    change = np.add(t1, t2, out=t1)
-    m = np.multiply(dt, change, out=change)
-    return np.subtract(phi, m)
-
-
-def levelset_advect_trunc(phi: np.ndarray, velx: np.ndarray, vely: np.ndarray, dt: float,
-                          dx: float, dy: float, ws: Optional[Workspace] = None,
-                          key=("lsadv",), *, fmt: FPFormat,
-                          rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin of ``LevelSet.advect``: phi goes through ``const``
-    (array quantisation) first; the velocities stay raw operands exactly
-    like the instrumented call sites (``ctx.mul(velx, dpx, ...)``); ``dt``
-    is a per-step scalar, quantised uncached.  Returns a fresh array."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+    derivatives.  ``phi`` goes through ``q.array`` first; the velocities
+    stay raw operands exactly like the instrumented call sites
+    (``ctx.mul(velx, dpx, ...)``); ``dt`` is a per-step scalar, rounded
+    uncached.  Returns a fresh array (it becomes ``LevelSet.phi``)."""
+    key = _scoped(key, q)
     o = _o(ws)
     shp = phi.shape
-    qphi = quantize_into(phi, fmt, rounding, ws, out=o((*key, "qphi"), shp))
-    dpx = upwind_derivative_trunc(qphi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0),
-                                  fmt=fmt, rounding=rounding)
-    dpy = upwind_derivative_trunc(qphi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1),
-                                  fmt=fmt, rounding=rounding)
+    qphi = q.array(phi, out=o((*key, "qphi"), shp))
+    dpx = upwind_derivative(qphi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0), q=q)
+    dpy = upwind_derivative(qphi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1), q=q)
     t1 = np.multiply(velx, dpx, out=dpx)
     t1 = q(t1)
     t2 = np.multiply(vely, dpy, out=dpy)
@@ -714,5 +615,4 @@ def levelset_advect_trunc(phi: np.ndarray, velx: np.ndarray, vely: np.ndarray, d
     change = q(change)
     m = np.multiply(q.dyn(dt), change, out=change)
     m = q(m)
-    out = np.subtract(qphi, m)
-    return quantize_into(out, fmt, rounding, ws, out=out)
+    return q(np.subtract(qphi, m))

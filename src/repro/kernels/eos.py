@@ -3,10 +3,11 @@ the Newton–Raphson steps of the energy inversion.
 
 :mod:`repro.eos.table` and :mod:`repro.eos.newton` evaluate every FLOP
 through a numerics context, one ``_apply`` per op.  The twins here evaluate
-the same ufunc expression trees directly, in binary64 or — for a truncating
-context — with the result of every ``add``/``sub``/``mul``/``div`` rounded
-in place, at exactly the op boundaries
-:class:`~repro.core.opmode.TruncatedContext` rounds at, and with constants
+the same ufunc expression trees directly, against a rounder ``q`` of
+:mod:`repro.kernels.trunc`: :data:`~repro.kernels.trunc.EXACT` for binary64,
+or a :class:`~repro.kernels.trunc.Round` that rounds the result of every
+``add``/``sub``/``mul``/``div`` in place, at exactly the op boundaries
+:class:`~repro.core.opmode.TruncatedContext` rounds at, with constants
 quantised the way ``TruncatedContext.const`` does.  Index searches and
 clamps run on plain values on both planes.  So each twin is bit-identical
 to the op-by-op evaluation under the context it stands for.
@@ -18,58 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.opmode import FPContext
-from ..core.quantize import quantize
-from .ledger import fused_kind
-from .trunc import _Q, quantize_into
-
-__all__ = ["rounder", "bilinear", "NewtonSteps"]
-
-
-class _Exact:
-    """The binary64 rounder: every op result is already final."""
-
-    __slots__ = ()
-
-    def __call__(self, arr):
-        return arr
-
-    def const(self, x: float) -> float:
-        return x
-
-    def array(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
-
-
-class _Round(_Q):
-    """The truncating rounder: rounds fresh op results in place."""
-
-    __slots__ = ()
-
-    def __call__(self, arr):
-        if isinstance(arr, np.ndarray) and arr.ndim:
-            return quantize_into(arr, self.fmt, self.rounding, out=arr)
-        # ufuncs return scalars for 0-d operands
-        return quantize(arr, self.fmt, self.rounding)
-
-    def array(self, x) -> np.ndarray:
-        return quantize(np.asarray(x, dtype=np.float64), self.fmt, self.rounding)
-
-
-_EXACT = _Exact()
-
-
-def rounder(ctx: FPContext):
-    """The rounding of the twin a fused context runs (see
-    :func:`~repro.kernels.ledger.fused_kind`): binary64 or truncating."""
-    if fused_kind(ctx) == "trunc":
-        return _Round(ctx.fmt, ctx.rounding, None)
-    return _EXACT
+__all__ = ["bilinear", "NewtonSteps"]
 
 
 def bilinear(table, values: np.ndarray, rho, temp, q):
     """Twin of ``HelmholtzTable._bilinear``: ``values`` interpolated at
-    (``rho``, ``temp``) with rounder ``q`` (see :func:`rounder`).
+    (``rho``, ``temp``) with rounder ``q`` (see
+    :func:`~repro.kernels.ledger.fused_rounder`).
 
     Independent ops of the op-by-op path run as one stacked op each: the
     two weight numerators and quotients, ``1 - tx`` and ``1 - ty`` (which

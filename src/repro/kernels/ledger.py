@@ -18,9 +18,9 @@ fixed **ledger** per (solver configuration, block shape, context kind) —
   batched ``(nblocks, nx, ny)`` call, so scalar and broadcast operands are
   charged once per block exactly as on the per-block instrumented path —
 
-while the state itself comes from the fused planes
-(:mod:`repro.kernels.trunc` / :mod:`repro.kernels.flux`), bit-identical
-to the instrumented update.  Snapshots are byte-identical to the
+while the state itself comes from the fused kernels of
+:mod:`repro.kernels.flux`, run with the rounder of :func:`fused_rounder`,
+bit-identical to the instrumented update.  Snapshots are byte-identical to the
 instrumented plane: the same totals, the same per-module counters, no
 per-location entries (those only exist with ``track_errors``).
 
@@ -48,7 +48,8 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext
 from .fast import FastPlaneContext
-from .trunc import TruncFastPlaneContext
+from .scratch import Workspace
+from .trunc import EXACT, Round, TruncFastPlaneContext
 
 __all__ = [
     "OpLedger",
@@ -56,6 +57,7 @@ __all__ = [
     "LedgerTruncatedContext",
     "LedgerFullContext",
     "fused_kind",
+    "fused_rounder",
     "ledger_for",
     "replay_fused",
 ]
@@ -71,6 +73,16 @@ def fused_kind(ctx: FPContext) -> Optional[str]:
     if getattr(ctx, "ledger", False):
         return "trunc" if ctx.truncating else "b64"
     return None
+
+
+def fused_rounder(ctx: FPContext, ws: Optional[Workspace] = None):
+    """The rounder of the fused twin ``ctx`` runs (:func:`fused_kind`):
+    :data:`~repro.kernels.trunc.EXACT` for ``"b64"``, a
+    :class:`~repro.kernels.trunc.Round` of the context's format for
+    ``"trunc"``."""
+    if fused_kind(ctx) == "trunc":
+        return Round(ctx.fmt, ctx.rounding, ws)
+    return EXACT
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ The load-bearing contracts:
   advect/reinitialise, curvature/heaviside/delta/material fields) is
   **bitwise identical** to the op-by-op reference it replaces — with or
   without a workspace;
-* every truncating twin rounds at exactly the op boundaries the optimized
-  instrumented :class:`TruncatedContext` rounds at, property-tested across
-  formats × rounding modes on representable inputs;
+* every twin run with a ``Round`` rounder rounds at exactly the op
+  boundaries the optimized instrumented :class:`TruncatedContext` rounds
+  at, property-tested across formats × rounding modes on representable
+  inputs;
 * the batched WENO5 pair reconstruction equals the per-axis, per-edge
   evaluation bit for bit (ufuncs are elementwise, rows are independent);
 * workspace discipline: poisoned buffers never leak into results, kernel
@@ -43,6 +44,7 @@ from repro.incomp.levelset import LevelSet, upwind_derivative
 from repro.kernels import FastPlaneContext, TruncFastPlaneContext
 from repro.kernels import bubble as kbubble
 from repro.kernels.scratch import Workspace, bubble_plane_enabled
+from repro.kernels.trunc import Round
 from repro.workloads import create_workload
 
 FORMATS = [
@@ -291,13 +293,12 @@ class TestSolverOperatorTwins:
         vely = np.asarray(quantize(rng.uniform(-1.0, 1.0, (12, 14)), fmt, rounding))
         padded = np.pad(f, 3, mode="edge")
         ws = Workspace()
-        fx, fy = kbubble.weno5_derivative_pair_trunc(
-            padded, velx, vely, 0.1, 0.2, ws=ws, key=("p",), fmt=fmt, rounding=rounding)
+        q = Round(fmt, rounding, ws)
+        fx, fy = kbubble.weno5_derivative_pair(
+            padded, velx, vely, 0.1, 0.2, ws=ws, key=("p",), q=q)
         fx, fy = fx.copy(), fy.copy()
-        sx = kbubble.weno5_derivative_trunc(padded, velx, 0.1, 0, ws=ws, key=("s", 0),
-                                            fmt=fmt, rounding=rounding)
-        sy = kbubble.weno5_derivative_trunc(padded, vely, 0.2, 1, ws=ws, key=("s", 1),
-                                            fmt=fmt, rounding=rounding)
+        sx = kbubble.weno5_derivative(padded, velx, 0.1, 0, ws=ws, key=("s", 0), q=q)
+        sy = kbubble.weno5_derivative(padded, vely, 0.2, 1, ws=ws, key=("s", 1), q=q)
         assert_bits(fx, sx, "pair_trunc/x")
         assert_bits(fy, sy, "pair_trunc/y")
 
@@ -360,14 +361,14 @@ class TestWorkspaceDiscipline:
         kbubble.buoyancy(phi, 0.1, 1.0, 0.1, ws=ws, key=("b",))
         kbubble.surface_tension(phi, 0.1, 0.01, 0.05, 0.06, ws=ws, key=("st",))
         kbubble.levelset_advect(phi, velx, vely, 1e-3, 0.05, 0.06, ws=ws, key=("la",))
-        kbubble.levelset_advect_trunc(phi, velx, vely, 1e-3, 0.05, 0.06, ws=ws,
-                                      key=("lat",), fmt=E8M10)
+        kbubble.levelset_advect(phi, velx, vely, 1e-3, 0.05, 0.06, ws=ws,
+                                key=("lat",), q=Round(E8M10, ws=ws))
         kbubble.weno5_derivative(padded3, velx, 0.05, 0, ws=ws, key=("w",))
         kbubble.weno5_derivative_pair(padded3, velx, vely, 0.05, 0.06, ws=ws, key=("wp",))
         kbubble.upwind_derivative(phi, velx, 0.05, 1, "edge", fp, ws=ws, key=("u",))
         kbubble.diffusion_term(phi, nu, fp, nup, 0.05, 0.06, ws=ws, key=("df",))
-        kbubble.diffusion_term_trunc(phi, nu, fp, nup, 0.05, 0.06, ws=ws, key=("dft",),
-                                     fmt=E8M10)
+        kbubble.diffusion_term(phi, nu, fp, nup, 0.05, 0.06, ws=ws, key=("dft",),
+                               q=Round(E8M10, ws=ws))
         for orig, arr in zip(originals, (phi, velx, vely, nu, fp, nup, padded3)):
             assert_bits(arr, orig, "input written")
 

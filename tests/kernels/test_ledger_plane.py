@@ -19,8 +19,15 @@ The load-bearing contracts:
   network) replay per-call ledgers whose counters never depend on the
   data — including Newton solves that converge at once, midway or never;
 * whole sweeps and cliff searches over all seven workloads produce
-  identical metrics and snapshots on the instrumented and counted planes.
+  identical metrics and snapshots on the instrumented and counted planes;
+* the rounder-selection rule: helper-level call sites (the gamma-law EOS,
+  the Riemann solvers, ``reconstruct``, the bubble derivatives) run the
+  fused kernels only on a fused fast plane — with ``EXACT`` for
+  ``ctx.fused``, with a ``Round`` of the context's format for
+  ``ctx.fused_trunc`` — while a counted context counts them op by op.
 """
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,21 +46,29 @@ from repro.core import (
     ShadowContext,
     TruncatedContext,
     TruncationConfig,
+    quantize,
 )
 from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy, newton
 from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
+from repro.hydro.eos import GammaLawEOS
+from repro.hydro.reconstruction import reconstruct
+from repro.hydro.riemann import SOLVERS
 from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.incomp import BubbleConfig, BubbleSolver
 from repro.kernels import (
+    FastPlaneContext,
     LedgerFullContext,
     LedgerTruncatedContext,
+    flux,
+    fused,
     is_ledger_eligible,
     ledger,
     select_context,
 )
+from repro.kernels import bubble as kbubble
 from repro.kernels import eos as keos
-from repro.kernels.ledger import LedgerRecorder, OpLedger
-from repro.kernels.trunc import TruncFastPlaneContext
+from repro.kernels.ledger import LedgerRecorder, OpLedger, fused_rounder
+from repro.kernels.trunc import EXACT, Round, TruncFastPlaneContext, plane_rounder
 from repro.workloads import create_workload
 
 E8M10 = FPFormat(exp_bits=8, man_bits=10)
@@ -647,7 +662,7 @@ class TestCountedNewton:
         ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), module="eos", rounding=rounding)
         with np.errstate(all="ignore"):
             want = table._bilinear(table.energy_table, rho, temp, ctx)
-            got = keos.bilinear(table, table.energy_table, rho, temp, keos.rounder(
+            got = keos.bilinear(table, table.energy_table, rho, temp, fused_rounder(
                 TruncFastPlaneContext.from_context(ctx)))
         assert np.shape(got) == np.shape(want) == np.broadcast_shapes(rho.shape, shape)
         assert np.array_equal(_bits(got), _bits(want))
@@ -707,3 +722,146 @@ class TestCountedScenarios:
         monkeypatch.setattr("repro.eos.newton.ledger_for", guarded)
         _module_run(name, pol)
         assert rt.snapshot()["locations"]
+
+
+# ---------------------------------------------------------------------------
+# the rounder-selection rule of the helper-level call sites
+# ---------------------------------------------------------------------------
+#: the helper-level call sites, by name
+HELPER_SITES = (
+    "eos.sound_speed", "eos.internal_energy_from_pressure",
+    "eos.pressure_from_internal_energy", "eos.total_energy",
+    "eos.pressure_from_total_energy",
+    *(f"riemann.{name}" for name in sorted(SOLVERS)),
+    *(f"reconstruct.{scheme}" for scheme in sorted(fused.FUSED_SCHEMES)),
+    "bubble._upwind_derivative", "bubble._weno5_derivative",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _helper_sites():
+    """``name -> (owner, attribute, call)`` per helper-level call site:
+    ``call(ctx)`` evaluates the site, which dispatches to ``owner.attribute``
+    (a module or a dict) on a fused fast plane."""
+    rng = np.random.default_rng(17)
+    rep = lambda a: np.asarray(quantize(a, E8M10))
+    dens, pres = rep(rng.uniform(0.1, 2.0, 24)), rep(rng.uniform(0.1, 2.0, 24))
+    velx, vely = rep(rng.normal(size=24)), rep(rng.normal(size=24))
+    momx, momy = rep(dens * velx), rep(dens * vely)
+    ener = rep(rng.uniform(2.0, 4.0, 24))
+    eos = GammaLawEOS()
+    face = lambda: {"dens": rep(rng.uniform(0.1, 2.0, 24)), "velx": rep(rng.normal(size=24)),
+                    "vely": rep(rng.normal(size=24)), "pres": rep(rng.uniform(0.1, 2.0, 24))}
+    left, right = face(), face()
+    field = rep(rng.normal(size=(16, 16)) + 2.0)
+    solver, _ = _bubble_solver("weno5", 3)
+    bfield, bvel = rep(solver.velx), rep(solver.vely)
+    sites = [
+        ("eos.sound_speed", flux, "eos_sound_speed",
+         lambda c: eos.sound_speed(dens, pres, c)),
+        ("eos.internal_energy_from_pressure", flux, "eos_internal_energy",
+         lambda c: eos.internal_energy_from_pressure(dens, pres, c)),
+        ("eos.pressure_from_internal_energy", flux, "eos_pressure_from_internal_energy",
+         lambda c: eos.pressure_from_internal_energy(dens, pres, c)),
+        ("eos.total_energy", flux, "eos_total_energy",
+         lambda c: eos.total_energy(dens, velx, vely, pres, c)),
+        ("eos.pressure_from_total_energy", flux, "eos_pressure_from_total_energy",
+         lambda c: eos.pressure_from_total_energy(dens, momx, momy, ener, c)),
+    ]
+    for name in sorted(SOLVERS):
+        sites.append((f"riemann.{name}", flux, f"{name}_flux",
+                      lambda c, name=name: SOLVERS[name](left, right, eos, c)))
+    for scheme in sorted(fused.FUSED_SCHEMES):
+        sites.append((f"reconstruct.{scheme}", fused.FUSED_SCHEMES, scheme,
+                      lambda c, scheme=scheme: reconstruct(field, 1, 3, 9, c, scheme)))
+    sites += [
+        ("bubble._upwind_derivative", kbubble, "upwind_derivative",
+         lambda c: solver._upwind_derivative(bfield, bvel, 0.1, 0, c, "u")),
+        ("bubble._weno5_derivative", kbubble, "weno5_derivative",
+         lambda c: solver._weno5_derivative(bfield, bvel, 0.1, 1, c, "v")),
+    ]
+    assert tuple(name for name, *_ in sites) == HELPER_SITES
+    return {name: (owner, attr, call) for name, owner, attr, call in sites}
+
+
+def _spy(monkeypatch, owner, attr):
+    """Record the rounder of every call of ``owner[attr]`` / ``owner.attr``."""
+    rounders = []
+    real = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        rounders.append(kwargs.get("q"))
+        return real(*args, **kwargs)
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, attr, spy)
+    else:
+        monkeypatch.setattr(owner, attr, spy)
+    return rounders
+
+
+def _flat(result):
+    """One array of a site's result (an array, a face-state pair or a flux
+    dict)."""
+    if isinstance(result, dict):
+        return np.concatenate([np.ravel(result[k]) for k in sorted(result)])
+    if isinstance(result, tuple):
+        return np.concatenate([np.ravel(r) for r in result])
+    return np.ravel(result)
+
+
+class TestRounderSelection:
+    @pytest.mark.parametrize("site", HELPER_SITES)
+    @pytest.mark.parametrize("kind", ["trunc", "b64"])
+    def test_counted_contexts_count_helpers_op_by_op(self, monkeypatch, site, kind):
+        """A counted context never takes the fused kernel of a helper-level
+        site: it counts every op there, exactly like the instrumented one."""
+        owner, attr, call = _helper_sites()[site]
+        src = _counting() if kind == "trunc" else FullPrecisionContext(runtime=RaptorRuntime())
+        counted = _counted(src)
+        rounders = _spy(monkeypatch, owner, attr)
+        with np.errstate(all="ignore"):
+            want = _flat(call(src))
+            got = _flat(call(counted))
+        assert rounders == []
+        assert np.array_equal(_bits(got), _bits(want))
+        assert counted.runtime.snapshot() == src.runtime.snapshot()
+        # pcm only moves data: nothing to count
+        assert (src.runtime.ops.total > 0) == (site != "reconstruct.pcm")
+
+    @pytest.mark.parametrize("site", HELPER_SITES)
+    @pytest.mark.parametrize("rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.UP])
+    def test_fast_contexts_take_the_rounder_path(self, monkeypatch, site, rounding):
+        owner, attr, call = _helper_sites()[site]
+        rounders = _spy(monkeypatch, owner, attr)
+        fast_b64 = FastPlaneContext()
+        with np.errstate(all="ignore"):
+            want = _flat(call(FullPrecisionContext(count_ops=False, track_memory=False)))
+            got = _flat(call(fast_b64))
+        assert rounders == [EXACT]
+        assert np.array_equal(_bits(got), _bits(want))
+
+        rounders.clear()
+        fast_trunc = TruncFastPlaneContext(E8M10, rounding=rounding)
+        with np.errstate(all="ignore"):
+            want = _flat(call(_counting(rounding=rounding)))
+            got = _flat(call(fast_trunc))
+        assert len(rounders) == 1 and isinstance(rounders[0], Round)
+        assert (rounders[0].fmt, rounders[0].rounding) == (E8M10, rounding)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_the_two_predicates(self):
+        """Helper-level sites (``plane_rounder``) leave counted contexts op
+        by op; whole-update sites (``fused_rounder``) give them the rounder
+        of their fused twin."""
+        trunc_src, b64_src = _counting(BF16, RoundingMode.DOWN), FullPrecisionContext(
+            runtime=RaptorRuntime())
+        for src in (trunc_src, b64_src):
+            assert plane_rounder(src) is None
+            assert plane_rounder(_counted(src)) is None
+        assert plane_rounder(FastPlaneContext()) is EXACT
+        assert fused_rounder(_counted(b64_src)) is EXACT
+        assert fused_rounder(FastPlaneContext()) is EXACT
+        for ctx in (_counted(trunc_src), TruncFastPlaneContext(BF16, rounding=RoundingMode.DOWN)):
+            q = fused_rounder(ctx)
+            assert isinstance(q, Round) and (q.fmt, q.rounding) == (BF16, RoundingMode.DOWN)

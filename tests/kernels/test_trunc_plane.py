@@ -1,4 +1,5 @@
-"""Bit-identity tests for the fused truncating plane (repro.kernels.trunc).
+"""Bit-identity tests for the fused truncating plane: the fused kernels run
+with a :class:`~repro.kernels.trunc.Round` rounder.
 
 The load-bearing contracts:
 
@@ -6,8 +7,8 @@ The load-bearing contracts:
   :func:`repro.core.quantize.quantize` — workspace or not, in place or
   not — including signed zeros, non-finite lanes, subnormals and the
   directed-rounding overflow clamps;
-* every fused truncating kernel (stencils, EOS helpers, wave speeds,
-  Riemann solvers) reproduces the optimized instrumented
+* every fused kernel run with a ``Round`` (stencils, EOS helpers, wave
+  speeds, Riemann solvers) reproduces the optimized instrumented
   :class:`TruncatedContext` stream bit for bit on representable inputs,
   because it quantises at exactly the same op boundaries;
 * plane selection routes *non-counting* truncating contexts onto
@@ -18,6 +19,8 @@ The load-bearing contracts:
   bit, and whole truncated workloads (states *and* counter snapshots) are
   identical across planes, backends and the engine entry points.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,12 +45,13 @@ from repro.hydro.solver import HydroSolver
 from repro.kernels import (
     FastPlaneContext,
     TruncFastPlaneContext,
+    flux,
+    fused,
     is_trunc_fast_eligible,
     select_context,
-    trunc,
 )
 from repro.kernels.scratch import Workspace
-from repro.kernels.trunc import quantize_into
+from repro.kernels.trunc import Round, quantize_into
 
 GAMMA = 1.4
 COMPONENTS = ("dens", "momn", "momt", "ener")
@@ -324,7 +328,7 @@ def trunc_face_states(draw):
 @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestTruncKernelTwins:
-    @pytest.mark.parametrize("scheme", sorted(trunc.TRUNC_SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(fused.FUSED_SCHEMES))
     @given(
         u=st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                    min_size=14, max_size=18).map(np.asarray),
@@ -341,13 +345,13 @@ class TestTruncKernelTwins:
             nn = field.shape[axis] - 2 * ng - 1
             left_s, right_s = SCHEMES[scheme](field, axis, ng, nn, slow)
             for ws in (None, Workspace()):
-                left_f, right_f = trunc.TRUNC_SCHEMES[scheme](
-                    field, axis, ng, nn, ws=ws, key=("t",), fmt=fmt, rounding=rounding
+                left_f, right_f = fused.FUSED_SCHEMES[scheme](
+                    field, axis, ng, nn, ws=ws, key=("t",), q=Round(fmt, rounding, ws)
                 )
                 np.testing.assert_array_equal(left_f, left_s)
                 np.testing.assert_array_equal(right_f, right_s)
 
-    @pytest.mark.parametrize("scheme", sorted(trunc.TRUNC_SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(fused.FUSED_SCHEMES))
     @pytest.mark.parametrize("rounding", ROUNDINGS)
     def test_reconstruct_dispatches_on_the_trunc_plane(self, scheme, rounding):
         rng = np.random.default_rng(42)
@@ -369,7 +373,7 @@ class TestTruncKernelTwins:
         slow = _instrumented(fmt, rounding)
         expected = _weno5_edge(*rows, slow)
         for ws in (None, Workspace()):
-            got = trunc.weno5_edge(*rows, ws=ws, key=("e",), fmt=fmt, rounding=rounding)
+            got = fused.weno5_edge(*rows, ws=ws, key=("e",), q=Round(fmt, rounding, ws))
             np.testing.assert_array_equal(got, expected)
 
     @given(state=trunc_face_states())
@@ -379,28 +383,28 @@ class TestTruncKernelTwins:
         dens, velx, vely, pres = (left[k] for k in ("dens", "velx", "vely", "pres"))
         eos = GammaLawEOS(gamma=GAMMA)
         slow = _instrumented(fmt, rounding)
-        kw = dict(fmt=fmt, rounding=rounding)
+        kw = dict(q=Round(fmt, rounding))
         np.testing.assert_array_equal(
-            trunc.eos_sound_speed(dens, pres, GAMMA, **kw),
+            flux.eos_sound_speed(dens, pres, GAMMA, **kw),
             eos.sound_speed(dens, pres, slow),
         )
         np.testing.assert_array_equal(
-            trunc.eos_internal_energy(dens, pres, GAMMA, **kw),
+            flux.eos_internal_energy(dens, pres, GAMMA, **kw),
             eos.internal_energy_from_pressure(dens, pres, slow),
         )
         np.testing.assert_array_equal(
-            trunc.eos_pressure_from_internal_energy(
+            flux.eos_pressure_from_internal_energy(
                 dens, pres, GAMMA, eos.pressure_floor, **kw),
             eos.pressure_from_internal_energy(dens, pres, slow),
         )
         ener_slow = eos.total_energy(dens, velx, vely, pres, slow)
         np.testing.assert_array_equal(
-            trunc.eos_total_energy(dens, velx, vely, pres, GAMMA, **kw), ener_slow
+            flux.eos_total_energy(dens, velx, vely, pres, GAMMA, **kw), ener_slow
         )
         momx = np.asarray(quantize(dens * velx, fmt, rounding))
         momy = np.asarray(quantize(dens * vely, fmt, rounding))
         np.testing.assert_array_equal(
-            trunc.eos_pressure_from_total_energy(
+            flux.eos_pressure_from_total_energy(
                 dens, momx, momy, ener_slow, GAMMA,
                 eos.pressure_floor, eos.density_floor, **kw),
             eos.pressure_from_total_energy(dens, momx, momy, ener_slow, slow),
@@ -434,11 +438,11 @@ class TestTruncKernelTwins:
         eos = GammaLawEOS(gamma=GAMMA)
         slow = _instrumented(fmt, rounding)
         sl_s, sr_s = _wave_speeds(left, right, eos, slow)
-        sl_f, sr_f = trunc.davis_wave_speeds(left, right, GAMMA, fmt=fmt, rounding=rounding)
+        sl_f, sr_f = flux.davis_wave_speeds(left, right, GAMMA, q=Round(fmt, rounding))
         np.testing.assert_array_equal(sl_f, sl_s)
         np.testing.assert_array_equal(sr_f, sr_s)
         el_s, er_s = _einfeldt_wave_speeds(left, right, eos, slow)
-        el_f, er_f = trunc.einfeldt_wave_speeds(left, right, GAMMA, fmt=fmt, rounding=rounding)
+        el_f, er_f = flux.einfeldt_wave_speeds(left, right, GAMMA, q=Round(fmt, rounding))
         np.testing.assert_array_equal(el_f, el_s)
         np.testing.assert_array_equal(er_f, er_s)
 
@@ -450,8 +454,8 @@ class TestTruncKernelTwins:
         eos = GammaLawEOS(gamma=GAMMA)
         expected = SOLVERS[name](left, right, eos, _instrumented(fmt, rounding))
         for ws in (None, Workspace()):
-            got = trunc.TRUNC_SOLVERS[name](
-                left, right, GAMMA, ws=ws, fmt=fmt, rounding=rounding
+            got = flux.FUSED_SOLVERS[name](
+                left, right, GAMMA, ws=ws, q=Round(fmt, rounding, ws)
             )
             for comp in COMPONENTS:
                 np.testing.assert_array_equal(got[comp], expected[comp],
@@ -494,12 +498,12 @@ class TestTruncScratchLifecycle:
     def test_workspace_reuse_allocates_nothing_after_first_call(self):
         left, right = _q_states(seed=5, n=32)
         ws = Workspace()
-        kw = dict(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN)
-        first = trunc.hllc_flux(left, right, GAMMA, ws=ws, **kw)
+        kw = dict(q=Round(E8M10, RoundingMode.NEAREST_EVEN, ws))
+        first = flux.hllc_flux(left, right, GAMMA, ws=ws, **kw)
         first = {c: first[c].copy() for c in first}
         misses = ws.misses
         assert misses > 0
-        again = trunc.hllc_flux(left, right, GAMMA, ws=ws, **kw)
+        again = flux.hllc_flux(left, right, GAMMA, ws=ws, **kw)
         assert ws.misses == misses  # steady state: zero allocations
         assert ws.hits > 0
         for comp in COMPONENTS:
@@ -508,12 +512,12 @@ class TestTruncScratchLifecycle:
     def test_poisoned_workspace_does_not_leak_into_results(self):
         left, right = _q_states(seed=9)
         ws = Workspace()
-        kw = dict(fmt=E8M10, rounding=RoundingMode.UP)
-        clean = trunc.hll_flux(left, right, GAMMA, ws=ws, **kw)
+        kw = dict(q=Round(E8M10, RoundingMode.UP, ws))
+        clean = flux.hll_flux(left, right, GAMMA, ws=ws, **kw)
         clean = {c: clean[c].copy() for c in clean}
         for buf in ws._buffers.values():
             buf.fill(np.nan if buf.dtype == np.float64 else True)
-        poisoned = trunc.hll_flux(left, right, GAMMA, ws=ws, **kw)
+        poisoned = flux.hll_flux(left, right, GAMMA, ws=ws, **kw)
         for comp in COMPONENTS:
             np.testing.assert_array_equal(poisoned[comp], clean[comp])
 
@@ -521,9 +525,10 @@ class TestTruncScratchLifecycle:
         left, right = _q_states(seed=13, n=24)
         snap = {("L", k): v.copy() for k, v in left.items()}
         snap.update({("R", k): v.copy() for k, v in right.items()})
-        for name in trunc.TRUNC_SOLVERS:
-            trunc.TRUNC_SOLVERS[name](left, right, GAMMA, ws=Workspace(),
-                                      fmt=E8M10, rounding=RoundingMode.DOWN)
+        for name in flux.FUSED_SOLVERS:
+            ws = Workspace()
+            flux.FUSED_SOLVERS[name](left, right, GAMMA, ws=ws,
+                                     q=Round(E8M10, RoundingMode.DOWN, ws))
         for k, v in left.items():
             np.testing.assert_array_equal(v, snap[("L", k)])
         for k, v in right.items():
@@ -531,14 +536,30 @@ class TestTruncScratchLifecycle:
 
     def test_weno5_edge_out_may_alias_an_input(self):
         rng = np.random.default_rng(21)
-        kw = dict(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN)
         rows = [np.asarray(quantize(rng.normal(size=32) + 2.0, E8M10)) for _ in range(5)]
-        expected = trunc.weno5_edge(*rows, **kw)
+        expected = fused.weno5_edge(*rows, q=Round(E8M10))
         aliased = rows[2].copy()
-        got = trunc.weno5_edge(rows[0], rows[1], aliased, rows[3], rows[4],
-                               ws=Workspace(), key=("alias",), out=aliased, **kw)
+        ws = Workspace()
+        got = fused.weno5_edge(rows[0], rows[1], aliased, rows[3], rows[4],
+                               ws=ws, key=("alias",), out=aliased, q=Round(E8M10, ws=ws))
         assert got is aliased
         np.testing.assert_array_equal(got, expected)
+
+
+def test_e5m2_weno5_edge_flush_warns_nothing():
+    """In e5m2 ``eps`` and the smoothness indicators of a flat stencil round
+    to zero, so the rounded ``(eps + beta)^2`` flushes to zero and the WENO
+    weights turn inf/NaN: the format's real behaviour, which the
+    instrumented plane computes as well — not a warning."""
+    e5m2 = FORMATS[3]
+    rows = [np.full(8, 1.5)] * 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fused.weno5_edge(*rows, q=Round(e5m2))
+    with np.errstate(all="ignore"):
+        want = _weno5_edge(*rows, _instrumented(e5m2))
+    assert not np.isfinite(got).any()
+    np.testing.assert_array_equal(got, want)
 
 
 def _sod_workload(**overrides):
