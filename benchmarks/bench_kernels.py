@@ -55,6 +55,15 @@ policies explicitly (``_time_bubble``) so the truncated pair shares one
 code path with the reference rungs.  A phase breakdown
 (advection, diffusion, Poisson solve, level-set reinitialisation) rides
 along like the AMR one.
+
+The ``quantize`` rung times the layer under every truncating rung: one
+in-place rounding ``Round(fmt, ws=Workspace())(x)`` per call, for e8m10
+and e11m20 at 24 to 32,256 lanes (the bubble's 12,288-lane fields and the
+stacked hydro updates among them), as the median and interquartile range
+over repeats.  The inputs mix random normals across binades with exact
+ties of both parities and signed zeros, all on the round-to-nearest-even
+fast path; each output must equal, bitwise, the general path's rounding of
+the same lanes, or the run exits non-zero (``--quick`` included).
 """
 from __future__ import annotations
 
@@ -129,6 +138,13 @@ BUBBLE_CONFIGS = dict(
 #: phases of the bubble and counted cellular breakdowns, in table order
 BUBBLE_PHASES = ("advection", "diffusion", "levelset", "poisson", "reinit")
 CELLULAR_PHASES = ("eos_inversion", "pressure", "burn")
+
+#: the quantize rung: formats (exp_bits, man_bits), lane counts, and
+#: (samples, roundings per sample) per mode — a sample is timed over
+#: ``max(1, roundings // lanes)`` calls
+QUANTIZE_FORMATS = ((8, 10), (11, 20))
+QUANTIZE_LANES = (24, 1_536, 12_288, 32_256)
+QUANTIZE_REPEATS = dict(full=(41, 100_000), quick=(5, 20_000))
 
 #: bubble timing variants: label -> (plane, env overrides)
 BUBBLE_VARIANTS = (
@@ -517,21 +533,96 @@ def _bubble_record(quick: bool, repeat: int, previous):
     }
 
 
-def _previous_fast_seconds():
-    """The fast-plane seconds of the committed record (PR-over-PR trail)."""
+def _quantize_inputs(fmt, lanes: int, rng) -> np.ndarray:
+    """Fast-path lanes of ``fmt``: random normals across binades, exact
+    ties between grid neighbours with even and with odd last bits, and
+    zeros of both signs."""
+    expo = rng.integers(max(fmt.emin, -20), min(fmt.emax, 20), lanes).astype(float)
+    x = rng.choice([-1.0, 1.0], lanes) * rng.uniform(1.0, 2.0, lanes) * np.exp2(expo)
+    k = rng.integers(0, 2 ** fmt.man_bits, lanes // 4).astype(float)
+    ties = (2.0 ** fmt.man_bits + k + 0.5) * np.exp2(expo[: lanes // 4] - fmt.man_bits)
+    x[: lanes // 4] = np.where(rng.random(lanes // 4) < 0.5, ties, -ties)
+    x[lanes // 4: lanes // 4 + 2] = (0.0, -0.0)
+    return rng.permutation(x)
+
+
+def _quantize_record(quick: bool, previous):
+    """Per-call time of one in-place ``Round(fmt, ws=Workspace())`` rounding,
+    checked bitwise against the general path.
+
+    The general path's rounding of the same lanes comes from rounding them
+    next to one NaN lane, which sends the whole array there; every step of
+    that path is element-wise, so the other lanes keep their own rounding.
+    """
+    from repro.core import FPFormat, quantize
+    from repro.core.quantize import quantize_rne_bits
+    from repro.kernels.scratch import Workspace
+    from repro.kernels.trunc import Round
+
+    samples, roundings = QUANTIZE_REPEATS["quick" if quick else "full"]
+    rng = np.random.default_rng(20)
+    rows = []
+    for exp_bits, man_bits in QUANTIZE_FORMATS:
+        fmt = FPFormat(exp_bits, man_bits)
+        for lanes in QUANTIZE_LANES:
+            x = _quantize_inputs(fmt, lanes, rng)
+            general = quantize(np.append(x, np.nan), fmt)[:-1]
+            if quantize_rne_bits(x, fmt) is None:
+                raise SystemExit(f"QUANTIZE RUNG: e{exp_bits}m{man_bits} inputs "
+                                 "leave the round-to-nearest-even fast path")
+            q = Round(fmt, ws=Workspace())
+            buf = x.copy()
+            q(buf)
+            first = buf.copy()
+            calls = max(1, roundings // lanes)
+            times = []
+            for _ in range(samples):
+                start = time.perf_counter()
+                for _ in range(calls):
+                    q(buf)
+                times.append((time.perf_counter() - start) / calls)
+            # rounding is idempotent: the repeated calls must keep the bits
+            for got in (first, buf):
+                if got.view(np.uint64).tobytes() != general.view(np.uint64).tobytes():
+                    raise SystemExit(
+                        f"QUANTIZE MISMATCH: e{exp_bits}m{man_bits} at {lanes} lanes "
+                        "differs from the general path"
+                    )
+            q1, median, q3 = statistics.quantiles(times, n=4)
+            label = f"e{exp_bits}m{man_bits}"
+            rows.append({
+                "format": label,
+                "lanes": lanes,
+                "calls_per_sample": calls,
+                "median_us": 1e6 * median,
+                "iqr_us": 1e6 * (q3 - q1),
+                "previous_median_us": previous.get((label, lanes)),
+                "samples_us": [1e6 * t for t in times],
+                "bitwise_general": True,
+            })
+    return rows
+
+
+def _previous_record():
+    """The committed record's fast-plane seconds per workload and quantize
+    medians per (format, lanes) (PR-over-PR trail)."""
     try:
         with open(RESULTS_PATH, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return {r["workload"]: r.get("fast_seconds") for r in payload.get("workloads", [])}
+        return (
+            {r["workload"]: r.get("fast_seconds") for r in payload.get("workloads", [])},
+            {(r["format"], r["lanes"]): r["median_us"] for r in payload.get("quantize", [])},
+        )
     except (OSError, ValueError, KeyError):
-        return {}
+        return {}, {}
 
 
 def run_benchmark(quick: bool, repeat: int):
     from repro.workloads import create_workload
 
     flavour = "quick" if quick else "full"
-    previous = _previous_fast_seconds()
+    previous, previous_quantize = _previous_record()
+    quantize_rows = _quantize_record(quick, previous_quantize)
     records = []
     for name, variants in CONFIGS.items():
         config = variants[flavour]
@@ -596,7 +687,8 @@ def run_benchmark(quick: bool, repeat: int):
         records.append(record)
 
     records.append(_bubble_record(quick, repeat, previous))
-    return {"mode": flavour, "fingerprint": _fingerprint(), "workloads": records}
+    return {"mode": flavour, "fingerprint": _fingerprint(), "workloads": records,
+            "quantize": quantize_rows}
 
 
 def main(argv=None) -> int:
@@ -631,6 +723,25 @@ def main(argv=None) -> int:
         ["workload", "instrumented [s]", "fast-flux [s]", "fast [s]",
          "speedup", "bitwise identical"],
         rows,
+    ))
+
+    quantize_rows = [
+        [
+            r["format"],
+            str(r["lanes"]),
+            f"{r['median_us']:.2f}",
+            f"{r['iqr_us']:.2f}",
+            "-" if r["previous_median_us"] is None else f"{r['previous_median_us']:.2f}",
+            "yes",
+        ]
+        for r in payload["quantize"]
+    ]
+    print(f"\n=== quantize: one in-place Round(fmt, ws) rounding per call, "
+          f"{payload['mode']} mode (median and IQR over samples) ===")
+    print(format_table(
+        ["format", "lanes", "median [us]", "IQR [us]", "previous [us]",
+         "bitwise general path"],
+        quantize_rows,
     ))
 
     guard_rows = [

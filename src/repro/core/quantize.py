@@ -11,6 +11,17 @@ events, and it is fully vectorised over numpy arrays.
 
 Subnormals, signed zeros, overflow-to-infinity and NaN propagation follow
 IEEE-754 semantics for the target format.
+
+Round-to-nearest-even, the mode of every truncated op in the experiments,
+has a fast path (:func:`quantize_rne_bits`).  A range check on the bit
+patterns admits an array only when every lane is zero or a normal number
+of the format that cannot overflow it (nor reach ``2**(1023 - s)``, where
+``s = 52 - man_bits`` bits are dropped).  Then Dekker's form of
+Veltkamp's split rounds all lanes in three float passes: ``g = x *
+(2**s + 1)``, ``out = g - (g - x)``.  Any other array, and every other
+rounding mode, takes the general frexp/ldexp path, which is exact on
+every lane.  The split's operand order is Dekker's, not the textbook
+``g + (x - g)``, because only that order keeps the sign of ``-0.0``.
 """
 from __future__ import annotations
 
@@ -50,31 +61,37 @@ _ABS_BITS = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 _ONE = np.uint64(1)
 
 #: per-format constants of :func:`quantize_rne_bits`, keyed by
-#: (exp_bits, man_bits): (shift, half - 1, keep mask, min-normal bits - 1,
-#: largest magnitude bits that round to at most ``max_value``)
-_RNE_CACHE: Dict[Tuple[int, int], Tuple[np.uint64, ...]] = {}
+#: (exp_bits, man_bits): (split factor ``2**s + 1``, or None when no bit is
+#: dropped; min-normal bits - 1, or None for binary64, where every lane is
+#: its own rounding; largest magnitude bits the split takes)
+_RNE_CACHE: Dict[Tuple[int, int], tuple] = {}
 
 
 def _bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _rne_params(fmt: FPFormat) -> Tuple[np.uint64, ...]:
+def _rne_params(fmt: FPFormat) -> tuple:
     key = (fmt.exp_bits, fmt.man_bits)
     params = _RNE_CACHE.get(key)
     if params is None:
         shift = 52 - fmt.man_bits
-        # at shift 0 no bit is dropped: nothing is added, and every
-        # binary64 past max_value lies a binade above it and overflows
-        half_m1 = (1 << (shift - 1)) - 1 if shift else 0
-        keep = ~((1 << shift) - 1) & 0xFFFF_FFFF_FFFF_FFFF
-        # below the midpoint between max_value and the next grid value;
-        # the midpoint itself ties to the even (overflowing) side
-        top = _bits(fmt.max_value) + half_m1
-        # numpy scalars: a Python int operand is converted on every call
-        params = tuple(
-            np.uint64(v) for v in (shift, half_m1, keep, _bits(fmt.min_normal) - 1, top)
-        )
+        if fmt.is_fp64():
+            params = (None, None, None)
+        elif not shift:
+            # every binary64 past max_value lies a binade above it and
+            # overflows; zeros and normals below it are their own rounding
+            params = (None, np.uint64(_bits(fmt.min_normal) - 1),
+                      np.uint64(_bits(fmt.max_value)))
+        else:
+            # below the midpoint between max_value and the next grid value
+            # (the midpoint itself ties to the even, overflowing side), and
+            # below 2**(1023 - s), so that (2**s + 1) * x stays finite
+            top = min(_bits(fmt.max_value) + (1 << (shift - 1)) - 1,
+                      _bits(2.0 ** (1023 - shift)) - 1)
+            # numpy scalars: a Python int operand is converted on every call
+            params = (float(2 ** shift + 1), np.uint64(_bits(fmt.min_normal) - 1),
+                      np.uint64(top))
         _RNE_CACHE[key] = params
     return params
 
@@ -85,53 +102,62 @@ def quantize_rne_bits(
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
-    """Round-to-nearest-even of a binary64 array on its bit patterns.
+    """Round-to-nearest-even of a binary64 array by a Veltkamp split.
 
-    Adds ``half - 1`` plus the last retained bit to every pattern and
-    masks the dropped bits off: ties go to the even neighbour, and a
-    carry out of the fraction bumps the exponent exactly as rounding up to
-    the next binade must.  That is the rounding :func:`quantize` performs
-    for every lane that is zero or a normal number of ``fmt`` and does not
-    overflow it — the common case, in a handful of integer ufuncs.  A
-    format with all 52 fraction bits (and a narrower exponent than
-    binary64) drops no bits, so there the rounding of such lanes is a
-    copy, or nothing when ``out`` is ``arr``.
+    A range check on the bit patterns comes first: every lane must be zero,
+    or a normal number of ``fmt`` that neither overflows it nor reaches
+    ``2**(1023 - s)``, with ``s = 52 - man_bits`` the number of dropped
+    bits.  Then three float passes round all lanes at once:
+    ``g = x * (2**s + 1)`` and ``out = g - (g - x)``.  That is Dekker's form
+    of Veltkamp's split (T. J. Dekker, Numer. Math. 18, 1971; S. Boldo,
+    IJCAR 2006): under binary64 round-to-nearest-even, ``g - (g - x)`` is
+    ``x`` rounded to nearest, ties to even, on ``53 - s`` significant bits,
+    a carry into the next binade included (at ``man_bits = 0``, where every
+    significand is odd, a tie goes up to the even multiple of the grid
+    spacing, as on the general path).  On the checked lanes that is the
+    rounding :func:`quantize` performs.  The bound keeps
+    ``(2**s + 1) * x`` finite for 11-bit exponents.  The ordering is
+    Dekker's on purpose: a zero lane gives ``g - x = +0``, and
+    ``±0 - (+0)`` keeps the sign, where the textbook ``g + (x - g)`` turns
+    ``-0`` into ``+0``.
+
+    A format with all 52 fraction bits (and a narrower exponent than
+    binary64) drops no bits, so there the rounding of the checked lanes is
+    a copy, or nothing when ``out`` is ``arr``; binary64 itself is a copy
+    of every lane, unchecked.
 
     Returns None, having written nothing, when any lane needs the general
-    path (a target-subnormal, non-finite or overflowing lane) or when
-    ``arr`` is empty.  The result lands in ``out`` (which may be ``arr``
-    itself) or in a fresh array; ``scratch`` is an optional uint64 buffer
-    of ``arr``'s shape.
+    path (a target-subnormal, non-finite, overflowing or too-large lane)
+    or when ``arr`` is empty.  The result lands in ``out`` (which may be
+    ``arr`` itself: each pass reads a lane before it writes it) or in a
+    fresh array; ``scratch`` is an optional float64 buffer of ``arr``'s
+    shape.
     """
-    if arr.size == 0:
+    if not arr.size:
         return None
-    shift, half_m1, keep, low_m1, top = _rne_params(fmt)
-    bits = arr.view(np.uint64)
-    if scratch is None:
-        # an explicit buffer keeps 0-d inputs arrays (ufuncs return scalars)
-        scratch = np.empty(arr.shape, dtype=np.uint64)
-    mag = np.bitwise_and(bits, _ABS_BITS, out=scratch)
-    if np.maximum.reduce(mag, axis=None) > top:
-        return None
-    # zeros wrap to the top of the range and pass; (0, min_normal) fails
-    np.subtract(mag, _ONE, out=mag)
-    if np.minimum.reduce(mag, axis=None) < low_m1:
-        return None
-    if not shift:
+    sigma, low_m1, top = _RNE_CACHE.get((fmt.exp_bits, fmt.man_bits)) or _rne_params(fmt)
+    if low_m1 is not None:
+        if scratch is None:
+            # an explicit buffer keeps 0-d inputs arrays (ufuncs return scalars)
+            scratch = np.empty(arr.shape)
+        mag = np.bitwise_and(arr.view(np.uint64), _ABS_BITS, out=scratch.view(np.uint64))
+        if np.maximum.reduce(mag, axis=None) > top:
+            return None
+        # zeros wrap to the top of the range and pass; (0, min_normal) fails
+        np.subtract(mag, _ONE, out=mag)
+        if np.minimum.reduce(mag, axis=None) < low_m1:
+            return None
+    if sigma is None:
         if out is None:
             return arr.copy()
         if out is not arr:
             np.copyto(out, arr)
         return out
-    lsb = np.right_shift(bits, shift, out=mag)
-    np.bitwise_and(lsb, _ONE, out=lsb)
+    g = np.multiply(arr, sigma, out=scratch)
     if out is None:
-        out = np.empty(arr.shape, dtype=np.float64)
-    dst = out.view(np.uint64)
-    np.add(bits, lsb, out=dst)
-    np.add(dst, half_m1, out=dst)
-    np.bitwise_and(dst, keep, out=dst)
-    return out
+        out = np.empty(arr.shape)
+    np.subtract(g, arr, out=out)
+    return np.subtract(g, out, out=out)
 
 
 #: per-format scalar cache: (exp_bits, man_bits) -> (emin, man_bits, max_value)
@@ -152,6 +178,8 @@ def _fmt_scalars(fmt: FPFormat) -> Tuple[int, int, float]:
 #: scratch key family of the :func:`quantize_into` intermediates — no
 #: quantisation scratch survives a call, so one family serves every caller
 _QZ = "qz"
+#: the fast path's scratch key
+_QZ_SPLIT = (_QZ, "split")
 
 
 def _fresh(key, shape, dtype=np.float64) -> np.ndarray:
@@ -174,29 +202,24 @@ def quantize_into(
     :class:`~repro.kernels.scratch.Workspace`), or ``None`` for fresh
     intermediates.
 
-    Round-to-nearest-even first tries the bit-level fast path of
-    :func:`quantize_rne_bits`.  The general path decomposes, rounds and
-    recomposes **all** lanes: every step is element-wise, so each finite
-    non-zero lane gets its own rounding, and the non-finite and zero lanes
-    are restored from ``arr`` at the end.
+    Round-to-nearest-even first tries the split of
+    :func:`quantize_rne_bits`, which also answers binary64 itself (a copy).
+    The general path decomposes, rounds and recomposes **all** lanes: every
+    step is element-wise, so each finite non-zero lane gets its own
+    rounding, and the non-finite and zero lanes are restored from ``arr``
+    at the end.
     """
-    if rounding not in RoundingMode.ALL:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
     arr = np.asarray(arr, dtype=np.float64)
     shp = arr.shape
-    if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
-        if out is None:
-            return arr.copy()
-        if out is not arr:
-            np.copyto(out, arr)
-        return out
+    if rounding == RoundingMode.NEAREST_EVEN:
+        fast = quantize_rne_bits(arr, fmt, out, None if ws is None else ws.out(_QZ_SPLIT, shp))
+        if fast is not None:
+            return fast
+    elif rounding not in RoundingMode.ALL:
+        raise ValueError(f"unknown rounding mode: {rounding!r}")
 
     # frexp/ldexp need real out arrays: the chain reads them back
     o = _fresh if ws is None else ws.out
-    if rounding == RoundingMode.NEAREST_EVEN:
-        fast = quantize_rne_bits(arr, fmt, out=out, scratch=o((_QZ, "bits"), shp, np.uint64))
-        if fast is not None:
-            return fast
     fmt_emin, fmt_man_bits, fmt_max_value = _fmt_scalars(fmt)
     finite = np.isfinite(arr, out=o((_QZ, "fin"), shp, bool))
     mask = np.not_equal(arr, 0.0, out=o((_QZ, "msk"), shp, bool))

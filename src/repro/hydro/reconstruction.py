@@ -1,9 +1,8 @@
 """Interface-state reconstruction schemes.
 
-The Spark solver in Flash-X reconstructs the variation of the solution
-inside each cell before handing left/right interface states to the Riemann
-solver.  Three schemes are provided, in increasing order of accuracy and
-cost:
+The Spark solver in Flash-X reconstructs the variation of the solution inside
+each cell before handing left/right interface states to the Riemann solver.
+Three schemes are provided, in increasing order of accuracy and cost:
 
 * ``pcm``   — piecewise constant (first order; mainly for tests),
 * ``plm``   — piecewise linear with minmod limiting (second order),
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
 from ..kernels import FPContext, fused
 from ..kernels.trunc import plane_rounder
 
@@ -147,19 +147,19 @@ def _weno5_edge(um2, um1, u0, up1, up2, ctx: FPContext):
         ctx.mul(c(0.25), ctx.mul(d2_2, d2_2, "recon:w_b2j"), "recon:w_b2k"),
         "recon:w_beta2",
     )
-
     eps = c(_WENO_EPS)
-    w0 = ctx.div(c(0.1), ctx.square(ctx.add(eps, beta0, "recon:w_a0a"), "recon:w_a0b"), "recon:w_alpha0")
-    w1 = ctx.div(c(0.6), ctx.square(ctx.add(eps, beta1, "recon:w_a1a"), "recon:w_a1b"), "recon:w_alpha1")
-    w2 = ctx.div(c(0.3), ctx.square(ctx.add(eps, beta2, "recon:w_a2a"), "recon:w_a2b"), "recon:w_alpha2")
+    with np.errstate(divide="ignore", invalid="ignore"):  # e5m2: (eps + beta)^2 may flush to 0
+        w0 = ctx.div(c(0.1), ctx.square(ctx.add(eps, beta0, "recon:w_a0a"), "recon:w_a0b"), "recon:w_alpha0")
+        w1 = ctx.div(c(0.6), ctx.square(ctx.add(eps, beta1, "recon:w_a1a"), "recon:w_a1b"), "recon:w_alpha1")
+        w2 = ctx.div(c(0.3), ctx.square(ctx.add(eps, beta2, "recon:w_a2a"), "recon:w_a2b"), "recon:w_alpha2")
 
-    wsum = ctx.add(ctx.add(w0, w1, "recon:w_sum01"), w2, "recon:w_sum")
-    num = ctx.add(
-        ctx.add(ctx.mul(w0, q0, "recon:w_n0"), ctx.mul(w1, q1, "recon:w_n1"), "recon:w_n01"),
-        ctx.mul(w2, q2, "recon:w_n2"),
-        "recon:w_num",
-    )
-    return ctx.div(num, wsum, "recon:w_edge")
+        wsum = ctx.add(ctx.add(w0, w1, "recon:w_sum01"), w2, "recon:w_sum")
+        num = ctx.add(
+            ctx.add(ctx.mul(w0, q0, "recon:w_n0"), ctx.mul(w1, q1, "recon:w_n1"), "recon:w_n01"),
+            ctx.mul(w2, q2, "recon:w_n2"),
+            "recon:w_num",
+        )
+        return ctx.div(num, wsum, "recon:w_edge")
 
 
 def _weno5(u, axis: int, ng: int, n: int, ctx: FPContext):

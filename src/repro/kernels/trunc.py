@@ -49,6 +49,7 @@ flow through unchanged and round exactly as standalone calls would.
 """
 from __future__ import annotations
 
+import struct
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -90,10 +91,13 @@ class Exact:
 #: the binary64 rounder (stateless: one instance serves every kernel)
 EXACT = Exact()
 
-#: quantised scalar constants, keyed by (format, rounding, value) —
-#: bounded: only the literal stencil/EOS constants land here (per-step
-#: values like dt/dx go through the uncached ``Round.dyn``)
-_CONST_CACHE: Dict[Tuple[int, int, str, float], float] = {}
+#: quantised scalar constants, keyed by (format, rounding, the literal's
+#: binary64 bit pattern) — a value key would merge ``-0.0`` into ``0.0``
+#: and never match a NaN; bounded: only the literal stencil/EOS constants
+#: land here (per-step values like dt/dx go through the uncached
+#: ``Round.dyn``)
+_CONST_CACHE: Dict[Tuple[int, int, str, bytes], float] = {}
+_PACK_DOUBLE = struct.Struct("<d").pack
 
 
 class Round:
@@ -123,7 +127,7 @@ class Round:
 
     def const(self, x: float) -> float:
         """Cached quantised literal — the twin of ``TruncatedContext.const``."""
-        key = (self.fmt.exp_bits, self.fmt.man_bits, self.rounding, x)
+        key = (self.fmt.exp_bits, self.fmt.man_bits, self.rounding, _PACK_DOUBLE(x))
         v = _CONST_CACHE.get(key)
         if v is None:
             v = float(quantize(x, self.fmt, self.rounding))

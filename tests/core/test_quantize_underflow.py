@@ -8,8 +8,10 @@ tests pin the two implementations bitwise-equal exactly where the scaled
 ldexp/rint chain is most delicate: the subnormal range around ``2**emin``,
 the below-``min_subnormal`` regime where directed modes must snap to zero
 or the smallest subnormal, and the overflow clamp at ``max_value``.  The
-bit-level round-to-nearest-even fast path both quantizers try first is
-pinned against the same oracle over raw bit patterns.
+round-to-nearest-even fast path both quantizers try first (a Veltkamp
+split behind a range check) is pinned against the same oracle over raw bit
+patterns, exact ties of both parities, signed zeros and the edges of its
+range.
 """
 import math
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import FPFormat, RoundingMode, quantize
 from repro.core.quantize import quantize_rne_bits
 from repro.core.softfloat import exact_quantize
+from repro.kernels.scratch import Workspace
 from repro.kernels.trunc import quantize_into
 
 # small formats put the underflow boundary within easy reach; e5m10/e8m7 are
@@ -130,7 +133,7 @@ def test_oracle_is_idempotent(fmt, rounding, x):
 
 
 # ---------------------------------------------------------------------------
-# the bit-level round-to-nearest-even fast path
+# the round-to-nearest-even fast path (range check + Veltkamp split)
 # ---------------------------------------------------------------------------
 #: the fast path's formats: the small ones above, the sweep formats and
 #: both ends of the exponent range
@@ -187,22 +190,39 @@ def test_rne_fast_path_on_arrays_matches_oracle(fmt, exponents, seed):
     assert np.array_equal(in_place.view(np.uint64), want)
 
 
+def _split_limit(fmt):
+    """The largest magnitude the fast path takes: below the overflow
+    midpoint (which ties to the even, overflowing side) and, when bits are
+    dropped, below ``2**(1023 - s)``, where ``(2**s + 1) * x`` would
+    overflow binary64."""
+    ulp_top = 2.0 ** (fmt.emax - fmt.man_bits)
+    limit = np.nextafter(fmt.max_value + ulp_top / 2, 0.0)
+    shift = 52 - fmt.man_bits
+    if shift:
+        limit = min(limit, np.nextafter(2.0 ** (1023 - shift), 0.0))
+    return limit
+
+
 @pytest.mark.parametrize("fmt", RNE_FORMATS, ids=lambda f: f"e{f.exp_bits}m{f.man_bits}")
 def test_rne_fast_path_declines_exactly_the_hard_lanes(fmt):
     """The fast path takes zeros and in-range normals, and declines (writing
-    nothing) a target-subnormal, non-finite or overflowing lane."""
-    normal = np.array([1.0, -0.0, 0.0, fmt.min_normal, -fmt.max_value])
+    nothing) a target-subnormal, non-finite, overflowing or too-large lane."""
+    limit = _split_limit(fmt)
+    normal = np.array([1.0, -0.0, 0.0, fmt.min_normal, -limit])
     assert quantize_rne_bits(normal, fmt) is not None
     ulp_top = 2.0 ** (fmt.emax - fmt.man_bits)
     # the overflow midpoint ties to the even side: past max_value
     for bad in (np.nextafter(fmt.min_normal, 0.0), np.inf, np.nan,
-                fmt.max_value + ulp_top / 2):
+                fmt.max_value + ulp_top / 2, np.nextafter(limit, np.inf)):
         out = np.full(2, 7.0)
         assert quantize_rne_bits(np.array([1.0, bad]), fmt, out=out) is None
         assert np.array_equal(out, [7.0, 7.0])
-    # just below the overflow midpoint still rounds down to max_value
+    # just below the overflow midpoint still rounds down to max_value, on
+    # the fast path where it reaches that far (formats narrower than e11)
     below = np.nextafter(fmt.max_value + ulp_top / 2, 0.0)
-    assert quantize_rne_bits(np.array([below]), fmt)[0] == fmt.max_value
+    assert quantize(np.array([below]), fmt)[0] == fmt.max_value
+    if below <= limit:
+        assert quantize_rne_bits(np.array([below]), fmt)[0] == fmt.max_value
     assert quantize_rne_bits(np.array([]), fmt) is None
 
 
@@ -233,3 +253,112 @@ def test_rne_fast_path_at_52_bits_copies_in_range_lanes(fmt):
         out = np.full(2, 7.0)
         assert quantize_rne_bits(np.array([1.0, bad]), fmt, out=out) is None
         assert np.array_equal(out, [7.0, 7.0])
+
+
+def _split_domain(fmt, rng, n):
+    """``n`` fast-path lanes of ``fmt`` per kind: random normals, exact
+    ties between grid neighbours with even and with odd last bits, the
+    binary64 neighbours of those ties, and zeros of both signs — over every
+    binade from ``min_normal`` up to the split's limit."""
+    limit = _split_limit(fmt)
+    lo, hi = fmt.emin, int(math.floor(math.log2(limit)))
+    expo = rng.integers(lo, hi + 1, n).astype(float)
+    sign = rng.choice([-1.0, 1.0], n)
+    normals = sign * rng.uniform(1.0, 2.0, n) * np.exp2(expo)
+    # a tie: man_bits + 1 retained bits, then a single one bit; the grid
+    # value below ends in k's last bit: even in the first half, odd in the
+    # second (a one-bit significand has no odd fraction)
+    k = 2 * rng.integers(0, 2 ** max(fmt.man_bits - 1, 0), n)
+    if fmt.man_bits:
+        k[n // 2:] += 1
+    ties = sign * (2.0 ** fmt.man_bits + k + 0.5) * np.exp2(expo - fmt.man_bits)
+    values = np.concatenate([normals, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                             [0.0, -0.0, fmt.min_normal, -limit]])
+    values = values[(np.abs(values) <= limit) & ((np.abs(values) >= fmt.min_normal) | (values == 0))]
+    return rng.permutation(values)
+
+
+@given(
+    exp_bits=st.integers(min_value=2, max_value=11),
+    man_bits=st.integers(min_value=0, max_value=51),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_split_matches_oracle_across_formats(exp_bits, man_bits, seed):
+    """Every exponent width, every dropped-bit count: the split takes the
+    whole domain (ties of both parities and signed zeros mixed in with
+    ordinary lanes) and agrees bitwise with the oracle fresh, out of place,
+    in place and through ``quantize_into``."""
+    fmt = FPFormat(exp_bits=exp_bits, man_bits=man_bits)
+    values = _split_domain(fmt, np.random.default_rng(seed), 16)
+    want = _oracle_bits(values, fmt)
+    fresh = quantize_rne_bits(values, fmt)
+    assert fresh is not None
+    assert np.array_equal(fresh.view(np.uint64), want)
+    out = np.full_like(values, 7.0)
+    assert quantize_rne_bits(values, fmt, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want)
+    in_place = values.copy()
+    assert quantize_rne_bits(in_place, fmt, out=in_place) is in_place
+    assert np.array_equal(in_place.view(np.uint64), want)
+    buffered = values.copy()
+    quantize_into(buffered, fmt, ws=Workspace(), out=buffered)
+    assert np.array_equal(buffered.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("fmt", [FPFormat(exp_bits=11, man_bits=20),
+                                 FPFormat(exp_bits=8, man_bits=10),
+                                 FPFormat(exp_bits=5, man_bits=2),
+                                 FPFormat(exp_bits=11, man_bits=0)],
+                         ids=lambda f: f"e{f.exp_bits}m{f.man_bits}")
+def test_split_ties_and_zeros(fmt):
+    """Exact ties round to the even grid neighbour, whichever parity the
+    lower one has (at ``man_bits=0`` the even one is always the upper
+    binade), and zero lanes keep their sign on the fast path, in 1-d and
+    0-d calls."""
+    ulp = 2.0 ** -fmt.man_bits
+    lower_even, lower_odd = 1.0, 1.0 + ulp
+    values = np.array([lower_even + ulp / 2, -(lower_even + ulp / 2),
+                       lower_odd + ulp / 2, -(lower_odd + ulp / 2), 0.0, -0.0, 3.0])
+    want = _oracle_bits(values, fmt)
+    got = quantize_rne_bits(values, fmt)
+    assert got is not None and np.array_equal(got.view(np.uint64), want)
+    if fmt.man_bits:
+        assert got[0] == lower_even and got[2] == lower_odd + ulp
+    else:
+        assert got[0] == 2.0 and got[6] == 4.0
+    assert np.array_equal(np.signbit(got[4:6]), [False, True])
+    for value in values:
+        zero_d = np.array(value)
+        got = quantize_rne_bits(zero_d, fmt, out=zero_d)
+        assert got is zero_d and got.shape == ()
+        assert got.view(np.uint64) == _oracle_bits(np.array(value), fmt)
+        fresh = quantize_into(np.array(value), fmt, ws=Workspace())
+        assert fresh.shape == () and fresh.view(np.uint64) == got.view(np.uint64)
+
+
+@pytest.mark.parametrize("man_bits", [0, 1, 20, 51])
+def test_split_bound_at_2_pow_1023_minus_s(man_bits):
+    """With an 11-bit exponent the split's limit is ``2**(1023 - s)``: the
+    lanes just below it take the fast path, the lanes at and just above it
+    decline (writing nothing) and still round exactly on the general
+    path."""
+    fmt = FPFormat(exp_bits=11, man_bits=man_bits)
+    bound = 2.0 ** (1023 - (52 - man_bits))
+    below = np.array([np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0),
+                      np.nextafter(np.nextafter(bound, 0.0), 0.0), bound / 2 * 1.75])
+    got = quantize_rne_bits(below, fmt)
+    assert got is not None
+    assert np.array_equal(got.view(np.uint64), _oracle_bits(below, fmt))
+    above = np.array([bound, -bound, np.nextafter(bound, np.inf), bound * 1.5,
+                      bound * (1.0 + 2.0 ** -man_bits / 2), fmt.max_value])
+    for value in above:
+        out = np.full(2, 7.0)
+        assert quantize_rne_bits(np.array([1.0, value]), fmt, out=out) is None
+        assert np.array_equal(out, [7.0, 7.0])
+    want = _oracle_bits(above, fmt)
+    assert np.array_equal(quantize(above, fmt).view(np.uint64), want)
+    in_place = np.concatenate([above, below])
+    quantize_into(in_place, fmt, ws=Workspace(), out=in_place)
+    assert np.array_equal(in_place.view(np.uint64),
+                          _oracle_bits(np.concatenate([above, below]), fmt))

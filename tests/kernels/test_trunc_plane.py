@@ -51,6 +51,7 @@ from repro.kernels import (
     select_context,
 )
 from repro.kernels.scratch import Workspace
+from repro.kernels import trunc
 from repro.kernels.trunc import Round, quantize_into
 
 GAMMA = 1.4
@@ -166,6 +167,39 @@ class TestQuantizeInto:
         assert misses > 0
         quantize_into(arr.copy(), BF16, RoundingMode.UP, ws)
         assert ws.misses == misses and ws.hits > 0
+
+
+class TestRoundConst:
+    """``Round.const`` is the twin of ``TruncatedContext.const``: the cache
+    keys literals by bit pattern, so ``-0.0`` never aliases ``0.0`` and a
+    NaN literal is one entry."""
+
+    LITERALS = (0.0, -0.0, float("nan"), -float("nan"), 1.0 / 6.0, 13.0 / 12.0,
+                -2.5, 1e-6, 1e300, -1e-300)
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=FORMAT_IDS)
+    @pytest.mark.parametrize("rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.DOWN])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_bitwise_equal_to_truncated_context(self, monkeypatch, fmt, rounding, order):
+        monkeypatch.setattr(trunc, "_CONST_CACHE", {})
+        literals = self.LITERALS if order == "forward" else self.LITERALS[::-1]
+        q = Round(fmt, rounding)
+        ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), optimized=True, rounding=rounding)
+        for _ in range(2):  # the second pass reads the cache
+            for x in literals:
+                got = np.float64(q.const(x)).view(np.uint64)
+                want = np.asarray(ctx.const(x)).view(np.uint64)
+                assert got == want, (x, q.const(x), ctx.const(x))
+
+    def test_nan_literal_is_cached_once(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(trunc, "_CONST_CACHE", cache)
+        q = Round(E8M10)
+        for _ in range(5):
+            assert np.isnan(q.const(float("nan")))
+        q.const(0.0)
+        q.const(-0.0)
+        assert len(cache) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +594,24 @@ def test_e5m2_weno5_edge_flush_warns_nothing():
         want = _weno5_edge(*rows, _instrumented(e5m2))
     assert not np.isfinite(got).any()
     np.testing.assert_array_equal(got, want)
+
+
+def test_e5m2_instrumented_weno5_edge_warns_nothing():
+    """The instrumented edge evaluates its weights under the same
+    ``np.errstate`` as the fused one: on small mixed-sign e5m2 stencils the
+    flushed ``(eps + beta)^2`` gives infinite weights, ``inf * 0`` and
+    ``inf - inf`` numerators and ``inf / inf`` edges — silently, and
+    bitwise the fused kernel's values."""
+    e5m2 = FORMATS[3]
+    rng = np.random.default_rng(3)
+    values = np.array([0.0, 2.0 ** -10, -2.0 ** -10, 2.0 ** -9, -2.0 ** -9])
+    rows = [values[rng.integers(0, len(values), 64)] for _ in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _weno5_edge(*rows, _instrumented(e5m2))
+        want = fused.weno5_edge(*rows, q=Round(e5m2))
+    assert np.isnan(got).any()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _sod_workload(**overrides):
