@@ -55,8 +55,9 @@ Useful variations::
 
     # fault tolerance: record failing points instead of aborting, bound
     # each point's wall-clock on the process backend, retry transient
-    # worker crashes, and journal progress so a killed sweep resumes
-    # bitwise-identically from where it stopped
+    # worker crashes, and journal progress so a killed sweep (or, with
+    # --adaptive, cliff search) resumes bitwise-identically from where it
+    # stopped
     python examples/sweep_quickstart.py --backend process \
         --on-error collect --point-timeout 300 --retries 2 \
         --resume .raptor-journal
@@ -200,9 +201,10 @@ def parse_args() -> argparse.Namespace:
         dest="checkpoint",
         default=None,
         metavar="DIR",
-        help="journal every resolved point into DIR (crash-safe, atomic); "
+        help="journal every resolved point (or, with --adaptive, every "
+        "resolved cliff-search cell) into DIR (crash-safe, atomic); "
         "rerunning the same command resumes, executing only the missing "
-        "points, bitwise identical to an uninterrupted run",
+        "points or cells, bitwise identical to an uninterrupted run",
     )
     parser.add_argument("--max-level", type=int, default=3, help="AMR levels (8x8 blocks)")
     parser.add_argument("--t-end", type=float, default=None, help="override simulated end time")
@@ -320,18 +322,7 @@ def report_sweep(result: SweepResult, args: argparse.Namespace, merged: bool = F
             ],
         )
     )
-    # merge() sums shard elapsed times: aggregate compute, nobody's wall-clock
-    label = "aggregate shard time" if merged else "wall-clock"
-    print(
-        f"{label}: {result.elapsed_seconds:.2f}s"
-        f" ({result.total_point_seconds:.2f}s in point workers, plane={result.spec.plane})"
-    )
-    if result.cache_stats is not None:
-        print("reference cache: " + CacheStats(**result.cache_stats).describe())
-    if result.failures:
-        print(f"failed points: {len(result.failures)}")
-        for failure in result.failures:
-            print(f"  {failure.describe()}")
+    report_footer(result, merged, "points", f"{result.total_point_seconds:.2f}s in point workers, ")
 
 
 def report_adaptive(result: AdaptiveResult, args: argparse.Namespace, merged: bool = False) -> None:
@@ -343,10 +334,18 @@ def report_adaptive(result: AdaptiveResult, args: argparse.Namespace, merged: bo
     print(result.table())
     grid_total = sum(c.grid_points for c in result.cliffs)
     print(f"total runs: {result.total_runs} (vs {grid_total} for the fixed grids)")
+    report_footer(result, merged, "cells")
+
+
+def report_footer(result, merged: bool, units: str, detail: str = "") -> None:
+    """Wall-clock, cache statistics and failures of a sweep or cliff search."""
+    # merge() sums shard elapsed times: aggregate compute, nobody's wall-clock
+    label = "aggregate shard time" if merged else "wall-clock"
+    print(f"{label}: {result.elapsed_seconds:.2f}s ({detail}plane={result.spec.plane})")
     if result.cache_stats is not None:
         print("reference cache: " + CacheStats(**result.cache_stats).describe())
     if result.failures:
-        print(f"failed cells: {len(result.failures)}")
+        print(f"failed {units}: {len(result.failures)}")
         for failure in result.failures:
             print(f"  {failure.describe()}")
 
@@ -406,11 +405,6 @@ def main() -> None:
     workload_configs = build_workload_configs(args, workloads)
 
     if args.adaptive:
-        if args.checkpoint is not None:
-            raise SystemExit(
-                "--resume/--checkpoint journals fixed-grid sweeps only; "
-                "adaptive cliff searches are not checkpointable yet"
-            )
         # with neither --policy nor --modules given, let each workload's
         # default_modules pick the truncation target (a fixed hydro policy
         # would truncate nothing for cellular/bubble)
@@ -434,7 +428,7 @@ def main() -> None:
         )
         if args.shard is not None:
             spec = spec.shard(*args.shard)
-        result = run_adaptive_sweep(spec)
+        result = run_adaptive_sweep(spec, checkpoint=args.checkpoint)
         report_adaptive(result, args)
     else:
         formats = [f.strip() for f in args.formats.split(",") if f.strip()]

@@ -14,29 +14,33 @@ operations — is packaged here as a reusable engine:
 ... ))
 >>> print(result.table())
 
-The package splits into four modules:
+The package splits into five modules:
 
 * :mod:`~repro.experiments.spec`   — the declarative surface.
   :class:`SweepSpec` names workloads (registry keys), formats, and
   :class:`PolicySpec` truncation recipes; ``spec.shard(i, n)`` slices the
-  expanded grid deterministically for multi-host execution.
-* :mod:`~repro.experiments.engine` — execution.  :func:`run_sweep` runs
-  one full-precision reference per workload, fans the grid out over
-  :mod:`repro.parallel.executor`, and returns a :class:`SweepResult`
-  (which also merges shard results via :meth:`SweepResult.merge` and
-  persists them via ``save``/``load``).
+  expanded grid deterministically for multi-host execution.  The
+  ``GridSpec`` mixin holds what both experiment specs share.
+* :mod:`~repro.experiments.engine` — execution.  One driver,
+  :func:`~repro.experiments.engine.run_grid`, runs both experiment
+  kinds: one full-precision reference per workload, the grid's units
+  fanned out over :mod:`repro.parallel.executor`, failures isolated,
+  progress optionally journaled.  :func:`run_sweep` is its fixed-format wrapper and returns a
+  :class:`SweepResult`; like every ``GridResult`` it merges shard results
+  via ``merge`` and persists them via ``save``/``load``.
 * :mod:`~repro.experiments.cache`  — the reference-run cache.
   :class:`ReferenceCache` is a content-addressed, fingerprint-invalidated
   store (in-memory LRU over on-disk ``.npz``) consulted by ``run_sweep``
   so repeated sweeps launch zero reference tasks.
 * :mod:`~repro.experiments.adaptive` — the precision-cliff search.
   :func:`find_cliff` bisects the mantissa axis of one (workload, policy)
-  pair in O(log n) runs; :func:`run_adaptive_sweep` drives it across a
-  workload × policy grid with the same cache/shard/backend machinery.
+  pair in O(log n) runs; :func:`run_adaptive_sweep` is the driver's
+  wrapper that runs one bisection per cell of a workload × policy grid.
 * :mod:`~repro.experiments.journal` — crash-safe checkpointing.
-  ``run_sweep(spec, checkpoint=dir)`` journals every resolved point with
-  atomic write-then-rename; rerunning the same spec resumes, executing
-  only the missing points, bitwise identical to an uninterrupted run.
+  ``run_sweep(spec, checkpoint=dir)`` and ``run_adaptive_sweep(spec,
+  checkpoint=dir)`` journal every resolved point or cell with atomic
+  write-then-rename; rerunning the same spec resumes, executing only the
+  missing units, bitwise identical to an uninterrupted run.
 
 Fault tolerance is configured on the specs: ``on_error="collect"`` turns
 failing points into structured :class:`PointFailure` records instead of

@@ -16,10 +16,11 @@ Two entry points:
   :class:`~repro.experiments.cache.ReferenceCache` for the full-precision
   reference.
 * :func:`run_adaptive_sweep` — drive :func:`find_cliff` across a
-  workload × policy grid (:class:`AdaptiveSpec`), fanning the independent
-  cells out over :mod:`repro.parallel.executor` with the same
-  deterministic-ordering, sharding (:meth:`AdaptiveSpec.shard` /
-  :meth:`AdaptiveResult.merge`) and reference-cache guarantees as
+  workload × policy grid (:class:`AdaptiveSpec`) through the engine's one
+  grid driver, :func:`~repro.experiments.engine.run_grid`: the same
+  deterministic ordering, sharding (:meth:`AdaptiveSpec.shard` /
+  :meth:`AdaptiveResult.merge`), reference cache, failure isolation and
+  checkpoint journal (one entry per resolved cell) as
   :func:`~repro.experiments.engine.run_sweep`.
 
 Everything a bisection evaluates is a pure function of (workload config,
@@ -29,10 +30,9 @@ partition — produce bitwise-identical cliff results.
 from __future__ import annotations
 
 import math
-import pickle
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -40,8 +40,6 @@ from ..core.fpformat import FPFormat
 from ..core.quantize import RoundingMode
 from ..core.report import format_table
 from ..core.runtime import RaptorRuntime
-from ..parallel.executor import TaskFault, run_tasks
-from ..testing.faults import maybe_inject
 from ..workloads.registry import (
     UnknownWorkloadError,
     canonical_name,
@@ -51,28 +49,22 @@ from ..workloads.registry import (
 from ..workloads.scenario import Outcome, scenario_protocol_errors
 from .cache import ReferenceCache, reference_key
 from .engine import (
+    GridResult,
+    Label,
     NonFiniteStateError,
     PointFailure,
     ReferenceResult,
-    _exception_failure,
-    _fault_failure,
     _build_prefix,
+    _exception_failure,
+    _isolated,
     _prefix_kwargs,
-    _prefix_source,
-    _resolve_cache,
-    gather_references,
     nonfinite_variables,
+    run_grid,
     run_reference,
 )
-from .journal import atomic_pickle
-from .spec import (
-    PolicySpec,
-    config_kwargs_for,
-    validate_alias_keyed_mapping,
-    validate_config_overrides,
-    validate_fault_tolerance,
-    validate_workload_list,
-)
+# unused here: perfbench/bench_trace.py's trace targets resolve these two names in this module
+from .engine import gather_references, run_tasks  # noqa: F401
+from .spec import GridSpec, PolicySpec, validate_alias_keyed_mapping, validate_fault_tolerance
 
 __all__ = [
     "AdaptiveCell",
@@ -420,11 +412,8 @@ def find_cliff(
                 truncated_fraction=0.0,
                 failure=_exception_failure(
                     exc,
-                    index=index,
-                    workload=obj.name,
-                    format_name=f"e{exp_bits}m{bits}",
-                    policy=pol.describe(),
-                    seconds=time.perf_counter() - probe_started,
+                    (index, obj.name, f"e{exp_bits}m{bits}", pol.describe()),
+                    time.perf_counter() - probe_started,
                 ),
             )
 
@@ -458,12 +447,13 @@ class AdaptiveCell:
 
 
 @dataclass
-class AdaptiveSpec:
+class AdaptiveSpec(GridSpec):
     """Declarative cliff search: workloads × policies, one bisection each.
 
     Mirrors :class:`~repro.experiments.spec.SweepSpec` — registry-name
     workloads, alias-aware per-workload configs, serial/process backends,
-    cache directory, and deterministic ``shard(i, n)`` partitions — but the
+    cache directory, and deterministic ``shard(i, n)`` partitions, all from
+    the shared :class:`~repro.experiments.spec.GridSpec` — but the
     format axis is replaced by a mantissa *range* that each cell bisects.
     ``policies=None`` (the default) gives every workload one global policy
     over its own ``default_modules`` (hydro for compressible, eos for
@@ -510,18 +500,9 @@ class AdaptiveSpec:
     #: as :attr:`SweepSpec.retries`
     retries: Optional[int] = None
 
-    def __setstate__(self, state) -> None:
-        # specs pickled before the fault-tolerance fields existed
-        self.__dict__.update(state)
-        for name, default in (("on_error", "raise"), ("point_timeout", None), ("retries", None)):
-            self.__dict__.setdefault(name, default)
-
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check the spec before execution (fail fast, not in a worker)."""
-        from ..kernels import validate_plane
-
-        validate_plane(self.plane)
         if self.policies is not None and not self.policies:
             raise ValueError(
                 "AdaptiveSpec needs at least one policy "
@@ -533,19 +514,8 @@ class AdaptiveSpec:
             raise ValueError("max_man_bits must be >= min_man_bits")
         if self.exp_bits < 2:
             raise ValueError("exp_bits must be >= 2")
-        if self.rounding not in RoundingMode.ALL:
-            raise ValueError(f"unknown rounding mode {self.rounding!r}")
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        if not (0 <= self.shard_index < self.shard_count):
-            raise ValueError(
-                f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
-            )
-        validate_fault_tolerance(self.on_error, self.point_timeout, self.retries)
-        seen = validate_workload_list(self.workloads, "AdaptiveSpec")
-        validate_alias_keyed_mapping(self.workload_configs, seen, "workload_configs")
+        seen = self._validate_grid("AdaptiveSpec")
         validate_alias_keyed_mapping(self.thresholds, seen, "thresholds")
-        validate_config_overrides(self.workload_configs)
 
     # ------------------------------------------------------------------
     def policies_for(self, workload: str) -> Tuple[PolicySpec, ...]:
@@ -566,31 +536,25 @@ class AdaptiveSpec:
                 index += 1
         return tuple(cells)
 
-    def cells(self) -> Tuple[AdaptiveCell, ...]:
-        """This spec's slice of the grid (strided partition, global indices
-        preserved — the same scheme as :meth:`SweepSpec.points`)."""
-        grid = self.full_cells()
-        if self.shard_count == 1:
-            return grid
-        return tuple(c for c in grid if c.index % self.shard_count == self.shard_index)
+    full_units = full_cells
+    #: this spec's slice of the grid (see :meth:`GridSpec.units`)
+    cells = GridSpec.units
 
-    def shard(self, index: int, count: int) -> "AdaptiveSpec":
-        """The ``index``-th of ``count`` deterministic grid partitions."""
-        if count < 1:
-            raise ValueError("shard count must be >= 1")
-        if not (0 <= index < count):
-            raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        if (self.shard_index, self.shard_count) != (0, 1):
-            raise ValueError("spec is already sharded; shard the unsharded base spec")
-        return replace(self, shard_index=index, shard_count=count)
+    def _axis_signature(self) -> tuple:
+        return (
+            self.min_man_bits,
+            self.max_man_bits,
+            self.exp_bits,
+            self.threshold,
+            tuple(sorted((canonical_name(k), v) for k, v in self.thresholds.items())),
+            self.rounding,
+            self.plane,
+            self.count_probe_ops,
+        )
 
-    def unsharded(self) -> "AdaptiveSpec":
-        if (self.shard_index, self.shard_count) == (0, 1):
-            return self
-        return replace(self, shard_index=0, shard_count=1)
-
-    def config_kwargs(self, workload: str) -> Dict[str, object]:
-        return config_kwargs_for(self.workload_configs, workload)
+    def failure_label(self, cell: AdaptiveCell) -> Label:
+        bits = f"e{self.exp_bits}m[{self.min_man_bits},{self.max_man_bits}]"
+        return (cell.index, cell.workload, bits, cell.policy.describe())
 
     def threshold_for(self, workload: str) -> Optional[float]:
         """The failure threshold of one workload: its ``thresholds`` entry
@@ -602,9 +566,6 @@ class AdaptiveSpec:
                 return value
         return self.threshold
 
-    def with_backend(self, backend: str, max_workers: Optional[int] = None) -> "AdaptiveSpec":
-        return replace(self, backend=backend, max_workers=max_workers)
-
 
 # ---------------------------------------------------------------------------
 # cell task (module-level so it pickles under every start method)
@@ -612,6 +573,7 @@ class AdaptiveSpec:
 @dataclass
 class _CliffTask:
     cell: AdaptiveCell
+    label: Label
     config_kwargs: Dict[str, object]
     min_man_bits: int
     max_man_bits: int
@@ -629,26 +591,10 @@ class _CliffTask:
 
 
 def _execute_cliff(task: _CliffTask):
-    cell = task.cell
-    if task.on_error != "collect":
-        maybe_inject("cell", cell.index)
-        return _run_cliff_task(task)
-    started = time.perf_counter()
-    try:
-        maybe_inject("cell", cell.index)
-        return _run_cliff_task(task)
-    except Exception as exc:
-        # probe-level errors are already isolated inside find_cliff; what
-        # lands here is cell-level (workload construction, a broken
-        # evaluate(), an injected cell fault) — record it and move on
-        return _exception_failure(
-            exc,
-            index=cell.index,
-            workload=cell.workload,
-            format_name=f"e{task.exp_bits}m[{task.min_man_bits},{task.max_man_bits}]",
-            policy=cell.policy.describe(),
-            seconds=time.perf_counter() - started,
-        )
+    # probe-level errors are already isolated inside find_cliff; what the
+    # isolation records here is cell-level (workload construction, a broken
+    # evaluate(), an injected cell fault)
+    return _isolated(task, "cell", task.cell.index, _run_cliff_task)
 
 
 def _run_cliff_task(task: _CliffTask) -> CliffResult:
@@ -681,40 +627,18 @@ def _run_cliff_task(task: _CliffTask) -> CliffResult:
 # the grid driver
 # ---------------------------------------------------------------------------
 @dataclass
-class AdaptiveResult:
+class AdaptiveResult(GridResult):
     """All cliff searches of an adaptive grid, in cell order."""
+
+    _items = "cliffs"
+    _unit = "cell"
 
     spec: AdaptiveSpec
     cliffs: List[CliffResult]
     references: Dict[str, ReferenceResult]
-    cache_stats: Optional[Dict[str, int]] = None
-    #: failed cells (and references, ``index=-1``) of an
-    #: ``on_error="collect"`` grid, in cell order; always empty in raise mode
-    failures: List[PointFailure] = field(default_factory=list)
-
-    def __setstate__(self, state) -> None:
-        # results pickled before the fault-tolerance layer
-        self.__dict__.update(state)
-        self.__dict__.setdefault("failures", [])
-
-    def __len__(self) -> int:
-        return len(self.cliffs)
-
-    def __iter__(self):
-        return iter(self.cliffs)
 
     def select(self, workload: Optional[str] = None) -> List[CliffResult]:
         return [c for c in self.cliffs if workload is None or c.workload == workload]
-
-    def select_failures(
-        self, workload: Optional[str] = None, kind: Optional[str] = None
-    ) -> List[PointFailure]:
-        return [
-            f
-            for f in self.failures
-            if (workload is None or f.workload == workload)
-            and (kind is None or f.kind == kind)
-        ]
 
     @property
     def total_runs(self) -> int:
@@ -737,26 +661,10 @@ class AdaptiveResult:
                     str(c.grid_points),
                 ]
             )
-        text = format_table(
+        return format_table(
             ["workload", "policy", "bits range", "cliff", "err@cliff", "runs", "grid"],
             rows,
-        )
-        if self.failures:
-            failure_rows = [
-                [
-                    str(f.index),
-                    f.workload,
-                    f.policy,
-                    f.kind,
-                    f.exc_type or "-",
-                    f.message[:60],
-                ]
-                for f in self.failures
-            ]
-            text += "\n\nfailed cells:\n" + format_table(
-                ["index", "workload", "policy", "kind", "error", "message"], failure_rows
-            )
-        return text
+        ) + self._failure_table()
 
     def to_dict(self) -> dict:
         return {
@@ -772,111 +680,17 @@ class AdaptiveResult:
             "backend": self.spec.backend,
             "shard": [self.spec.shard_index, self.spec.shard_count],
             "cache": self.cache_stats,
+            "elapsed_seconds": self.elapsed_seconds,
             "total_runs": self.total_runs,
             "cliffs": [c.to_dict() for c in self.cliffs],
             "failures": [f.to_dict() for f in self.failures],
         }
 
-    # -- shard persistence + recombination ------------------------------
-    def save(self, path) -> Path:
-        """Pickle the full result atomically (tempfile + rename; same
-        caveats as :meth:`SweepResult.save`: only load files you produced
-        yourself)."""
-        return atomic_pickle(self, path)
-
-    @classmethod
-    def load(cls, path) -> "AdaptiveResult":
-        with open(Path(path), "rb") as fh:
-            result = pickle.load(fh)
-        if not isinstance(result, cls):
-            raise TypeError(
-                f"{path} does not contain an AdaptiveResult (got {type(result).__name__})"
-            )
-        return result
-
-    @staticmethod
-    def _merge_signature(spec: AdaptiveSpec) -> tuple:
-        base = spec.unsharded()
-        return (
-            base.full_cells(),
-            base.min_man_bits,
-            base.max_man_bits,
-            base.exp_bits,
-            base.threshold,
-            tuple(sorted((canonical_name(k), v) for k, v in base.thresholds.items())),
-            base.rounding,
-            base.plane,
-            base.count_probe_ops,
-            tuple((w, sorted(base.config_kwargs(w).items())) for w in base.workloads),
-        )
-
-    @classmethod
-    def merge(cls, *results: "AdaptiveResult") -> "AdaptiveResult":
-        """Recombine shard results into the unsharded grid result —
-        bit-identical to a serial unsharded run, like
-        :meth:`SweepResult.merge`."""
-        if len(results) == 1 and not isinstance(results[0], cls):
-            results = tuple(results[0])
-        if not results:
-            raise ValueError("merge needs at least one AdaptiveResult")
-        signature = cls._merge_signature(results[0].spec)
-        for other in results[1:]:
-            if cls._merge_signature(other.spec) != signature:
-                raise ValueError(
-                    "cannot merge results from different adaptive searches "
-                    "(grid, bits range, thresholds, rounding or configs disagree)"
-                )
-        merged: Dict[int, CliffResult] = {}
-        merged_failures: Dict[int, PointFailure] = {}
-        reference_failures: List[PointFailure] = []
-        references: Dict[str, ReferenceResult] = {}
-        for result in results:
-            for cliff in result.cliffs:
-                if cliff.index in merged or cliff.index in merged_failures:
-                    raise ValueError(f"cell index {cliff.index} appears in more than one shard")
-                merged[cliff.index] = cliff
-            for failure in result.failures:
-                if failure.index < 0:
-                    if not any(
-                        f.failure_key() == failure.failure_key() for f in reference_failures
-                    ):
-                        reference_failures.append(failure)
-                    continue
-                if failure.index in merged or failure.index in merged_failures:
-                    raise ValueError(
-                        f"cell index {failure.index} appears in more than one shard"
-                    )
-                merged_failures[failure.index] = failure
-            for name, ref in result.references.items():
-                references.setdefault(name, ref)
-        base = results[0].spec.unsharded()
-        expected = [c.index for c in base.full_cells()]
-        # a failed cell still covers its grid cell (same rule as SweepResult)
-        missing = sorted(set(expected) - set(merged) - set(merged_failures))
-        if missing:
-            raise ValueError(
-                f"merged shards do not cover the full grid; missing cell "
-                f"indices {missing} — run the remaining shard(s) first"
-            )
-        stats_list = [r.cache_stats for r in results if r.cache_stats is not None]
-        cache_stats = None
-        if stats_list:
-            cache_stats = {
-                key: sum(stats.get(key, 0) for stats in stats_list)
-                for key in sorted({key for stats in stats_list for key in stats})
-            }
-        return cls(
-            spec=base,
-            cliffs=[merged[index] for index in expected if index in merged],
-            references=references,
-            cache_stats=cache_stats,
-            failures=reference_failures
-            + [merged_failures[index] for index in expected if index in merged_failures],
-        )
-
 
 def run_adaptive_sweep(
-    spec: AdaptiveSpec, cache: Union[ReferenceCache, str, None] = None
+    spec: AdaptiveSpec,
+    cache: Union[ReferenceCache, str, None] = None,
+    checkpoint: Union[str, Path, None] = None,
 ) -> AdaptiveResult:
     """Run one cliff search per (workload, policy) cell of ``spec``.
 
@@ -884,105 +698,29 @@ def run_adaptive_sweep(
     :func:`~repro.experiments.engine.run_sweep` (cache-aware, zero
     reference tasks when warm).  Phase 2 fans the independent bisections
     out over the chosen backend; results come back in deterministic cell
-    order (the shard's slice when the spec is sharded).
+    order (the shard's slice when the spec is sharded).  ``checkpoint``
+    names a journal directory, as for ``run_sweep``: each resolved cell is
+    journaled, and a rerun of the same spec executes only the cells the
+    journal lacks, bitwise identical to an uninterrupted run.
     """
-    spec.validate()
-    cells = spec.cells()
-    collect = spec.on_error == "collect"
-    ref_cache = _resolve_cache(spec, cache)
-    stats_before = ref_cache.stats.to_dict() if ref_cache is not None else None
 
-    needed = list(dict.fromkeys(cell.workload for cell in cells))
-    # one binary64 prefix per workload for this call (see run_sweep)
-    prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
-    gathered = gather_references(
-        needed,
-        spec.config_kwargs,
-        cache=ref_cache,
-        backend=spec.backend,
-        max_workers=spec.max_workers,
-        plane=spec.plane,
-        on_error=spec.on_error,
-        timeout=spec.point_timeout,
-        retries=spec.retries,
-        prefix_for=prefix_for,
-    )
-    references: Dict[str, ReferenceResult] = {}
-    ref_failures: Dict[str, PointFailure] = {}
-    for name, ref in gathered.items():
-        if isinstance(ref, PointFailure):
-            ref_failures[name] = ref
-        else:
-            references[name] = ref
-
-    failures: Dict[int, PointFailure] = {}
-    todo = []
-    for cell in cells:
-        if cell.workload in ref_failures:
-            ref_failure = ref_failures[cell.workload]
-            failures[cell.index] = PointFailure(
-                index=cell.index,
-                workload=cell.workload,
-                format_name=f"e{spec.exp_bits}m[{spec.min_man_bits},{spec.max_man_bits}]",
-                policy=cell.policy.describe(),
-                kind="reference",
-                exc_type=ref_failure.exc_type,
-                message=f"reference failed [{ref_failure.kind}]: {ref_failure.message}",
-            )
-        else:
-            todo.append(cell)
-
-    tasks = [
-        _CliffTask(
+    def make_task(cell: AdaptiveCell, reference: ReferenceResult, prefix) -> _CliffTask:
+        return _CliffTask(
             cell=cell,
+            label=spec.failure_label(cell),
             config_kwargs=spec.config_kwargs(cell.workload),
             min_man_bits=spec.min_man_bits,
             max_man_bits=spec.max_man_bits,
             exp_bits=spec.exp_bits,
             threshold=spec.threshold_for(cell.workload),
             rounding=spec.rounding,
-            reference_state=references[cell.workload].state,
-            reference_time=references[cell.workload].time,
-            reference_kind=getattr(references[cell.workload], "kind", "compressible"),
+            reference_state=reference.state,
+            reference_time=reference.time,
+            reference_kind=getattr(reference, "kind", "compressible"),
             plane=spec.plane,
             count_ops=spec.count_probe_ops,
             on_error=spec.on_error,
-            prefix=prefix_for(cell.workload),
+            prefix=prefix,
         )
-        for cell in todo
-    ]
-    outcomes = run_tasks(
-        _execute_cliff,
-        tasks,
-        backend=spec.backend,
-        max_workers=spec.max_workers,
-        timeout=spec.point_timeout,
-        retries=spec.retries,
-        collect=collect,
-    )
-    cliffs: Dict[int, CliffResult] = {}
-    for cell, outcome in zip(todo, outcomes):
-        if isinstance(outcome, TaskFault):
-            outcome = _fault_failure(
-                outcome,
-                index=cell.index,
-                workload=cell.workload,
-                format_name=f"e{spec.exp_bits}m[{spec.min_man_bits},{spec.max_man_bits}]",
-                policy=cell.policy.describe(),
-            )
-        if isinstance(outcome, PointFailure):
-            failures[cell.index] = outcome
-        else:
-            cliffs[cell.index] = outcome
-    cache_stats = None
-    if ref_cache is not None:
-        after = ref_cache.stats.to_dict()
-        cache_stats = {key: after[key] - stats_before[key] for key in after}
-    return AdaptiveResult(
-        spec=spec,
-        cliffs=[cliffs[c.index] for c in cells if c.index in cliffs],
-        references=references,
-        cache_stats=cache_stats,
-        failures=[f for f in ref_failures.values()]
-        + [failures[c.index] for c in cells if c.index in failures],
-    )
+
+    return run_grid(spec, AdaptiveResult, _execute_cliff, make_task, cache, checkpoint)

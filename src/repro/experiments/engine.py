@@ -18,6 +18,12 @@ Two scale features sit on top of that core loop:
 * **Sharding** — ``spec.shard(i, n)`` runs a deterministic slice of the
   grid, and :meth:`SweepResult.merge` reassembles shard outputs (points,
   references, and counter roll-ups) bit-identically to the unsharded run.
+
+Both experiment kinds — the fixed-format sweep here and the adaptive cliff
+search of :mod:`repro.experiments.adaptive` — run through one driver,
+:func:`run_grid`: units → cache → prefix source → references → reference
+failure routing → tasks → executor → optional journal.  Their results share
+:class:`GridResult` (failures, save/load, merge).
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,15 +50,17 @@ from ..workloads.registry import create_workload
 from ..workloads.scenario import Outcome
 from .cache import ReferenceCache, reference_key
 from .journal import SweepJournal, atomic_pickle
-from .spec import PolicySpec, SweepPoint, SweepSpec, format_label
+from .spec import GridSpec, SweepPoint, SweepSpec, format_label
 
 __all__ = [
+    "GridResult",
     "NonFiniteStateError",
     "PointFailure",
     "PointResult",
     "ReferenceResult",
     "SweepResult",
     "checkpoint_signature",
+    "run_grid",
     "run_reference",
     "run_sweep",
     "gather_references",
@@ -66,6 +74,15 @@ ReferenceResult = Outcome
 # ---------------------------------------------------------------------------
 # task payloads (picklable; shipped to worker processes)
 # ---------------------------------------------------------------------------
+#: ``(index, workload, format_name, policy)``: where a task's failure is
+#: recorded — the leading fields of :class:`PointFailure`
+Label = Tuple[int, str, str, str]
+
+
+def _reference_label(workload: str) -> Label:
+    return (-1, workload, "-", "-")
+
+
 @dataclass
 class _ReferenceTask:
     workload: str
@@ -75,10 +92,15 @@ class _ReferenceTask:
     #: the workload's ``initial_state()`` (None: the run builds its own)
     prefix: object = None
 
+    @property
+    def label(self) -> Label:
+        return _reference_label(self.workload)
+
 
 @dataclass
 class _PointTask:
     point: SweepPoint
+    label: Label
     config_kwargs: Dict[str, object]
     variables: Tuple[str, ...]
     rounding: str
@@ -164,6 +186,8 @@ class PointFailure:
 
     def describe(self) -> str:
         what = f"{self.exc_type}: {self.message}" if self.exc_type else self.message
+        if self.index < 0:
+            return f"reference of {self.workload} failed [{self.kind}] {what}"
         return (
             f"point {self.index} ({self.workload} @ {self.format_name} / "
             f"{self.policy}) failed [{self.kind}] {what}"
@@ -183,22 +207,11 @@ class PointFailure:
         }
 
 
-def _exception_failure(
-    exc: BaseException,
-    *,
-    index: int,
-    workload: str,
-    format_name: str,
-    policy: str,
-    seconds: float,
-) -> PointFailure:
-    kind = "blowup" if isinstance(exc, NonFiniteStateError) else "exception"
+def _exception_failure(exc: BaseException, label: Label, seconds: float) -> PointFailure:
+    """The record of an exception being handled (call inside ``except``)."""
     return PointFailure(
-        index=index,
-        workload=workload,
-        format_name=format_name,
-        policy=policy,
-        kind=kind,
+        *label,
+        kind="blowup" if isinstance(exc, NonFiniteStateError) else "exception",
         exc_type=type(exc).__name__,
         message=str(exc),
         traceback=traceback.format_exc(),
@@ -206,31 +219,22 @@ def _exception_failure(
     )
 
 
-def _fault_failure(
-    fault: TaskFault, *, index: int, workload: str, format_name: str, policy: str
-) -> PointFailure:
+def _fault_failure(fault: TaskFault, label: Label) -> PointFailure:
     """Translate an executor-level :class:`TaskFault` sentinel (timeout,
     deterministic worker crash) into the engine's failure record."""
     return PointFailure(
-        index=index,
-        workload=workload,
-        format_name=format_name,
-        policy=policy,
+        *label,
         kind=fault.kind,
-        exc_type="",
         message=fault.message,
         seconds=fault.elapsed,
         retries=fault.retries,
     )
 
 
-def _reference_failure_for_point(point: SweepPoint, ref_failure: PointFailure) -> PointFailure:
-    """The failure recorded for a point whose workload reference failed."""
+def _reference_failure(label: Label, ref_failure: PointFailure) -> PointFailure:
+    """The failure recorded for a unit whose workload reference failed."""
     return PointFailure(
-        index=point.index,
-        workload=point.workload,
-        format_name=point.format_name,
-        policy=point.policy.describe(),
+        *label,
         kind="reference",
         exc_type=ref_failure.exc_type,
         message=f"reference failed [{ref_failure.kind}]: {ref_failure.message}",
@@ -297,7 +301,192 @@ class PointResult:
 
 
 @dataclass
-class SweepResult:
+class GridResult:
+    """What :class:`SweepResult` and
+    :class:`~repro.experiments.adaptive.AdaptiveResult` share: failure
+    records, cache statistics, wall-clock, atomic save/load and shard merge.
+
+    A subclass declares ``spec``, its per-unit item list (named by
+    ``_items``) and ``references`` as its positional fields; the shared
+    fields below are keyword-only, so they follow them.
+    """
+
+    #: attribute holding the per-unit results, and the unit's display name
+    _items: ClassVar[str] = "points"
+    _unit: ClassVar[str] = "point"
+
+    #: reference-cache counters of this run ({"hits": ..., "misses": ...,
+    #: "stores": ..., "invalidations": ..., "evictions": ...}); None when
+    #: the run was uncached
+    cache_stats: Optional[Dict[str, int]] = field(default=None, kw_only=True)
+    #: wall-clock seconds of the call that produced this result.
+    #: :meth:`merge` *sums* shard values, so for a merged result this is the
+    #: aggregate compute time across shards, not any one host's elapsed time
+    elapsed_seconds: float = field(default=0.0, kw_only=True)
+    #: failed units of an ``on_error="collect"`` run (reference failures,
+    #: ``index=-1``, first, then units in grid order); always empty in raise
+    #: mode (the run would have raised instead)
+    failures: List[PointFailure] = field(default_factory=list, kw_only=True)
+
+    def __setstate__(self, state) -> None:
+        # results pickled before the fault-tolerance layer (or, for cliff
+        # searches, before wall-clock was recorded) default those fields,
+        # so old shard files keep loading
+        self.__dict__.update(state)
+        self.__dict__.setdefault("failures", [])
+        self.__dict__.setdefault("elapsed_seconds", 0.0)
+
+    @property
+    def entries(self) -> list:
+        """The per-unit results (``points`` or ``cliffs``), in grid order."""
+        return getattr(self, self._items)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def select_failures(
+        self,
+        workload: Optional[str] = None,
+        fmt: Optional[str] = None,
+        policy: Optional[str] = None,
+        kind: Optional[str] = None,
+    ) -> List[PointFailure]:
+        """Failures matching the given workload / format label / policy
+        description / failure kind (all optional)."""
+        return [
+            f
+            for f in self.failures
+            if (workload is None or f.workload == workload)
+            and (fmt is None or f.format_name == fmt)
+            and (policy is None or f.policy == policy)
+            and (kind is None or f.kind == kind)
+        ]
+
+    def _failure_table(self) -> str:
+        """The "failed points/cells" block appended to ``table()``."""
+        if not self.failures:
+            return ""
+        rows = [
+            [str(f.index), f.workload, f.policy, f.format_name, f.kind,
+             f.exc_type or "-", f.message[:60]]
+            for f in self.failures
+        ]
+        return f"\n\nfailed {self._unit}s:\n" + format_table(
+            ["index", "workload", "policy", "format", "kind", "error", "message"], rows
+        )
+
+    # ------------------------------------------------------------------
+    # shard persistence + recombination
+    # ------------------------------------------------------------------
+    def save(self, path) -> Path:
+        """Persist the full result (units, references, snapshots) to disk.
+
+        The format is a pickle of the result object — everything in it is
+        picklable by construction because it crosses process boundaries
+        during parallel execution.  Only load files you produced yourself
+        (pickle executes code on load).
+
+        The write is atomic (tempfile + rename, the reference cache's
+        discipline): a crash mid-save leaves either the previous file or
+        the new one, never a torn pickle that :meth:`load` chokes on.
+        """
+        return atomic_pickle(self, path)
+
+    @classmethod
+    def load(cls, path):
+        """Load a result written by :meth:`save`."""
+        with open(Path(path), "rb") as fh:
+            result = pickle.load(fh)
+        if not isinstance(result, cls):
+            raise TypeError(f"{path} does not contain a {cls.__name__} (got {type(result).__name__})")
+        return result
+
+    @classmethod
+    def _assemble(cls, spec: GridSpec, entries: Mapping[int, object], references,
+                  reference_failures, **shared):
+        """The result of ``spec``'s units from ``entries`` (index → item or
+        :class:`PointFailure`), in grid order."""
+        order = [unit.index for unit in spec.units()]
+        found = [entries[i] for i in order if i in entries]
+        return cls(
+            spec,
+            [e for e in found if not isinstance(e, PointFailure)],
+            references,
+            failures=list(reference_failures) + [e for e in found if isinstance(e, PointFailure)],
+            **shared,
+        )
+
+    @classmethod
+    def merge(cls, *results):
+        """Recombine shard results into the unsharded result.
+
+        Accepts the shard results in any order (pass them unpacked or as a
+        single iterable).  Requires that all shards came from the same base
+        spec (equal :meth:`~repro.experiments.spec.GridSpec.signature`),
+        that no global index appears twice, and that the union covers the
+        full grid — a failed unit still covers its cell.  The merged result
+        is then bit-identical to a serial unsharded run: its units,
+        per-workload references and, for sweeps, the ``rollup`` counters,
+        which :meth:`~repro.core.runtime.RaptorRuntime.merge_snapshot`
+        accumulates from the per-point snapshots.  Cache statistics and
+        elapsed seconds are summed across shards.
+        """
+        if len(results) == 1 and not isinstance(results[0], cls):
+            results = tuple(results[0])
+        if not results:
+            raise ValueError(f"merge needs at least one {cls.__name__}")
+        signature = results[0].spec.signature()
+        if any(other.spec.signature() != signature for other in results[1:]):
+            raise ValueError(
+                "cannot merge results from different sweeps (grid, axis fields such as "
+                "formats or bits range, plane, rounding or workload configs disagree)"
+            )
+
+        entries: Dict[int, object] = {}
+        reference_failures: List[PointFailure] = []
+        references: Dict[str, ReferenceResult] = {}
+        for result in results:
+            for entry in [*result.entries, *result.failures]:
+                if entry.index < 0:
+                    # a reference failure is not a grid unit; shards of the
+                    # same workload may each record one — keep the first
+                    if not any(f.failure_key() == entry.failure_key() for f in reference_failures):
+                        reference_failures.append(entry)
+                    continue
+                if entry.index in entries:
+                    raise ValueError(
+                        f"{cls._unit} index {entry.index} appears in more than one shard"
+                    )
+                entries[entry.index] = entry
+            for name, ref in result.references.items():
+                references.setdefault(name, ref)
+
+        base = results[0].spec.unsharded()
+        missing = sorted({unit.index for unit in base.units()} - set(entries))
+        if missing:
+            raise ValueError(
+                f"merged shards do not cover the full grid; missing {cls._unit} "
+                f"indices {missing} — run the remaining shard(s) first"
+            )
+        stats_list = [r.cache_stats for r in results if r.cache_stats is not None]
+        cache_stats = None
+        if stats_list:
+            cache_stats = {
+                key: sum(stats.get(key, 0) for stats in stats_list)
+                for key in sorted({key for stats in stats_list for key in stats})
+            }
+        return cls._assemble(
+            base, entries, references, reference_failures,
+            cache_stats=cache_stats,
+            elapsed_seconds=float(sum(r.elapsed_seconds for r in results)),
+        )
+
+
+@dataclass
+class SweepResult(GridResult):
     """All points of a sweep, in grid order, plus per-workload references.
 
     For a sharded spec the points are that shard's slice of the grid (global
@@ -308,36 +497,12 @@ class SweepResult:
     spec: SweepSpec
     points: List[PointResult]
     references: Dict[str, ReferenceResult]
-    #: reference-cache counters of this run ({"hits": ..., "misses": ...,
-    #: "stores": ..., "invalidations": ..., "evictions": ...}); None when
-    #: the run was uncached
-    cache_stats: Optional[Dict[str, int]] = None
-    #: wall-clock seconds of the ``run_sweep`` call that produced this
-    #: result.  :meth:`merge` *sums* shard values, so for a merged result
-    #: this is the aggregate compute time across shards, not the elapsed
-    #: time of any one host.
-    elapsed_seconds: float = 0.0
-    #: failed points of an ``on_error="collect"`` sweep, in grid order;
-    #: always empty in raise mode (the sweep would have raised instead)
-    failures: List[PointFailure] = field(default_factory=list)
-
-    def __setstate__(self, state) -> None:
-        # results pickled before the fault-tolerance layer carry no
-        # failures field; default it so old shard files keep loading
-        self.__dict__.update(state)
-        self.__dict__.setdefault("failures", [])
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.points)
-
     @property
     def total_point_seconds(self) -> float:
         """Summed per-point worker wall-clock (references excluded)."""
         return float(sum(p.seconds for p in self.points))
-
-    def __iter__(self):
-        return iter(self.points)
 
     def select(
         self,
@@ -356,28 +521,6 @@ class SweepResult:
             if policy is not None and p.policy != policy:
                 continue
             out.append(p)
-        return out
-
-    def select_failures(
-        self,
-        workload: Optional[str] = None,
-        fmt: Optional[str] = None,
-        policy: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> List[PointFailure]:
-        """Failures matching the given workload / format label / policy
-        description / failure kind (all optional)."""
-        out = []
-        for f in self.failures:
-            if workload is not None and f.workload != workload:
-                continue
-            if fmt is not None and f.format_name != fmt:
-                continue
-            if policy is not None and f.policy != policy:
-                continue
-            if kind is not None and f.kind != kind:
-                continue
-            out.append(f)
         return out
 
     def rollup(self) -> RaptorRuntime:
@@ -403,7 +546,7 @@ class SweepResult:
                     f"{p.giga_ops[1]:.4f}",
                 ]
             )
-        text = format_table(
+        return format_table(
             [
                 "workload",
                 "policy",
@@ -415,25 +558,7 @@ class SweepResult:
                 "Gops full",
             ],
             rows,
-        )
-        if self.failures:
-            failure_rows = [
-                [
-                    str(f.index),
-                    f.workload,
-                    f.policy,
-                    f.format_name,
-                    f.kind,
-                    f.exc_type or "-",
-                    f.message[:60],
-                ]
-                for f in self.failures
-            ]
-            text += "\n\nfailed points:\n" + format_table(
-                ["index", "workload", "policy", "format", "kind", "error", "message"],
-                failure_rows,
-            )
-        return text
+        ) + self._failure_table()
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary (states and snapshots omitted)."""
@@ -464,134 +589,6 @@ class SweepResult:
             ],
             "failures": [f.to_dict() for f in self.failures],
         }
-
-    # ------------------------------------------------------------------
-    # shard persistence + recombination
-    # ------------------------------------------------------------------
-    def save(self, path) -> Path:
-        """Persist the full result (points, references, snapshots) to disk.
-
-        The format is a pickle of the result object — everything in a
-        :class:`SweepResult` is picklable by construction because it
-        crosses process boundaries during parallel execution.  Only load
-        files you produced yourself (pickle executes code on load).
-
-        The write is atomic (tempfile + rename, the reference cache's
-        discipline): a crash mid-save leaves either the previous file or
-        the new one, never a torn pickle that :meth:`load` chokes on.
-        """
-        return atomic_pickle(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SweepResult":
-        """Load a result written by :meth:`save`."""
-        with open(Path(path), "rb") as fh:
-            result = pickle.load(fh)
-        if not isinstance(result, cls):
-            raise TypeError(f"{path} does not contain a SweepResult (got {type(result).__name__})")
-        return result
-
-    @staticmethod
-    def _merge_signature(spec: SweepSpec) -> tuple:
-        """What must agree across shards for a merge to be meaningful: the
-        full grid, the error protocol, and the per-workload configs.
-        Backend and worker count deliberately excluded — metrics are
-        backend-independent, so shards may run on heterogeneous hosts."""
-        base = spec.unsharded()
-        return (
-            base.full_grid(),
-            base.variables,
-            base.rounding,
-            # the kernel plane changes which contexts feed the counters, so
-            # shards of one sweep must agree on it (states would match, the
-            # merged counter roll-up would not)
-            base.plane,
-            # non-counting points carry zeroed counters, so shards of one
-            # sweep must also agree on whether points count at all
-            base.count_point_ops,
-            tuple((w, sorted(base.config_kwargs(w).items())) for w in base.workloads),
-        )
-
-    @classmethod
-    def merge(cls, *results: "SweepResult") -> "SweepResult":
-        """Recombine shard results into the unsharded sweep result.
-
-        Accepts the shard results in any order (pass them unpacked or as a
-        single iterable).  Requires that all shards came from the same base
-        spec, that no global point index appears twice, and that the union
-        covers the full grid — so the merged result is bit-identical
-        (points, per-workload references, and the :meth:`rollup` counters,
-        which :meth:`~repro.core.runtime.RaptorRuntime.merge_snapshot`
-        accumulates from the per-point snapshots) to a serial unsharded
-        run.  Cache statistics are summed across shards.
-        """
-        if len(results) == 1 and not isinstance(results[0], cls):
-            results = tuple(results[0])
-        if not results:
-            raise ValueError("merge needs at least one SweepResult")
-        signature = cls._merge_signature(results[0].spec)
-        for other in results[1:]:
-            if cls._merge_signature(other.spec) != signature:
-                raise ValueError(
-                    "cannot merge results from different sweeps (grid, variables, "
-                    "rounding or workload configs disagree)"
-                )
-
-        merged_points: Dict[int, PointResult] = {}
-        merged_failures: Dict[int, PointFailure] = {}
-        reference_failures: List[PointFailure] = []
-        references: Dict[str, ReferenceResult] = {}
-        for result in results:
-            for point in result.points:
-                if point.index in merged_points or point.index in merged_failures:
-                    raise ValueError(
-                        f"point index {point.index} appears in more than one shard"
-                    )
-                merged_points[point.index] = point
-            for failure in result.failures:
-                if failure.index < 0:
-                    # a reference failure is not a grid point; shards of the
-                    # same workload may each record one — keep the first
-                    if not any(
-                        f.failure_key() == failure.failure_key() for f in reference_failures
-                    ):
-                        reference_failures.append(failure)
-                    continue
-                if failure.index in merged_points or failure.index in merged_failures:
-                    raise ValueError(
-                        f"point index {failure.index} appears in more than one shard"
-                    )
-                merged_failures[failure.index] = failure
-            for name, ref in result.references.items():
-                references.setdefault(name, ref)
-
-        base = results[0].spec.unsharded()
-        expected = [p.index for p in base.full_grid()]
-        # a failed point still covers its grid cell — merge must not demand
-        # that some other shard recompute it
-        missing = sorted(set(expected) - set(merged_points) - set(merged_failures))
-        if missing:
-            raise ValueError(
-                f"merged shards do not cover the full grid; missing point "
-                f"indices {missing} — run the remaining shard(s) first"
-            )
-
-        stats_list = [r.cache_stats for r in results if r.cache_stats is not None]
-        cache_stats = None
-        if stats_list:
-            cache_stats = {
-                key: sum(stats.get(key, 0) for stats in stats_list)
-                for key in sorted({key for stats in stats_list for key in stats})
-            }
-        return cls(
-            spec=base,
-            points=[merged_points[index] for index in expected if index in merged_points],
-            references=references,
-            cache_stats=cache_stats,
-            elapsed_seconds=float(sum(r.elapsed_seconds for r in results)),
-            failures=reference_failures
-            + [merged_failures[index] for index in expected if index in merged_failures],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +628,7 @@ def _prefix_source(config_kwargs_fn, on_error: str = "raise"):
                 if on_error != "collect":
                     raise
                 built[name] = _exception_failure(
-                    exc,
-                    index=-1,
-                    workload=name,
-                    format_name="-",
-                    policy="-",
-                    seconds=time.perf_counter() - started,
+                    exc, _reference_label(name), time.perf_counter() - started
                 )
         return built[name]
 
@@ -671,23 +663,22 @@ def run_reference(workload, plane: str = "auto", prefix=None) -> Outcome:
     return workload.reference(**_prefix_kwargs(prefix))
 
 
-def _execute_reference(task: _ReferenceTask):
-    if task.on_error != "collect":
-        maybe_inject("reference", task.workload)
-        return _run_reference_task(task)
+def _isolated(task, site: str, key, body):
+    """``body(task)`` behind the fault-injection ``site``/``key``.  Under
+    ``on_error="collect"`` an exception becomes a :class:`PointFailure`
+    recorded under ``task.label``; otherwise it propagates."""
     started = time.perf_counter()
     try:
-        maybe_inject("reference", task.workload)
-        return _run_reference_task(task)
+        maybe_inject(site, key)
+        return body(task)
     except Exception as exc:
-        return _exception_failure(
-            exc,
-            index=-1,
-            workload=task.workload,
-            format_name="-",
-            policy="-",
-            seconds=time.perf_counter() - started,
-        )
+        if task.on_error != "collect":
+            raise
+        return _exception_failure(exc, task.label, time.perf_counter() - started)
+
+
+def _execute_reference(task: _ReferenceTask):
+    return _isolated(task, "reference", task.workload, _run_reference_task)
 
 
 def _run_reference_task(task: _ReferenceTask) -> ReferenceResult:
@@ -700,26 +691,11 @@ def _run_reference_task(task: _ReferenceTask) -> ReferenceResult:
 
 
 def _execute_point(task: _PointTask):
+    return _isolated(task, "point", task.point.index, _run_point_task)
+
+
+def _run_point_task(task: _PointTask) -> PointResult:
     started = time.perf_counter()
-    if task.on_error != "collect":
-        maybe_inject("point", task.point.index)
-        return _run_point_task(task, started)
-    point = task.point
-    try:
-        maybe_inject("point", point.index)
-        return _run_point_task(task, started, check_finite=True)
-    except Exception as exc:
-        return _exception_failure(
-            exc,
-            index=point.index,
-            workload=point.workload,
-            format_name=point.format_name,
-            policy=point.policy.describe(),
-            seconds=time.perf_counter() - started,
-        )
-
-
-def _run_point_task(task: _PointTask, started: float, check_finite: bool = False) -> PointResult:
     point = task.point
     workload = create_workload(point.workload, **task.config_kwargs)
     runtime = RaptorRuntime(f"{point.workload}-{point.format_name}-{point.policy.describe()}")
@@ -727,7 +703,7 @@ def _run_point_task(task: _PointTask, started: float, check_finite: bool = False
         point.fmt, runtime, rounding=task.rounding, plane=task.plane, count_ops=task.count_ops
     )
     run = workload.run(policy=policy, runtime=runtime, **_prefix_kwargs(task.prefix))
-    if check_finite:
+    if task.on_error == "collect":
         # collect mode reports a blow-up as a structured failure instead of
         # letting NaN/Inf flow into the error norms downstream
         bad = nonfinite_variables(run.state)
@@ -806,21 +782,21 @@ def _resolve_cache(
     return ReferenceCache(directory)
 
 
-def checkpoint_signature(spec: SweepSpec) -> str:
-    """Identity of a sweep for checkpoint/resume purposes.
+def checkpoint_signature(spec: GridSpec) -> str:
+    """Identity of a sweep or cliff search for checkpoint/resume purposes.
 
-    Built on the shard-merge signature (grid, error protocol, plane,
-    counting mode, workload configs) plus the fields that change what a
-    journaled :class:`PointResult` *contains* (``keep_states``) or which
-    points this spec runs (the shard slice).  Backend, worker count,
-    timeout and retry settings are deliberately excluded: results are
-    backend-independent, so a sweep may be resumed on a different backend
-    or with different fault-tolerance settings and still complete
-    bit-identically.
+    Built on the spec's shard-merge :meth:`~repro.experiments.spec.GridSpec.signature`
+    (grid, axis fields, plane, counting mode, workload configs) plus the
+    fields that change what a journaled unit *contains* (a sweep's
+    ``keep_states``) or which units this spec runs (the shard slice).
+    Backend, worker count, timeout and retry settings are deliberately
+    excluded: results are backend-independent, so a run may be resumed on
+    a different backend or with different fault-tolerance settings and
+    still complete bit-identically.
     """
     payload = (
-        SweepResult._merge_signature(spec),
-        spec.keep_states,
+        spec.signature(),
+        getattr(spec, "keep_states", None),
         spec.shard_index,
         spec.shard_count,
     )
@@ -897,9 +873,7 @@ def gather_references(
     )
     for task, ref in zip(reference_tasks, outcomes):
         if isinstance(ref, TaskFault):
-            ref = _fault_failure(
-                ref, index=-1, workload=task.workload, format_name="-", policy="-"
-            )
+            ref = _fault_failure(ref, task.label)
         if isinstance(ref, PointFailure):
             references[task.workload] = ref
             continue
@@ -907,6 +881,136 @@ def gather_references(
         if cache is not None:
             cache.put(keys[ref.workload], ref)
     return references
+
+
+def run_grid(
+    spec: GridSpec,
+    result_cls,
+    execute,
+    make_task,
+    cache: Union[ReferenceCache, str, None] = None,
+    checkpoint: Union[str, Path, None] = None,
+) -> GridResult:
+    """Run every unit of ``spec`` — the one driver behind :func:`run_sweep`
+    and :func:`~repro.experiments.adaptive.run_adaptive_sweep`.
+
+    Phase 1 obtains the full-precision reference of every workload in this
+    slice (:func:`gather_references`: journal, then cache, then reference
+    tasks), each workload's binary64 prefix built once for this call.  A
+    failed reference or prefix fails its units with ``kind="reference"``.
+    Phase 2 builds ``make_task(unit, reference, prefix)`` for every other
+    unit and fans ``execute`` out over the spec's backend; executor faults
+    become :class:`PointFailure` records labelled by
+    :meth:`~repro.experiments.spec.GridSpec.failure_label`.  With a
+    ``checkpoint`` directory every resolved unit is journaled as it
+    resolves, and a rerun executes only the units the journal lacks.
+    """
+    spec.validate()
+    started = time.perf_counter()
+    units = spec.units()
+
+    journal: Optional[SweepJournal] = None
+    entries: Dict[int, object] = {}
+    journal_refs: Dict[str, ReferenceResult] = {}
+    if checkpoint is not None:
+        journal = SweepJournal(checkpoint)
+        journal.open(checkpoint_signature(spec), total_points=len(units))
+        entries = journal.load_points()
+        journal_refs = journal.load_references()
+
+    ref_cache = _resolve_cache(spec, cache)
+    # cache stats reported on the result are *this run's* delta, so a cache
+    # object shared across runs still yields per-run hit/miss numbers
+    stats_before = ref_cache.stats.to_dict() if ref_cache is not None else None
+
+    # a sharded spec may not touch every workload of the base spec; only
+    # the workloads actually present in this slice need references.  On
+    # resume, journaled references take priority — the very arrays the
+    # journaled units were compared against — so a resumed run never
+    # recomputes (or re-fetches) what the interrupted run already fixed.
+    needed = list(dict.fromkeys(unit.workload for unit in units))
+    journaled = {name: ref for name, ref in journal_refs.items() if name in needed}
+    references: Dict[str, ReferenceResult] = dict(journaled)
+    pending = {unit.workload for unit in units if unit.index not in entries}
+    # each workload's binary64 prefix is built here, once for this call; a
+    # workload with nothing left to run builds none
+    prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
+    gathered = gather_references(
+        [name for name in needed if name not in journaled or name in pending],
+        spec.config_kwargs,
+        cache=ref_cache,
+        backend=spec.backend,
+        max_workers=spec.max_workers,
+        plane=spec.plane,
+        on_error=spec.on_error,
+        timeout=spec.point_timeout,
+        retries=spec.retries,
+        prefix_for=prefix_for,
+        known=journaled,
+    )
+    ref_failures: Dict[str, PointFailure] = {}
+    for name, ref in gathered.items():
+        if isinstance(ref, PointFailure):
+            ref_failures[name] = ref
+        elif name not in journaled:
+            references[name] = ref
+            if journal is not None:
+                journal.record_reference(name, ref)
+
+    todo = []
+    for unit in units:
+        if unit.index in entries:
+            continue
+        if unit.workload in ref_failures:
+            failure = _reference_failure(spec.failure_label(unit), ref_failures[unit.workload])
+            entries[unit.index] = failure
+            if journal is not None:
+                journal.record_point(unit.index, failure)
+        else:
+            todo.append(unit)
+
+    # every task carries its workload's reference arrays and prefix; at the
+    # sizes these experiments use re-pickling both per unit is cheaper
+    # than coordinating a per-worker cache.  A reference is tens to hundreds
+    # of KB.  A pickled prefix is ~100-260 KB for the compressible grids at
+    # benchmark size (a round trip costs ~0.5-1.4 ms, a rebuild 10-30 ms),
+    # ~50 KB for the spun-up bubble and a few KB for cellular.  Revisit if
+    # sweeps move to large grids (see ROADMAP: sharding/caching)
+    tasks = [
+        make_task(unit, references[unit.workload], prefix_for(unit.workload))
+        for unit in todo
+    ]
+
+    def _coerce(pos: int, value):
+        return _fault_failure(value, tasks[pos].label) if isinstance(value, TaskFault) else value
+
+    def on_result(pos: int, value) -> None:
+        # fires as each unit resolves, before map() returns — the journal
+        # entry is on disk even if this process dies mid-run
+        journal.record_point(todo[pos].index, _coerce(pos, value))
+
+    values = run_tasks(
+        execute,
+        tasks,
+        backend=spec.backend,
+        max_workers=spec.max_workers,
+        timeout=spec.point_timeout,
+        retries=spec.retries,
+        collect=(spec.on_error == "collect"),
+        on_result=on_result if journal is not None else None,
+    )
+    for pos, value in enumerate(values):
+        entries[todo[pos].index] = _coerce(pos, value)
+
+    cache_stats = None
+    if ref_cache is not None:
+        after = ref_cache.stats.to_dict()
+        cache_stats = {key: after[key] - stats_before[key] for key in after}
+    return result_cls._assemble(
+        spec, entries, references, ref_failures.values(),
+        cache_stats=cache_stats,
+        elapsed_seconds=time.perf_counter() - started,
+    )
 
 
 def run_sweep(
@@ -939,145 +1043,21 @@ def run_sweep(
     ``point_timeout`` bounds each point on the process backend;
     ``retries`` bounds fresh-pool rebuilds for transient worker crashes.
     """
-    spec.validate()
-    started = time.perf_counter()
-    points = spec.points()
-    collect = spec.on_error == "collect"
 
-    journal: Optional[SweepJournal] = None
-    done: Dict[int, Union[PointResult, PointFailure]] = {}
-    journal_refs: Dict[str, ReferenceResult] = {}
-    if checkpoint is not None:
-        journal = SweepJournal(checkpoint)
-        journal.open(checkpoint_signature(spec), total_points=len(points))
-        done = journal.load_points()
-        journal_refs = journal.load_references()
-
-    ref_cache = _resolve_cache(spec, cache)
-    # cache stats reported on the result are *this run's* delta, so a cache
-    # object shared across sweeps still yields per-run hit/miss numbers
-    stats_before = ref_cache.stats.to_dict() if ref_cache is not None else None
-
-    # a sharded spec may not touch every workload of the base spec; only
-    # the workloads actually present in this slice need references.  On
-    # resume, journaled references take priority — the very arrays the
-    # journaled points were compared against — so a resumed run never
-    # recomputes (or re-fetches) what the interrupted run already fixed.
-    needed = list(dict.fromkeys(point.workload for point in points))
-    journaled = {name: ref for name, ref in journal_refs.items() if name in needed}
-    references: Dict[str, ReferenceResult] = dict(journaled)
-    pending = {point.workload for point in points if point.index not in done}
-    # each workload's binary64 prefix is built here, once for this call; a
-    # workload with nothing left to run builds none
-    prefix_for = _prefix_source(spec.config_kwargs, spec.on_error)
-    gathered = gather_references(
-        [name for name in needed if name not in journaled or name in pending],
-        spec.config_kwargs,
-        cache=ref_cache,
-        backend=spec.backend,
-        max_workers=spec.max_workers,
-        plane=spec.plane,
-        on_error=spec.on_error,
-        timeout=spec.point_timeout,
-        retries=spec.retries,
-        prefix_for=prefix_for,
-        known=journaled,
-    )
-    ref_failures: Dict[str, PointFailure] = {}
-    for name, ref in gathered.items():
-        if isinstance(ref, PointFailure):
-            ref_failures[name] = ref
-        elif name not in journaled:
-            references[name] = ref
-            if journal is not None:
-                journal.record_reference(name, ref)
-
-    failures: Dict[int, PointFailure] = {
-        index: obj for index, obj in done.items() if isinstance(obj, PointFailure)
-    }
-    completed: Dict[int, PointResult] = {
-        index: obj for index, obj in done.items() if isinstance(obj, PointResult)
-    }
-    todo = []
-    for point in points:
-        if point.index in done:
-            continue
-        if point.workload in ref_failures:
-            failure = _reference_failure_for_point(point, ref_failures[point.workload])
-            failures[point.index] = failure
-            if journal is not None:
-                journal.record_point(point.index, failure)
-        else:
-            todo.append(point)
-
-    # every task carries its workload's reference arrays and prefix; at the
-    # sizes these experiments use re-pickling both per point is cheaper
-    # than coordinating a per-worker cache.  A reference is tens to hundreds
-    # of KB.  A pickled prefix is ~100-260 KB for the compressible grids at
-    # benchmark size (a round trip costs ~0.5-1.4 ms, a rebuild 10-30 ms),
-    # ~50 KB for the spun-up bubble and a few KB for cellular.  Revisit if
-    # sweeps move to large grids (see ROADMAP: sharding/caching)
-    point_tasks = [
-        _PointTask(
+    def make_task(point: SweepPoint, reference: ReferenceResult, prefix) -> _PointTask:
+        return _PointTask(
             point=point,
+            label=spec.failure_label(point),
             config_kwargs=spec.config_kwargs(point.workload),
             variables=spec.variables_for(point.workload),
             rounding=spec.rounding,
-            reference_state=references[point.workload].state,
-            reference_time=references[point.workload].time,
+            reference_state=reference.state,
+            reference_time=reference.time,
             keep_state=spec.keep_states,
             plane=spec.plane,
             count_ops=spec.count_point_ops,
             on_error=spec.on_error,
-            prefix=prefix_for(point.workload),
+            prefix=prefix,
         )
-        for point in todo
-    ]
 
-    def _coerce(point: SweepPoint, value):
-        if isinstance(value, TaskFault):
-            return _fault_failure(
-                value,
-                index=point.index,
-                workload=point.workload,
-                format_name=point.format_name,
-                policy=point.policy.describe(),
-            )
-        return value
-
-    def on_result(pos: int, value) -> None:
-        # fires as each point resolves, before map() returns — the journal
-        # entry is on disk even if this process dies mid-sweep
-        if journal is not None:
-            journal.record_point(todo[pos].index, _coerce(todo[pos], value))
-
-    results = run_tasks(
-        _execute_point,
-        point_tasks,
-        backend=spec.backend,
-        max_workers=spec.max_workers,
-        timeout=spec.point_timeout,
-        retries=spec.retries,
-        collect=collect,
-        on_result=on_result if journal is not None else None,
-    )
-    for pos, value in enumerate(results):
-        value = _coerce(todo[pos], value)
-        if isinstance(value, PointFailure):
-            failures[todo[pos].index] = value
-        else:
-            completed[todo[pos].index] = value
-
-    cache_stats = None
-    if ref_cache is not None:
-        after = ref_cache.stats.to_dict()
-        cache_stats = {key: after[key] - stats_before[key] for key in after}
-    return SweepResult(
-        spec=spec,
-        points=[completed[p.index] for p in points if p.index in completed],
-        references=references,
-        cache_stats=cache_stats,
-        elapsed_seconds=time.perf_counter() - started,
-        failures=[f for f in ref_failures.values()]
-        + [failures[p.index] for p in points if p.index in failures],
-    )
+    return run_grid(spec, SweepResult, _execute_point, make_task, cache, checkpoint)

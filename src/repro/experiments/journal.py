@@ -1,27 +1,28 @@
-"""Crash-safe sweep checkpointing: the journal behind ``run_sweep(checkpoint=...)``.
+"""Crash-safe checkpointing: the journal behind ``run_sweep(checkpoint=...)``
+and ``run_adaptive_sweep(checkpoint=...)``.
 
 A journal is a directory:
 
 * ``journal.json`` — metadata: format version, the checkpoint signature of
   the owning spec (:func:`repro.experiments.engine.checkpoint_signature`),
-  and the total point count, written once when the journal is created.
-* ``point-<index>.pkl`` — one pickle per resolved sweep point, holding its
-  ``PointResult`` (or ``PointFailure`` in collect mode), keyed by global
-  grid index.
+  and the total unit count, written once when the journal is created.
+* ``point-<index>.pkl`` — one pickle per resolved unit (a sweep point or a
+  cliff-search cell), holding its ``PointResult`` or ``CliffResult`` (or
+  ``PointFailure`` in collect mode), keyed by global grid index.
 * ``reference-<workload>.pkl`` — one pickle per computed reference outcome.
 
 Every file is written with the reference cache's discipline — tempfile in
 the same directory, then atomic :meth:`Path.replace` — so a SIGKILL at any
 instant leaves either no entry or a complete one, never a torn pickle.
-That, plus the executor's ``on_result`` callback firing as each point
+That, plus the executor's ``on_result`` callback firing as each unit
 resolves, is what makes resume exact: rerunning the same spec against the
-journal loads the recorded entries, runs only the missing points, and the
+journal loads the recorded entries, runs only the missing units, and the
 assembled result is bitwise identical to an uninterrupted run.
 
 A journal created by a *different* spec (grid, plane, configs, shard slice,
-``keep_states``) is rejected with :class:`CheckpointMismatchError` — mixing
-points from two different sweeps must never produce a plausible-looking
-result.  Corrupt entries (torn by a crash predating this module, disk
+``keep_states``, or the other experiment kind) is rejected with
+:class:`CheckpointMismatchError` — mixing units from two different runs
+must never produce a plausible-looking result.  Corrupt entries (torn by a crash predating this module, disk
 errors) are deleted with a warning and simply recomputed.
 """
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _load_entry(path: Path, what: str):
 
 
 class SweepJournal:
-    """Directory-backed journal of one (possibly interrupted) sweep."""
+    """Directory-backed journal of one (possibly interrupted) sweep or cliff search."""
 
     def __init__(self, directory) -> None:
         self.directory = Path(directory).expanduser()

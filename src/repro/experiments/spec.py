@@ -4,7 +4,9 @@ A :class:`SweepSpec` names *what* to sweep — workloads (by registry name),
 target floating-point formats, and truncation policies — and *how* to run it
 (error variables, rounding mode, execution backend).  The engine in
 :mod:`repro.experiments.engine` expands the spec into a deterministic grid of
-:class:`SweepPoint` s and executes them.
+:class:`SweepPoint` s and executes them.  :class:`GridSpec` holds what the
+sweep and the adaptive cliff search specs share (sharding, validation, the
+merge/checkpoint signature).
 
 Everything here is picklable by construction so sweep points can cross
 process boundaries untouched.
@@ -27,15 +29,13 @@ from ..core.selective import (
 )
 
 __all__ = [
+    "GridSpec",
     "PolicySpec",
     "SweepPoint",
     "SweepSpec",
     "resolve_format",
     "format_label",
-    "config_kwargs_for",
-    "validate_workload_list",
     "validate_alias_keyed_mapping",
-    "validate_config_overrides",
     "validate_fault_tolerance",
 ]
 
@@ -69,58 +69,6 @@ def format_label(fmt: FPFormat) -> str:
     return fmt.name or f"e{fmt.exp_bits}m{fmt.man_bits}"
 
 
-def config_kwargs_for(
-    workload_configs: Mapping[str, Mapping[str, object]], workload: str
-) -> Dict[str, object]:
-    """Config overrides for a workload, matching names alias-aware.
-
-    Shared by :class:`SweepSpec` and the adaptive-search spec so both
-    resolve ``{"kh": ...}`` and ``{"kelvin-helmholtz": ...}`` to the same
-    overrides.
-    """
-    direct = workload_configs.get(workload)
-    if direct is not None:
-        return dict(direct)
-    from ..workloads.registry import canonical_name
-
-    target = canonical_name(workload)
-    for name, kwargs in workload_configs.items():
-        if canonical_name(name) == target:
-            return dict(kwargs)
-    return {}
-
-
-def validate_workload_list(workloads: Sequence[str], what: str) -> set:
-    """Canonicalise and protocol-check a workload list; returns the set of
-    canonical names.  Shared by :meth:`SweepSpec.validate` and
-    :meth:`~repro.experiments.adaptive.AdaptiveSpec.validate` so the rules
-    cannot drift: aliases deduplicate, unknown names raise with the
-    registry listing, and registered-but-not-sweepable classes are
-    rejected with the missing protocol surface spelled out."""
-    from ..workloads.registry import canonical_name, get_workload_class
-    from ..workloads.scenario import scenario_protocol_errors
-
-    if not workloads:
-        raise ValueError(f"{what} needs at least one workload")
-    seen = set()
-    for name in workloads:
-        canonical = canonical_name(name)
-        if canonical in seen:
-            raise ValueError(
-                f"duplicate workload {name!r} (canonical name {canonical!r}) in {what}"
-            )
-        seen.add(canonical)
-        cls = get_workload_class(name)
-        problems = scenario_protocol_errors(cls)
-        if problems:
-            raise ValueError(
-                f"workload {name!r} ({cls.__qualname__}) does not implement the "
-                f"scenario (sweep) protocol: {'; '.join(problems)}; it is "
-                "registered for name-based lookup but cannot be swept yet"
-            )
-    return seen
-
-
 def validate_alias_keyed_mapping(
     mapping: Mapping[str, object], canonical_workloads: set, what: str
 ) -> None:
@@ -144,28 +92,13 @@ def validate_alias_keyed_mapping(
 def validate_fault_tolerance(
     on_error: str, point_timeout: Optional[float], retries: Optional[int]
 ) -> None:
-    """Check the fault-tolerance knobs shared by :class:`SweepSpec` and
-    :class:`~repro.experiments.adaptive.AdaptiveSpec`."""
+    """Check the fault-tolerance knobs every spec (and ``find_cliff``) takes."""
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
     if point_timeout is not None and not point_timeout > 0:
         raise ValueError(f"point_timeout must be > 0 seconds (or None), got {point_timeout!r}")
     if retries is not None and retries < 0:
         raise ValueError(f"retries must be >= 0 (or None for the default), got {retries!r}")
-
-
-def validate_config_overrides(workload_configs: Mapping[str, Mapping[str, object]]) -> None:
-    """Probe each override against its workload's ``config_class`` so
-    typo'd field names fail at validation time, not inside a worker."""
-    from ..workloads.registry import get_workload_class
-
-    for name, kwargs in workload_configs.items():
-        config_class = getattr(get_workload_class(name), "config_class", None)
-        if config_class is not None:
-            try:
-                config_class(**kwargs)
-            except TypeError as exc:
-                raise ValueError(f"invalid workload_configs for {name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -283,8 +216,155 @@ class SweepPoint:
         return f"{self.workload} @ {self.format_name} / {self.policy.describe()}"
 
 
+class GridSpec:
+    """What :class:`SweepSpec` and :class:`~repro.experiments.adaptive.AdaptiveSpec`
+    share: the shard slice, backend swaps, alias-aware configs, the checks
+    both run, and the merge/checkpoint :meth:`signature`.
+
+    A plain mixin, not a dataclass base, so each spec keeps its own field
+    order and positional construction.  A spec supplies :meth:`full_units`
+    (its whole grid; each unit has a global ``index`` and a ``workload``),
+    :meth:`_axis_signature` and :meth:`failure_label`.
+    """
+
+    def __setstate__(self, state) -> None:
+        # specs pickled before the fault-tolerance fields existed (old
+        # shard/result files) default them on load
+        self.__dict__.update(state)
+        for name, default in (("on_error", "raise"), ("point_timeout", None), ("retries", None)):
+            self.__dict__.setdefault(name, default)
+
+    def full_units(self) -> tuple:
+        """The complete grid, ignoring sharding, in deterministic order."""
+        raise NotImplementedError
+
+    def _axis_signature(self) -> tuple:
+        """The spec's own fields that change what its units compute."""
+        raise NotImplementedError
+
+    def failure_label(self, unit) -> Tuple[int, str, str, str]:
+        """``(index, workload, format_name, policy)`` of a unit's failure record."""
+        raise NotImplementedError
+
+    def units(self) -> tuple:
+        """This spec's slice of the grid.
+
+        With the default ``shard_index=0, shard_count=1`` this is the whole
+        grid.  A sharded spec keeps every ``shard_count``-th unit starting
+        at ``shard_index`` — a strided partition, so consecutive (same
+        workload, similar cost) units spread across shards and the shards
+        stay load-balanced.  Global indices are preserved, which is what
+        lets ``merge`` reassemble shard outputs in the original grid order.
+        """
+        grid = self.full_units()
+        if self.shard_count == 1:
+            return grid
+        return tuple(u for u in grid if u.index % self.shard_count == self.shard_index)
+
+    def shard(self, index: int, count: int):
+        """The ``index``-th of ``count`` deterministic grid partitions.
+
+        Every unit of :meth:`full_units` lands in exactly one shard, so
+        running all ``count`` shards (on any mix of hosts/backends) and
+        merging their results reproduces the unsharded run bit for bit.
+        """
+        if count < 1:
+            raise ValueError("shard count must be >= 1")
+        if not (0 <= index < count):
+            raise ValueError(f"shard index must be in [0, {count}), got {index}")
+        if (self.shard_index, self.shard_count) != (0, 1):
+            raise ValueError("spec is already sharded; shard the unsharded base spec")
+        return replace(self, shard_index=index, shard_count=count)
+
+    def unsharded(self):
+        """The base spec covering the whole grid (identity when unsharded)."""
+        if (self.shard_index, self.shard_count) == (0, 1):
+            return self
+        return replace(self, shard_index=0, shard_count=1)
+
+    def with_backend(self, backend: str, max_workers: Optional[int] = None):
+        """A copy of the spec running on a different backend."""
+        return replace(self, backend=backend, max_workers=max_workers)
+
+    def config_kwargs(self, workload: str) -> Dict[str, object]:
+        """Config overrides for a workload, matching names alias-aware, so
+        ``{"kh": ...}`` and ``{"kelvin-helmholtz": ...}`` mean the same."""
+        direct = self.workload_configs.get(workload)
+        if direct is not None:
+            return dict(direct)
+        from ..workloads.registry import canonical_name
+
+        target = canonical_name(workload)
+        for name, kwargs in self.workload_configs.items():
+            if canonical_name(name) == target:
+                return dict(kwargs)
+        return {}
+
+    def signature(self) -> tuple:
+        """What must agree across shards for a merge to be meaningful: the
+        full grid, the spec's own axis fields and the per-workload configs.
+        Backend, worker count and the fault-tolerance knobs are excluded —
+        results are backend-independent, so shards may run on
+        heterogeneous hosts (and a checkpointed run resume on another)."""
+        base = self.unsharded()
+        return (
+            base.full_units(),
+            *base._axis_signature(),
+            tuple((w, sorted(base.config_kwargs(w).items())) for w in base.workloads),
+        )
+
+    def _validate_grid(self, what: str) -> set:
+        """The checks every spec runs before execution (fail fast, not in a
+        worker); returns the canonical workload names.  Aliases deduplicate,
+        unknown names raise with the registry listing, registered classes
+        missing the scenario protocol are rejected with the missing surface
+        spelled out, and config overrides are probed against each
+        workload's ``config_class`` so typo'd fields fail here."""
+        from ..kernels import validate_plane
+        from ..workloads.registry import canonical_name, get_workload_class
+        from ..workloads.scenario import scenario_protocol_errors
+
+        validate_plane(self.plane)
+        if self.rounding not in RoundingMode.ALL:
+            raise ValueError(f"unknown rounding mode {self.rounding!r}")
+        if self.shard_count < 1:
+            raise ValueError("shard_count must be >= 1")
+        if not (0 <= self.shard_index < self.shard_count):
+            raise ValueError(
+                f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
+            )
+        validate_fault_tolerance(self.on_error, self.point_timeout, self.retries)
+        if not self.workloads:
+            raise ValueError(f"{what} needs at least one workload")
+        seen = set()
+        for name in self.workloads:
+            canonical = canonical_name(name)
+            if canonical in seen:
+                raise ValueError(
+                    f"duplicate workload {name!r} (canonical name {canonical!r}) in {what}"
+                )
+            seen.add(canonical)
+            cls = get_workload_class(name)
+            problems = scenario_protocol_errors(cls)
+            if problems:
+                raise ValueError(
+                    f"workload {name!r} ({cls.__qualname__}) does not implement the "
+                    f"scenario (sweep) protocol: {'; '.join(problems)}; it is "
+                    "registered for name-based lookup but cannot be swept yet"
+                )
+        validate_alias_keyed_mapping(self.workload_configs, seen, "workload_configs")
+        for name, kwargs in self.workload_configs.items():
+            config_class = getattr(get_workload_class(name), "config_class", None)
+            if config_class is not None:
+                try:
+                    config_class(**kwargs)
+                except TypeError as exc:
+                    raise ValueError(f"invalid workload_configs for {name!r}: {exc}") from None
+        return seen
+
+
 @dataclass
-class SweepSpec:
+class SweepSpec(GridSpec):
     """Declarative precision sweep: workloads × formats × policies.
 
     Parameters
@@ -373,14 +453,6 @@ class SweepSpec:
     point_timeout: Optional[float] = None
     retries: Optional[int] = None
 
-    def __setstate__(self, state) -> None:
-        # specs pickled before the fault-tolerance fields existed (old
-        # shard/result files) default them on load
-        self.__dict__.update(state)
-        for name, default in (("on_error", "raise"), ("point_timeout", None), ("retries", None)):
-            self.__dict__.setdefault(name, default)
-
-    # ------------------------------------------------------------------
     def resolved_formats(self) -> Tuple[FPFormat, ...]:
         return tuple(resolve_format(f) for f in self.formats)
 
@@ -392,24 +464,12 @@ class SweepSpec:
             raise ValueError("SweepSpec needs at least one format")
         if not self.policies:
             raise ValueError("SweepSpec needs at least one policy")
-        if self.rounding not in RoundingMode.ALL:
-            raise ValueError(f"unknown rounding mode {self.rounding!r}")
-        from ..kernels import validate_plane
-
-        validate_plane(self.plane)
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        if not (0 <= self.shard_index < self.shard_count):
-            raise ValueError(
-                f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
-            )
         if self.variables is not None and not self.variables:
             raise ValueError(
                 "SweepSpec needs at least one error variable "
                 "(or variables=None for per-workload defaults)"
             )
-        validate_fault_tolerance(self.on_error, self.point_timeout, self.retries)
-        seen = validate_workload_list(self.workloads, "SweepSpec")
+        self._validate_grid("SweepSpec")
         if self.variables is not None:
             for name in self.workloads:
                 known = tuple(getattr(get_workload_class(name), "error_variables", ()))
@@ -421,8 +481,6 @@ class SweepSpec:
                         "use each workload's own defaults"
                     )
         self.resolved_formats()
-        validate_alias_keyed_mapping(self.workload_configs, seen, "workload_configs")
-        validate_config_overrides(self.workload_configs)
 
     def full_grid(self) -> Tuple[SweepPoint, ...]:
         """The *complete* sweep grid (ignoring sharding), in deterministic
@@ -437,47 +495,18 @@ class SweepSpec:
                     index += 1
         return tuple(grid)
 
-    def points(self) -> Tuple[SweepPoint, ...]:
-        """This spec's slice of the grid.
+    full_units = full_grid
+    #: this spec's slice of the grid (see :meth:`GridSpec.units`)
+    points = GridSpec.units
 
-        With the default ``shard_index=0, shard_count=1`` this is the whole
-        grid.  A sharded spec keeps every ``shard_count``-th point starting
-        at ``shard_index`` — a strided partition, so consecutive (same
-        workload, similar cost) points spread across shards and the shards
-        stay load-balanced.  Global point indices are preserved, which is
-        what lets :meth:`SweepResult.merge` reassemble shard outputs in the
-        original grid order.
-        """
-        grid = self.full_grid()
-        if self.shard_count == 1:
-            return grid
-        return tuple(p for p in grid if p.index % self.shard_count == self.shard_index)
+    def _axis_signature(self) -> tuple:
+        # the kernel plane changes which contexts feed the counters and
+        # non-counting points carry zeroed counters, so shards must agree
+        # on both (states would match, the merged roll-up would not)
+        return (self.variables, self.rounding, self.plane, self.count_point_ops)
 
-    def shard(self, index: int, count: int) -> "SweepSpec":
-        """The ``index``-th of ``count`` deterministic grid partitions.
-
-        Every point of :meth:`full_grid` lands in exactly one shard, so
-        running all ``count`` shards (on any mix of hosts/backends) and
-        merging with :meth:`~repro.experiments.engine.SweepResult.merge`
-        reproduces the unsharded sweep bit for bit.
-        """
-        if count < 1:
-            raise ValueError("shard count must be >= 1")
-        if not (0 <= index < count):
-            raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        if (self.shard_index, self.shard_count) != (0, 1):
-            raise ValueError("spec is already sharded; shard the unsharded base spec")
-        return replace(self, shard_index=index, shard_count=count)
-
-    def unsharded(self) -> "SweepSpec":
-        """The base spec covering the whole grid (identity when unsharded)."""
-        if (self.shard_index, self.shard_count) == (0, 1):
-            return self
-        return replace(self, shard_index=0, shard_count=1)
-
-    def config_kwargs(self, workload: str) -> Dict[str, object]:
-        """Config overrides for a workload, matching names alias-aware."""
-        return config_kwargs_for(self.workload_configs, workload)
+    def failure_label(self, point: SweepPoint) -> Tuple[int, str, str, str]:
+        return (point.index, point.workload, point.format_name, point.policy.describe())
 
     def variables_for(self, workload: str) -> Tuple[str, ...]:
         """The error variables reported for one workload's points: the
@@ -488,7 +517,3 @@ class SweepSpec:
         from ..workloads.registry import get_workload_class
 
         return tuple(get_workload_class(workload).default_error_variables)
-
-    def with_backend(self, backend: str, max_workers: Optional[int] = None) -> "SweepSpec":
-        """A copy of the spec running on a different backend."""
-        return replace(self, backend=backend, max_workers=max_workers)

@@ -17,6 +17,7 @@ import types
 import pytest
 
 from repro.experiments import (
+    AdaptiveSpec,
     CheckpointMismatchError,
     PolicySpec,
     SweepJournal,
@@ -24,8 +25,10 @@ from repro.experiments import (
     SweepSpec,
     atomic_pickle,
     checkpoint_signature,
+    run_adaptive_sweep,
     run_sweep,
 )
+from repro.experiments import adaptive, engine
 from repro.experiments.journal import atomic_write_bytes
 from repro.testing import Fault, FaultInjected, FaultPlan
 
@@ -180,6 +183,81 @@ class TestResume:
         with pytest.warns(RuntimeWarning, match="corrupt checkpoint point"):
             resumed = run_sweep(_spec(), checkpoint=journal_dir)
         _assert_bitwise_equal(resumed, first)
+
+
+def _adaptive_spec(**overrides) -> AdaptiveSpec:
+    base = dict(
+        workloads=["cellular"],
+        policies=[PolicySpec.module("eos"), PolicySpec.everywhere(modules=("eos",))],
+        min_man_bits=8,
+        max_man_bits=40,
+        workload_configs={"cellular": dict(CELLULAR)},
+        on_error="collect",
+    )
+    base.update(overrides)
+    return AdaptiveSpec(**base)
+
+
+def _cliff_signature(result) -> tuple:
+    """Everything of a cliff-search result that must survive a resume
+    bitwise: each cliff with its evaluations, probe failures and the
+    result's failure records."""
+    return (
+        [repr(c.to_dict()) for c in result.cliffs],
+        [[f.failure_key() for f in c.probe_failures] for c in result.cliffs],
+        [f.failure_key() for f in result.failures],
+    )
+
+
+@pytest.fixture
+def launched_cells(monkeypatch):
+    """Cell indices handed to the executor, spied on ``engine.run_tasks``."""
+    launched = []
+    original = engine.run_tasks
+
+    def spy(fn, tasks, **kwargs):
+        if fn is adaptive._execute_cliff:
+            launched.extend(task.cell.index for task in tasks)
+        return original(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(engine, "run_tasks", spy)
+    return launched
+
+
+class TestAdaptiveResume:
+    def test_missing_cell_is_rerun_alone_and_bitwise(self, tmp_path, launched_cells):
+        journal_dir = tmp_path / "journal"
+        first = run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
+        assert SweepJournal(journal_dir).completed_indices() == [0, 1]
+        (journal_dir / "point-000001.pkl").unlink()
+
+        launched_cells.clear()
+        resumed = run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
+        assert launched_cells == [1]
+        clean = run_adaptive_sweep(_adaptive_spec())
+        assert _cliff_signature(resumed) == _cliff_signature(clean)
+        assert _cliff_signature(first) == _cliff_signature(clean)
+
+    def test_complete_journal_launches_no_cells(self, tmp_path, launched_cells):
+        journal_dir = tmp_path / "journal"
+        first = run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
+        assert launched_cells == [0, 1]
+        launched_cells.clear()
+        resumed = run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
+        assert launched_cells == []
+        assert _cliff_signature(resumed) == _cliff_signature(first)
+
+    def test_changed_bits_range_rejected(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
+        with pytest.raises(CheckpointMismatchError):
+            run_adaptive_sweep(_adaptive_spec(max_man_bits=39), checkpoint=journal_dir)
+
+    def test_sweep_journal_rejected_by_cliff_search(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        run_sweep(_spec(formats=["e11m46"]), checkpoint=journal_dir)
+        with pytest.raises(CheckpointMismatchError):
+            run_adaptive_sweep(_adaptive_spec(), checkpoint=journal_dir)
 
 
 CHILD_SCRIPT = """

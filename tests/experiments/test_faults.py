@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    AdaptiveResult,
     AdaptiveSpec,
     NonFiniteStateError,
     PointFailure,
@@ -115,6 +116,15 @@ class TestCollectMode:
         assert [f.index for f in result.failures] == [-1, 0, 1, 2]
         assert result.failures[0].exc_type == "FaultInjected"
         assert {f.kind for f in result.failures[1:]} == {"reference"}
+
+    def test_reference_failure_describes_itself_as_a_reference(self):
+        failure = PointFailure(
+            index=-1, workload="sod", format_name="-", policy="-",
+            kind="exception", exc_type="ValueError", message="boom",
+        )
+        assert failure.describe() == "reference of sod failed [exception] ValueError: boom"
+        point = PointFailure(**{**failure.__dict__, "index": 2, "format_name": "bf16"})
+        assert point.describe().startswith("point 2 (sod @ bf16 / -) failed")
 
     def test_reference_failure_raises_in_raise_mode(self):
         plan = FaultPlan(faults=(Fault("reference", "cellular", "raise", times=None),))
@@ -291,6 +301,15 @@ class TestAdaptiveFaults:
         assert revived.on_error == "raise"
         assert revived.point_timeout is None
         assert revived.retries is None
+        # a result pickled before cliff searches recorded wall-clock (and
+        # before the fault-tolerance layer) loads with both defaulted
+        state = dict(AdaptiveResult(spec, [], {}).__dict__)
+        for field in ("elapsed_seconds", "failures"):
+            state.pop(field)
+        result = AdaptiveResult.__new__(AdaptiveResult)
+        result.__setstate__(state)
+        assert result.elapsed_seconds == 0.0
+        assert result.failures == []
 
 
 class TestPrefixFaults:

@@ -1,9 +1,10 @@
 """CI chaos check: the sweep engine survives injected faults and resumes
-killed sweeps bitwise-identically.
+killed sweeps and cliff searches bitwise-identically.
 
-Two phases, both built on the deterministic fault injector
-(:mod:`repro.testing.faults`) and a small Kelvin–Helmholtz sweep over the
-four standard formats (one point per format):
+Three phases, all built on the deterministic fault injector
+(:mod:`repro.testing.faults`).  Phases A and B run a small
+Kelvin–Helmholtz sweep over the four standard formats (one point per
+format):
 
 **Phase A — failure isolation.**  Runs the sweep on the process backend in
 ``on_error="collect"`` mode with three injected faults: point 1 raises,
@@ -22,6 +23,15 @@ serial run — per-point ``metrics_key``, state arrays, reference state and
 rollup counters all included.  A spec that disagrees with the journal
 (different ``t_end`` here) must be rejected with
 :class:`CheckpointMismatchError`.
+
+**Phase C — crash-safe cliff-search resume.**  Launches a checkpointed
+cellular cliff search over two cells (two EOS policies) on the process
+backend as a child process, with a one-shot hang at cell 1; once the
+journal shows cell 0 committed, the child's whole process group is
+SIGKILLed.  Rerunning the search against the journal must execute only
+cell 1 and reassemble a result bitwise identical to an uninterrupted
+serial run — every cliff, every probe evaluation, failure records and the
+reference state.
 
     PYTHONPATH=src python tools/check_fault_tolerance.py
 """
@@ -231,13 +241,111 @@ def phase_b() -> list:
     return failures
 
 
+def build_cliff_spec(**overrides):
+    from repro.experiments import AdaptiveSpec, PolicySpec
+
+    base = dict(
+        workloads=["cellular"],
+        policies=[PolicySpec.module("eos"), PolicySpec.everywhere(modules=("eos",))],
+        min_man_bits=8,
+        max_man_bits=48,
+        workload_configs={"cellular": dict(n_cells=32, n_steps=8)},
+    )
+    base.update(overrides)
+    return AdaptiveSpec(**base)
+
+
+def diff_cliff_results(label: str, resumed, clean) -> list:
+    """Bitwise comparison of two cliff-search results."""
+    failures = []
+    if [repr(c.to_dict()) for c in resumed.cliffs] != [repr(c.to_dict()) for c in clean.cliffs]:
+        failures.append(f"{label}: cliffs or their probe evaluations differ")
+    if [f.failure_key() for f in resumed.failures] != [f.failure_key() for f in clean.failures]:
+        failures.append(f"{label}: failure records differ")
+    for name, ref in clean.references.items():
+        other = resumed.references.get(name)
+        if other is None or any(
+            not np.array_equal(ref.state[var], other.state[var]) for var in ref.state
+        ):
+            failures.append(f"{label}: reference {name!r} missing or different")
+    return failures
+
+
+def run_phase_c_child(journal_dir: str) -> None:
+    """Child entry point: checkpointed cliff search that hangs (once) at cell 1."""
+    from repro.experiments import run_adaptive_sweep
+
+    run_adaptive_sweep(build_cliff_spec(backend="process", max_workers=2), checkpoint=journal_dir)
+
+
+def phase_c() -> list:
+    """Kill a checkpointed process-backend cliff search after its first
+    journaled cell, resume, diff against a clean serial run."""
+    from repro.experiments import SweepJournal, run_adaptive_sweep
+    from repro.testing import Fault, FaultPlan
+
+    failures = []
+    journal_dir = tempfile.mkdtemp(prefix="raptor-chaos-cliff-journal-")
+    marker_dir = tempfile.mkdtemp(prefix="raptor-chaos-markers-")
+    plan = FaultPlan(
+        faults=(Fault("cell", 1, "hang", times=1, seconds=600.0),),
+        marker_dir=marker_dir,
+    )
+    env = dict(os.environ, RAPTOR_FAULT_PLAN=plan.to_json())
+    child = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--phase-c-child", journal_dir],
+        env=env,
+        start_new_session=True,  # lets SIGKILL reap the hung pool worker too
+    )
+    journal = SweepJournal(journal_dir)
+    deadline = time.monotonic() + 300.0
+    try:
+        while time.monotonic() < deadline:
+            if 0 in journal.completed_indices():
+                break
+            if child.poll() is not None:
+                failures.append(
+                    f"phase C: child exited early (code {child.returncode}) "
+                    "before hanging at cell 1"
+                )
+                return failures
+            time.sleep(0.2)
+        else:
+            failures.append("phase C: journal never reached cell 0")
+            return failures
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait(timeout=30)
+
+    if journal.completed_indices() != [0]:
+        failures.append(f"phase C: unexpected journaled cells {journal.completed_indices()}")
+    resumed = run_adaptive_sweep(
+        build_cliff_spec(backend="process", max_workers=2), checkpoint=journal_dir
+    )
+    clean = run_adaptive_sweep(build_cliff_spec())
+    if len(resumed.cliffs) != 2 or resumed.failures:
+        failures.append(
+            f"phase C: resumed search has {len(resumed.cliffs)} cliffs and "
+            f"{len(resumed.failures)} failures, expected 2 and 0"
+        )
+    failures.extend(diff_cliff_results("phase C (resumed vs clean serial)", resumed, clean))
+    return failures
+
+
 def main() -> int:
     if len(sys.argv) >= 3 and sys.argv[1] == "--phase-b-child":
         run_phase_b_child(sys.argv[2])
         return 0
+    if len(sys.argv) >= 3 and sys.argv[1] == "--phase-c-child":
+        run_phase_c_child(sys.argv[2])
+        return 0
 
     failures = phase_a()
     failures.extend(phase_b())
+    failures.extend(phase_c())
     if failures:
         print("FAIL: fault-tolerance contract violated")
         for line in failures:
@@ -247,7 +355,8 @@ def main() -> int:
         "OK: chaos sweep isolated raise/hang/SIGKILL into exception/timeout/"
         "worker-crash failures with the healthy point bitwise identical to a "
         "fault-free serial run; a SIGKILLed checkpointed sweep resumed "
-        "bitwise-identically and a mismatched spec was rejected"
+        "bitwise-identically and a mismatched spec was rejected; a SIGKILLed "
+        "checkpointed cliff search resumed bitwise-identically"
     )
     return 0
 
