@@ -1,17 +1,11 @@
 """Kernel-plane benchmark: instrumented vs fused fast plane, per workload.
 
 Times the full-precision *reference* run of each workload on both kernel
-planes (see ``repro.kernels``), breaks the fast plane down into its
-optimisation rungs —
-
-* ``fast-flux``    — the fused flux pipeline, blocks stacked into one
-  batched update per substep, without scratch workspaces
-  (``RAPTOR_FAST_NO_SCRATCH``): every temporary is freshly allocated;
-* ``fast``         — plus preallocated scratch workspaces (the default
-  fast plane) —
-
-verifies the final states are bitwise identical across *all* planes — the
-fast plane's contract — and records the comparison to
+planes (see ``repro.kernels``) — ``instrumented`` (op by op) and ``fast``
+(the fused flux pipeline, blocks stacked into one batched update per
+substep, through preallocated scratch workspaces) — verifies the final
+states are bitwise identical across the planes — the fast plane's
+contract — and records the comparison to
 ``benchmarks/results/BENCH_kernels.json`` so the perf trajectory is tracked
 PR-over-PR (the previously recorded fast-plane seconds are carried along as
 ``previous_fast_seconds``).
@@ -46,11 +40,12 @@ the block store, interleaved, keeping every sample; the fills must agree
 bitwise.  The record carries a machine fingerprint.
 
 The bubble workload (incompressible multiphase) gets its own section: its
-reference run is timed op-by-op (``plane="instrumented"`` with
-``RAPTOR_FAST_NO_BUBBLE=1``), on the fast plane with the fused bubble
-kernels disabled (``fast-nobubble``), and on the full fast plane; a
-truncated (e8m10) pass compares the op-by-op ``TruncatedContext`` path
-against the fused truncating bubble twins.  The bubble rows build their
+reference run is timed op-by-op and on the fast plane.  Every
+instrumented bubble baseline (reference, truncated, counting) runs inside
+``bubble_oracle.swapped()`` (``tests/bubble_oracle.py``), so its
+context-free glue is the classic plain-numpy code too; a truncated
+(e8m10) pass compares the op-by-op ``TruncatedContext`` path against the
+fused truncating bubble twins.  The bubble rows build their
 policies explicitly (``_time_bubble``) so the truncated pair shares one
 code path with the reference rungs.  A phase breakdown
 (advection, diffusion, Poisson solve, level-set reinitialisation) rides
@@ -69,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import platform
@@ -81,7 +77,7 @@ import numpy as np
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_kernels.json"
 
-#: the per-block grid oracle lives with the tests
+#: the per-block grid oracle and the bubble glue oracle live with the tests
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 
 #: interleaved oracle/store guard-fill samples per AMR workload
@@ -114,11 +110,10 @@ CONFIGS = {
     ),
 }
 
-#: timing variants: label -> (plane, env overrides)
+#: timing variants: label -> plane (bubble rows included)
 VARIANTS = (
-    ("instrumented", "instrumented", {}),
-    ("fast-flux", "fast", {"RAPTOR_FAST_NO_SCRATCH": "1"}),
-    ("fast", "fast", {}),
+    ("instrumented", "instrumented"),
+    ("fast", "fast"),
 )
 
 #: workloads whose hydro hot path has fused truncating twins
@@ -146,41 +141,24 @@ QUANTIZE_FORMATS = ((8, 10), (11, 20))
 QUANTIZE_LANES = (24, 1_536, 12_288, 32_256)
 QUANTIZE_REPEATS = dict(full=(41, 100_000), quick=(5, 20_000))
 
-#: bubble timing variants: label -> (plane, env overrides)
-BUBBLE_VARIANTS = (
-    ("instrumented", "instrumented", {"RAPTOR_FAST_NO_BUBBLE": "1"}),
-    ("fast-nobubble", "fast", {"RAPTOR_FAST_NO_BUBBLE": "1"}),
-    ("fast", "fast", {}),
-)
+
+def _test_oracle(name: str):
+    """One of the test oracles (``tests/grid_oracle.py``,
+    ``tests/bubble_oracle.py``)."""
+    if str(TESTS) not in sys.path:
+        sys.path.insert(0, str(TESTS))
+    return importlib.import_module(name)
 
 
-@contextlib.contextmanager
-def _env(overrides):
-    saved = {name: os.environ.get(name) for name in
-             ("RAPTOR_FAST_NO_SCRATCH", "RAPTOR_FAST_NO_BUBBLE")}
-    for name in saved:
-        os.environ.pop(name, None)
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _time_reference(workload_factory, plane: str, env_overrides, repeat: int):
+def _time_reference(workload_factory, plane: str, repeat: int):
     """Best-of-``repeat`` wall-clock of a reference run on ``plane``."""
     best = np.inf
     outcome = None
-    with _env(env_overrides):
-        for _ in range(repeat):
-            workload = workload_factory()
-            start = time.perf_counter()
-            outcome = workload.reference(plane=plane)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeat):
+        workload = workload_factory()
+        start = time.perf_counter()
+        outcome = workload.reference(plane=plane)
+        best = min(best, time.perf_counter() - start)
     return best, outcome
 
 
@@ -254,8 +232,7 @@ def _phase_breakdown(workload_factory):
     AMRGrid.regrid = exclusive("regrid", originals["regrid"])
     HydroSolver._substep = exclusive("flux", originals["substep"])
     try:
-        with _env({}):
-            workload_factory().reference(plane="fast")
+        workload_factory().reference(plane="fast")
     finally:
         AMRGrid.fill_guard_cells = originals["fill"]
         HydroSolver.compute_dt = originals["dt"]
@@ -272,9 +249,7 @@ def _guard_fill_record(workload_factory, samples: int):
     run builds it once per topology; both fills must leave the grid
     bitwise identical.
     """
-    if str(TESTS) not in sys.path:
-        sys.path.insert(0, str(TESTS))
-    import grid_oracle
+    grid_oracle = _test_oracle("grid_oracle")
     from repro.kernels.grid import TopologyPlan
 
     grid = workload_factory().initial_state()
@@ -321,13 +296,15 @@ def _fingerprint() -> dict:
     }
 
 
-def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
+def _time_bubble(workload_factory, plane: str, repeat: int,
                  truncated: bool = False, counting: bool = False):
     """Best-of-``repeat`` wall-clock of a bubble run on ``plane``.
 
     The full-precision baseline is a non-counting
     ``NoTruncationPolicy(plane="instrumented")``, which keeps the bubble
-    solver's own full-precision context op-by-op.  ``truncated=True`` times
+    solver's own full-precision context op-by-op; every instrumented run
+    sits inside ``bubble_oracle.swapped()``, so the context-free glue is
+    the classic plain-numpy code as well.  ``truncated=True`` times
     the non-counting e8m10 run
     instead (op-by-op ``TruncatedContext`` on the instrumented plane, the
     fused truncating twins on ``"auto"``/``"fast"``) — the counting one when
@@ -338,7 +315,9 @@ def _time_bubble(workload_factory, plane: str, env_overrides, repeat: int,
 
     best = np.inf
     outcome = None
-    with _env(env_overrides):
+    oracle = (_test_oracle("bubble_oracle").swapped() if plane == "instrumented"
+              else contextlib.nullcontext())
+    with oracle:
         for _ in range(repeat):
             workload = workload_factory()
             runtime = RaptorRuntime()
@@ -382,8 +361,7 @@ def _phase_times(targets, run):
     for key, (owner, attr) in targets.items():
         setattr(owner, attr, timed(key, originals[key]))
     try:
-        with _env({}):
-            run()
+        run()
     finally:
         for key, (owner, attr) in targets.items():
             setattr(owner, attr, originals[key])
@@ -478,8 +456,8 @@ def _bubble_record(quick: bool, repeat: int, previous):
 
     seconds = {}
     baseline = None
-    for label, plane, env_overrides in BUBBLE_VARIANTS:
-        secs, outcome = _time_bubble(factory, plane, env_overrides, repeat)
+    for label, plane in VARIANTS:
+        secs, outcome = _time_bubble(factory, plane, repeat)
         seconds[label] = secs
         if baseline is None:
             baseline = outcome
@@ -492,12 +470,8 @@ def _bubble_record(quick: bool, repeat: int, previous):
                     "plane's bit-identity contract is broken"
                 )
 
-    slow_secs, slow_out = _time_bubble(
-        factory, "instrumented", {"RAPTOR_FAST_NO_BUBBLE": "1"}, repeat,
-        truncated=True,
-    )
-    fast_secs, fast_out = _time_bubble(factory, "auto", {}, repeat,
-                                       truncated=True)
+    slow_secs, slow_out = _time_bubble(factory, "instrumented", repeat, truncated=True)
+    fast_secs, fast_out = _time_bubble(factory, "auto", repeat, truncated=True)
     for key in slow_out.state:
         if not np.array_equal(slow_out.state[key], fast_out.state[key]):
             raise SystemExit(
@@ -507,21 +481,17 @@ def _bubble_record(quick: bool, repeat: int, previous):
                 "is broken"
             )
 
-    counted_env = {"instrumented": {"RAPTOR_FAST_NO_BUBBLE": "1"}, "auto": {}}
     counted = _counted_record("bubble", factory, repeat, lambda plane: _time_bubble(
-        factory, plane, counted_env[plane], repeat, truncated=True, counting=True))
+        factory, plane, repeat, truncated=True, counting=True))
 
     return {
         "workload": "bubble",
         "config": config,
         "repeat": repeat,
         "instrumented_seconds": seconds["instrumented"],
-        "fast_nobubble_seconds": seconds["fast-nobubble"],
         "fast_seconds": seconds["fast"],
         "previous_fast_seconds": previous.get("bubble"),
         "speedup": seconds["instrumented"] / seconds["fast"]
-        if seconds["fast"] > 0 else float("inf"),
-        "bubble_speedup": seconds["fast-nobubble"] / seconds["fast"]
         if seconds["fast"] > 0 else float("inf"),
         "bitwise_identical": True,
         "bubble_phases": _bubble_phase_breakdown(factory),
@@ -630,8 +600,8 @@ def run_benchmark(quick: bool, repeat: int):
 
         seconds = {}
         baseline = None
-        for label, plane, env_overrides in VARIANTS:
-            secs, outcome = _time_reference(factory, plane, env_overrides, repeat)
+        for label, plane in VARIANTS:
+            secs, outcome = _time_reference(factory, plane, repeat)
             seconds[label] = secs
             if baseline is None:
                 baseline = outcome
@@ -649,7 +619,6 @@ def run_benchmark(quick: bool, repeat: int):
             "config": config,
             "repeat": repeat,
             "instrumented_seconds": seconds["instrumented"],
-            "fast_flux_seconds": seconds["fast-flux"],
             "fast_seconds": seconds["fast"],
             "previous_fast_seconds": previous.get(name),
             "speedup": seconds["instrumented"] / seconds["fast"]
@@ -710,18 +679,16 @@ def main(argv=None) -> int:
         [
             r["workload"],
             f"{r['instrumented_seconds']:.3f}",
-            f"{r['fast_flux_seconds']:.3f}",
             f"{r['fast_seconds']:.3f}",
             f"{r['speedup']:.2f}x",
             "yes",
         ]
         for r in payload["workloads"]
-        if "fast_flux_seconds" in r
+        if r["workload"] != "bubble"
     ]
     print(f"\n=== kernel planes: reference runs, {payload['mode']} mode ===")
     print(format_table(
-        ["workload", "instrumented [s]", "fast-flux [s]", "fast [s]",
-         "speedup", "bitwise identical"],
+        ["workload", "instrumented [s]", "fast [s]", "speedup", "bitwise identical"],
         rows,
     ))
 
@@ -767,19 +734,17 @@ def main(argv=None) -> int:
         [
             r["workload"],
             f"{r['instrumented_seconds']:.3f}",
-            f"{r['fast_nobubble_seconds']:.3f}",
             f"{r['fast_seconds']:.3f}",
             f"{r['speedup']:.2f}x",
-            f"{r['bubble_speedup']:.2f}x",
             "yes",
         ]
         for r in payload["workloads"]
-        if "fast_nobubble_seconds" in r
+        if r["workload"] == "bubble"
     ]
-    print(f"\n=== bubble plane: reference runs, {payload['mode']} mode ===")
+    print(f"\n=== bubble plane: reference runs (instrumented: oracle-swapped glue), "
+          f"{payload['mode']} mode ===")
     print(format_table(
-        ["workload", "instrumented [s]", "fast-nobubble [s]", "fast [s]",
-         "speedup", "bubble speedup", "bitwise identical"],
+        ["workload", "instrumented [s]", "fast [s]", "speedup", "bitwise identical"],
         bubble_rows,
     ))
 
@@ -873,7 +838,7 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
 
     fast_enough = [r for r in payload["workloads"]
-                   if "fast_flux_seconds" in r and r["speedup"] >= 6.0]
+                   if r["workload"] != "bubble" and r["speedup"] >= 6.0]
     if payload["mode"] == "full" and len(fast_enough) < 2:
         print(
             "WARNING: fewer than two workloads reached the 6x reference "
@@ -914,7 +879,7 @@ def main(argv=None) -> int:
         )
         return 1
     bubble_slow = [r for r in payload["workloads"]
-                   if "bubble_speedup" in r and r["speedup"] < 1.5]
+                   if r["workload"] == "bubble" and r["speedup"] < 1.5]
     if payload["mode"] == "full" and bubble_slow:
         print(
             "WARNING: the fused bubble plane fell below the 1.5x reference "

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..kernels.grid import TopologyPlan
-from ..kernels.scratch import make_workspace
+from ..kernels.scratch import Workspace
 from .block import Block, BlockKey
 from .refinement import (
     block_error,
@@ -147,7 +147,7 @@ class AMRGrid:
         #: bumped on every refine/derefine; the topology plan caches it
         self._topology_epoch = 0
         self._plan: Optional[TopologyPlan] = None
-        self._workspace = make_workspace()
+        self._workspace = Workspace()
         self._rows = {name: row for row, name in enumerate(self.variables)}
 
         n_roots = self.n_root_x * self.n_root_y
@@ -461,10 +461,9 @@ class AMRGrid:
         """
         keys = self.topology_plan().keys
         if getattr(estimator, "supports_batching", False):
-            if self._workspace is not None:
-                # quiescent point: stack shapes change with the leaf count,
-                # so let the workspace drop stale families when over cap
-                self._workspace.trim()
+            # quiescent point: stack shapes change with the leaf count, so
+            # let the workspace drop stale families when over cap
+            self._workspace.trim()
             values = stacked_block_errors(self, refine_vars, estimator=estimator,
                                           ws=self._workspace)
             return {key: float(v) for key, v in zip(keys, values)}

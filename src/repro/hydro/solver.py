@@ -26,7 +26,7 @@ from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels.ledger import OpLedger, fused_kind, fused_rounder, ledger_for
-from ..kernels.scratch import Workspace, buffer, make_workspace
+from ..kernels.scratch import Workspace, buffer
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
 from .riemann import SOLVERS
@@ -69,16 +69,14 @@ class HydroSolver:
     module:
         Module label under which the solver requests its numerics contexts
         ("hydro" by convention; policies match on it).
-    scratch:
-        Use a preallocated :class:`~repro.kernels.scratch.Workspace` for the
-        fused fast-plane pipeline (bit-identical; ``None`` follows the
-        ``RAPTOR_FAST_NO_SCRATCH`` environment switch, default on).
-    batch_blocks:
-        On the fused planes, stack the blocks that share a context
-        signature — across AMR levels, each with its own ``dx``/``dy`` —
-        into a single batched kernel invocation per substep
-        (bit-identical; ``False`` advances one block at a time, the
-        per-block oracle of the tests).
+
+    The context of each block alone decides how it is advanced: blocks on
+    a fused plane are stacked — across AMR levels, each with its own
+    ``dx``/``dy`` — into one batched kernel invocation per context
+    signature and substep, threaded through the solver's preallocated
+    :class:`~repro.kernels.scratch.Workspace`; every other block takes the
+    per-block op-by-op path.  Both are bit-identical to the per-block
+    loop.
     """
 
     def __init__(
@@ -90,8 +88,6 @@ class HydroSolver:
         rk_stages: int = 2,
         gravity: Tuple[float, float] = (0.0, 0.0),
         module: str = "hydro",
-        scratch: Optional[bool] = None,
-        batch_blocks: bool = True,
     ) -> None:
         if riemann not in SOLVERS:
             raise ValueError(f"unknown riemann solver {riemann!r}")
@@ -104,11 +100,7 @@ class HydroSolver:
         self.rk_stages = int(rk_stages)
         self.gravity = (float(gravity[0]), float(gravity[1]))
         self.module = module
-        self.batch_blocks = bool(batch_blocks)
-        if scratch is None:
-            self._workspace: Optional[Workspace] = make_workspace()
-        else:
-            self._workspace = Workspace() if scratch else None
+        self._workspace = Workspace()
 
     # ------------------------------------------------------------------
     # time step (full-precision diagnostic, as in the paper's fixed-dt runs)
@@ -336,27 +328,25 @@ class HydroSolver:
         max_level = grid.finest_level
         plan = grid.topology_plan()
         contexts = [provider(self.module, key[0], max_level) for key in plan.keys]
-        if self._workspace is not None:
-            # quiescent point: no scratch value is live between substeps, so
-            # a regrid-heavy run cannot accumulate buffer families unboundedly
-            self._workspace.trim()
+        # quiescent point: no scratch value is live between substeps, so a
+        # regrid-heavy run cannot accumulate buffer families unboundedly
+        self._workspace.trim()
 
+        # counted contexts group by identity (their runtime takes the
+        # replay), ranked by first appearance so the order is stable
         batched: Dict[tuple, list] = {}
-        if self.batch_blocks:
-            # counted contexts group by identity (their runtime takes the
-            # replay), ranked by first appearance so the order is stable
-            counted_rank: Dict[int, int] = {}
-            for i, ctx in enumerate(contexts):
-                if getattr(ctx, "ledger", False):
-                    rank = counted_rank.setdefault(id(ctx), len(counted_rank))
-                    batched.setdefault(("ledger", rank), []).append(i)
-                elif getattr(ctx, "fused", False):
-                    batched.setdefault(("b64",), []).append(i)
-                elif getattr(ctx, "fused_trunc", False):
-                    sig = ("trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
-                    batched.setdefault(sig, []).append(i)
-            # a single block gains nothing from stacking
-            batched = {sig: group for sig, group in batched.items() if len(group) > 1}
+        counted_rank: Dict[int, int] = {}
+        for i, ctx in enumerate(contexts):
+            if getattr(ctx, "ledger", False):
+                rank = counted_rank.setdefault(id(ctx), len(counted_rank))
+                batched.setdefault(("ledger", rank), []).append(i)
+            elif getattr(ctx, "fused", False):
+                batched.setdefault(("b64",), []).append(i)
+            elif getattr(ctx, "fused_trunc", False):
+                sig = ("trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
+                batched.setdefault(sig, []).append(i)
+        # a single block gains nothing from stacking
+        batched = {sig: group for sig, group in batched.items() if len(group) > 1}
 
         for sig in sorted(batched):
             group = batched[sig]

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import bubble as kbubble
+from ..kernels.scratch import Workspace
 from ..kernels.trunc import plane_rounder
 
 __all__ = ["LevelSet", "circle_level_set", "interface_level_map", "upwind_derivative"]
@@ -91,10 +92,11 @@ def interface_level_map(phi: np.ndarray, dx: float, max_level: int, band_cells: 
 class LevelSet:
     """A level-set field on a uniform collocated grid.
 
-    Standalone instances run the reference op-by-op / plain-numpy paths;
-    the bubble solver opts its instance onto the fused bubble plane via
-    :meth:`enable_fused`, which swaps every operator for its
-    scratch-buffered bit-identical twin from :mod:`repro.kernels.bubble`.
+    The context-free operators (phase indicators, material fields,
+    curvature, reinitialisation) are the scratch-buffered kernels of
+    :mod:`repro.kernels.bubble`; ``ws`` is the owning solver's
+    :class:`~repro.kernels.scratch.Workspace` (``None`` allocates fresh
+    arrays, same bits).  Transport runs through the context it is given.
     """
 
     def __init__(
@@ -103,21 +105,13 @@ class LevelSet:
         dx: float,
         dy: float,
         smoothing_cells: float = 1.5,
+        ws: Optional[Workspace] = None,
     ) -> None:
         self.phi = np.asarray(phi, dtype=np.float64).copy()
         self.dx = float(dx)
         self.dy = float(dy)
         self.eps = smoothing_cells * max(dx, dy)
-        self._fused = False
-        self._ws = None
-
-    def enable_fused(self, ws=None) -> "LevelSet":
-        """Route this instance's operators through the fused twins of
-        :mod:`repro.kernels.bubble` (bit-identical; ``ws`` is the owning
-        solver's scratch :class:`~repro.kernels.scratch.Workspace`)."""
-        self._fused = True
         self._ws = ws
-        return self
 
     # ------------------------------------------------------------------
     # phase indicators and material properties
@@ -125,36 +119,24 @@ class LevelSet:
     def heaviside(self, phi: Optional[np.ndarray] = None) -> np.ndarray:
         """Smoothed Heaviside H(phi): 1 in the gas, 0 in the liquid."""
         p = self.phi if phi is None else phi
-        if self._fused:
-            return kbubble.heaviside(p, self.eps, ws=self._ws, key=("ls", "hv"))
-        h = 0.5 * (1.0 + p / self.eps + np.sin(np.pi * p / self.eps) / np.pi)
-        return np.clip(np.where(p > self.eps, 1.0, np.where(p < -self.eps, 0.0, h)), 0.0, 1.0)
+        return kbubble.heaviside(p, self.eps, ws=self._ws, key=("ls", "hv"))
 
     def delta(self, phi: Optional[np.ndarray] = None) -> np.ndarray:
         """Smoothed interface delta function."""
         p = self.phi if phi is None else phi
-        if self._fused:
-            return kbubble.delta(p, self.eps, ws=self._ws, key=("ls", "dl"))
-        d = 0.5 / self.eps * (1.0 + np.cos(np.pi * p / self.eps))
-        return np.where(np.abs(p) <= self.eps, d, 0.0)
+        return kbubble.delta(p, self.eps, ws=self._ws, key=("ls", "dl"))
 
     def density(self, rho_liquid: float, rho_gas: float) -> np.ndarray:
         """Phase-weighted density field."""
-        if self._fused:
-            return kbubble.material_field(
-                self.phi, self.eps, rho_liquid, rho_gas, ws=self._ws, key=("ls", "rho")
-            )
-        h = self.heaviside()
-        return rho_liquid + (rho_gas - rho_liquid) * h
+        return kbubble.material_field(
+            self.phi, self.eps, rho_liquid, rho_gas, ws=self._ws, key=("ls", "rho")
+        )
 
     def viscosity(self, mu_liquid: float, mu_gas: float) -> np.ndarray:
         """Phase-weighted dynamic viscosity field."""
-        if self._fused:
-            return kbubble.material_field(
-                self.phi, self.eps, mu_liquid, mu_gas, ws=self._ws, key=("ls", "mu")
-            )
-        h = self.heaviside()
-        return mu_liquid + (mu_gas - mu_liquid) * h
+        return kbubble.material_field(
+            self.phi, self.eps, mu_liquid, mu_gas, ws=self._ws, key=("ls", "mu")
+        )
 
     def volume(self, cell_area: float) -> float:
         """Gas-phase volume (area in 2-D)."""
@@ -167,17 +149,7 @@ class LevelSet:
 
     def curvature(self) -> np.ndarray:
         """Interface curvature kappa = div(grad phi / |grad phi|) (central differences)."""
-        if self._fused:
-            return kbubble.curvature(self.phi, self.dx, self.dy, ws=self._ws, key=("ls", "curv"))
-        phi = self.phi
-        px = (np.roll(phi, -1, 0) - np.roll(phi, 1, 0)) / (2 * self.dx)
-        py = (np.roll(phi, -1, 1) - np.roll(phi, 1, 1)) / (2 * self.dy)
-        mag = np.sqrt(px ** 2 + py ** 2) + 1e-12
-        nx, ny = px / mag, py / mag
-        div = (np.roll(nx, -1, 0) - np.roll(nx, 1, 0)) / (2 * self.dx) + (
-            np.roll(ny, -1, 1) - np.roll(ny, 1, 1)
-        ) / (2 * self.dy)
-        return div
+        return kbubble.curvature(self.phi, self.dx, self.dy, ws=self._ws, key=("ls", "curv"))
 
     # ------------------------------------------------------------------
     # advection (truncatable)
@@ -200,7 +172,7 @@ class LevelSet:
     ) -> None:
         """Advance phi by one advection step ``phi_t + u . grad(phi) = 0``."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = plane_rounder(ctx, self._ws) if self._fused else None
+        q = plane_rounder(ctx, self._ws)
         if q is not None:
             self.phi = kbubble.levelset_advect(
                 self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv"), q=q
@@ -223,32 +195,9 @@ class LevelSet:
     def reinitialize(self, iterations: int = 10, cfl: float = 0.3) -> None:
         """Restore the signed-distance property with the standard
         Sussman-style PDE reinitialisation ``phi_tau = S(phi0)(1 - |grad phi|)``."""
-        if self._fused:
-            self.phi = kbubble.reinitialize(
-                self.phi, self.dx, self.dy, iterations, cfl, ws=self._ws, key=("ls", "reinit")
-            )
-            return
-        phi0 = self.phi.copy()
-        sgn = phi0 / np.sqrt(phi0 ** 2 + max(self.dx, self.dy) ** 2)
-        dtau = cfl * min(self.dx, self.dy)
-        phi = self.phi
-        for _ in range(iterations):
-            dxm = (phi - np.roll(phi, 1, 0)) / self.dx
-            dxp = (np.roll(phi, -1, 0) - phi) / self.dx
-            dym = (phi - np.roll(phi, 1, 1)) / self.dy
-            dyp = (np.roll(phi, -1, 1) - phi) / self.dy
-            # Godunov Hamiltonian
-            grad_pos = np.sqrt(
-                np.maximum(np.maximum(dxm, 0.0) ** 2, np.minimum(dxp, 0.0) ** 2)
-                + np.maximum(np.maximum(dym, 0.0) ** 2, np.minimum(dyp, 0.0) ** 2)
-            )
-            grad_neg = np.sqrt(
-                np.maximum(np.minimum(dxm, 0.0) ** 2, np.maximum(dxp, 0.0) ** 2)
-                + np.maximum(np.minimum(dym, 0.0) ** 2, np.maximum(dyp, 0.0) ** 2)
-            )
-            grad = np.where(phi0 > 0, grad_pos, grad_neg)
-            phi = phi - dtau * sgn * (grad - 1.0)
-        self.phi = phi
+        self.phi = kbubble.reinitialize(
+            self.phi, self.dx, self.dy, iterations, cfl, ws=self._ws, key=("ls", "reinit")
+        )
 
     # ------------------------------------------------------------------
     def level_map(self, max_level: int, band_cells: float = 4.0) -> np.ndarray:

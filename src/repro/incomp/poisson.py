@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..kernels.bubble import gradient_axis
-from ..kernels.scratch import Workspace
+from ..kernels import bubble as kbubble
+from ..kernels.scratch import Workspace, buffer
 
 __all__ = ["PoissonSolver"]
 
@@ -102,13 +102,9 @@ class PoissonSolver:
         """
         if rhs.shape != (self.nx, self.ny):
             raise ValueError(f"expected rhs shape {(self.nx, self.ny)}, got {rhs.shape}")
-        if ws is not None:
-            flat = ws.out(("poisson", "rhs"), (self.nx * self.ny,))
-            b = flat.reshape(self.nx, self.ny)
-            np.copyto(b, rhs)
-        else:
-            b = rhs.astype(np.float64)
-            flat = b.reshape(-1)
+        flat = buffer(ws, ("poisson", "rhs"), (self.nx * self.ny,))
+        b = flat.reshape(self.nx, self.ny)
+        np.copyto(b, rhs)
         b -= b.mean()  # compatibility with the Neumann problem
         flat[0] = 0.0  # pinned cell
         if self._lu is None:
@@ -135,11 +131,8 @@ class PoissonSolver:
         return lap
 
     def gradient(self, p: np.ndarray, ws: Optional[Workspace] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Cell-centred pressure gradient (one-sided at the walls)."""
-        if ws is not None:
-            gx = gradient_axis(p, self.dx, 0, ws=ws, key=("poisson", "gx"))
-            gy = gradient_axis(p, self.dy, 1, ws=ws, key=("poisson", "gy"))
-            return gx, gy
-        gx = np.gradient(p, self.dx, axis=0)
-        gy = np.gradient(p, self.dy, axis=1)
+        """Cell-centred pressure gradient (one-sided at the walls): bitwise
+        ``np.gradient`` along each axis."""
+        gx = kbubble.gradient_axis(p, self.dx, 0, ws=ws, key=("poisson", "gx"))
+        gy = kbubble.gradient_axis(p, self.dy, 1, ws=ws, key=("poisson", "gy"))
         return gx, gy

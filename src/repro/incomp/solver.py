@@ -28,11 +28,10 @@ import numpy as np
 from ..hydro.reconstruction import _weno5_edge
 from ..kernels import FPContext, FullPrecisionContext, select_context
 from ..kernels import bubble as kbubble
-from ..kernels.fused import weno5_edge as _fused_weno5_edge
-from ..kernels.ledger import replay_fused
-from ..kernels.trunc import plane_rounder
 from ..kernels.grid import pad_edge
-from ..kernels.scratch import bubble_plane_enabled, make_workspace
+from ..kernels.ledger import replay_fused
+from ..kernels.scratch import Workspace
+from ..kernels.trunc import plane_rounder
 from .levelset import LevelSet, circle_level_set, upwind_derivative
 from .poisson import PoissonSolver
 
@@ -92,8 +91,12 @@ class BubbleSolver:
     full-precision evaluations (spin-up, the untruncated side of blended
     cells): the default ``"auto"`` rides the fused fast plane — the
     internal context records nothing, so the substitution is a pure,
-    bit-identical win — while ``"instrumented"`` keeps every operation on
-    the classic op-by-op plane (the diagnostic escape hatch).  ``poisson``
+    bit-identical win — while ``"instrumented"`` evaluates the
+    context-bearing operators (advection, diffusion, level-set transport)
+    op by op.  The context-free glue — forces, projection, material
+    fields, curvature, reinitialisation — always runs the scratch-buffered
+    kernels of :mod:`repro.kernels.bubble`, whatever the plane; it touches
+    no context, so instrumented counters are unaffected.  ``poisson``
     shares the pressure solver (and its factorisation) of another solver
     on the same grid.
     """
@@ -108,8 +111,11 @@ class BubbleSolver:
         self.velx = np.zeros((cfg.nx, cfg.ny))
         self.vely = np.zeros((cfg.nx, cfg.ny))
         self.pres = np.zeros((cfg.nx, cfg.ny))
+        # preallocated scratch for the fused operators, shared with the
+        # level set (bit-identical; dropped on pickle/deepcopy)
+        self._workspace = Workspace()
         phi0 = circle_level_set(self.x, self.y, cfg.bubble_center, cfg.bubble_diameter / 2.0)
-        self.levelset = LevelSet(phi0, cfg.dx, cfg.dy)
+        self.levelset = LevelSet(phi0, cfg.dx, cfg.dy, ws=self._workspace)
         if poisson is None:
             poisson = PoissonSolver(cfg.nx, cfg.ny, cfg.dx, cfg.dy)
         self.poisson = poisson
@@ -121,17 +127,6 @@ class BubbleSolver:
         self._full_ctx = select_context(
             FullPrecisionContext(count_ops=False, track_memory=False), plane
         )
-        # preallocated scratch for the fused WENO5 edge evaluations
-        # (bit-identical; dropped on pickle/deepcopy)
-        self._workspace = make_workspace()
-        # the fused bubble plane: whole-operator twins from
-        # repro.kernels.bubble replace the op-by-op paths — context-bearing
-        # operators only for fused contexts, context-free glue (forces,
-        # projection, reinit, material fields) on every plane
-        # (bit-identical; RAPTOR_FAST_NO_BUBBLE restores the classic paths)
-        self._fused_bubble = bubble_plane_enabled()
-        if self._fused_bubble:
-            self.levelset.enable_fused(self._workspace)
 
     def _pad(self, f: np.ndarray, n: int, key: str = "f") -> np.ndarray:
         """Edge-replicated padding of ``f`` by ``n`` cells.
@@ -145,31 +140,17 @@ class BubbleSolver:
         """
         return pad_edge(f, n, ws=self._workspace, key=("pad", key))
 
-    def _rounder(self, ctx: FPContext):
-        """The rounder the fused bubble operators run with under ``ctx``
-        (:func:`~repro.kernels.trunc.plane_rounder`), or None when ``ctx``
-        evaluates op by op or the fused bubble plane is off."""
-        return plane_rounder(ctx, self._workspace) if self._fused_bubble else None
-
     # ------------------------------------------------------------------
     # differential operators (these are the truncation targets)
     # ------------------------------------------------------------------
-    def _weno5_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext, which: str = "f"):
-        """Upwind-biased WENO5 approximation of d f / d axis.
-
-        ``which`` namespaces the scratch keys per call site (the u- and
-        v-momentum derivatives are simultaneously live in :meth:`step`).
-        On the fused bubble plane fused contexts run the whole-operator
-        twins of :mod:`repro.kernels.bubble`; otherwise only the edge
-        reconstruction is fused and the selection/difference ops go through
-        ``ctx`` (which keeps instrumented counters byte-identical).
+    def _weno5_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext):
+        """Upwind-biased WENO5 approximation of d f / d axis, op by op
+        through ``ctx`` (which keeps instrumented counters exact).  Fused
+        contexts take the batched twin
+        :func:`repro.kernels.bubble.weno5_derivative_pair` in
+        :meth:`advection_term` instead.
         """
         padded = self._pad(f, 3, "weno")
-        q = plane_rounder(ctx, self._workspace)
-        if q is not None and self._fused_bubble:
-            return kbubble.weno5_derivative(
-                padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis), q=q
-            )
 
         def cells(offset):
             sl = [slice(3, -3), slice(3, -3)]
@@ -179,21 +160,11 @@ class BubbleSolver:
         um3, um2, um1 = cells(-3), cells(-2), cells(-1)
         u0, up1, up2, up3 = cells(0), cells(1), cells(2), cells(3)
 
-        if q is not None:
-            # each call site gets its own scratch key: all four edge values
-            # stay live until the upwind selection below
-            ws = self._workspace
-            edge = lambda a, b, c, d, e, k: _fused_weno5_edge(
-                a, b, c, d, e, ws=ws, key=("adv", axis, k), q=q
-            )
-        else:
-            edge = lambda a, b, c, d, e, k: _weno5_edge(a, b, c, d, e, ctx)
-
         # face values at i-1/2 and i+1/2, biased by the wind direction
-        left_minus = edge(um3, um2, um1, u0, up1, "lm")   # from the left at i-1/2
-        left_plus = edge(um2, um1, u0, up1, up2, "lp")    # from the left at i+1/2
-        right_minus = edge(up1, u0, um1, um2, um3, "rm")  # from the right at i-1/2
-        right_plus = edge(up2, up1, u0, um1, um2, "rp")   # from the right at i+1/2
+        left_minus = _weno5_edge(um3, um2, um1, u0, up1, ctx)   # from the left at i-1/2
+        left_plus = _weno5_edge(um2, um1, u0, up1, up2, ctx)    # from the left at i+1/2
+        right_minus = _weno5_edge(up1, u0, um1, um2, um3, ctx)  # from the right at i-1/2
+        right_plus = _weno5_edge(up2, up1, u0, um1, um2, ctx)   # from the right at i+1/2
 
         upwind = ctx.asplain(vel) > 0.0
         f_minus = ctx.where(upwind, left_minus, right_minus)
@@ -206,7 +177,7 @@ class BubbleSolver:
 
     def _upwind_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext, which: str = "f"):
         padded = self._pad(f, 1, "upwind")
-        q = self._rounder(ctx)
+        q = plane_rounder(ctx, self._workspace)
         if q is not None:
             return kbubble.upwind_derivative(
                 f, vel, spacing, axis, "edge", padded,
@@ -217,29 +188,29 @@ class BubbleSolver:
     def _counted(self, key: tuple, ctx: FPContext, run: Callable[[FPContext], object]) -> FPContext:
         """The context an operator evaluates with.
 
-        On the fused bubble plane a counted context (``ctx.ledger``) is
-        charged the operator's op/byte ledger — every op runs on the whole
-        grid, so the counters depend only on ``key`` (operator, scheme,
-        grid shape, call site) — and swapped for its non-counting fused
-        twin, which computes the bits.  A miss records the ledger by
+        A counted context (``ctx.ledger``) is charged the operator's
+        op/byte ledger — every op runs on the whole grid, so the counters
+        depend only on ``key`` (operator, scheme, grid shape, call site) —
+        and swapped for its non-counting fused twin, which computes the
+        bits.  A miss records the ledger by
         running the operator once op by op (``run``).
         """
-        if self._fused_bubble and ctx.ledger:
+        if ctx.ledger:
             return replay_fused(("bubble",) + key, ctx, run)
         return ctx
 
     def advection_term(self, f: np.ndarray, ctx: FPContext, which: str = "f") -> np.ndarray:
         """u . grad(f) with the configured scheme, through ``ctx``.
 
-        On the fused bubble plane the WENO5 scheme batches both axis
-        derivatives into one stacked edge reconstruction
+        Fused contexts run the WENO5 scheme as one stacked edge
+        reconstruction of both axis derivatives
         (:func:`repro.kernels.bubble.weno5_derivative_pair`) — bit-identical
-        per batch row to the per-axis twins."""
+        per batch row to the op-by-op :meth:`_weno5_derivative`."""
         ctx = self._counted(
             ("advection", self.config.advection_scheme, f.shape, which), ctx,
             lambda twin: self.advection_term(f, twin, which),
         )
-        q = self._rounder(ctx)
+        q = plane_rounder(ctx, self._workspace)
         if q is not None and self.config.advection_scheme == "weno5":
             cfg = self.config
             ws = self._workspace
@@ -250,13 +221,12 @@ class BubbleSolver:
             return kbubble.advection_term(
                 fx, fy, self.velx, self.vely, ws=ws, key=("adv", which), q=q
             )
-        deriv = (
-            self._weno5_derivative
-            if self.config.advection_scheme == "weno5"
-            else self._upwind_derivative
-        )
-        fx = deriv(f, self.velx, self.config.dx, 0, ctx, which)
-        fy = deriv(f, self.vely, self.config.dy, 1, ctx, which)
+        if self.config.advection_scheme == "weno5":
+            fx = self._weno5_derivative(f, self.velx, self.config.dx, 0, ctx)
+            fy = self._weno5_derivative(f, self.vely, self.config.dy, 1, ctx)
+        else:
+            fx = self._upwind_derivative(f, self.velx, self.config.dx, 0, ctx, which)
+            fy = self._upwind_derivative(f, self.vely, self.config.dy, 1, ctx, which)
         if q is not None:
             return kbubble.advection_term(
                 fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which), q=q
@@ -277,7 +247,7 @@ class BubbleSolver:
         cfg = self.config
         fp = self._pad(f, 1, "diff_f")
         nup = self._pad(viscosity, 1, "diff_nu")
-        q = self._rounder(ctx)
+        q = plane_rounder(ctx, self._workspace)
         if q is not None:
             return kbubble.diffusion_term(
                 f, viscosity, fp, nup, cfg.dx, cfg.dy,
@@ -326,40 +296,26 @@ class BubbleSolver:
     # forces (full precision: not a truncation target in the paper)
     # ------------------------------------------------------------------
     def _buoyancy(self) -> np.ndarray:
+        """``gravity * (1 - rho)`` with the phase-weighted density."""
         cfg = self.config
-        if self._fused_bubble:
-            ls = self.levelset
-            return kbubble.buoyancy(
-                ls.phi, ls.eps, cfg.gravity, 1.0 / cfg.density_ratio,
-                ws=self._workspace, key=("buoy",),
-            )
-        rho = self.levelset.density(1.0, 1.0 / cfg.density_ratio)
-        return cfg.gravity * (1.0 - rho)
+        ls = self.levelset
+        return kbubble.buoyancy(
+            ls.phi, ls.eps, cfg.gravity, 1.0 / cfg.density_ratio,
+            ws=self._workspace, key=("buoy",),
+        )
 
     def _surface_tension(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Continuum-surface-force surface tension (zero when disabled)."""
         cfg = self.config
         if not cfg.surface_tension:
-            if self._fused_bubble and self._workspace is not None:
-                zeros = self._workspace.out(("st", "zero"), self.pres.shape)
-                zeros.fill(0.0)
-            else:
-                zeros = np.zeros_like(self.pres)
+            zeros = self._workspace.out(("st", "zero"), self.pres.shape)
+            zeros.fill(0.0)
             return zeros, zeros
-        if self._fused_bubble:
-            ls = self.levelset
-            return kbubble.surface_tension(
-                ls.phi, ls.eps, cfg.sigma, cfg.dx, cfg.dy,
-                ws=self._workspace, key=("st",),
-            )
-        kappa = self.levelset.curvature()
-        delta = self.levelset.delta()
-        phi = self.levelset.phi
-        gx = np.gradient(phi, cfg.dx, axis=0)
-        gy = np.gradient(phi, cfg.dy, axis=1)
-        mag = np.sqrt(gx ** 2 + gy ** 2) + 1e-12
-        fx = cfg.sigma * kappa * delta * gx / mag
-        fy = cfg.sigma * kappa * delta * gy / mag
-        return fx, fy
+        ls = self.levelset
+        return kbubble.surface_tension(
+            ls.phi, ls.eps, cfg.sigma, cfg.dx, cfg.dy,
+            ws=self._workspace, key=("st",),
+        )
 
     # ------------------------------------------------------------------
     def stable_dt(self) -> float:
@@ -409,50 +365,39 @@ class BubbleSolver:
         fx_st, fy_st = self._surface_tension()
         buoy = self._buoyancy()
 
-        if self._fused_bubble:
-            # fused glue, bit-identical to the expressions below: the
-            # operator results are owned by this step (scratch buffers or
-            # fresh blends), so the force/velocity assembly runs in place;
-            # only ustar/vstar — the new state — are fresh allocations
-            t = np.negative(adv_u, out=adv_u)
-            t = np.add(t, diff_u, out=t)
-            t = np.add(t, fx_st, out=t)
-            t = np.multiply(dt, t, out=t)
-            ustar = np.add(self.velx, t)
-            t = np.negative(adv_v, out=adv_v)
-            t = np.add(t, diff_v, out=t)
-            t = np.add(t, fy_st, out=t)
-            t = np.add(t, buoy, out=t)
-            t = np.multiply(dt, t, out=t)
-            vstar = np.add(self.vely, t)
-        else:
-            ustar = self.velx + dt * (-adv_u + diff_u + fx_st)
-            vstar = self.vely + dt * (-adv_v + diff_v + fy_st + buoy)
+        # the operator results are owned by this step (scratch buffers or
+        # fresh blends), so the force/velocity assembly runs in place, in
+        # the order of ``velx + dt * (-adv_u + diff_u + fx_st)``; only
+        # ustar/vstar — the new state — are fresh allocations
+        t = np.negative(adv_u, out=adv_u)
+        t = np.add(t, diff_u, out=t)
+        t = np.add(t, fx_st, out=t)
+        t = np.multiply(dt, t, out=t)
+        ustar = np.add(self.velx, t)
+        t = np.negative(adv_v, out=adv_v)
+        t = np.add(t, diff_v, out=t)
+        t = np.add(t, fy_st, out=t)
+        t = np.add(t, buoy, out=t)
+        t = np.multiply(dt, t, out=t)
+        vstar = np.add(self.vely, t)
 
         self.velx, self.vely = ustar, vstar
         self._apply_velocity_bcs()
 
         # projection: make the velocity field divergence free
-        if self._fused_bubble:
-            ws = self._workspace
-            ga = kbubble.gradient_axis(self.velx, cfg.dx, 0, ws=ws, key=("proj", "dx"))
-            gb = kbubble.gradient_axis(self.vely, cfg.dy, 1, ws=ws, key=("proj", "dy"))
-            div = np.add(ga, gb, out=ga)
-            div = np.divide(div, dt, out=div)
-            self.pres = self.poisson.solve(div, ws=ws)
-            gx, gy = self.poisson.gradient(self.pres, ws=ws)
-            # velx/vely are the fresh ustar/vstar, so the correction may
-            # run in place
-            t = np.multiply(dt, gx, out=gx)
-            np.subtract(self.velx, t, out=self.velx)
-            t = np.multiply(dt, gy, out=gy)
-            np.subtract(self.vely, t, out=self.vely)
-        else:
-            div = np.gradient(self.velx, cfg.dx, axis=0) + np.gradient(self.vely, cfg.dy, axis=1)
-            self.pres = self.poisson.solve(div / dt)
-            gx, gy = self.poisson.gradient(self.pres)
-            self.velx = self.velx - dt * gx
-            self.vely = self.vely - dt * gy
+        ws = self._workspace
+        ga = kbubble.gradient_axis(self.velx, cfg.dx, 0, ws=ws, key=("proj", "dx"))
+        gb = kbubble.gradient_axis(self.vely, cfg.dy, 1, ws=ws, key=("proj", "dy"))
+        div = np.add(ga, gb, out=ga)
+        div = np.divide(div, dt, out=div)
+        self.pres = self.poisson.solve(div, ws=ws)
+        gx, gy = self.poisson.gradient(self.pres, ws=ws)
+        # velx/vely are the fresh ustar/vstar, so the correction may run in
+        # place
+        t = np.multiply(dt, gx, out=gx)
+        np.subtract(self.velx, t, out=self.velx)
+        t = np.multiply(dt, gy, out=gy)
+        np.subtract(self.vely, t, out=self.vely)
         self._apply_velocity_bcs()
 
         # interface transport (advection operator: truncation target)
@@ -469,7 +414,7 @@ class BubbleSolver:
     def _advect_levelset(self, ctx: FPContext) -> np.ndarray:
         ctx = self._counted(("levelset", self.levelset.phi.shape), ctx, self._advect_levelset)
         cfg = self.config
-        q = self._rounder(ctx)
+        q = plane_rounder(ctx, self._workspace)
         if q is not None:
             # the twin reads phi and returns a fresh array, so the defensive
             # LevelSet copy of the op-by-op path is unnecessary

@@ -41,8 +41,10 @@ cells with stacked gathers over the AMR block store, and a stacked
 instrumented counters stay byte-identical.
 :mod:`repro.kernels.bubble` does the same for the incompressible bubble
 solver — scratch-buffered twins of its advection/diffusion/level-set/
-projection operators, the truncatable ones written against a rounder —
-gated by ``RAPTOR_FAST_NO_BUBBLE`` (:func:`bubble_plane_enabled`).
+projection operators, the truncatable ones written against a rounder; the
+context-free ones run on every plane.  No switch selects a plane: every
+solver and grid owns a :class:`~repro.kernels.scratch.Workspace`, and the
+context alone decides where an operation runs.
 :mod:`repro.kernels.eos` holds the rounder-parameterised twins of the
 cellular EOS table interpolation and Newton steps.
 
@@ -71,12 +73,7 @@ from .dispatch import (
 )
 from .fast import FastPlaneContext
 from .ledger import LedgerFullContext, LedgerTruncatedContext
-from .scratch import (
-    Workspace,
-    bubble_plane_enabled,
-    make_workspace,
-    scratch_enabled,
-)
+from .scratch import Workspace
 from .trunc import TruncFastPlaneContext
 
 __all__ = [
@@ -100,9 +97,6 @@ __all__ = [
     # scratch workspaces
     "scratch",
     "Workspace",
-    "make_workspace",
-    "scratch_enabled",
-    "bubble_plane_enabled",
     # plane selection
     "PLANES",
     "DEFAULT_PLANE",

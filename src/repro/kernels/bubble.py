@@ -8,8 +8,8 @@ and projection operators op-by-op through per-op context dispatch on
 every plane.  This module closes that gap with straight-line numpy twins
 of every hot bubble operator, threading all intermediates through a
 :class:`~repro.kernels.scratch.Workspace` exactly like
-:mod:`repro.kernels.flux` does, gated by ``RAPTOR_FAST_NO_BUBBLE``
-(:func:`~repro.kernels.scratch.bubble_plane_enabled`).
+:mod:`repro.kernels.flux` does.  The solver always uses them; the original
+plain-numpy glue survives only as a test oracle.
 
 Two kinds of operator live here:
 
@@ -29,8 +29,11 @@ Two kinds of operator live here:
 * **the context-free operators** (Heaviside/delta/material fields,
   curvature, surface tension, buoyancy, reinitialisation, the
   :func:`np.gradient` twin of the projection step) never touch a context
-  at all, so — like the grid side — they run on *every* plane when the
-  knob is on and instrumented counters stay byte-identical.
+  at all, so — like the grid side — they run on *every* plane and
+  instrumented counters stay byte-identical.  The plain-numpy
+  ``LevelSet``/``BubbleSolver``/``PoissonSolver`` bodies they are twins
+  of are kept, under the same names, as the test oracle
+  ``tests/bubble_oracle.py``.
 
 Boundary subtlety the twins preserve bit-for-bit: the *momentum* upwind
 and WENO5 stencils of ``incomp/solver.py`` are edge-padded (walls), while
@@ -77,7 +80,6 @@ __all__ = [
     "reinitialize",
     "surface_tension",
     "buoyancy",
-    "weno5_derivative",
     "weno5_derivative_pair",
     "upwind_derivative",
     "advection_term",
@@ -364,26 +366,13 @@ _WENO_EDGE_ARGS = (
 )
 
 
-def _weno_stack(padded, axis, ws, key):
-    """Copy the four edges' five stencil operands into one ``(5, 4, nx, ny)``
-    batch so a single elementwise ``weno5_edge`` call reconstructs all four
-    edges at once.  Ufuncs act elementwise, so row ``e`` of the batched
-    result is bit-identical to the standalone ``edge(...)`` call it packs."""
-    cells = tuple(_weno_cells(padded, axis, k) for k in (-3, -2, -1, 0, 1, 2))
-    shp = cells[0].shape
-    stack = buffer(ws, (*key, "st"), (5, 4) + shp)
-    for s in range(5):
-        for e in range(4):
-            np.copyto(stack[s, e], cells[_WENO_EDGE_ARGS[e][s]])
-    return stack
-
-
 def _weno_stack_pair(padded, ws, key):
-    """Like :func:`_weno_stack`, but packs the axis-0 *and* axis-1 edge
-    reconstructions of one padded field into a single ``(5, 8, nx, ny)``
-    batch (rows ``2e`` / ``2e+1`` hold edge ``e`` along axis 0 / 1), so one
+    """Copy the five stencil operands of the four edges along axis 0 *and*
+    axis 1 of one padded field into a single ``(5, 8, nx, ny)`` batch (rows
+    ``2e`` / ``2e+1`` hold edge ``e`` along axis 0 / 1), so one
     ``weno5_edge`` call reconstructs all eight edges of the momentum
-    advection at once."""
+    advection at once.  Ufuncs act elementwise, so each batch row is
+    bit-identical to the standalone ``edge(...)`` call it packs."""
     cells = tuple(
         tuple(_weno_cells(padded, axis, k) for k in (-3, -2, -1, 0, 1, 2))
         for axis in (0, 1)
@@ -424,10 +413,15 @@ def weno5_derivative_pair(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray
                           dx: float, dy: float,
                           ws: Optional[Workspace] = None, key=(), *,
                           q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
-    """Both momentum-advection WENO5 derivatives (``d f/dx``, ``d f/dy``) of
-    one padded field in a single batched ``fused.weno5_edge`` call — row
-    ``a`` of every elementwise intermediate (and rounding) carries exactly
-    the bits of the standalone axis-``a`` :func:`weno5_derivative`."""
+    """Twin of two ``BubbleSolver._weno5_derivative`` calls (minus the
+    padding, which the caller supplies): both momentum-advection WENO5
+    derivatives (``d f/dx``, ``d f/dy``) of one padded field from a single
+    batched ``fused.weno5_edge`` call, upwind face selection,
+    ``(f_plus - f_minus) * (1/spacing)`` — rounded after the face
+    difference and the reciprocal-spacing multiply, the boundaries
+    ``adv:face_diff`` / ``adv:weno_deriv`` round at.  Rounding is
+    elementwise, so row ``a`` carries exactly the bits of the op-by-op
+    axis-``a`` derivative."""
     key = _scoped(key, q)
     stack = _weno_stack_pair(padded, ws, key)
     edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
@@ -438,32 +432,6 @@ def weno5_derivative_pair(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray
     np.multiply(d[1], q.const(1.0 / dy), out=d[1])
     d = q(d)
     return d[0], d[1]
-
-
-def weno5_derivative(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                     ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
-    """Twin of ``BubbleSolver._weno5_derivative`` (minus the padding, which
-    the caller supplies): four WENO5 edge reconstructions batched into one
-    stacked ``fused.weno5_edge`` call, upwind face selection,
-    ``(f_plus - f_minus) * (1/spacing)`` — rounded after the face
-    difference and the reciprocal-spacing multiply, the boundaries
-    ``adv:face_diff`` / ``adv:weno_deriv`` round at.  Rounding is
-    elementwise, so each batch row rounds exactly as its standalone edge
-    call would."""
-    key = _scoped(key, q)
-    stack = _weno_stack(padded, axis, ws, key)
-    edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                             ws=ws, key=(*key, "e"), q=q)
-    lm, lp, rm, rp = edges[0], edges[1], edges[2], edges[3]
-    o = _o(ws)
-    shp = lm.shape
-    up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
-    fm = where(up, lm, rm, out=o((*key, "fm"), shp))
-    fp = where(up, lp, rp, out=o((*key, "fp"), shp))
-    d = np.subtract(fp, fm, out=fp)
-    d = q(d)
-    d = np.multiply(d, q.const(1.0 / spacing), out=d)
-    return q(d)
 
 
 def _upwind_neighbours(f, axis, boundary, padded, o, key):

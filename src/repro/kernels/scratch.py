@@ -25,21 +25,13 @@ Workspaces are deliberately cheap to drop: pickling or deep-copying one
 (e.g. when a solver crosses a process boundary) yields a fresh, empty
 workspace.
 
-Two environment switches gate the fast-plane optimisations that build on
-this module (both default to *on*; they exist for benchmarking and
-debugging, the results are bit-identical either way):
-
-* ``RAPTOR_FAST_NO_SCRATCH=1`` — fused kernels run without preallocated
-  buffers (every temporary freshly allocated);
-* ``RAPTOR_FAST_NO_BUBBLE=1`` — the fused bubble plane
-  (:mod:`repro.kernels.bubble`: scratch-buffered advection/diffusion/
-  level-set/projection twins of the incompressible solver) is disabled and
-  the op-by-op context paths run instead.
+Every solver and grid owns one workspace; there is no switch that turns
+the buffers off.  Kernels called standalone take ``ws=None`` and allocate
+normally (:func:`out_accessor`, :func:`buffer`), with the same bits.
 """
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -48,38 +40,7 @@ __all__ = [
     "NULL_WORKSPACE",
     "out_accessor",
     "buffer",
-    "scratch_enabled",
-    "bubble_plane_enabled",
-    "make_workspace",
 ]
-
-
-def _env_truthy(value) -> bool:
-    """Interpret an environment-variable value as a boolean switch (same
-    convention as ``repro.parallel.executor``: anything but an explicit
-    falsy spelling counts as set)."""
-    if value is None:
-        return False
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def scratch_enabled() -> bool:
-    """Whether fused kernels should use preallocated scratch buffers."""
-    return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_SCRATCH"))
-
-
-def bubble_plane_enabled() -> bool:
-    """Whether the fused bubble plane (:mod:`repro.kernels.bubble`:
-    scratch-buffered twins of the incompressible solver's advection,
-    diffusion, level-set and projection operators) is active.  The twins
-    are bit-identical to the op-by-op context paths on every kernel plane,
-    so the switch exists for benchmarking and debugging only."""
-    return not _env_truthy(os.environ.get("RAPTOR_FAST_NO_BUBBLE"))
-
-
-def make_workspace() -> Optional["Workspace"]:
-    """A fresh :class:`Workspace`, or ``None`` when scratch is disabled."""
-    return Workspace() if scratch_enabled() else None
 
 
 class Workspace:

@@ -183,11 +183,13 @@ class TestNpzStore:
         assert store.read(key) is None
         store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         store.path_for(key).write_bytes(b"not an npz")
-        assert store.read(key) is None
+        with pytest.warns(RuntimeWarning, match="deleting corrupt reference-cache entry"):
+            assert store.read(key) is None
         # a zip magic number followed by garbage raises BadZipFile, not
         # ValueError — it must also read as a miss, not crash the sweep
         store.path_for(key).write_bytes(b"PK\x03\x04garbage")
-        assert store.read(key) is None
+        with pytest.warns(RuntimeWarning, match="deleting corrupt reference-cache entry"):
+            assert store.read(key) is None
         cache = ReferenceCache(tmp_path)
         assert cache.get(key) is None and cache.stats.misses == 1
 

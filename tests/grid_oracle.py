@@ -8,6 +8,9 @@ bit: one Python strip per (leaf, side, variable), the 2-D ``prolong`` /
 ``restrict`` written out as they were, one CFL reduction per block and one
 estimator call per block.
 
+:func:`substep_per_block` is the per-block twin of the hydro solver's
+stacked substep: one ``advance_block`` call per leaf, then a scatter.
+
 Besides the functions, :func:`swapped` is a context manager that routes
 ``AMRGrid.fill_guard_cells``, ``AMRGrid._estimate_errors`` and
 ``HydroSolver.compute_dt`` through this oracle, so a whole workload run can
@@ -23,7 +26,7 @@ import numpy as np
 
 from repro.amr.grid import AMRGrid
 from repro.amr.refinement import block_error
-from repro.hydro.solver import HydroSolver
+from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.kernels import flux
 
 SIDES = ("-x", "+x", "-y", "+y")
@@ -167,7 +170,7 @@ def fine_strip(grid, block, name: str, side: str, fine_keys: List) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# CFL step and regrid estimators
+# CFL step, per-block substep and regrid estimators
 # ---------------------------------------------------------------------------
 def compute_dt(solver, grid) -> float:
     """Per-block CFL reduction of ``HydroSolver.compute_dt``."""
@@ -184,6 +187,19 @@ def compute_dt(solver, grid) -> float:
         speed = max(sx / block.dx, sy / block.dy, 1e-30)
         dt = min(dt, 1.0 / speed)
     return solver.cfl * float(dt)
+
+
+def substep_per_block(solver, grid, dt: float, provider) -> None:
+    """``HydroSolver._substep`` one block at a time: every leaf advanced
+    through ``advance_block`` under its own context, the new interiors
+    scattered back to the store, the guard cells refilled."""
+    plan = grid.topology_plan()
+    max_level = grid.finest_level
+    new = [solver.advance_block(grid.leaves[key], dt, provider(solver.module, key[0], max_level))
+           for key in plan.keys]
+    grid.scatter_interior(PRIMITIVE_VARS, plan.slots,
+                          [[prims[name] for prims in new] for name in PRIMITIVE_VARS])
+    grid.fill_guard_cells(PRIMITIVE_VARS)
 
 
 def estimate_errors(grid, refine_vars, estimator) -> dict:

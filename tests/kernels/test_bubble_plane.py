@@ -11,18 +11,25 @@ The load-bearing contracts:
   boundaries the optimized instrumented :class:`TruncatedContext` rounds
   at, property-tested across formats × rounding modes on representable
   inputs;
-* the batched WENO5 pair reconstruction equals the per-axis, per-edge
-  evaluation bit for bit (ufuncs are elementwise, rows are independent);
+* the batched WENO5 pair reconstruction equals the op-by-op per-axis
+  ``BubbleSolver._weno5_derivative`` bit for bit (ufuncs are elementwise,
+  rows are independent), binary64 and truncated;
 * workspace discipline: poisoned buffers never leak into results, kernel
   inputs are never written, and a warm ``BubbleSolver.step`` allocates
   nothing (``ws.misses`` stays flat through further steps, including a
   reinitialisation);
-* the whole plane sits behind ``RAPTOR_FAST_NO_BUBBLE``: full runs —
-  binary64 and truncated, both advection schemes — produce bit-identical
-  ``velx``/``vely``/``pres``/``phi`` with the knob on or off, and the
-  bubble workload matches through ``run_sweep`` / ``find_cliff`` with
-  instrumented counters byte-identical either way.
+* the classic plain-numpy glue is the test oracle ``tests/bubble_oracle.py``:
+  full runs — binary64 and truncated, both advection schemes — produce
+  bit-identical ``velx``/``vely``/``pres``/``phi`` on the fused plane and
+  on the instrumented plane inside ``bubble_oracle.swapped()``, the bubble
+  workload matches through ``run_sweep`` / ``find_cliff``, counting runs
+  replay byte-identical counters, and the swap is not vacuous: every
+  oracle body runs, no fused glue twin does, and a one-ulp nudge of one
+  oracle body is caught.
 """
+import contextlib
+
+import bubble_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,8 +50,8 @@ from repro.incomp import BubbleConfig, BubbleSolver
 from repro.incomp.levelset import LevelSet, upwind_derivative
 from repro.kernels import FastPlaneContext, TruncFastPlaneContext
 from repro.kernels import bubble as kbubble
-from repro.kernels.scratch import Workspace, bubble_plane_enabled
-from repro.kernels.trunc import Round
+from repro.kernels.scratch import Workspace
+from repro.kernels.trunc import EXACT, Round
 from repro.workloads import create_workload
 
 FORMATS = [
@@ -76,21 +83,12 @@ def small_config(**kwargs):
     return BubbleConfig(**defaults)
 
 
-def make_solver(fused, monkeypatch, plane=None, **cfg_kw):
-    """A solver built with the bubble plane on (``fused=True``) or off.
-
-    The reference solver also runs on the instrumented kernel plane so its
-    internal full-precision context is the classic op-by-op one.
-    """
-    if fused:
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-    else:
-        monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
-    solver = BubbleSolver(
-        small_config(**cfg_kw), plane=plane or ("auto" if fused else "instrumented")
-    )
-    monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-    return solver
+def make_solver(plane="auto", **cfg_kw):
+    """A solver on ``plane``.  The reference solvers run on the instrumented
+    kernel plane, so their internal full-precision context is the classic
+    op-by-op one; running them inside ``bubble_oracle.swapped()`` also puts
+    the context-free glue back on the classic plain-numpy bodies."""
+    return BubbleSolver(small_config(**cfg_kw), plane=plane)
 
 
 def seed_state(solver, seed, fmt=None, rounding=RoundingMode.NEAREST_EVEN):
@@ -139,27 +137,34 @@ def solver_state(solver):
 # ---------------------------------------------------------------------------
 class TestLevelSetTwins:
     def _pair(self, seed, ws):
+        """(reference, fused) level sets of one random field: the reference
+        allocates, the fused one threads ``ws``."""
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-0.4, 0.4, (12, 16))
-        ref = LevelSet(phi, 0.05, 0.06)
-        fused = LevelSet(phi, 0.05, 0.06).enable_fused(ws)
-        return ref, fused
+        return LevelSet(phi, 0.05, 0.06), LevelSet(phi, 0.05, 0.06, ws=ws)
 
     @given(seed=seeds, with_ws=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_indicator_and_material_fields(self, seed, with_ws):
         ref, fused = self._pair(seed, Workspace() if with_ws else None)
-        assert_bits(fused.heaviside(), ref.heaviside(), "heaviside")
-        assert_bits(fused.delta(), ref.delta(), "delta")
-        assert_bits(fused.density(1.0, 0.1), ref.density(1.0, 0.1), "density")
-        assert_bits(fused.viscosity(2e-3, 4e-5), ref.viscosity(2e-3, 4e-5), "viscosity")
-        assert_bits(fused.curvature(), ref.curvature(), "curvature")
+        fields = {
+            "heaviside": lambda ls: ls.heaviside(),
+            "delta": lambda ls: ls.delta(),
+            "density": lambda ls: ls.density(1.0, 0.1),
+            "viscosity": lambda ls: ls.viscosity(2e-3, 4e-5),
+            "curvature": lambda ls: ls.curvature(),
+        }
+        with bubble_oracle.swapped():
+            want = {name: field(ref) for name, field in fields.items()}
+        for name, field in fields.items():
+            assert_bits(field(fused), want[name], name)
 
     @given(seed=seeds, iterations=st.integers(min_value=0, max_value=7))
     @settings(max_examples=30, deadline=None)
     def test_reinitialize(self, seed, iterations):
         ref, fused = self._pair(seed, Workspace())
-        ref.reinitialize(iterations=iterations)
+        with bubble_oracle.swapped():
+            ref.reinitialize(iterations=iterations)
         fused.reinitialize(iterations=iterations)
         assert_bits(fused.phi, ref.phi, f"reinit({iterations})")
 
@@ -214,9 +219,9 @@ class TestLevelSetTwins:
 class TestSolverOperatorTwins:
     @pytest.mark.parametrize("scheme", ["weno5", "upwind"])
     @pytest.mark.parametrize("op", ["advection", "diffusion"])
-    def test_binary64_operators(self, scheme, op, monkeypatch):
-        ref = make_solver(False, monkeypatch, advection_scheme=scheme)
-        fused = make_solver(True, monkeypatch, advection_scheme=scheme)
+    def test_binary64_operators(self, scheme, op):
+        ref = make_solver("instrumented", advection_scheme=scheme)
+        fused = make_solver(advection_scheme=scheme)
         seed_state(ref, 11)
         seed_state(fused, 11)
         for which, field in (("u", "velx"), ("v", "vely")):
@@ -224,7 +229,8 @@ class TestSolverOperatorTwins:
                 a = ref.advection_term(getattr(ref, field), _full(), which)
                 b = fused.advection_term(getattr(fused, field), FastPlaneContext(), which)
             else:
-                mu_ref = ref.levelset.viscosity(2e-3, 4e-5)
+                with bubble_oracle.swapped():
+                    mu_ref = ref.levelset.viscosity(2e-3, 4e-5)
                 mu_fus = fused.levelset.viscosity(2e-3, 4e-5)
                 assert_bits(mu_fus, mu_ref, "mu")
                 a = ref.diffusion_term(getattr(ref, field), mu_ref, _full(), which)
@@ -248,12 +254,8 @@ class TestSolverOperatorTwins:
         self._truncated_operator("weno5", "diffusion", seed, fmt, rounding)
 
     def _truncated_operator(self, scheme, op, seed, fmt, rounding):
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            ref = make_solver(False, monkeypatch, advection_scheme=scheme)
-            fused = make_solver(True, monkeypatch, advection_scheme=scheme)
-        finally:
-            monkeypatch.undo()
+        ref = make_solver("instrumented", advection_scheme=scheme)
+        fused = make_solver(advection_scheme=scheme)
         seed_state(ref, seed, fmt, rounding)
         seed_state(fused, seed, fmt, rounding)
         slow = _silent_trunc(fmt, rounding)
@@ -263,26 +265,35 @@ class TestSolverOperatorTwins:
                 a = ref.advection_term(getattr(ref, field), slow, which)
                 b = fused.advection_term(getattr(fused, field), fast, which)
             else:
-                mu = np.asarray(quantize(ref.levelset.viscosity(2e-3, 4e-5), fmt, rounding))
+                with bubble_oracle.swapped():
+                    mu = ref.levelset.viscosity(2e-3, 4e-5)
+                mu = np.asarray(quantize(mu, fmt, rounding))
                 a = ref.diffusion_term(getattr(ref, field), mu, slow, which)
                 b = fused.diffusion_term(getattr(fused, field), mu, fast, which)
             assert_bits(b, a, f"{op}/{scheme}/{which} {fmt} {rounding}")
 
+    @staticmethod
+    def _pair_vs_op_by_op(f, velx, vely, q, ctx, label):
+        """The batched (5, 8, nx, ny) WENO5 pair against two op-by-op
+        ``BubbleSolver._weno5_derivative`` calls through ``ctx``."""
+        padded = np.pad(f, 3, mode="edge")
+        ws = Workspace()
+        fx, fy = kbubble.weno5_derivative_pair(
+            padded, velx, vely, 0.1, 0.2, ws=ws, key=("p",), q=q)
+        solver = make_solver("instrumented")
+        sx = ctx.asplain(solver._weno5_derivative(f, velx, 0.1, 0, ctx))
+        sy = ctx.asplain(solver._weno5_derivative(f, vely, 0.2, 1, ctx))
+        assert_bits(fx, sx, f"{label}/x")
+        assert_bits(fy, sy, f"{label}/y")
+
     def test_pair_matches_per_axis_twins(self):
-        """The batched (5, 8, nx, ny) WENO5 reconstruction equals the
-        per-axis single calls bit for bit — rows are independent lanes."""
+        """The batched WENO5 reconstruction equals the op-by-op per-axis
+        derivative bit for bit — rows are independent lanes."""
         rng = np.random.default_rng(3)
         f = rng.uniform(-1.0, 1.0, (14, 18))
         velx = rng.uniform(-1.0, 1.0, (14, 18))
         vely = rng.uniform(-1.0, 1.0, (14, 18))
-        padded = np.pad(f, 3, mode="edge")
-        ws = Workspace()
-        fx, fy = kbubble.weno5_derivative_pair(padded, velx, vely, 0.1, 0.2, ws=ws, key=("p",))
-        fx, fy = fx.copy(), fy.copy()
-        sx = kbubble.weno5_derivative(padded, velx, 0.1, 0, ws=ws, key=("s", 0))
-        sy = kbubble.weno5_derivative(padded, vely, 0.2, 1, ws=ws, key=("s", 1))
-        assert_bits(fx, sx, "pair/x")
-        assert_bits(fy, sy, "pair/y")
+        self._pair_vs_op_by_op(f, velx, vely, EXACT, _full(), "pair")
 
     @given(fmt=st.sampled_from(FORMATS), rounding=st.sampled_from(ROUNDINGS))
     @settings(max_examples=20, deadline=None)
@@ -291,27 +302,18 @@ class TestSolverOperatorTwins:
         f = np.asarray(quantize(rng.uniform(-1.0, 1.0, (12, 14)), fmt, rounding))
         velx = np.asarray(quantize(rng.uniform(-1.0, 1.0, (12, 14)), fmt, rounding))
         vely = np.asarray(quantize(rng.uniform(-1.0, 1.0, (12, 14)), fmt, rounding))
-        padded = np.pad(f, 3, mode="edge")
-        ws = Workspace()
-        q = Round(fmt, rounding, ws)
-        fx, fy = kbubble.weno5_derivative_pair(
-            padded, velx, vely, 0.1, 0.2, ws=ws, key=("p",), q=q)
-        fx, fy = fx.copy(), fy.copy()
-        sx = kbubble.weno5_derivative(padded, velx, 0.1, 0, ws=ws, key=("s", 0), q=q)
-        sy = kbubble.weno5_derivative(padded, vely, 0.2, 1, ws=ws, key=("s", 1), q=q)
-        assert_bits(fx, sx, "pair_trunc/x")
-        assert_bits(fy, sy, "pair_trunc/y")
+        self._pair_vs_op_by_op(f, velx, vely, Round(fmt, rounding, Workspace()),
+                               _silent_trunc(fmt, rounding), f"pair_trunc {fmt} {rounding}")
 
 
 # ---------------------------------------------------------------------------
 # workspace discipline
 # ---------------------------------------------------------------------------
 class TestWorkspaceDiscipline:
-    def test_steady_state_no_allocations(self, monkeypatch):
+    def test_steady_state_no_allocations(self):
         """After one reinit cycle the warm step allocates nothing new from
         the workspace — misses stay flat across further full cycles."""
-        solver = make_solver(True, monkeypatch)
-        assert solver._workspace is not None
+        solver = make_solver()
         for _ in range(solver.config.reinit_interval * 2):
             solver.step(1e-3)
         misses = solver._workspace.misses
@@ -321,11 +323,11 @@ class TestWorkspaceDiscipline:
         assert solver._workspace.misses == misses
         assert solver._workspace.hits > 0
 
-    def test_poisoned_workspace_never_leaks(self, monkeypatch):
+    def test_poisoned_workspace_never_leaks(self):
         """Every kernel must fully overwrite its scratch before reading it:
         NaN-poisoning all warm buffers cannot change a single bit."""
-        a = make_solver(True, monkeypatch)
-        b = make_solver(True, monkeypatch)
+        a = make_solver()
+        b = make_solver()
         for solver in (a, b):
             seed_state(solver, 23)
             for _ in range(4):
@@ -363,7 +365,6 @@ class TestWorkspaceDiscipline:
         kbubble.levelset_advect(phi, velx, vely, 1e-3, 0.05, 0.06, ws=ws, key=("la",))
         kbubble.levelset_advect(phi, velx, vely, 1e-3, 0.05, 0.06, ws=ws,
                                 key=("lat",), q=Round(E8M10, ws=ws))
-        kbubble.weno5_derivative(padded3, velx, 0.05, 0, ws=ws, key=("w",))
         kbubble.weno5_derivative_pair(padded3, velx, vely, 0.05, 0.06, ws=ws, key=("wp",))
         kbubble.upwind_derivative(phi, velx, 0.05, 1, "edge", fp, ws=ws, key=("u",))
         kbubble.diffusion_term(phi, nu, fp, nup, 0.05, 0.06, ws=ws, key=("df",))
@@ -391,97 +392,122 @@ class TestWorkspaceDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# the knob and whole-solver equivalence
+# the oracle and whole-solver equivalence
 # ---------------------------------------------------------------------------
-class TestKnobAndFullRuns:
-    def test_bubble_plane_enabled_parses_env(self, monkeypatch):
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-        assert bubble_plane_enabled()
-        for truthy in ("1", "true", "yes", "on"):
-            monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", truthy)
-            assert not bubble_plane_enabled()
-        for falsy in ("", "0", "false"):
-            monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", falsy)
-            assert bubble_plane_enabled()
+#: the fused glue twins the oracle stands in for
+GLUE_TWINS = ("heaviside", "delta", "material_field", "curvature", "reinitialize",
+              "buoyancy", "surface_tension", "gradient_axis")
 
-    def test_default_solver_rides_the_bubble_plane(self, monkeypatch):
-        solver = make_solver(True, monkeypatch)
-        assert solver._fused_bubble
-        assert solver.levelset._fused
-        assert solver.levelset._ws is solver._workspace
-        off = make_solver(False, monkeypatch)
-        assert not off._fused_bubble
-        assert not off.levelset._fused
+
+def _swapped_if(swap):
+    """``bubble_oracle.swapped()`` when ``swap``, else a no-op context."""
+    return bubble_oracle.swapped() if swap else contextlib.nullcontext()
+
+
+def _oracle_run(plane, scheme="weno5", ctx=None, **run_kw):
+    """A solver on ``plane`` run for 15 fixed steps — inside
+    ``bubble_oracle.swapped()`` for the instrumented plane."""
+    solver = make_solver(plane, advection_scheme=scheme)
+    with _swapped_if(plane == "instrumented"):
+        solver.run(t_end=0.03, fixed_dt=2e-3, advection_ctx=ctx, diffusion_ctx=ctx, **run_kw)
+    return solver_state(solver)
+
+
+class TestOracleAndFullRuns:
+    def test_default_solver_rides_the_bubble_plane(self):
+        for plane in ("auto", "instrumented"):
+            solver = make_solver(plane)
+            assert isinstance(solver._workspace, Workspace)
+            assert solver.levelset._ws is solver._workspace
+
+    def test_swap_routes_every_glue_site_through_the_oracle(self, monkeypatch):
+        """Non-vacuity: during a swapped bubble run every oracle body runs
+        and no fused glue twin does; leaving restores every site."""
+        oracle_calls = {name: 0 for _, _, name in bubble_oracle.SITES}
+        twin_calls = {name: 0 for name in GLUE_TWINS}
+
+        def spy(owner, name, calls):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in oracle_calls:
+            spy(bubble_oracle, name, oracle_calls)
+        for name in twin_calls:
+            spy(kbubble, name, twin_calls)
+        before = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in bubble_oracle.SITES}
+        with bubble_oracle.swapped():
+            create_workload("bubble", **TINY_BUBBLE).reference(plane="instrumented")
+        assert all(oracle_calls.values()), oracle_calls
+        assert not any(twin_calls.values()), twin_calls
+        assert {(o, a): o.__dict__[a] for o, a, _ in bubble_oracle.SITES} == before
+        create_workload("bubble", **TINY_BUBBLE).reference(plane="instrumented")
+        assert all(twin_calls.values()), twin_calls
+
+    def test_one_ulp_nudge_of_an_oracle_body_is_caught(self, monkeypatch):
+        """The whole-run comparison sees a single-ulp change of one glue
+        body, so agreeing with the oracle means something."""
+        real = bubble_oracle.buoyancy
+        monkeypatch.setattr(bubble_oracle, "buoyancy",
+                            lambda self: np.nextafter(real(self), np.inf))
+        nudged = _oracle_run("instrumented")
+        fused = _oracle_run("auto")
+        assert any(not np.array_equal(nudged[key], fused[key]) for key in fused)
 
     @pytest.mark.parametrize("scheme", ["weno5", "upwind"])
-    def test_binary64_runs_bitwise_identical(self, scheme, monkeypatch):
-        ref = make_solver(False, monkeypatch, advection_scheme=scheme)
-        fused = make_solver(True, monkeypatch, advection_scheme=scheme)
-        ref.run(t_end=0.03, fixed_dt=2e-3)
-        fused.run(t_end=0.03, fixed_dt=2e-3)
-        for key, val in solver_state(ref).items():
-            assert_bits(solver_state(fused)[key], val, f"{scheme}/{key}")
+    def test_binary64_runs_bitwise_identical(self, scheme):
+        ref = _oracle_run("instrumented", scheme)
+        fused = _oracle_run("auto", scheme)
+        for key, val in ref.items():
+            assert_bits(fused[key], val, f"{scheme}/{key}")
 
     @pytest.mark.parametrize("scheme", ["weno5", "upwind"])
     @pytest.mark.parametrize("rounding",
                              [RoundingMode.NEAREST_EVEN, RoundingMode.TOWARD_ZERO])
-    def test_truncated_runs_bitwise_identical(self, scheme, rounding, monkeypatch):
-        def run(fused):
-            solver = make_solver(fused, monkeypatch, advection_scheme=scheme)
-            ctx = (TruncFastPlaneContext(E8M10, rounding=rounding) if fused
-                   else _silent_trunc(E8M10, rounding))
-            solver.run(t_end=0.03, fixed_dt=2e-3, advection_ctx=ctx, diffusion_ctx=ctx)
-            return solver_state(solver)
-
-        ref, fast = run(False), run(True)
+    def test_truncated_runs_bitwise_identical(self, scheme, rounding):
+        ref = _oracle_run("instrumented", scheme, _silent_trunc(E8M10, rounding))
+        fast = _oracle_run("auto", scheme, TruncFastPlaneContext(E8M10, rounding=rounding))
         for key, val in ref.items():
             assert_bits(fast[key], val, f"{scheme}/{rounding}/{key}")
 
-    def test_blended_mask_runs_bitwise_identical(self, monkeypatch):
+    def test_blended_mask_runs_bitwise_identical(self):
         """The M − l cutoff path blends truncated and full results — both
         planes must agree bit for bit through the blend."""
-        def run(fused):
-            solver = make_solver(fused, monkeypatch)
-            ctx = (TruncFastPlaneContext(E8M10) if fused else _silent_trunc(E8M10))
-            solver.run(
-                t_end=0.02, fixed_dt=2e-3, advection_ctx=ctx, diffusion_ctx=ctx,
-                truncate_mask_fn=lambda s: s.levelset.level_map(max_level=3) <= 2,
-            )
-            return solver_state(solver)
-
-        ref, fast = run(False), run(True)
+        mask = lambda s: s.levelset.level_map(max_level=3) <= 2
+        ref = _oracle_run("instrumented", ctx=_silent_trunc(E8M10), truncate_mask_fn=mask)
+        fast = _oracle_run("auto", ctx=TruncFastPlaneContext(E8M10), truncate_mask_fn=mask)
         for key, val in ref.items():
             assert_bits(fast[key], val, f"blend/{key}")
 
-    def test_counting_contexts_and_counters_untouched(self, monkeypatch):
-        """Counting (instrumented) truncating contexts never ride the
-        bubble plane: states and op counters are byte-identical with the
-        knob on or off."""
-        def run(fused):
-            if fused:
-                monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-            else:
-                monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
+    def test_counting_contexts_and_counters_untouched(self):
+        """A counting e8m10 bubble run counts op by op on the instrumented
+        plane (inside the oracle swap) and replays ledgers on ``"auto"``:
+        states bitwise, runtime snapshots byte-identical."""
+        def run(plane):
             wl = create_workload("bubble", **TINY_BUBBLE)
-            out = wl.run_strategy("everywhere", 10)
-            monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-            return out
+            rt = RaptorRuntime()
+            policy = GlobalPolicy(TruncationConfig(targets={64: E8M10}),
+                                  runtime=rt, plane=plane)
+            with _swapped_if(plane == "instrumented"):
+                return wl.run(policy=policy, runtime=rt)
 
-        on, off = run(True), run(False)
-        for key in off.state:
-            assert_bits(on.state[key], off.state[key], key)
-        assert on.info == off.info
+        op_by_op, replayed = run("instrumented"), run("auto")
+        assert op_by_op.runtime.ops.total > 0
+        for key in op_by_op.state:
+            assert_bits(replayed.state[key], op_by_op.state[key], key)
+        assert replayed.info == op_by_op.info
+        assert replayed.snapshot() == op_by_op.snapshot()
 
 
 # ---------------------------------------------------------------------------
 # the workload through the engine entry points
 # ---------------------------------------------------------------------------
 class TestWorkloadEquivalence:
-    def _run_policy(self, policy_kind, plane, fused, monkeypatch):
-        if fused:
-            monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-        else:
-            monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
+    def _run_policy(self, policy_kind, plane, oracle):
         wl = create_workload("bubble", **TINY_BUBBLE)
         rt = RaptorRuntime()
         if policy_kind == "trunc":
@@ -493,38 +519,36 @@ class TestWorkloadEquivalence:
         else:
             policy = NoTruncationPolicy(runtime=rt, count_ops=False,
                                         track_memory=False, plane=plane)
-        out = wl.run(policy=policy, runtime=rt)
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-        return out
+        with _swapped_if(oracle):
+            return wl.run(policy=policy, runtime=rt)
 
     @pytest.mark.parametrize("policy_kind", ["full", "trunc"])
-    def test_states_identical_across_planes_and_knob(self, policy_kind, monkeypatch):
-        baseline = self._run_policy(policy_kind, "instrumented", False, monkeypatch)
+    def test_states_identical_across_planes_and_oracle(self, policy_kind):
+        baseline = self._run_policy(policy_kind, "instrumented", True)
         for plane in ("instrumented", "auto", "fast"):
-            for fused in (False, True):
-                other = self._run_policy(policy_kind, plane, fused, monkeypatch)
+            for oracle in (False, True):
+                other = self._run_policy(policy_kind, plane, oracle)
                 assert other.time == baseline.time
                 for key in baseline.state:
                     assert_bits(other.state[key], baseline.state[key],
-                                f"{policy_kind}/{plane}/fused={fused}/{key}")
+                                f"{policy_kind}/{plane}/oracle={oracle}/{key}")
 
-    def test_run_sweep_identical_with_knob_on_or_off(self, monkeypatch):
+    def test_run_sweep_identical_to_oracle(self):
         from repro.experiments import PolicySpec, SweepSpec, run_sweep
 
-        def sweep():
+        def sweep(plane):
             return run_sweep(SweepSpec(
                 workloads=("bubble",),
                 formats=("fp64", "bf16"),
                 policies=(PolicySpec(kind="global"),),
                 workload_configs={"bubble": TINY_BUBBLE},
                 keep_states=True,
+                plane=plane,
             ))
 
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
-        fused = sweep()
-        monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
-        plain = sweep()
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
+        fused = sweep("auto")
+        with bubble_oracle.swapped():
+            plain = sweep("instrumented")
         for a, b in zip(fused.points, plain.points):
             assert a.errors == b.errors
             assert set(a.state) == set(b.state)
@@ -535,7 +559,7 @@ class TestWorkloadEquivalence:
                 assert_bits(reference.state[key], plain.references[name].state[key],
                             f"ref/{key}")
 
-    def test_find_cliff_identical_with_knob_on_or_off(self, monkeypatch):
+    def test_find_cliff_identical_to_oracle(self):
         from repro.experiments import find_cliff
 
         kwargs = dict(
@@ -543,11 +567,9 @@ class TestWorkloadEquivalence:
             min_man_bits=4, max_man_bits=12, exp_bits=8,
             count_ops=False,
         )
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
         fused = find_cliff("bubble", **kwargs)
-        monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
-        plain = find_cliff("bubble", **kwargs)
-        monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
+        with bubble_oracle.swapped():
+            plain = find_cliff("bubble", plane="instrumented", **kwargs)
         assert fused.cliff_man_bits == plain.cliff_man_bits
         assert [(e.man_bits, e.error) for e in fused.evaluations] == [
             (e.man_bits, e.error) for e in plain.evaluations

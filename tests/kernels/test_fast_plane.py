@@ -6,6 +6,8 @@ every pre-fused stencil) is **bitwise identical** to the instrumented
 substitutes a context whose semantics (truncation, shadow tracking) or
 observable counters would change.
 """
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,9 +76,11 @@ class TestFastContextBitIdentity:
         pos = _positive(a)
         for op in UNARY_OPS:
             arg = pos if op in ("sqrt", "log", "log10", "reciprocal") else a
-            np.testing.assert_array_equal(
-                getattr(fast, op)(arg), getattr(slow, op)(arg), err_msg=op
-            )
+            # exp of the wide input range overflows to inf on both planes
+            with np.errstate(over="ignore") if op == "exp" else contextlib.nullcontext():
+                np.testing.assert_array_equal(
+                    getattr(fast, op)(arg), getattr(slow, op)(arg), err_msg=op
+                )
 
     @given(a=finite_arrays)
     @settings(max_examples=50, deadline=None)
@@ -150,7 +154,8 @@ class TestPlaneSelection:
 
     def test_fast_substitutes_every_full_precision_context(self):
         counting = FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")
-        fast = select_context(counting, "fast")
+        with pytest.warns(UserWarning, match="counters will read zero"):
+            fast = select_context(counting, "fast")
         assert isinstance(fast, FastPlaneContext)
         assert fast.module == "hydro"
         assert select_context(counting, "instrumented") is counting
@@ -169,8 +174,10 @@ class TestPlaneSelection:
 class TestPolicyPlane:
     def test_no_truncation_policy_fast_plane(self):
         pol = NoTruncationPolicy(runtime=RaptorRuntime(), plane="fast")
-        assert isinstance(pol.context_for(module="hydro"), FastPlaneContext)
-        assert isinstance(pol.full_context("burn"), FastPlaneContext)
+        with pytest.warns(UserWarning, match="module='hydro'.*counters will read zero"):
+            assert isinstance(pol.context_for(module="hydro"), FastPlaneContext)
+        with pytest.warns(UserWarning, match="module='burn'.*counters will read zero"):
+            assert isinstance(pol.full_context("burn"), FastPlaneContext)
 
     def test_default_plane_preserves_counters(self):
         rt = RaptorRuntime()
@@ -185,7 +192,8 @@ class TestPolicyPlane:
         pol = GlobalPolicy(TruncationConfig(targets={64: BF16}), runtime=rt, plane="fast")
         ctx = pol.context_for(module="hydro")
         assert ctx.truncating  # the measurement is untouched
-        assert isinstance(pol.full_context("elsewhere"), FastPlaneContext)
+        with pytest.warns(UserWarning, match="module='elsewhere'.*counters will read zero"):
+            assert isinstance(pol.full_context("elsewhere"), FastPlaneContext)
 
     def test_invalid_plane_rejected(self):
         with pytest.raises(ValueError, match="kernel plane"):

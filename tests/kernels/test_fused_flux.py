@@ -15,12 +15,13 @@ The load-bearing contracts:
 import copy
 import pickle
 
+import grid_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FullPrecisionContext, RaptorRuntime
+from repro.core import FullPrecisionContext, RaptorRuntime, RoundingMode
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.riemann import (
     SOLVERS,
@@ -30,7 +31,7 @@ from repro.hydro.riemann import (
     hllc_flux,
     hlle_flux,
 )
-from repro.hydro.solver import HydroSolver
+from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.kernels import FastPlaneContext, flux, fused
 from repro.kernels.scratch import Workspace
 
@@ -499,17 +500,20 @@ class TestFusedAdvance:
         non-dyadic: block bounds make ``dx`` differ in the last bit within
         a level, so the cross-level stack must carry per-block spacings."""
         results = {}
-        for label, batch, scratch, plane in (
-            ("instrumented", False, False, "instrumented"),
-            ("fast-perblock", False, False, "fast"),
-            ("fast-noscratch", True, False, "fast"),
-            ("fast-batched", True, True, "fast"),
+        for label, batch, plane in (
+            ("instrumented", False, "instrumented"),
+            ("fast-perblock", False, "fast"),
+            ("fast-batched", True, "fast"),
         ):
             workload = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root)
             grid = workload.build_grid()
-            solver = HydroSolver(rk_stages=1, batch_blocks=batch, scratch=scratch)
+            solver = HydroSolver(rk_stages=1)
             ctx = FastPlaneContext() if plane == "fast" else _slow()
-            solver._substep(grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+            provider = lambda module, level=None, max_level=None: ctx
+            if batch:
+                solver._substep(grid, 5e-4, provider)
+            else:
+                grid_oracle.substep_per_block(solver, grid, 5e-4, provider)
             results[label] = {
                 key: {v: grid.leaves[key].interior_view(v).copy()
                       for v in ("dens", "velx", "vely", "pres")}
@@ -524,11 +528,34 @@ class TestFusedAdvance:
                         states[key][var], base[key][var], err_msg=f"{label}: {key} {var}"
                     )
 
+    @pytest.mark.parametrize("n_root", [2, 3])
+    def test_gathered_stack_bitwise_without_workspace(self, n_root):
+        """The stacked fused update of every leaf gathered from the store
+        gives the same bits allocating every temporary (``ws=None``) as
+        through a workspace."""
+        grid = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root).build_grid()
+        solver = HydroSolver(rk_stages=1)
+        plan = grid.topology_plan()
+        first = grid.leaves[plan.keys[0]]
+        prims = grid.stack(PRIMITIVE_VARS, plan.slots)
+
+        def advance(ws):
+            return flux.advance(
+                prims, 5e-4, plan.dx.reshape(-1, 1, 1), plan.dy.reshape(-1, 1, 1),
+                first.ng, first.nxb, first.nyb, scheme=solver.reconstruction,
+                solver=solver.riemann, gamma=solver.eos.gamma,
+                dens_floor=solver.eos.density_floor, pres_floor=solver.eos.pressure_floor,
+                ws=ws,
+            )
+
+        allocating, scratch = advance(None), advance(Workspace())
+        for name in PRIMITIVE_VARS:
+            np.testing.assert_array_equal(scratch[name], allocating[name], err_msg=name)
+
     def test_workspace_steady_state_no_allocations(self):
         workload = _sod_workload()
         grid = workload.build_grid()
         solver = workload.build_solver()
-        assert solver._workspace is not None
         ctx = FastPlaneContext()
         provider = lambda module, level=None, max_level=None: ctx
         solver._substep(grid, 1e-4, provider)
@@ -539,33 +566,13 @@ class TestFusedAdvance:
         assert solver._workspace.hits > 0
 
 
-class TestEnvironmentKnobs:
-    def test_env_switch_disables_scratch_not_batching(self, monkeypatch):
-        monkeypatch.setenv("RAPTOR_FAST_NO_SCRATCH", "1")
-        # batching has no environment switch (a stale one is ignored);
-        # only HydroSolver(batch_blocks=False) advances block by block
-        monkeypatch.setenv("RAPTOR_FAST_NO_BATCH", "1")
-        solver = HydroSolver()
-        assert solver._workspace is None
-        assert solver.batch_blocks
-        assert not HydroSolver(batch_blocks=False).batch_blocks
+class TestWorkspaceOwnership:
+    def test_solvers_and_grids_always_own_a_workspace(self):
         from repro.incomp.solver import BubbleSolver
 
-        assert BubbleSolver()._workspace is None
-
-    def test_defaults_enable_scratch_and_batching(self, monkeypatch):
-        monkeypatch.delenv("RAPTOR_FAST_NO_SCRATCH", raising=False)
-        solver = HydroSolver()
-        assert solver._workspace is not None
-        assert solver.batch_blocks
-
-    def test_disabled_paths_still_bitwise(self, monkeypatch):
-        reference = _sod_workload().reference(plane="fast")
-        monkeypatch.setenv("RAPTOR_FAST_NO_SCRATCH", "1")
-        plain = _sod_workload().reference(plane="fast")
-        assert plain.time == reference.time
-        for key in reference.state:
-            np.testing.assert_array_equal(plain.state[key], reference.state[key], err_msg=key)
+        assert isinstance(HydroSolver()._workspace, Workspace)
+        assert isinstance(BubbleSolver()._workspace, Workspace)
+        assert isinstance(_sod_workload().build_grid()._workspace, Workspace)
 
 
 class TestNonSquareBlocks:
@@ -615,8 +622,12 @@ class TestNonSquareBlocks:
 
         def run(ctx, batch):
             grid = _sod_workload(nxb=8, nyb=4, ng=2, max_level=3).build_grid()
-            HydroSolver(rk_stages=1, batch_blocks=batch)._substep(
-                grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+            solver = HydroSolver(rk_stages=1)
+            provider = lambda module, level=None, max_level=None: ctx
+            if batch:
+                solver._substep(grid, 5e-4, provider)
+            else:
+                grid_oracle.substep_per_block(solver, grid, 5e-4, provider)
             return {key: {v: grid.leaves[key].interior_view(v).copy()
                           for v in ("dens", "velx", "vely", "pres")}
                     for key in grid.sorted_keys()}
@@ -638,19 +649,36 @@ class TestNonSquareBlocks:
 
 
 class TestBubbleWorkspacePath:
-    def test_fused_weno_derivative_bitwise_with_workspace(self):
+    @pytest.mark.parametrize("kind", ["binary64"] + [
+        f"e8m{man_bits}/{rounding}" for man_bits in (10, 7) for rounding in RoundingMode.ALL
+    ])
+    def test_fused_weno_pair_bitwise_with_workspace(self, kind):
+        """The solver's workspace-threaded WENO5 pair equals two op-by-op
+        ``_weno5_derivative`` calls, in binary64 and under an optimized
+        ``TruncatedContext`` of each format and rounding."""
+        from repro.core import FPFormat, TruncatedContext, quantize
         from repro.incomp.solver import BubbleConfig, BubbleSolver
+        from repro.kernels import bubble as kbubble
+        from repro.kernels.trunc import EXACT, Round
 
         cfg = BubbleConfig(nx=16, ny=24)
         fast_solver = BubbleSolver(cfg)
         slow_solver = BubbleSolver(cfg, plane="instrumented")
-        assert fast_solver._workspace is not None
         rng = np.random.default_rng(31)
-        f = rng.normal(size=(cfg.nx, cfg.ny))
-        vel = rng.normal(size=(cfg.nx, cfg.ny))
-        for axis, spacing in ((0, cfg.dx), (1, cfg.dy)):
-            fast = fast_solver._weno5_derivative(f, vel, spacing, axis, fast_solver._full_ctx)
-            slow = slow_solver._weno5_derivative(f, vel, spacing, axis, slow_solver._full_ctx)
-            np.testing.assert_array_equal(
-                fast_solver._full_ctx.asplain(fast), slow_solver._full_ctx.asplain(slow)
-            )
+        f, velx, vely = (rng.normal(size=(cfg.nx, cfg.ny)) for _ in range(3))
+        if kind == "binary64":
+            q, ctx = EXACT, _slow()
+        else:
+            fmt_name, rounding = kind.split("/")
+            fmt = FPFormat(exp_bits=8, man_bits=int(fmt_name[3:]))
+            f, velx, vely = (np.asarray(quantize(a, fmt, rounding)) for a in (f, velx, vely))
+            q = Round(fmt, rounding, fast_solver._workspace)
+            ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), rounding=rounding,
+                                   count_ops=False, track_memory=False)
+        fx, fy = kbubble.weno5_derivative_pair(
+            fast_solver._pad(f, 3, "weno"), velx, vely, cfg.dx, cfg.dy,
+            ws=fast_solver._workspace, key=("adv", "f"), q=q,
+        )
+        for axis, (got, vel, spacing) in enumerate(((fx, velx, cfg.dx), (fy, vely, cfg.dy))):
+            want = slow_solver._weno5_derivative(f, vel, spacing, axis, ctx)
+            np.testing.assert_array_equal(got, ctx.asplain(want), err_msg=f"{kind} axis {axis}")

@@ -21,6 +21,7 @@ The load-bearing contracts:
 """
 import warnings
 
+import grid_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from repro.core import (
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.reconstruction import SCHEMES, _weno5_edge, reconstruct
 from repro.hydro.riemann import SOLVERS, _einfeldt_wave_speeds, _wave_speeds
-from repro.hydro.solver import HydroSolver
+from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.kernels import (
     FastPlaneContext,
     TruncFastPlaneContext,
@@ -663,16 +664,19 @@ class TestTruncAdvance:
         root grid has per-block ``dx`` differing in the last bit within a
         level, quantised per slot like ``ctx.const(dt / block.dx)``."""
         results = {}
-        for label, batch, scratch, ctx in (
-            ("instrumented", False, False, _instrumented()),
-            ("trunc-perblock", False, False, _fast()),
-            ("trunc-noscratch", True, False, _fast()),
-            ("trunc-batched", True, True, _fast()),
+        for label, batch, ctx in (
+            ("instrumented", False, _instrumented()),
+            ("trunc-perblock", False, _fast()),
+            ("trunc-batched", True, _fast()),
         ):
             workload = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root)
             grid = workload.build_grid()
-            solver = HydroSolver(rk_stages=1, batch_blocks=batch, scratch=scratch)
-            solver._substep(grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+            solver = HydroSolver(rk_stages=1)
+            provider = lambda module, level=None, max_level=None: ctx
+            if batch:
+                solver._substep(grid, 5e-4, provider)
+            else:
+                grid_oracle.substep_per_block(solver, grid, 5e-4, provider)
             results[label] = {
                 key: {v: grid.leaves[key].interior_view(v).copy()
                       for v in ("dens", "velx", "vely", "pres")}
@@ -704,8 +708,11 @@ class TestTruncAdvance:
         for label, batch in (("batched", True), ("perblock", False)):
             workload = _sod_workload(max_level=3)
             grid = workload.build_grid()
-            solver = HydroSolver(rk_stages=1, batch_blocks=batch)
-            solver._substep(grid, 5e-4, provider_for())
+            solver = HydroSolver(rk_stages=1)
+            if batch:
+                solver._substep(grid, 5e-4, provider_for())
+            else:
+                grid_oracle.substep_per_block(solver, grid, 5e-4, provider_for())
             states[label] = {
                 key: grid.leaves[key].interior_view("dens").copy()
                 for key in grid.sorted_keys()
@@ -716,11 +723,34 @@ class TestTruncAdvance:
                 states["batched"][key], states["perblock"][key], err_msg=str(key)
             )
 
+    @pytest.mark.parametrize("n_root", [2, 3])
+    def test_gathered_stack_bitwise_without_workspace(self, n_root):
+        """The stacked truncating update of every leaf gathered from the
+        store gives the same bits allocating every temporary (``ws=None``)
+        as through a workspace."""
+        grid = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root).build_grid()
+        solver = HydroSolver(rk_stages=1)
+        plan = grid.topology_plan()
+        first = grid.leaves[plan.keys[0]]
+        prims = grid.stack(PRIMITIVE_VARS, plan.slots)
+
+        def advance(ws):
+            return flux.advance(
+                prims, 5e-4, plan.dx.reshape(-1, 1, 1), plan.dy.reshape(-1, 1, 1),
+                first.ng, first.nxb, first.nyb, scheme=solver.reconstruction,
+                solver=solver.riemann, gamma=solver.eos.gamma,
+                dens_floor=solver.eos.density_floor, pres_floor=solver.eos.pressure_floor,
+                ws=ws, q=Round(E8M10, RoundingMode.NEAREST_EVEN, ws),
+            )
+
+        allocating, scratch = advance(None), advance(Workspace())
+        for name in PRIMITIVE_VARS:
+            np.testing.assert_array_equal(scratch[name], allocating[name], err_msg=name)
+
     def test_workspace_steady_state_no_allocations(self):
         workload = _sod_workload()
         grid = workload.build_grid()
         solver = workload.build_solver()
-        assert solver._workspace is not None
         ctx = _fast()
         provider = lambda module, level=None, max_level=None: ctx
         solver._substep(grid, 1e-4, provider)
@@ -729,25 +759,6 @@ class TestTruncAdvance:
         solver._substep(grid, 1e-4, provider)
         assert solver._workspace.misses == misses
         assert solver._workspace.hits > 0
-
-    def test_env_knobs_still_bitwise(self, monkeypatch):
-        def run_sod():
-            workload = _sod_workload(t_end=0.008)
-            rt = RaptorRuntime()
-            policy = GlobalPolicy(
-                TruncationConfig(targets={64: E8M10}, count_ops=False,
-                                 track_memory=False),
-                runtime=rt, plane="auto",
-            )
-            return workload.run(policy=policy, runtime=rt)
-
-        reference = run_sod()
-        monkeypatch.setenv("RAPTOR_FAST_NO_SCRATCH", "1")
-        plain = run_sod()
-        assert plain.time == reference.time
-        for key in reference.state:
-            np.testing.assert_array_equal(plain.state[key], reference.state[key],
-                                          err_msg=key)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ variable matches **bitwise** — the contract that lets the experiment
 engine route reference tasks through the fast plane silently.  A second
 pass runs the golden Sedov configuration (WENO5 + HLLC) through the fast
 plane's full fused-flux pipeline — Riemann/EOS fusion, preallocated
-scratch workspaces (which this script insists are enabled) and batched
-block stepping, stacked across AMR levels — and diffs it against the
+scratch workspaces and batched block stepping, stacked across AMR
+levels — and diffs it against the
 instrumented plane the same way; golden Sod on a non-dyadic 3x3 root grid
 follows, whose blocks differ in ``dx`` by the last bit within a level.
 A third pass repeats these configurations as *truncated* (e8m10,
@@ -24,11 +24,11 @@ swapped for the per-block oracle of ``tests/grid_oracle.py``: the golden
 2x2-root ``max_level=3`` grid, and a 3x3-root ``max_level=4`` grid with
 reflecting and with mixed periodic/reflecting boundaries.
 A fifth pass covers the fused *bubble* plane (``repro.kernels.bubble``):
-a short rising-bubble run on the fused fast plane vs the op-by-op
-instrumented baseline (``RAPTOR_FAST_NO_BUBBLE=1`` +
-``plane="instrumented"``), both full-precision and truncated (e8m10) —
-the WENO5 advection, diffusion, level-set and projection twins must all
-match bitwise.  A sixth pass covers the *counted* fused plane
+a short rising-bubble run on the fused fast plane vs the classic op-by-op
+baseline (``plane="instrumented"`` with the context-free glue swapped for
+the plain-numpy oracle of ``tests/bubble_oracle.py``), both
+full-precision and truncated (e8m10) — the WENO5 advection, diffusion,
+level-set and projection twins must all match bitwise.  A sixth pass covers the *counted* fused plane
 (``repro.kernels.ledger``): counting runs of both golden configurations,
 then a counting ``run_sweep`` over all seven workloads and counting
 ``find_cliff`` searches on sod, bubble (an M-1 cutoff, so probes blend
@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-#: the per-block grid oracle lives with the tests
+#: the per-block grid oracle and the bubble glue oracle live with the tests
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 
 #: the golden configurations of tests/test_golden.py
@@ -179,13 +179,15 @@ BUBBLE_GOLDEN = dict(
 
 
 def _diff_bubble_planes() -> list:
-    """Bubble run: fused bubble plane vs the op-by-op instrumented path.
+    """Bubble run: fused bubble plane vs the classic op-by-op path.
 
     The baseline needs an explicit policy — ``Scenario.reference`` maps the
     bubble's full-precision contexts back to the solver's fast path — and
-    ``RAPTOR_FAST_NO_BUBBLE=1`` so the solver's workspace glue is off too.
+    runs inside ``bubble_oracle.swapped()``, so the solver's context-free
+    glue is the plain-numpy oracle too.
     """
-    import os
+    sys.path.insert(0, str(TESTS))
+    import bubble_oracle
 
     from repro.core import (FPFormat, GlobalPolicy, NoTruncationPolicy,
                             RaptorRuntime, TruncationConfig)
@@ -209,12 +211,9 @@ def _diff_bubble_planes() -> list:
     fmt = FPFormat(exp_bits=8, man_bits=10)
     fused = run("fast")
     fused_trunc = run("auto", fmt)
-    os.environ["RAPTOR_FAST_NO_BUBBLE"] = "1"
-    try:
+    with bubble_oracle.swapped():
         reference = run("instrumented")
         reference_trunc = run("instrumented", fmt)
-    finally:
-        del os.environ["RAPTOR_FAST_NO_BUBBLE"]
 
     failures = []
     for label, a_out, b_out in (
@@ -426,15 +425,6 @@ def _diff_newton_planes() -> list:
 
 
 def main() -> int:
-    from repro.kernels.scratch import bubble_plane_enabled, scratch_enabled
-
-    if not (scratch_enabled() and bubble_plane_enabled()):
-        print(
-            "FAIL: RAPTOR_FAST_NO_SCRATCH / RAPTOR_FAST_NO_BUBBLE are set — "
-            "this check must exercise the scratch + fused-bubble fast plane"
-        )
-        return 1
-
     failures = []
     for name, config in GOLDEN_CONFIGS.items():
         failures.extend(_diff_planes(name, config))
@@ -460,7 +450,8 @@ def main() -> int:
         "regrid-heavy KH (2x2 roots, and 3x3 roots to level 4 with reflecting "
         "and mixed boundaries) bitwise identical to the per-block grid oracle; "
         "rising bubble bitwise identical on "
-        "the fused bubble plane, full-precision and truncated; counting runs, "
+        "the fused bubble plane and the oracle-swapped op-by-op plane, "
+        "full-precision and truncated; counting runs, "
         "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
         "searches bitwise identical with byte-identical counters on the counted plane; "
         "Newton EOS inversions (e8m7-e8m40, relaxation 1.0/0.7) bitwise identical on "
