@@ -70,7 +70,7 @@ def run_experiment():
                  f"{gflops_trunc:.4f}", f"{gflops_full:.4f}"]
             )
     # wall-clock of the sweep on the current kernel plane (the reference
-    # task rides the fused fast plane under the default "auto"), so the
+    # task runs fused under the default "auto"), so the
     # perf trajectory of this figure is tracked alongside its numbers
     timing = {
         "plane": spec.plane,

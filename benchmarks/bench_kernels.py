@@ -1,18 +1,18 @@
-"""Kernel-plane benchmark: instrumented vs fused fast plane, per workload.
+"""Kernel-plane benchmark: instrumented vs fused plane, per workload.
 
 Times the full-precision *reference* run of each workload on both kernel
-planes (see ``repro.kernels``) — ``instrumented`` (op by op) and ``fast``
-(the fused flux pipeline, blocks stacked into one batched update per
-substep, through preallocated scratch workspaces) — verifies the final
-states are bitwise identical across the planes — the fast plane's
-contract — and records the comparison to
+planes (see ``repro.kernels``) — ``instrumented`` (op by op) and ``auto``
+(the ``fast`` rung: the fused flux pipeline, blocks stacked into one
+batched update per substep, through preallocated scratch workspaces) —
+verifies the final states are bitwise identical across the planes — the
+fused plane's contract — and records the comparison to
 ``benchmarks/results/BENCH_kernels.json`` so the perf trajectory is tracked
-PR-over-PR (the previously recorded fast-plane seconds are carried along as
+PR-over-PR (the previously recorded ``fast`` rung seconds are carried along as
 ``previous_fast_seconds``).
 
 A second pass times *truncated* (e8m10, non-counting) runs of the
 compressible workloads on the instrumented plane vs the fused truncating
-plane (``repro.kernels.trunc``, reached via ``plane="auto"``) — the sweep
+context (``repro.kernels.trunc``, reached via ``plane="auto"``) — the sweep
 engine's actual point hot path when ``count_point_ops=False`` — again
 insisting the states agree bitwise, and records the truncated speedup the
 same way.  The same pass then times *counting* e8m10 runs — the sweep
@@ -31,7 +31,7 @@ and still enforces bitwise identity (but not the speedup floor, which is
 only meaningful at the full sizes).
 
 For the AMR workloads a third pass records a phase-level breakdown of one
-fast-plane run — wall-clock attributed to guard-cell fills, ``compute_dt``,
+fused reference run — wall-clock attributed to guard-cell fills, ``compute_dt``,
 regridding and the flux sweeps — so the grid-side wins stay visible
 PR-over-PR next to the end-to-end numbers.  The ``guard_fill`` rung times
 one guard fill of the workload's refined initial grid through the
@@ -40,7 +40,7 @@ the block store, interleaved, keeping every sample; the fills must agree
 bitwise.  The record carries a machine fingerprint.
 
 The bubble workload (incompressible multiphase) gets its own section: its
-reference run is timed op-by-op and on the fast plane.  Every
+reference run is timed op-by-op and fused (the ``fast`` rung).  Every
 instrumented bubble baseline (reference, truncated, counting) runs inside
 ``bubble_oracle.swapped()`` (``tests/bubble_oracle.py``), so its
 context-free glue is the classic plain-numpy code too; a truncated
@@ -113,7 +113,7 @@ CONFIGS = {
 #: timing variants: label -> plane (bubble rows included)
 VARIANTS = (
     ("instrumented", "instrumented"),
-    ("fast", "fast"),
+    ("fast", "auto"),
 )
 
 #: workloads whose hydro hot path has fused truncating twins
@@ -189,7 +189,7 @@ def _time_truncated(workload_factory, plane: str, repeat: int, counting: bool = 
 
 
 def _phase_breakdown(workload_factory):
-    """Wall-clock per phase of one fast-plane reference run of an AMR workload.
+    """Wall-clock per phase of one fused reference run of an AMR workload.
 
     Wraps the grid-side entry points at class level for the duration of the
     run.  Guard-fill time nested inside the flux substep (or a regrid) is
@@ -232,7 +232,7 @@ def _phase_breakdown(workload_factory):
     AMRGrid.regrid = exclusive("regrid", originals["regrid"])
     HydroSolver._substep = exclusive("flux", originals["substep"])
     try:
-        workload_factory().reference(plane="fast")
+        workload_factory().reference(plane="auto")
     finally:
         AMRGrid.fill_guard_cells = originals["fill"]
         HydroSolver.compute_dt = originals["dt"]
@@ -307,7 +307,7 @@ def _time_bubble(workload_factory, plane: str, repeat: int,
     the classic plain-numpy code as well.  ``truncated=True`` times
     the non-counting e8m10 run
     instead (op-by-op ``TruncatedContext`` on the instrumented plane, the
-    fused truncating twins on ``"auto"``/``"fast"``) — the counting one when
+    fused truncating twins on ``"auto"``) — the counting one when
     ``counting`` (the counted fused plane on ``"auto"``).
     """
     from repro.core import (FPFormat, GlobalPolicy, NoTruncationPolicy,
@@ -369,7 +369,7 @@ def _phase_times(targets, run):
 
 
 def _bubble_phase_breakdown(workload_factory, counting: bool = False):
-    """Wall-clock per phase of one fast-plane bubble run: advection and
+    """Wall-clock per phase of one fused bubble run: advection and
     diffusion terms and level-set transport (the paper's truncation
     targets), the pressure Poisson solve and the level-set
     reinitialisation.  ``counting`` times a counting e8m10 run on the
@@ -393,7 +393,7 @@ def _bubble_phase_breakdown(workload_factory, counting: bool = False):
             )
         else:
             policy = NoTruncationPolicy(runtime=runtime, count_ops=False,
-                                        track_memory=False, plane="fast")
+                                        track_memory=False, plane="auto")
         workload_factory().run(policy=policy, runtime=runtime, prefix=prefix)
 
     return _phase_times({

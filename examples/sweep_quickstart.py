@@ -20,10 +20,10 @@ Useful variations::
     python examples/sweep_quickstart.py --workloads kh --formats fp32,bf16 \
         --max-level 2 --t-end 0.005 --backend process
 
-    # kernel planes: references already run fused by default (--plane auto);
-    # --plane fast also runs the points' full-precision contexts fused, and
-    # --plane instrumented restores the fully counted classic behaviour
-    python examples/sweep_quickstart.py --workloads kh --plane fast
+    # kernel planes: --plane auto (default) runs references and points
+    # fused, counters byte-identical; --plane instrumented runs every
+    # context op by op, the fully counted classic behaviour
+    python examples/sweep_quickstart.py --workloads kh --plane instrumented
 
     # drop the per-point operation counters: truncated points then run on
     # the fused truncating plane (bit-identical states, several times faster)
@@ -80,6 +80,7 @@ from repro.experiments import (
     run_adaptive_sweep,
     run_sweep,
 )
+from repro.kernels import PLANES
 from repro.workloads import CompressibleWorkload, describe_workloads, get_workload_class
 
 
@@ -151,13 +152,11 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--plane",
         default="auto",
-        choices=["instrumented", "fast", "auto"],
-        help="kernel plane of non-truncating contexts (repro.kernels): "
-        "auto (default) runs reference tasks on the fused binary64 fast "
-        "plane and counting contexts on the counted fused plane; fast also runs "
-        "the sweep points' full-precision contexts fused (bit-identical "
-        "states, those counters dropped); instrumented disables the fast "
-        "plane everywhere",
+        choices=list(PLANES),
+        help="kernel plane (repro.kernels): auto (default) runs non-counting "
+        "contexts, references among them, on the fused contexts and counting "
+        "contexts on the counted fused plane (bit-identical states, "
+        "byte-identical counters); instrumented runs every context op by op",
     )
     parser.add_argument(
         "--no-count-ops",

@@ -59,18 +59,17 @@ class FPContext:
     truncating: bool = False
     #: format results are representable in (FP64 for the full context)
     fmt: FPFormat = FP64
-    #: execution plane this context runs on (see :mod:`repro.kernels`);
-    #: the fused fast plane overrides this to "fast"
-    plane: str = "instrumented"
-    #: True when kernels may substitute the pre-fused numpy stencils of
-    #: :mod:`repro.kernels.fused` for the op-by-op context path
-    fused: bool = False
-    #: True when kernels may substitute the fused *truncating* twins of
-    #: :mod:`repro.kernels.trunc` (quantize-at-op-boundary, no counters)
-    fused_trunc: bool = False
     #: True when ledger-aware kernels may run fused and replay the
     #: counters of :mod:`repro.kernels.ledger` instead of counting op by op
     ledger: bool = False
+
+    def rounder(self, ws=None):
+        """The rounder (:mod:`repro.kernels.trunc`) the fused kernels run
+        for this context, rounding through the scratch workspace ``ws``;
+        None when the context computes op by op — every instrumented and
+        counted context (a counted one computes fused through
+        ``fused_twin()``)."""
+        return None
 
     # -- to be provided by subclasses ---------------------------------------
     def _apply(self, ufunc, inputs: Sequence[ArrayLike], label: str):

@@ -45,15 +45,12 @@ class TruncationPolicy:
 
     ``plane`` selects the kernel plane of the contexts the policy hands
     out (see :mod:`repro.kernels`): ``"auto"`` (default) substitutes the
-    fused planes wherever the counters survive — non-counting binary64
-    contexts onto the binary64 fast plane, *non-counting* truncating
-    op-mode contexts onto the fused truncating plane, counting op-mode
+    fused contexts wherever the counters survive — non-counting binary64
+    contexts onto the fused binary64 context, *non-counting* truncating
+    op-mode contexts onto the fused truncating context, counting op-mode
     contexts onto the counted fused plane (byte-identical counters) —
-    ``"fast"`` additionally substitutes every full-precision context
-    (states bit-identical, counters for those contexts dropped, with a
-    warning), ``"instrumented"`` never substitutes.  Error-tracking and
-    shadow contexts always stay instrumented — their records depend on
-    the data.
+    ``"instrumented"`` never substitutes.  Error-tracking and shadow
+    contexts always stay instrumented — their records depend on the data.
     """
 
     def __init__(
@@ -100,7 +97,7 @@ class TruncationPolicy:
     def full_context(self, module: Optional[str] = None) -> FPContext:
         """The full-precision context of this policy for ``module``, on the
         policy's kernel plane — for code that always runs untruncated but
-        should still ride the fast plane when the policy selects it.
+        should still run fused when the policy's plane allows it.
 
         The context is bound to the **policy's** runtime.  Callers that
         count into a per-run runtime the policy was not built on must

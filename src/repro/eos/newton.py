@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import eos as keos
-from ..kernels.ledger import fused_kind, fused_rounder, ledger_for
+from ..kernels.ledger import ledger_for
 from .table import DERIVATIVE_EPS, HelmholtzTable
 
 __all__ = ["NewtonSolverConfig", "NewtonResult", "invert_energy"]
@@ -131,11 +131,11 @@ def invert_energy(
     residual_of = lambda temp: residual_in(temp, ctx)
     update_of = lambda temp, residual: update_in(temp, residual, ctx)
     const, plain = ctx.const, ctx.asplain
-    fused = fused_kind(ctx) is not None
+    # a counted context computes on its fused twin and keeps the ledger
+    q = (ctx.fused_twin() if ctx.ledger else ctx).rounder()
+    fused = q is not None
     if fused:
-        steps = keos.NewtonSteps(
-            table, rho, energy_target, cfg.relaxation, fused_rounder(ctx), DERIVATIVE_EPS
-        )
+        steps = keos.NewtonSteps(table, rho, energy_target, cfg.relaxation, q, DERIVATIVE_EPS)
         residual_of, update_of = steps.residual, steps.update
         const, plain = steps.const, steps.plain
         if ctx.ledger:

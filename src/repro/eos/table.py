@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import eos as keos
-from ..kernels.ledger import fused_kind, fused_rounder, replay_fused
+from ..kernels.ledger import replay_fused
 
 __all__ = ["HelmholtzTable", "DERIVATIVE_EPS"]
 
@@ -109,10 +109,9 @@ class HelmholtzTable:
                 ("eos", "bilinear", np.shape(rho), np.shape(temp)), ctx,
                 lambda twin: self._bilinear(table, rho, temp, twin),
             )
-        if fused_kind(ctx) is not None:
-            return keos.bilinear(
-                self, table, ctx.asplain(rho), ctx.asplain(temp), fused_rounder(ctx)
-            )
+        q = ctx.rounder()
+        if q is not None:
+            return keos.bilinear(self, table, ctx.asplain(rho), ctx.asplain(temp), q)
         log_rho = np.log10(np.maximum(ctx.asplain(rho), 10.0 ** self.log_rho[0]))
         log_temp = np.log10(np.maximum(ctx.asplain(temp), 10.0 ** self.log_temp[0]))
         i = self._locate(self.log_rho, log_rho)

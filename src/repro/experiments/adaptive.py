@@ -312,7 +312,7 @@ def find_cliff(
     detonation invariant for cellular — with ``threshold`` overriding the
     class default.  The full-precision ``reference`` is taken from the
     argument, from ``cache`` (a :class:`ReferenceCache` or a directory
-    path), or computed on the spot (on the fused fast kernel plane unless
+    path), or computed on the spot (non-counting, so fused unless
     ``plane="instrumented"``; ``plane`` likewise selects the plane of every
     probe's non-truncating contexts — see :mod:`repro.kernels`).  Every
     probe (and a computed reference) starts from one ``prefix``, the
@@ -479,7 +479,7 @@ class AdaptiveSpec(GridSpec):
     plane: str = "auto"
     #: record op/mem counters in the probes (default).  ``False`` builds
     #: non-counting probe policies, routing truncated probe contexts onto
-    #: the fused truncating plane under ``plane="fast"|"auto"`` —
+    #: the fused truncating context under ``plane="auto"`` —
     #: bit-identical pass/fail decisions, much faster bisections, but
     #: ``truncated_fraction`` reads zero in the evaluations.
     count_probe_ops: bool = True

@@ -81,7 +81,7 @@ __all__ = [
 #: added after this module was written — participates: the list of
 #: physics packages is enumerated from the installed tree at call time,
 #: so a new kernels/solver package can never be silently left out of
-#: cache invalidation.  ``kernels`` is included: the fast planes are
+#: cache invalidation.  ``kernels`` is included: the fused kernels are
 #: contractually bit-identical, but a bug there must invalidate caches.
 _NON_PHYSICS_PACKAGES = frozenset({"experiments", "parallel", "codesign", "testing"})
 

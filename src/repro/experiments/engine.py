@@ -42,7 +42,7 @@ from ..core.fpformat import FPFormat
 from ..core.report import format_table
 from ..core.runtime import RaptorRuntime
 from ..io.sfocu import compare
-from ..kernels import reference_plane
+from ..kernels import validate_plane
 from ..parallel.executor import TaskFault, run_tasks
 from ..testing.faults import maybe_inject
 from ..workloads.base import CompressibleWorkload
@@ -640,10 +640,11 @@ def _prefix_source(config_kwargs_fn, on_error: str = "raise"):
 # ---------------------------------------------------------------------------
 def run_reference(workload, plane: str = "auto", prefix=None) -> Outcome:
     """Execute a workload's full-precision reference on the requested
-    kernel plane (``"auto"`` resolves to the fused fast plane).  The
-    substitution is free for the engine because it never consumes
-    reference counters — point metrics come exclusively from the point
-    runs, and references are compared by state; a fast-plane reference
+    kernel plane.  ``"auto"`` runs it non-counting, on the fused binary64
+    context (see :meth:`~repro.workloads.scenario.Scenario.reference`).
+    Dropping the counters is free for the engine because it never
+    consumes reference counters — point metrics come exclusively from the
+    point runs, and references are compared by state; such a reference
     simply freezes zeroed counters into its detached snapshot.
 
     Duck-typed scenarios whose ``reference()`` predates kernel planes are
@@ -653,13 +654,13 @@ def run_reference(workload, plane: str = "auto", prefix=None) -> Outcome:
     receive the keyword.  ``prefix`` (see :func:`_build_prefix`) is passed
     through to ``run()``.
     """
-    resolved = reference_plane(plane)
+    validate_plane(plane)
     try:
         parameters = inspect.signature(workload.reference).parameters
     except (TypeError, ValueError):
         parameters = {}
     if "plane" in parameters:
-        return workload.reference(plane=resolved, **_prefix_kwargs(prefix))
+        return workload.reference(plane=plane, **_prefix_kwargs(prefix))
     return workload.reference(**_prefix_kwargs(prefix))
 
 
@@ -818,10 +819,10 @@ def gather_references(
 ) -> Dict[str, Union[ReferenceResult, PointFailure]]:
     """Phase 1 of every experiment: one full-precision reference per
     workload, served from ``cache`` when possible and computed on the
-    execution backend otherwise — by default on the fused fast plane
-    (``plane="auto"``; see :func:`run_reference`), which is bit-identical
-    and several times faster than the counting reference path.  Shared by
-    :func:`run_sweep` and the adaptive cliff search
+    execution backend otherwise — by default non-counting on the fused
+    binary64 context (``plane="auto"``; see :func:`run_reference`), which
+    is bit-identical and several times faster than the counting reference
+    path.  Shared by :func:`run_sweep` and the adaptive cliff search
     (:mod:`repro.experiments.adaptive`).
 
     ``known`` maps names to references fixed beforehand (a resumed sweep's

@@ -176,7 +176,7 @@ class PolicySpec:
         truncated contexts record op counts and therefore always stay
         instrumented; ``count_ops=False`` builds non-counting contexts
         throughout, which makes the policy's truncated contexts eligible
-        for the fused truncating plane under ``plane="fast"|"auto"``
+        for the fused truncating context under ``plane="auto"``
         (bit-identical states, no counters)."""
         if self.kind == "none":
             return NoTruncationPolicy(
@@ -390,14 +390,11 @@ class SweepSpec(GridSpec):
     rounding:
         Rounding mode of the truncated operations.
     plane:
-        Kernel plane of the non-truncating contexts
-        (:mod:`repro.kernels`): ``"auto"`` (default) runs reference tasks
-        on the fused binary64 fast plane and counting contexts on the
-        counted fused plane (byte-identical counters); ``"fast"``
-        additionally runs every full-precision
-        context of the sweep points on the fast plane (bit-identical
-        states, those counters dropped); ``"instrumented"`` disables the
-        fast plane everywhere.
+        Kernel plane of the sweep's contexts (:mod:`repro.kernels`):
+        ``"auto"`` (default) runs non-counting contexts — reference
+        tasks among them — on the fused contexts and counting contexts on
+        the counted fused plane (byte-identical counters);
+        ``"instrumented"`` runs every context op by op.
     backend / max_workers:
         Execution backend ("serial" or "process") and its worker cap.
     keep_states:
@@ -407,8 +404,8 @@ class SweepSpec(GridSpec):
         Record op/mem counters in the sweep points (default; compressible
         points replay them from per-block ledgers on the counted fused
         plane).  ``False`` builds every point policy non-counting, which
-        routes truncated contexts onto the fused truncating plane under
-        ``plane="fast"|"auto"`` — bit-identical states, faster still, but
+        routes truncated contexts onto the fused truncating context under
+        ``plane="auto"`` — bit-identical states, faster still, but
         the point snapshots carry zeroed counters.
     cache_dir:
         Directory of the on-disk reference cache (see

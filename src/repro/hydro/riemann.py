@@ -9,10 +9,9 @@ through the numerics context.
 Three solvers are provided: ``hll`` (Davis wave-speed estimates), ``hlle``
 (the Einfeldt variant — Roe-averaged wave speeds on the same HLL
 combination) and ``hllc`` (restores the contact wave).  When the active
-context is on a fused fast plane (``ctx.fused`` or ``ctx.fused_trunc``),
-each solver dispatches to its pre-fused straight-line twin in
-:mod:`repro.kernels.flux`, run with the context's rounder
-(:func:`~repro.kernels.trunc.plane_rounder`) — bit-identical results,
+context has a rounder (``ctx.rounder()`` is not None), each solver
+dispatches to its pre-fused straight-line twin in
+:mod:`repro.kernels.flux`, run with that rounder — bit-identical results,
 zero per-op dispatch.
 
 States are passed as dictionaries of face arrays with keys ``dens``,
@@ -27,7 +26,6 @@ from typing import Dict
 
 from ..kernels import FPContext
 from ..kernels import flux as _fused_flux
-from ..kernels.trunc import plane_rounder
 from .eos import GammaLawEOS
 
 __all__ = ["euler_flux", "hll_flux", "hllc_flux", "hlle_flux", "SOLVERS"]
@@ -165,7 +163,7 @@ def _hll_from_speeds(sl, sr, left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPC
 
 def hll_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """Harten–Lax–van Leer flux (Davis wave speeds)."""
-    q = plane_rounder(ctx)
+    q = ctx.rounder()
     if q is not None:
         return _fused_flux.hll_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)
@@ -174,7 +172,7 @@ def hll_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
 
 def hlle_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLE flux: the HLL combination with Einfeldt wave speeds."""
-    q = plane_rounder(ctx)
+    q = ctx.rounder()
     if q is not None:
         return _fused_flux.hlle_flux(left, right, eos.gamma, q=q)
     sl, sr = _einfeldt_wave_speeds(left, right, eos, ctx)
@@ -183,7 +181,7 @@ def hlle_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict
 
 def hllc_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLC flux (restores the contact wave missing from HLL)."""
-    q = plane_rounder(ctx)
+    q = ctx.rounder()
     if q is not None:
         return _fused_flux.hllc_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)

@@ -25,8 +25,9 @@ from ..amr.grid import AMRGrid
 from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
-from ..kernels.ledger import OpLedger, fused_kind, fused_rounder, ledger_for
+from ..kernels.ledger import OpLedger, ledger_for
 from ..kernels.scratch import Workspace, buffer
+from ..kernels.trunc import EXACT
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
 from .riemann import SOLVERS
@@ -173,24 +174,26 @@ class HydroSolver:
         interior primitive variables as plain binary64 arrays (the AMR grid
         stores plain arrays regardless of the instrumentation in use).
 
-        On a fused fast plane the whole update — reconstruct → wave
-        speeds → flux → conserved update — runs through the pre-fused
-        pipeline of :mod:`repro.kernels.flux` without a single context
-        dispatch: in binary64 for ``ctx.fused``, rounded at every op
-        boundary for ``ctx.fused_trunc`` (the rounder of
-        :func:`~repro.kernels.ledger.fused_rounder`), bit-identical to the
+        A context with a rounder (``ctx.rounder()``) runs the whole
+        update — reconstruct → wave speeds → flux → conserved update —
+        through the pre-fused pipeline of :mod:`repro.kernels.flux`
+        without a single context dispatch: in binary64 for
+        :data:`~repro.kernels.trunc.EXACT`, rounded at every op boundary
+        for a :class:`~repro.kernels.trunc.Round`, bit-identical to the
         op-by-op path either way.  A counting context on the counted fused
-        plane (``ctx.ledger``) takes the pipeline with the matching
-        rounder and replays the block's op/byte ledger
-        (:meth:`_block_ledger`) into its runtime — byte-identical counters
+        plane (``ctx.ledger``) replays the block's op/byte ledger
+        (:meth:`_block_ledger`) into its runtime and takes the pipeline
+        with the rounder of its fused twin — byte-identical counters
         without a single op-by-op call.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        if fused_kind(ctx) is not None:
-            if getattr(ctx, "ledger", False):
-                self._block_ledger(block, ctx).replay(ctx.runtime)
+        if ctx.ledger:
+            self._block_ledger(block, ctx).replay(ctx.runtime)
+            ctx = ctx.fused_twin()
+        q = ctx.rounder(self._workspace)
+        if q is not None:
             prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
+            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, q)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -263,11 +266,10 @@ class HydroSolver:
         }
 
     def _advance_fused(self, prims, dt: float, dx, dy, ng: int, nxb: int, nyb: int,
-                       ctx: Optional[FPContext] = None) -> Dict[str, np.ndarray]:
-        """The fully fused block (or block-stack) update, with the rounder
-        of the fused twin ``ctx`` runs (truncating, or binary64 — also for
-        ``ctx=None``); ``dx``/``dy`` are scalars or per-block arrays of a
-        stack."""
+                       q=EXACT) -> Dict[str, np.ndarray]:
+        """The fully fused block (or block-stack) update with rounder ``q``
+        (binary64 by default); ``dx``/``dy`` are scalars or per-block
+        arrays of a stack."""
         return fused_flux.advance(
             prims, dt, dx, dy, ng, nxb, nyb,
             scheme=self.reconstruction,
@@ -277,7 +279,7 @@ class HydroSolver:
             pres_floor=self.eos.pressure_floor,
             gravity=self.gravity,
             ws=self._workspace,
-            q=fused_rounder(ctx, self._workspace),
+            q=q,
         )
 
     def _block_ledger(self, block, ctx: FPContext) -> OpLedger:
@@ -312,10 +314,10 @@ class HydroSolver:
     def _substep(self, grid: AMRGrid, dt: float, provider: ContextProvider) -> None:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
-        Blocks whose context rides a fused plane (binary64, truncating or
-        counted) are stacked across AMR levels — one group per binary64
-        plane, per (format, rounding) signature on the truncating plane,
-        per context on the counted plane — into one ``(nblocks, nx, ny)``
+        Blocks whose context runs fused (binary64, truncating or counted)
+        are stacked across AMR levels — one group for the binary64
+        rounder, one per (format, rounding) of a truncating rounder, one
+        per counted context — into one ``(nblocks, nx, ny)``
         batched kernel invocation with per-block ``dx``/``dy``
         (element-wise ufuncs are independent per slot, so the batched
         update is bit-identical to the per-block loop; a counted stack
@@ -337,13 +339,15 @@ class HydroSolver:
         batched: Dict[tuple, list] = {}
         counted_rank: Dict[int, int] = {}
         for i, ctx in enumerate(contexts):
-            if getattr(ctx, "ledger", False):
+            if ctx.ledger:
                 rank = counted_rank.setdefault(id(ctx), len(counted_rank))
                 batched.setdefault(("ledger", rank), []).append(i)
-            elif getattr(ctx, "fused", False):
+                continue
+            q = ctx.rounder()
+            if q is EXACT:
                 batched.setdefault(("b64",), []).append(i)
-            elif getattr(ctx, "fused_trunc", False):
-                sig = ("trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
+            elif q is not None:
+                sig = ("trunc", q.fmt.exp_bits, q.fmt.man_bits, q.rounding)
                 batched.setdefault(sig, []).append(i)
         # a single block gains nothing from stacking
         batched = {sig: group for sig, group in batched.items() if len(group) > 1}
@@ -368,7 +372,8 @@ class HydroSolver:
         Each slot gets its own ``dx``/``dy`` as a ``(nblocks, 1, 1)``
         array — block bounds make the spacing differ in the last bit even
         within a level on non-dyadic root grids.  ``ctx`` is the (shared)
-        context of the group, which picks the pipeline's rounder.  A counted context replays its per-block ledger
+        context of the group, which picks the pipeline's rounder.  A
+        counted context replays its per-block ledger
         once per stacked block, so scalar and broadcast operands are
         charged per block exactly as on the per-block instrumented path.
         """
@@ -379,9 +384,11 @@ class HydroSolver:
         prims = grid.stack(PRIMITIVE_VARS, slots, out=buffer(self._workspace, ("stack",), shape))
         dx = plan.dx[group].reshape(-1, 1, 1)
         dy = plan.dy[group].reshape(-1, 1, 1)
-        if getattr(ctx, "ledger", False):
+        if ctx.ledger:
             self._block_ledger(first, ctx).replay(ctx.runtime, times=len(group))
-        new = self._advance_fused(prims, dt, dx, dy, first.ng, first.nxb, first.nyb, ctx)
+            ctx = ctx.fused_twin()
+        q = ctx.rounder(self._workspace)
+        new = self._advance_fused(prims, dt, dx, dy, first.ng, first.nxb, first.nyb, q)
         grid.scatter_interior(PRIMITIVE_VARS, slots, [new[name] for name in PRIMITIVE_VARS])
 
     def _conserved(self, prims: np.ndarray) -> Dict[str, np.ndarray]:

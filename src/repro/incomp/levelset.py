@@ -23,7 +23,6 @@ import numpy as np
 from ..core.opmode import FPContext, FullPrecisionContext
 from ..kernels import bubble as kbubble
 from ..kernels.scratch import Workspace
-from ..kernels.trunc import plane_rounder
 
 __all__ = ["LevelSet", "circle_level_set", "interface_level_map", "upwind_derivative"]
 
@@ -172,7 +171,7 @@ class LevelSet:
     ) -> None:
         """Advance phi by one advection step ``phi_t + u . grad(phi) = 0``."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = plane_rounder(ctx, self._ws)
+        q = ctx.rounder(self._ws)
         if q is not None:
             self.phi = kbubble.levelset_advect(
                 self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv"), q=q

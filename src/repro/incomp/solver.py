@@ -31,7 +31,6 @@ from ..kernels import bubble as kbubble
 from ..kernels.grid import pad_edge
 from ..kernels.ledger import replay_fused
 from ..kernels.scratch import Workspace
-from ..kernels.trunc import plane_rounder
 from .levelset import LevelSet, circle_level_set, upwind_derivative
 from .poisson import PoissonSolver
 
@@ -89,8 +88,9 @@ class BubbleSolver:
 
     ``plane`` selects the kernel plane of the solver's *internal*
     full-precision evaluations (spin-up, the untruncated side of blended
-    cells): the default ``"auto"`` rides the fused fast plane — the
-    internal context records nothing, so the substitution is a pure,
+    cells): the default ``"auto"`` runs them on the fused binary64
+    context (:class:`~repro.kernels.FastPlaneContext`) — the internal
+    context records nothing, so the substitution is a pure,
     bit-identical win — while ``"instrumented"`` evaluates the
     context-bearing operators (advection, diffusion, level-set transport)
     op by op.  The context-free glue — forces, projection, material
@@ -122,8 +122,8 @@ class BubbleSolver:
         self.time = 0.0
         self.step_count = 0
         # non-counting by construction, so "auto" substitutes the fused
-        # fast plane (bit-identical) and "instrumented" keeps the op-by-op
-        # path
+        # binary64 context (bit-identical) and "instrumented" keeps the
+        # op-by-op path
         self._full_ctx = select_context(
             FullPrecisionContext(count_ops=False, track_memory=False), plane
         )
@@ -177,7 +177,7 @@ class BubbleSolver:
 
     def _upwind_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext, which: str = "f"):
         padded = self._pad(f, 1, "upwind")
-        q = plane_rounder(ctx, self._workspace)
+        q = ctx.rounder(self._workspace)
         if q is not None:
             return kbubble.upwind_derivative(
                 f, vel, spacing, axis, "edge", padded,
@@ -210,7 +210,7 @@ class BubbleSolver:
             ("advection", self.config.advection_scheme, f.shape, which), ctx,
             lambda twin: self.advection_term(f, twin, which),
         )
-        q = plane_rounder(ctx, self._workspace)
+        q = ctx.rounder(self._workspace)
         if q is not None and self.config.advection_scheme == "weno5":
             cfg = self.config
             ws = self._workspace
@@ -247,7 +247,7 @@ class BubbleSolver:
         cfg = self.config
         fp = self._pad(f, 1, "diff_f")
         nup = self._pad(viscosity, 1, "diff_nu")
-        q = plane_rounder(ctx, self._workspace)
+        q = ctx.rounder(self._workspace)
         if q is not None:
             return kbubble.diffusion_term(
                 f, viscosity, fp, nup, cfg.dx, cfg.dy,
@@ -414,7 +414,7 @@ class BubbleSolver:
     def _advect_levelset(self, ctx: FPContext) -> np.ndarray:
         ctx = self._counted(("levelset", self.levelset.phi.shape), ctx, self._advect_levelset)
         cfg = self.config
-        q = plane_rounder(ctx, self._workspace)
+        q = ctx.rounder(self._workspace)
         if q is not None:
             # the twin reads phi and returns a fresh array, so the defensive
             # LevelSet copy of the op-by-op path is unnecessary

@@ -8,31 +8,34 @@ on:
 * the **instrumented plane** — the op-by-op contexts of
   :mod:`repro.core.opmode` / :mod:`repro.core.memmode` (counters,
   truncation, shadow tracking; unchanged semantics), and
-* the **fused binary64 fast plane** — :class:`FastPlaneContext` plus the
-  pre-fused stencils of :mod:`repro.kernels.fused` and the full fused
-  flux pipeline of :mod:`repro.kernels.flux` (EOS helpers, wave speeds,
-  HLL/HLLC/HLLE Riemann solvers, whole-block updates), threaded through
-  the preallocated scratch workspaces of :mod:`repro.kernels.scratch` —
-  non-truncating, non-instrumenting contexts run as plain vectorized
-  numpy with zero per-op bookkeeping and (steady-state) zero temporary
-  allocation, bit-identical to the instrumented plane, and
-* the **fused truncating fast plane** — :class:`TruncFastPlaneContext`:
-  non-counting truncating contexts run the *same* fused kernels with a
-  :class:`~repro.kernels.trunc.Round` rounder, which quantises every op
-  result at exactly the op boundaries the instrumented plane rounds at,
-  bit-identical to the optimized op-by-op truncating path, and
-* the **counted fused plane** — :class:`LedgerTruncatedContext` /
-  :class:`LedgerFullContext` of :mod:`repro.kernels.ledger`: counting
-  contexts whose kernels run fused and replay op/byte ledgers (per block,
-  per operator call, per Newton iteration) recorded once from the
-  instrumented code, so the counters stay byte-identical to the
-  instrumented plane.
+* the **auto plane** (the default), which substitutes a fused context
+  wherever the counters survive, bit-identical to the instrumented plane:
+
+  - :class:`FastPlaneContext` for binary64 contexts that record nothing:
+    the pre-fused stencils of :mod:`repro.kernels.fused` and the full
+    fused flux pipeline of :mod:`repro.kernels.flux` (EOS helpers, wave
+    speeds, HLL/HLLC/HLLE Riemann solvers, whole-block updates), threaded
+    through the preallocated scratch workspaces of
+    :mod:`repro.kernels.scratch`, run as plain vectorized numpy with zero
+    per-op bookkeeping and (steady-state) zero temporary allocation;
+  - :class:`TruncFastPlaneContext` for truncating contexts that record
+    nothing: the *same* fused kernels with a
+    :class:`~repro.kernels.trunc.Round` rounder, which quantises every op
+    result at exactly the op boundaries the instrumented plane rounds at;
+  - :class:`LedgerTruncatedContext` / :class:`LedgerFullContext` of
+    :mod:`repro.kernels.ledger` for counting contexts (the **counted
+    fused plane**): their kernels run fused and replay op/byte ledgers
+    (per block, per operator call, per Newton iteration) recorded once
+    from the instrumented code, so the counters stay byte-identical.
 
 Every fused kernel is written once, against a rounder ``q``
 (:mod:`repro.kernels.trunc`): :data:`~repro.kernels.trunc.EXACT`, the
 identity, evaluates its binary64 op tree; a ``Round`` rounds each op
 result to a format.  The precision is swapped underneath one physics
-source, as RAPTOR swaps each instruction for an emulated one.
+source, as RAPTOR swaps each instruction for an emulated one.  A call
+site takes ``q = ctx.rounder(ws)`` and runs the fused kernel when it is
+not None; a counted context (``ctx.ledger``) first replays its ledger and
+computes on ``ctx.fused_twin()``.
 
 Alongside the context planes, :mod:`repro.kernels.grid` holds the
 context-free *grid* side — the slot-index topology plan that fills guard
@@ -50,10 +53,10 @@ cellular EOS table interpolation and Newton steps.
 
 Plane selection (:func:`select_context`) is applied centrally by
 :class:`~repro.core.selective.TruncationPolicy`, so every workload honours
-``plane="instrumented" | "fast" | "auto"`` without solver changes; the
-experiment engine threads the choice through ``SweepSpec`` /
-``AdaptiveSpec`` and routes reference tasks to the fast plane by default
-(:func:`reference_plane`).
+``plane="instrumented" | "auto"`` without solver changes; the experiment
+engine threads the choice through ``SweepSpec`` / ``AdaptiveSpec`` and
+builds reference runs non-counting, so on ``"auto"`` they run on
+:class:`FastPlaneContext`.
 
 For convenience this package re-exports the context interface the solvers
 consume, so kernel code depends on ``repro.kernels`` alone.
@@ -67,7 +70,6 @@ from .dispatch import (
     is_fast_eligible,
     is_ledger_eligible,
     is_trunc_fast_eligible,
-    reference_plane,
     select_context,
     validate_plane,
 )
@@ -83,7 +85,7 @@ __all__ = [
     "TruncatedContext",
     "ShadowContext",
     "make_context",
-    # the fast planes
+    # the fused contexts
     "FastPlaneContext",
     "TruncFastPlaneContext",
     "LedgerTruncatedContext",
@@ -105,5 +107,4 @@ __all__ = [
     "is_trunc_fast_eligible",
     "is_ledger_eligible",
     "select_context",
-    "reference_plane",
 ]

@@ -16,10 +16,10 @@ Two kinds of operator live here:
 * **the truncation targets** — the WENO5/upwind advection derivatives,
   the advection total, diffusion and level-set transport — are written
   once against a rounder ``q`` (:mod:`repro.kernels.trunc`).  With the
-  default :data:`~repro.kernels.trunc.EXACT` (contexts carrying the
-  ``fused`` flag, :class:`~repro.kernels.fast.FastPlaneContext`) each
+  default :data:`~repro.kernels.trunc.EXACT` (the rounder of
+  :class:`~repro.kernels.fast.FastPlaneContext`) each
   evaluates exactly the same ufuncs on the same operands as its op-by-op
-  twin.  With a :class:`~repro.kernels.trunc.Round` (``fused_trunc``,
+  twin.  With a :class:`~repro.kernels.trunc.Round` (the rounder of
   :class:`~repro.kernels.trunc.TruncFastPlaneContext`) every arithmetic
   result is rounded in place — the exact boundaries the optimized
   :class:`~repro.core.opmode.TruncatedContext` rounds at — while

@@ -1,49 +1,42 @@
 """Kernel-plane selection: which execution plane a context runs on.
 
 The kernel plane decides *how* a numerics context executes, never *what* it
-computes:
+computes.  There are two:
 
 * ``"instrumented"`` — every context stays on the classic op-by-op plane
   (:mod:`repro.core.opmode` / :mod:`repro.core.memmode`): per-op counter
   updates, truncation, error tracking, shadow values.  Bit-for-bit the
   pre-kernel-plane behaviour, counters included.
-* ``"fast"`` — non-counting contexts move to their fused plane: plain
-  binary64 contexts become the :class:`~repro.kernels.fast.FastPlaneContext`
-  and non-counting truncating contexts become the
-  :class:`~repro.kernels.trunc.TruncFastPlaneContext`; the solvers route
-  their hot paths through the pre-fused kernels of
-  :mod:`repro.kernels.fused` / :mod:`repro.kernels.flux` /
-  :mod:`repro.kernels.trunc` (scratch-buffered and block-batched); the
-  bubble solver routes its advection/diffusion/level-set operators through
-  the twins of :mod:`repro.kernels.bubble` the same way.  States
-  are bit-identical (the fused planes evaluate the same ufunc expression
-  trees, quantised at the same op boundaries); the trade is that
-  substituted binary64 contexts no longer feed the op/mem counters —
-  substituting a counting one is reported with a :class:`UserWarning`.
-  *Counting* truncating contexts are the measurement itself and keep
-  their counters: they move to the counted fused plane (below).
-* ``"auto"`` (default) — fused only where counters survive: contexts that
-  would record nothing anyway (``count_ops`` and ``track_memory`` both
-  off) take the fused planes above, and counting op-mode contexts take the
-  **counted fused plane** of :mod:`repro.kernels.ledger` — ledger-aware
-  kernels (the compressible block update, the bubble operators, the
-  cellular EOS and burn network) run fused and replay op/byte ledgers,
-  any other kernel counts op by op.  Reported counters are byte-identical
-  to the instrumented plane.
+* ``"auto"`` (default) — fused wherever the counters survive.  Contexts
+  that record nothing (``count_ops`` and ``track_memory`` both off) move to
+  a fused context: plain binary64 ones become the
+  :class:`~repro.kernels.fast.FastPlaneContext`, optimized truncating ones
+  the :class:`~repro.kernels.trunc.TruncFastPlaneContext`.  Counting
+  op-mode contexts move to the **counted fused plane** of
+  :mod:`repro.kernels.ledger` — ledger-aware kernels (the compressible
+  block update, the bubble operators, the cellular EOS and burn network)
+  run fused and replay op/byte ledgers, any other kernel counts op by op.
+  States are bit-identical to the instrumented plane and reported
+  counters byte-identical.
+
+A context tells its kernels how to run through one method,
+``ctx.rounder(ws)`` (:mod:`repro.kernels.trunc`): the
+:data:`~repro.kernels.trunc.EXACT` rounder on ``FastPlaneContext``, a
+:class:`~repro.kernels.trunc.Round` of its format on
+``TruncFastPlaneContext``, and None on every context that computes op by
+op.  A counted context (``ctx.ledger``) first replays its ledger and then
+computes on ``ctx.fused_twin()``, whose rounder the kernels take.
 
 Error-tracking, naive (``optimized=False``) and shadow contexts always
-remain instrumented on every plane.
+remain instrumented on both planes.
 
-Reference runs are the special case: the experiment engine never consumes
-their counters (point metrics come exclusively from the point runs, and
-references are compared by state), so it resolves ``"auto"`` to ``"fast"``
-for reference tasks (:func:`reference_plane`) — the cold-sweep hot path
-runs fused by default, and a fast-plane reference simply carries zeroed
+Reference runs need no plane of their own: the experiment engine never
+consumes their counters, so it builds them non-counting
+(``NoTruncationPolicy(count_ops=False, track_memory=False)``), which
+``"auto"`` runs on ``FastPlaneContext`` — a reference simply carries zeroed
 counters in its snapshot.
 """
 from __future__ import annotations
-
-import warnings
 
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext
 from .fast import FastPlaneContext
@@ -58,11 +51,10 @@ __all__ = [
     "is_trunc_fast_eligible",
     "is_ledger_eligible",
     "select_context",
-    "reference_plane",
 ]
 
 #: the kernel planes a policy / spec may request
-PLANES = ("instrumented", "fast", "auto")
+PLANES = ("instrumented", "auto")
 
 #: plane used when nothing is requested explicitly
 DEFAULT_PLANE = "auto"
@@ -76,7 +68,7 @@ def validate_plane(plane: str) -> str:
 
 
 def is_fast_eligible(ctx: FPContext) -> bool:
-    """Whether the binary64 fast plane preserves ``ctx``'s semantics bit
+    """Whether the fused binary64 context preserves ``ctx``'s semantics bit
     for bit.
 
     True exactly for plain binary64 contexts: a (subclass of)
@@ -87,7 +79,7 @@ def is_fast_eligible(ctx: FPContext) -> bool:
 
 
 def is_trunc_fast_eligible(ctx: FPContext) -> bool:
-    """Whether the truncating fast plane preserves ``ctx``'s semantics bit
+    """Whether the fused truncating context preserves ``ctx``'s semantics bit
     for bit *and* loses nothing by dropping the counters.
 
     True exactly for optimized op-mode :class:`TruncatedContext`\\ s that
@@ -127,49 +119,22 @@ def select_context(ctx: FPContext, plane: str = DEFAULT_PLANE) -> FPContext:
 
     Returns ``ctx`` itself whenever substitution would change semantics
     (error-tracking / naive truncating / shadow contexts, the
-    ``"instrumented"`` plane).  Counting op-mode contexts move to the
-    counted fused plane, which keeps their counters byte-identical — except
-    that an explicit ``plane="fast"`` request on a counting binary64
-    context substitutes the non-counting fast plane (states stay
-    bit-identical, every consumer runs fused) and warns that the counters
-    will read zero.
+    ``"instrumented"`` plane) or has already happened.  Counting op-mode
+    contexts move to the counted fused plane, which keeps their counters
+    byte-identical; contexts that record nothing move to their fused
+    context.
     """
     validate_plane(plane)
-    if plane == "instrumented" or getattr(ctx, "plane", "instrumented") != "instrumented":
+    if plane == "instrumented" or ctx.ledger or ctx.rounder() is not None:
         return ctx
     if is_trunc_fast_eligible(ctx):
-        # non-counting truncating context: the fused truncating plane is a
-        # pure, bit-identical win under both "fast" and "auto"
         return TruncFastPlaneContext.from_context(ctx)
     if isinstance(ctx, TruncatedContext):
         # a counting truncating context is the measurement: it keeps every
-        # counter on every plane, replayed from a ledger where it can
+        # counter, replayed from a ledger where it can
         return LedgerTruncatedContext.from_context(ctx) if is_ledger_eligible(ctx) else ctx
     if not is_fast_eligible(ctx):
         return ctx
     if ctx.count_ops or ctx.track_memory:
-        if plane == "auto":
-            return LedgerFullContext.from_context(ctx)
-        # explicit "fast" on a counting binary64 context: honour the
-        # request, but the caller loses its op/mem counters — say so
-        warnings.warn(
-            f"plane='fast' substitutes the non-counting fast plane for a "
-            f"counting binary64 context (module={ctx.module!r}): its op/mem "
-            f"counters will read zero; request plane='auto' to keep them "
-            f"(counted fused plane)",
-            UserWarning,
-            stacklevel=2,
-        )
+        return LedgerFullContext.from_context(ctx)
     return FastPlaneContext(runtime=ctx.runtime, module=ctx.module)
-
-
-def reference_plane(plane: str) -> str:
-    """The plane a full-precision *reference* run executes on.
-
-    The engine never consumes reference counters — references are compared
-    by state — so ``"auto"`` resolves to ``"fast"``; only an explicit
-    ``"instrumented"`` request keeps the counting reference path (needed
-    when the reference's own op counts are the object of study).
-    """
-    validate_plane(plane)
-    return "instrumented" if plane == "instrumented" else "fast"

@@ -24,8 +24,8 @@ __all__ = ["bilinear", "NewtonSteps"]
 
 def bilinear(table, values: np.ndarray, rho, temp, q):
     """Twin of ``HelmholtzTable._bilinear``: ``values`` interpolated at
-    (``rho``, ``temp``) with rounder ``q`` (see
-    :func:`~repro.kernels.ledger.fused_rounder`).
+    (``rho``, ``temp``) with rounder ``q`` (the ``rounder()`` of the
+    fused context).
 
     Independent ops of the op-by-op path run as one stacked op each: the
     two weight numerators and quotients, ``1 - tx`` and ``1 - ty`` (which

@@ -19,10 +19,9 @@ arrays, so results are bit-identical with or without a workspace.  Callers
 that keep both returned arrays of several stencil invocations alive at once
 must hand each invocation a distinct ``key``.
 
-Consumers select them via the ``fused``/``fused_trunc`` flags of the active
-context (:func:`~repro.kernels.trunc.plane_rounder`); instrumented and
-counted contexts keep the op-by-op path (they must, since every operation
-feeds the counters).  The full Riemann/EOS flux pipeline built on top of
+Consumers run them with the rounder of the active context
+(``ctx.rounder()``); instrumented and counted contexts have none and keep
+the op-by-op path (they must, since every operation feeds the counters).  The full Riemann/EOS flux pipeline built on top of
 these stencils lives in :mod:`repro.kernels.flux`.
 """
 from __future__ import annotations

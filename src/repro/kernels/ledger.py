@@ -19,8 +19,9 @@ fixed **ledger** per (solver configuration, block shape, context kind) —
   charged once per block exactly as on the per-block instrumented path —
 
 while the state itself comes from the fused kernels of
-:mod:`repro.kernels.flux`, run with the rounder of :func:`fused_rounder`,
-bit-identical to the instrumented update.  Snapshots are byte-identical to the
+:mod:`repro.kernels.flux`, run with the rounder of the context's
+non-counting fused twin (``ctx.fused_twin().rounder()``), bit-identical to
+the instrumented update.  Snapshots are byte-identical to the
 instrumented plane: the same totals, the same per-module counters, no
 per-location entries (those only exist with ``track_errors``).
 
@@ -34,8 +35,9 @@ per iteration and one update ledger per iteration that does not converge.
 
 :class:`LedgerTruncatedContext` / :class:`LedgerFullContext` mark a
 counting context as eligible (``ledger = True``).  They *are* the counting
-contexts in every other respect: a kernel without a ledger-aware path
-calls their op-by-op methods and counts exactly as before.
+contexts in every other respect: their ``rounder()`` is None, so a kernel
+without a ledger-aware path calls their op-by-op methods and counts
+exactly as before.
 Error-tracking, naive (``optimized=False``) and shadow (mem-mode) contexts
 never qualify: their records depend on the data.
 """
@@ -48,41 +50,16 @@ import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext
 from .fast import FastPlaneContext
-from .scratch import Workspace
-from .trunc import EXACT, Round, TruncFastPlaneContext
+from .trunc import TruncFastPlaneContext
 
 __all__ = [
     "OpLedger",
     "LedgerRecorder",
     "LedgerTruncatedContext",
     "LedgerFullContext",
-    "fused_kind",
-    "fused_rounder",
     "ledger_for",
     "replay_fused",
 ]
-
-
-def fused_kind(ctx: FPContext) -> Optional[str]:
-    """The fused twins ``ctx`` runs on: ``"b64"`` (binary64), ``"trunc"``
-    (quantize at every op boundary), or None for the op-by-op path."""
-    if getattr(ctx, "fused", False):
-        return "b64"
-    if getattr(ctx, "fused_trunc", False):
-        return "trunc"
-    if getattr(ctx, "ledger", False):
-        return "trunc" if ctx.truncating else "b64"
-    return None
-
-
-def fused_rounder(ctx: FPContext, ws: Optional[Workspace] = None):
-    """The rounder of the fused twin ``ctx`` runs (:func:`fused_kind`):
-    :data:`~repro.kernels.trunc.EXACT` for ``"b64"``, a
-    :class:`~repro.kernels.trunc.Round` of the context's format for
-    ``"trunc"``."""
-    if fused_kind(ctx) == "trunc":
-        return Round(ctx.fmt, ctx.rounding, ws)
-    return EXACT
 
 
 @dataclass(frozen=True)
@@ -149,7 +126,6 @@ class LedgerTruncatedContext(TruncatedContext):
     block's ledger; everything else uses the inherited op-by-op methods.
     """
 
-    plane = "fast"
     ledger = True
 
     @classmethod
@@ -186,7 +162,6 @@ class LedgerTruncatedContext(TruncatedContext):
 class LedgerFullContext(FullPrecisionContext):
     """A counting binary64 context on the counted fused plane."""
 
-    plane = "fast"
     ledger = True
 
     @classmethod
@@ -247,7 +222,9 @@ def replay_fused(key: Hashable, ctx: FPContext, run: Callable[[FPContext], objec
 
         if ctx.ledger:
             ctx = replay_fused(key, ctx, lambda twin: self.op(x, twin))
-        ...  # the fused path of ``ctx`` from here on
+        q = ctx.rounder(ws)
+        if q is not None:
+            ...  # the fused kernel, with rounder ``q``
     """
     ledger_for(key, ctx, run).replay(ctx.runtime)
     return ctx.fused_twin()

@@ -1,4 +1,4 @@
-"""The rounders of the fused kernels, and the truncating fast-plane context.
+"""The rounders of the fused kernels, and the fused truncating context.
 
 Every fused kernel of :mod:`repro.kernels.fused`, :mod:`repro.kernels.flux`,
 :mod:`repro.kernels.bubble` and :mod:`repro.kernels.eos` is written once,
@@ -12,6 +12,13 @@ RAPTOR swaps each op for an emulated one:
   through :func:`quantize_into`, optionally with the scratch buffers of a
   :class:`~repro.kernels.scratch.Workspace`: the kernels are then
   bit-identical to the optimized instrumented truncating plane.
+
+A call site asks the context for its rounder, ``q = ctx.rounder(ws)``:
+:data:`EXACT` on :class:`~repro.kernels.fast.FastPlaneContext`, a
+:class:`Round` of the context's format on :class:`TruncFastPlaneContext`,
+and None on every context that computes op by op (a counted context first
+replays its ledger and computes on ``ctx.fused_twin()``; see
+:mod:`repro.kernels.ledger`).
 
 Bit-identity contract
 ---------------------
@@ -64,7 +71,6 @@ __all__ = [
     "Exact",
     "Round",
     "TruncFastPlaneContext",
-    "plane_rounder",
     "quantize_into",
 ]
 
@@ -147,27 +153,11 @@ class Round:
         return quantize_into(x, self.fmt, self.rounding, self.ws, out=out)
 
 
-def plane_rounder(ctx, ws: Optional[Workspace] = None):
-    """The rounder a helper-level call site hands the fused kernels.
-
-    :data:`EXACT` on the binary64 fast plane (``ctx.fused``), a
-    :class:`Round` of the context's format on the truncating fast plane
-    (``ctx.fused_trunc``), and None for every other context: instrumented
-    and counted contexts evaluate such helpers op by op, so every op is
-    counted where it happens.
-    """
-    if getattr(ctx, "fused", False):
-        return EXACT
-    if getattr(ctx, "fused_trunc", False):
-        return Round(ctx.fmt, ctx.rounding, ws)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# the truncating fast-plane context
+# the fused truncating context
 # ---------------------------------------------------------------------------
 class TruncFastPlaneContext(TruncatedContext):
-    """A truncating context living on the fused fast plane.
+    """A truncating context on the fused plane.
 
     Carries the point's :class:`~repro.core.fpformat.FPFormat` and rounding
     mode; ``count_ops``/``track_memory``/``track_errors`` are forced off —
@@ -177,15 +167,9 @@ class TruncFastPlaneContext(TruncatedContext):
     advection tail, level-set transport, diffusion…), so every operation —
     fused or not — is bit-identical to the instrumented plane.
 
-    Solvers recognise the plane via the ``fused_trunc`` flag and run the
-    fused kernels with a :class:`Round` of this context's format; ``fused``
-    stays False because it selects the :data:`EXACT` rounder, which would
-    skip the quantisation entirely.
+    Solvers run the fused kernels with its :meth:`rounder`, a
+    :class:`Round` of this context's format.
     """
-
-    plane = "fast"
-    fused = False
-    fused_trunc = True
 
     def __init__(
         self,
@@ -210,6 +194,9 @@ class TruncFastPlaneContext(TruncatedContext):
     def from_context(cls, ctx: TruncatedContext) -> "TruncFastPlaneContext":
         """Clone an eligible instrumented truncating context onto the plane."""
         return cls(ctx.fmt, runtime=ctx.runtime, module=ctx.module, rounding=ctx.rounding)
+
+    def rounder(self, ws: Optional[Workspace] = None) -> Round:
+        return Round(self.fmt, self.rounding, ws)
 
     # no recording: evaluate in binary64, round the result — the exact
     # optimized TruncatedContext stream minus the counters

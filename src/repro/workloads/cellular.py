@@ -180,7 +180,7 @@ class CellularWorkload(Scenario):
         eos_ctx = pol.context_for(module="eos")
         # burning always runs untruncated, counted on *this run's* runtime
         # (the policy may have been built on another), but with the
-        # policy's counting flags and on its kernel plane, so fast-plane
+        # policy's counting flags and on its kernel plane, so non-counting
         # reference runs stay fused end to end
         pol_cfg = getattr(pol, "config", None)
         burn_ctx = select_context(

@@ -169,13 +169,13 @@ class Scenario:
         enabled, on the default plane: counted contexts replay their
         ledgers, counters byte-identical).  ``"instrumented"`` counts the
         same way but op by op — the baseline when the reference's own cost
-        is measured.  ``"fast"`` / ``"auto"`` execute on the fused binary64
-        fast plane of :mod:`repro.kernels` — the final state is
-        bit-identical but the counters are not recorded, so the
-        detached/cached snapshot holds zeros.  The experiment engine
-        requests the fast plane by default (it compares references by
-        state and never reads their counters); callers that study the
-        reference's own op counts should keep a counting plane.
+        is measured.  ``"auto"`` runs non-counting, on the fused binary64
+        context of :mod:`repro.kernels` — the final state is bit-identical
+        but the counters are not recorded, so the detached/cached snapshot
+        holds zeros.  The experiment engine requests ``"auto"`` by default
+        (it compares references by state and never reads their counters);
+        callers that study the reference's own op counts should pass
+        ``None`` or ``"instrumented"``.
         """
         if plane is None:
             return self.run(policy=None, **kwargs)
@@ -189,7 +189,7 @@ class Scenario:
             policy = NoTruncationPolicy(runtime=rt, plane="instrumented")
         else:
             policy = NoTruncationPolicy(
-                runtime=rt, count_ops=False, track_memory=False, plane="fast"
+                runtime=rt, count_ops=False, track_memory=False, plane="auto"
             )
         return self.run(policy=policy, runtime=rt, **kwargs)
 

@@ -41,7 +41,7 @@ def exhaustive(request):
     """(workload name, exhaustive pass/fail profile over the bit range)."""
     name = request.param
     workload = create_workload(name, **TINY)
-    reference = workload.reference(plane="fast").detach()
+    reference = workload.reference(plane="auto").detach()
     policy = PolicySpec(kind="global", modules=("hydro",))
     profile = {}
     for man_bits in range(MIN_BITS, MAX_BITS + 1):

@@ -225,7 +225,7 @@ class TestSpecValidation:
 class TestAdaptiveFaults:
     def test_find_cliff_collect_isolates_probe_failures(self):
         workload = create_workload("cellular", **CELLULAR)
-        reference = workload.reference(plane="fast")
+        reference = workload.reference(plane="auto")
         cls = get_workload_class("cellular")
         original = cls.run
 

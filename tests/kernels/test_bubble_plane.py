@@ -525,7 +525,7 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("policy_kind", ["full", "trunc"])
     def test_states_identical_across_planes_and_oracle(self, policy_kind):
         baseline = self._run_policy(policy_kind, "instrumented", True)
-        for plane in ("instrumented", "auto", "fast"):
+        for plane in ("instrumented", "auto"):
             for oracle in (False, True):
                 other = self._run_policy(policy_kind, plane, oracle)
                 assert other.time == baseline.time

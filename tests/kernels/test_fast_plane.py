@@ -7,6 +7,10 @@ substitutes a context whose semantics (truncation, shadow tracking) or
 observable counters would change.
 """
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +34,10 @@ from repro.kernels import (
     FastPlaneContext,
     fused,
     is_fast_eligible,
-    reference_plane,
     select_context,
     validate_plane,
 )
+from repro.kernels.trunc import EXACT
 
 #: (method name, arity) of every arithmetic FPContext operation
 UNARY_OPS = ("neg", "abs", "sqrt", "exp", "log", "log10", "sin", "cos",
@@ -113,7 +117,7 @@ class TestFastContextBitIdentity:
         ctx = FastPlaneContext()
         assert isinstance(ctx, FullPrecisionContext)
         assert not ctx.truncating
-        assert ctx.plane == "fast" and ctx.fused
+        assert ctx.rounder() is EXACT
         assert not ctx.count_ops and not ctx.track_memory
 
 
@@ -152,33 +156,13 @@ class TestPlaneSelection:
         )
         assert isinstance(select_context(silent, "auto"), FastPlaneContext)
 
-    def test_fast_substitutes_every_full_precision_context(self):
-        counting = FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")
-        with pytest.warns(UserWarning, match="counters will read zero"):
-            fast = select_context(counting, "fast")
-        assert isinstance(fast, FastPlaneContext)
-        assert fast.module == "hydro"
-        assert select_context(counting, "instrumented") is counting
-
     def test_selection_is_idempotent(self):
         ctx = FastPlaneContext()
         for plane in PLANES:
             assert select_context(ctx, plane) is ctx
 
-    def test_reference_plane_resolution(self):
-        assert reference_plane("auto") == "fast"
-        assert reference_plane("fast") == "fast"
-        assert reference_plane("instrumented") == "instrumented"
-
 
 class TestPolicyPlane:
-    def test_no_truncation_policy_fast_plane(self):
-        pol = NoTruncationPolicy(runtime=RaptorRuntime(), plane="fast")
-        with pytest.warns(UserWarning, match="module='hydro'.*counters will read zero"):
-            assert isinstance(pol.context_for(module="hydro"), FastPlaneContext)
-        with pytest.warns(UserWarning, match="module='burn'.*counters will read zero"):
-            assert isinstance(pol.full_context("burn"), FastPlaneContext)
-
     def test_default_plane_preserves_counters(self):
         rt = RaptorRuntime()
         pol = NoTruncationPolicy(runtime=rt)  # plane="auto", counting config
@@ -189,11 +173,11 @@ class TestPolicyPlane:
 
     def test_truncating_policy_keeps_truncation_on_fast_plane(self):
         rt = RaptorRuntime()
-        pol = GlobalPolicy(TruncationConfig(targets={64: BF16}), runtime=rt, plane="fast")
+        pol = GlobalPolicy(TruncationConfig(targets={64: BF16}), runtime=rt, plane="auto")
         ctx = pol.context_for(module="hydro")
         assert ctx.truncating  # the measurement is untouched
-        with pytest.warns(UserWarning, match="module='elsewhere'.*counters will read zero"):
-            assert isinstance(pol.full_context("elsewhere"), FastPlaneContext)
+        full = pol.full_context("elsewhere")  # counting: keeps its counters
+        assert full.ledger and full.count_ops and full.track_memory
 
     def test_invalid_plane_rejected(self):
         with pytest.raises(ValueError, match="kernel plane"):
@@ -253,17 +237,17 @@ class TestPlanePlumbingRegressions:
                 return self.run(policy=None, **kwargs)
 
         assert run_reference(Legacy(), plane="auto") == "ran"
-        assert run_reference(Legacy(), plane="fast") == "ran"
+        assert run_reference(Legacy(), plane="instrumented") == "ran"
 
     def test_bubble_solver_honours_the_instrumented_plane(self):
-        """plane="instrumented" must disable the fast plane everywhere,
+        """plane="instrumented" must keep every context op by op,
         including the bubble solver's internal full-precision context."""
         from repro.incomp.solver import BubbleSolver
 
         assert isinstance(BubbleSolver()._full_ctx, FastPlaneContext)
         instrumented = BubbleSolver(plane="instrumented")._full_ctx
         assert not isinstance(instrumented, FastPlaneContext)
-        assert not instrumented.fused
+        assert instrumented.rounder() is None
 
     def test_cellular_burn_ops_recorded_on_the_run_runtime(self):
         """Burn ops must land on the run's runtime even when the policy
@@ -276,3 +260,54 @@ class TestPlanePlumbingRegressions:
         outcome = workload.run(policy=policy)
         burn = outcome.snapshot()["modules"].get("burn", {})
         assert burn.get("full", 0) > 0
+
+
+
+def _entry_points():
+    """Every place a plane name enters, each as ``plane -> call``."""
+    from repro.experiments import AdaptiveSpec, PolicySpec, SweepSpec
+    from repro.incomp import BubbleConfig, BubbleSolver
+    from repro.workloads import create_workload
+
+    return {
+        "SweepSpec.validate": lambda plane: SweepSpec(
+            workloads=("sod",), plane=plane).validate(),
+        "AdaptiveSpec.validate": lambda plane: AdaptiveSpec(
+            workloads=("cellular",), plane=plane).validate(),
+        "PolicySpec.build": lambda plane: PolicySpec(kind="global").build(
+            BF16, RaptorRuntime(), plane=plane),
+        "NoTruncationPolicy": lambda plane: NoTruncationPolicy(plane=plane),
+        "Scenario.reference": lambda plane: create_workload(
+            "cellular", n_cells=8, n_steps=1).reference(plane=plane),
+        "BubbleSolver": lambda plane: BubbleSolver(BubbleConfig(nx=8, ny=12), plane=plane),
+    }
+
+
+def _quickstart_error(plane):
+    """Exit status and stderr of the sweep CLI given ``--plane plane``."""
+    root = Path(__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "examples" / "sweep_quickstart.py"), "--plane", plane],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("entry", [
+    "SweepSpec.validate", "AdaptiveSpec.validate", "PolicySpec.build",
+    "NoTruncationPolicy", "Scenario.reference", "BubbleSolver", "sweep_quickstart.py",
+])
+def test_fast_plane_is_rejected_everywhere_the_plane_enters(entry):
+    """``"fast"`` is no plane: every entry point refuses it (the CLI with
+    argparse's exit status 2), naming both valid planes."""
+    if entry == "sweep_quickstart.py":
+        status, message = _quickstart_error("fast")
+        assert status == 2
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            _entry_points()[entry]("fast")
+        message = str(excinfo.value)
+    assert "'fast'" in message
+    for plane in PLANES:
+        assert plane in message

@@ -500,15 +500,15 @@ class TestFusedAdvance:
         non-dyadic: block bounds make ``dx`` differ in the last bit within
         a level, so the cross-level stack must carry per-block spacings."""
         results = {}
-        for label, batch, plane in (
-            ("instrumented", False, "instrumented"),
-            ("fast-perblock", False, "fast"),
-            ("fast-batched", True, "fast"),
+        for label, batch, context in (
+            ("instrumented", False, _slow),
+            ("fast-perblock", False, FastPlaneContext),
+            ("fast-batched", True, FastPlaneContext),
         ):
             workload = _sod_workload(max_level=3, n_root_x=n_root, n_root_y=n_root)
             grid = workload.build_grid()
             solver = HydroSolver(rk_stages=1)
-            ctx = FastPlaneContext() if plane == "fast" else _slow()
+            ctx = context()
             provider = lambda module, level=None, max_level=None: ctx
             if batch:
                 solver._substep(grid, 5e-4, provider)

@@ -518,9 +518,9 @@ class TestOracleRuns:
 
     @pytest.mark.parametrize("name", COMPRESSIBLE)
     def test_workload_bitwise_against_oracle(self, name):
-        store = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="fast")
+        store = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="auto")
         with grid_oracle.swapped():
-            oracle = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="fast")
+            oracle = create_workload(name, **TINY_COMPRESSIBLE).reference(plane="auto")
         assert store.time == oracle.time
         assert store.info == oracle.info
         _assert_states_equal(store.state, oracle.state, name)

@@ -7,7 +7,7 @@ The load-bearing contracts:
   ``times=k`` equals ``k`` separate block updates;
 * plane selection moves *counting* op-mode contexts (optimized truncating
   without error tracking, and binary64) onto the counted plane under
-  ``"auto"`` and ``"fast"`` and never moves error-tracking, naive or
+  ``"auto"`` and never moves error-tracking, naive or
   shadow contexts;
 * the hydro block update on the counted plane is bitwise identical to the
   instrumented update *and* leaves a byte-identical runtime snapshot, for
@@ -22,9 +22,10 @@ The load-bearing contracts:
   identical metrics and snapshots on the instrumented and counted planes;
 * the rounder-selection rule: helper-level call sites (the gamma-law EOS,
   the Riemann solvers, ``reconstruct``, the bubble derivatives) run the
-  fused kernels only on a fused fast plane — with ``EXACT`` for
-  ``ctx.fused``, with a ``Round`` of the context's format for
-  ``ctx.fused_trunc`` — while a counted context counts them op by op.
+  fused kernels only with the context's ``rounder()`` — ``EXACT`` on
+  ``FastPlaneContext``, a ``Round`` of the context's format on
+  ``TruncFastPlaneContext`` — while a counted context, whose rounder is
+  None, counts them op by op.
 """
 import functools
 
@@ -61,6 +62,7 @@ from repro.kernels import (
     FastPlaneContext,
     LedgerFullContext,
     LedgerTruncatedContext,
+    Workspace,
     flux,
     fused,
     is_ledger_eligible,
@@ -69,8 +71,8 @@ from repro.kernels import (
 )
 from repro.kernels import bubble as kbubble
 from repro.kernels import eos as keos
-from repro.kernels.ledger import LedgerRecorder, OpLedger, fused_rounder
-from repro.kernels.trunc import EXACT, Round, TruncFastPlaneContext, plane_rounder
+from repro.kernels.ledger import LedgerRecorder, OpLedger
+from repro.kernels.trunc import EXACT, Round, TruncFastPlaneContext
 from repro.workloads import create_workload
 
 E8M10 = FPFormat(exp_bits=8, man_bits=10)
@@ -170,7 +172,7 @@ class TestLedgerSelection:
                                            runtime=RaptorRuntime())
         assert not is_ledger_eligible(shadow)
 
-    @pytest.mark.parametrize("plane", ["fast", "auto"])
+    @pytest.mark.parametrize("plane", ["auto"])
     def test_counting_truncating_context_moves_with_its_flags(self, plane):
         src = _counting(BF16, RoundingMode.DOWN, count_ops=False)
         ctx = select_context(src, plane)
@@ -178,7 +180,7 @@ class TestLedgerSelection:
         assert (ctx.fmt, ctx.rounding, ctx.module, ctx.runtime) == (
             src.fmt, src.rounding, src.module, src.runtime)
         assert (ctx.count_ops, ctx.track_memory, ctx.track_errors) == (False, True, False)
-        assert ctx.optimized and ctx.plane == "fast"
+        assert ctx.optimized and ctx.ledger and ctx.rounder() is None
 
     def test_counting_binary64_moves_under_auto_only(self):
         src = FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")
@@ -188,13 +190,13 @@ class TestLedgerSelection:
 
     def test_measurement_contexts_stay_instrumented(self):
         for src in (_counting(track_errors=True), _counting(optimized=False)):
-            for plane in ("fast", "auto", "instrumented"):
+            for plane in ("auto", "instrumented"):
                 assert select_context(src, plane) is src
 
     def test_selection_is_idempotent(self):
         for ctx in (select_context(_counting(), "auto"),
                     select_context(FullPrecisionContext(runtime=RaptorRuntime()), "auto")):
-            for plane in ("fast", "auto", "instrumented"):
+            for plane in ("auto", "instrumented"):
                 assert select_context(ctx, plane) is ctx
 
     def test_policies_hand_out_counted_contexts(self):
@@ -668,8 +670,8 @@ class TestCountedNewton:
         ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), module="eos", rounding=rounding)
         with np.errstate(all="ignore"):
             want = table._bilinear(table.energy_table, rho, temp, ctx)
-            got = keos.bilinear(table, table.energy_table, rho, temp, fused_rounder(
-                TruncFastPlaneContext.from_context(ctx)))
+            got = keos.bilinear(table, table.energy_table, rho, temp,
+                                TruncFastPlaneContext.from_context(ctx).rounder())
         assert np.shape(got) == np.shape(want) == np.broadcast_shapes(rho.shape, shape)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -837,7 +839,7 @@ class TestRounderSelection:
             want = _flat(call(src))
             got = _flat(call(counted))
         if site in OPERATOR_SITES:
-            twin = fused_rounder(counted)
+            twin = counted.fused_twin().rounder()
             assert len(rounders) == 1 and type(rounders[0]) is type(twin)
             if isinstance(twin, Round):
                 assert (rounders[0].fmt, rounders[0].rounding) == (twin.fmt, twin.rounding)
@@ -870,17 +872,19 @@ class TestRounderSelection:
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_the_two_predicates(self):
-        """Helper-level sites (``plane_rounder``) leave counted contexts op
-        by op; whole-update sites (``fused_rounder``) give them the rounder
-        of their fused twin."""
+        """``ctx.rounder()`` leaves instrumented and counted contexts op by
+        op; a counted context's fused twin (``ctx.fused_twin().rounder()``)
+        gives whole-update sites the rounder they run."""
         trunc_src, b64_src = _counting(BF16, RoundingMode.DOWN), FullPrecisionContext(
             runtime=RaptorRuntime())
         for src in (trunc_src, b64_src):
-            assert plane_rounder(src) is None
-            assert plane_rounder(_counted(src)) is None
-        assert plane_rounder(FastPlaneContext()) is EXACT
-        assert fused_rounder(_counted(b64_src)) is EXACT
-        assert fused_rounder(FastPlaneContext()) is EXACT
-        for ctx in (_counted(trunc_src), TruncFastPlaneContext(BF16, rounding=RoundingMode.DOWN)):
-            q = fused_rounder(ctx)
+            assert src.rounder() is None
+            assert _counted(src).rounder() is None
+        assert FastPlaneContext().rounder() is EXACT
+        assert _counted(b64_src).fused_twin().rounder() is EXACT
+        ws = Workspace()
+        for ctx in (_counted(trunc_src).fused_twin(),
+                    TruncFastPlaneContext(BF16, rounding=RoundingMode.DOWN)):
+            q = ctx.rounder(ws)
             assert isinstance(q, Round) and (q.fmt, q.rounding) == (BF16, RoundingMode.DOWN)
+            assert q.ws is ws

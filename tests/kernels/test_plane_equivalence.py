@@ -1,19 +1,16 @@
 """End-to-end kernel-plane equivalence.
 
-The acceptance contract of the fast plane: for binary64 (non-truncating)
-contexts it is **bit-identical** to the instrumented plane — golden-config
-runs match bitwise, and all seven registered workloads produce identical
-``Outcome`` states through ``run_sweep`` on either plane, on both the
-serial and the process backend.
+The acceptance contract of the ``"auto"`` plane: it is **bit-identical**
+to the instrumented plane — golden-config runs match bitwise, and all
+seven registered workloads produce identical ``Outcome`` states through
+``run_sweep`` on either plane, on both the serial and the process backend.
 
-Since the fused-flux PR, ``plane="fast"`` runs the compressible workloads
-through the full fused pipeline (Riemann/EOS fusion + scratch workspaces +
-batched block stepping) by default, so every sweep below also covers the
-scratch/batched path; ``test_scratch_and_batching_are_active`` pins that
-the defaults were indeed in effect.
+``plane="auto"`` runs the compressible workloads through the full fused
+pipeline (Riemann/EOS fusion + scratch workspaces + batched block
+stepping), so every sweep below also covers the scratch/batched path;
+``test_scratch_and_batching_are_active`` pins that the defaults were
+indeed in effect.
 """
-import warnings
-
 import numpy as np
 import pytest
 
@@ -45,19 +42,19 @@ def _assert_states_equal(a, b, label):
 
 
 class TestGoldenConfigsBothPlanes:
-    """The golden Sod/Sedov configurations, instrumented vs fast."""
+    """The golden Sod/Sedov configurations, instrumented vs auto."""
 
     @pytest.mark.parametrize("workload", ["sod", "sedov"])
     def test_reference_bitwise_identical(self, workload):
         cfg = dict(nxb=8, nyb=8, n_root_x=2, n_root_y=2, max_level=2,
                    t_end=0.04 if workload == "sod" else 0.02, rk_stages=1)
         instrumented = create_workload(workload, **cfg).reference(plane="instrumented")
-        fast = create_workload(workload, **cfg).reference(plane="fast")
-        assert fast.time == instrumented.time
-        _assert_states_equal(instrumented.state, fast.state, workload)
-        # the trade: the fast plane records no counters
+        fused = create_workload(workload, **cfg).reference(plane="auto")
+        assert fused.time == instrumented.time
+        _assert_states_equal(instrumented.state, fused.state, workload)
+        # the trade: a non-counting reference records no counters
         assert instrumented.runtime.ops.full > 0
-        assert fast.runtime.ops.total == 0
+        assert fused.runtime.ops.total == 0
 
 
 class TestAllWorkloadsThroughRunSweep:
@@ -68,7 +65,7 @@ class TestAllWorkloadsThroughRunSweep:
         assert set(available_workloads()) == set(ALL_WORKLOADS)
 
     def test_scratch_and_batching_are_active(self):
-        """The fast-plane sweeps in this module must exercise the fused
+        """The ``"auto"`` sweeps in this module must exercise the fused
         flux pipeline with scratch buffers and batched block stepping —
         every solver owns a workspace and stacks its fused blocks."""
         from repro.hydro.solver import HydroSolver
@@ -90,21 +87,9 @@ class TestAllWorkloadsThroughRunSweep:
                 keep_states=True,
             )
 
-        def sweep(plane, backend):
-            if (plane, backend) != ("fast", "serial"):
-                return run_sweep(spec(plane, backend))
-            # counting points forced onto the non-counting fast plane warn
-            # in this process (pool workers keep their warnings).  The bf16
-            # cellular EOS inversion breaks down and divides by zero on
-            # every plane; pytest.warns would re-emit each of those
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "divide by zero encountered", RuntimeWarning)
-                with pytest.warns(UserWarning, match="substitutes the non-counting fast plane"):
-                    return run_sweep(spec(plane, backend))
-
         return {
-            (plane, backend): sweep(plane, backend)
-            for plane in ("instrumented", "fast")
+            (plane, backend): run_sweep(spec(plane, backend))
+            for plane in ("instrumented", "auto")
             for backend in ("serial", "process")
         }
 
@@ -134,8 +119,9 @@ class TestAllWorkloadsThroughRunSweep:
 
     def test_auto_plane_counters_match_instrumented(self, results):
         """plane="auto" (the default) must keep the per-point counters
-        byte-identical to the instrumented plane — only the reference
-        tasks (whose counters are discarded) move to the fast plane."""
+        byte-identical to the instrumented plane — full-precision counters
+        included: the cellular EOS sweep (the CI's own) charges every
+        ``burn`` op at full precision."""
         auto = run_sweep(
             SweepSpec(
                 workloads=("sod",),
@@ -155,12 +141,22 @@ class TestAllWorkloadsThroughRunSweep:
         assert ours.mem == theirs.mem
         assert ours.module_ops == theirs.module_ops
 
-    def test_fast_plane_drops_full_precision_counters(self, results):
-        fast = results[("fast", "serial")]
-        for point in fast.points:
-            # truncating contexts still feed the counters; full-precision
-            # contexts run fused and record nothing
-            assert point.ops["full"] == 0
+        ours, theirs = (
+            run_sweep(SweepSpec(
+                workloads=("cellular",),
+                formats=("e11m20",),
+                policies=(PolicySpec(kind="module", modules=("eos",)),),
+                workload_configs={"cellular": dict(n_cells=32, n_steps=8)},
+                plane=plane,
+            )).points[0]
+            for plane in ("instrumented", "auto")
+        )
+        assert ours.ops == theirs.ops
+        assert ours.mem == theirs.mem
+        assert ours.module_ops == theirs.module_ops
+        assert ours.truncated_fraction == theirs.truncated_fraction
+        assert theirs.ops["full"] > 0
+        assert "burn" in theirs.module_ops
 
     def test_timings_recorded(self, results):
         for result in results.values():
@@ -175,5 +171,5 @@ class TestAllWorkloadsThroughRunSweep:
 
         with pytest.raises(ValueError, match="cannot merge"):
             SweepResult.merge(
-                results[("instrumented", "serial")], results[("fast", "serial")]
+                results[("instrumented", "serial")], results[("auto", "serial")]
             )

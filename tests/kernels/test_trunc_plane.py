@@ -12,9 +12,8 @@ The load-bearing contracts:
   :class:`TruncatedContext` stream bit for bit on representable inputs,
   because it quantises at exactly the same op boundaries;
 * plane selection routes *non-counting* truncating contexts onto
-  :class:`TruncFastPlaneContext` under both ``"fast"`` and ``"auto"`` and
-  never substitutes it for a counting, naive, error-tracking or shadow
-  context;
+  :class:`TruncFastPlaneContext` under ``"auto"`` and never substitutes
+  it for a counting, naive, error-tracking or shadow context;
 * the scratch workspace and the batched per-level stepping never change a
   bit, and whole truncated workloads (states *and* counter snapshots) are
   identical across planes, backends and the engine entry points.
@@ -209,7 +208,8 @@ class TestRoundConst:
 class TestTruncFastPlaneContext:
     def test_flags_and_describe(self):
         ctx = _fast(rounding=RoundingMode.UP)
-        assert ctx.plane == "fast" and ctx.fused_trunc and not ctx.fused
+        q = ctx.rounder()
+        assert isinstance(q, Round) and q.fmt is E8M10 and q.rounding == RoundingMode.UP
         assert ctx.truncating and ctx.optimized
         assert not (ctx.count_ops or ctx.track_memory or ctx.track_errors)
         assert "e8m10" in ctx.describe()
@@ -271,7 +271,7 @@ class TestTruncPlaneSelection:
                                  track_memory=False)
         )
 
-    @pytest.mark.parametrize("plane", ["fast", "auto"])
+    @pytest.mark.parametrize("plane", ["auto"])
     def test_silent_truncating_context_rides_the_trunc_plane(self, plane):
         src = _silent(fmt=BF16, rounding=RoundingMode.TOWARD_ZERO)
         ctx = select_context(src, plane)
@@ -292,14 +292,16 @@ class TestTruncPlaneSelection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert select_context(counting, "instrumented") is counting
-            for plane in ("fast", "auto"):
-                ctx = select_context(counting, plane)
-                # the counted fused plane: same counters, fused kernels
-                assert isinstance(ctx, LedgerTruncatedContext) and ctx.ledger
-                assert not (ctx.fused or ctx.fused_trunc)
-                assert (ctx.count_ops, ctx.track_memory) == (True, True)
-                assert ctx.fmt is counting.fmt and ctx.rounding == counting.rounding
-                assert ctx.runtime is counting.runtime
+            ctx = select_context(counting, "auto")
+            # the counted fused plane: same counters, fused kernels
+            assert isinstance(ctx, LedgerTruncatedContext) and ctx.ledger
+            assert ctx.rounder() is None
+            q = ctx.fused_twin().rounder()
+            assert isinstance(q, Round) and q.fmt is counting.fmt
+            assert q.rounding == counting.rounding
+            assert (ctx.count_ops, ctx.track_memory) == (True, True)
+            assert ctx.fmt is counting.fmt and ctx.rounding == counting.rounding
+            assert ctx.runtime is counting.runtime
 
     def test_naive_and_shadow_contexts_stay_put(self):
         naive = TruncatedContext(BF16, runtime=RaptorRuntime(), optimized=False,
@@ -307,21 +309,13 @@ class TestTruncPlaneSelection:
         shadow = ShadowContext.from_config(
             TruncationConfig(targets={64: BF16}), runtime=RaptorRuntime()
         )
-        for plane in ("fast", "auto"):
-            assert select_context(naive, plane) is naive
-            assert select_context(shadow, plane) is shadow
+        assert select_context(naive, "auto") is naive
+        assert select_context(shadow, "auto") is shadow
 
     def test_selection_is_idempotent_on_the_plane(self):
         ctx = _fast()
-        for plane in ("fast", "auto", "instrumented"):
+        for plane in ("auto", "instrumented"):
             assert select_context(ctx, plane) is ctx
-
-    def test_fast_on_counting_binary64_warns_with_module_name(self):
-        counting = FullPrecisionContext(runtime=RaptorRuntime(), module="hydro")
-        with pytest.warns(UserWarning, match="module='hydro'") as record:
-            ctx = select_context(counting, "fast")
-        assert isinstance(ctx, FastPlaneContext)
-        assert "counters will read zero" in str(record[0].message)
 
     def test_no_warning_on_auto_or_silent_binary64(self):
         import warnings
@@ -332,8 +326,8 @@ class TestTruncPlaneSelection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not isinstance(select_context(counting, "auto"), FastPlaneContext)
-            assert isinstance(select_context(silent, "fast"), FastPlaneContext)
-            assert isinstance(select_context(_silent(), "fast"), TruncFastPlaneContext)
+            assert isinstance(select_context(silent, "auto"), FastPlaneContext)
+            assert isinstance(select_context(_silent(), "auto"), TruncFastPlaneContext)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class TestCellular:
         config = dict(n_cells=16, n_steps=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ref = CellularWorkload(CellularConfig(**config)).reference(plane="fast")
+            ref = CellularWorkload(CellularConfig(**config)).reference(plane="auto")
             gathered = gather_references(("cellular",), lambda name: config)
         assert ref.runtime.ops.total == 0
         np.testing.assert_array_equal(gathered["cellular"].state["temp"],

@@ -1,19 +1,19 @@
-"""CI smoke check: the fused fast plane is bit-identical to the
+"""CI smoke check: the fused ``"auto"`` plane is bit-identical to the
 instrumented plane.
 
 Runs the golden Sod configuration (tests/test_golden.py) as a
 full-precision reference on both kernel planes and asserts every state
 variable matches **bitwise** — the contract that lets the experiment
-engine route reference tasks through the fast plane silently.  A second
-pass runs the golden Sedov configuration (WENO5 + HLLC) through the fast
-plane's full fused-flux pipeline — Riemann/EOS fusion, preallocated
+engine run reference tasks fused silently.  A second
+pass runs the golden Sedov configuration (WENO5 + HLLC) through the
+full fused-flux pipeline — Riemann/EOS fusion, preallocated
 scratch workspaces and batched block stepping, stacked across AMR
 levels — and diffs it against the
 instrumented plane the same way; golden Sod on a non-dyadic 3x3 root grid
 follows, whose blocks differ in ``dx`` by the last bit within a level.
 A third pass repeats these configurations as *truncated* (e8m10,
 non-counting) runs: the instrumented op-by-op ``TruncatedContext`` path
-vs the fused truncating plane (``repro.kernels.trunc``), which quantizes
+vs the fused truncating context (``repro.kernels.trunc``), which quantizes
 at the same op boundaries and must match bitwise too.  A fourth pass
 drives regrid-heavy Kelvin–Helmholtz configurations (regrid every step, so
 topology plans are rebuilt constantly and coarse/fine strips stay hot)
@@ -24,7 +24,7 @@ swapped for the per-block oracle of ``tests/grid_oracle.py``: the golden
 2x2-root ``max_level=3`` grid, and a 3x3-root ``max_level=4`` grid with
 reflecting and with mixed periodic/reflecting boundaries.
 A fifth pass covers the fused *bubble* plane (``repro.kernels.bubble``):
-a short rising-bubble run on the fused fast plane vs the classic op-by-op
+a short rising-bubble run on the fused binary64 context vs the classic op-by-op
 baseline (``plane="instrumented"`` with the context-free glue swapped for
 the plain-numpy oracle of ``tests/bubble_oracle.py``), both
 full-precision and truncated (e8m10) — the WENO5 advection, diffusion,
@@ -37,8 +37,8 @@ that Newton exhausts its iterations), each on the instrumented plane vs
 ``plane="auto"`` — states and probe evaluations bitwise, ``RaptorRuntime``
 snapshots byte-identical.  A seventh pass runs truncated Newton EOS
 inversions (``repro.eos.newton.invert_energy``, e8m7 to e8m40, relaxation
-1.0 and 0.7) on the instrumented plane against the fast truncating and the
-counted planes, which replay the periodic tail of a stalled solve instead
+1.0 and 0.7) on the instrumented plane against the fused truncating context
+and the counted plane, which replay the periodic tail of a stalled solve instead
 of iterating it: results bitwise, counters byte-identical, and the cases
 must include both a replayed and an iterated tail.
 
@@ -68,7 +68,7 @@ GOLDEN_CONFIGS = {
 
 #: golden Sod on a non-dyadic 3x3 root grid: block bounds make ``dx``
 #: differ in the last bit between blocks of one level, so batched stacks
-#: must carry per-block spacings to stay bitwise on the fast planes
+#: must carry per-block spacings to stay bitwise on the fused contexts
 SOD_3ROOT = dict(GOLDEN_CONFIGS["sod"], n_root_x=3, n_root_y=3)
 
 #: regrid-heavy golden pass for the grid side: regrid every step so
@@ -95,13 +95,13 @@ def _diff_planes(name: str, config: dict, label: str = "") -> list:
 
     label = label or name
     instrumented = create_workload(name, **config).reference(plane="instrumented")
-    fast = create_workload(name, **config).reference(plane="fast")
+    fused = create_workload(name, **config).reference(plane="auto")
 
     failures = []
-    if instrumented.time != fast.time:
-        failures.append(f"{label}: final time differs: {instrumented.time} vs {fast.time}")
+    if instrumented.time != fused.time:
+        failures.append(f"{label}: final time differs: {instrumented.time} vs {fused.time}")
     for var in sorted(instrumented.state):
-        a, b = instrumented.state[var], fast.state[var]
+        a, b = instrumented.state[var], fused.state[var]
         if not np.array_equal(a, b):
             diverged = int(np.sum(a != b))
             failures.append(f"{label}: variable {var!r}: {diverged}/{a.size} cells differ")
@@ -123,15 +123,15 @@ def _diff_trunc_planes(name: str, config: dict, label: str = "") -> list:
 
     label = label or name
     instrumented = run("instrumented")
-    fast = run("auto")
+    fused = run("auto")
 
     failures = []
-    if instrumented.time != fast.time:
+    if instrumented.time != fused.time:
         failures.append(
-            f"{label} (truncated): final time differs: {instrumented.time} vs {fast.time}"
+            f"{label} (truncated): final time differs: {instrumented.time} vs {fused.time}"
         )
     for var in sorted(instrumented.state):
-        a, b = instrumented.state[var], fast.state[var]
+        a, b = instrumented.state[var], fused.state[var]
         if not np.array_equal(a, b):
             diverged = int(np.sum(a != b))
             failures.append(
@@ -147,9 +147,9 @@ def _diff_grid_plane(label: str, config: dict) -> list:
     sys.path.insert(0, str(TESTS))
     import grid_oracle
 
-    store = create_workload("kelvin-helmholtz", **config).reference(plane="fast")
+    store = create_workload("kelvin-helmholtz", **config).reference(plane="auto")
     with grid_oracle.swapped():
-        reference = create_workload("kelvin-helmholtz", **config).reference(plane="fast")
+        reference = create_workload("kelvin-helmholtz", **config).reference(plane="auto")
 
     failures = []
     if store.info["finest_level"] <= 2:
@@ -182,7 +182,7 @@ def _diff_bubble_planes() -> list:
     """Bubble run: fused bubble plane vs the classic op-by-op path.
 
     The baseline needs an explicit policy — ``Scenario.reference`` maps the
-    bubble's full-precision contexts back to the solver's fast path — and
+    bubble's full-precision contexts back to the solver's fused path — and
     runs inside ``bubble_oracle.swapped()``, so the solver's context-free
     glue is the plain-numpy oracle too.
     """
@@ -209,8 +209,8 @@ def _diff_bubble_planes() -> list:
         )
 
     fmt = FPFormat(exp_bits=8, man_bits=10)
-    fused = run("fast")
-    fused_trunc = run("auto", fmt)
+    fused = run("auto")
+    fused_e8m10 = run("auto", fmt)
     with bubble_oracle.swapped():
         reference = run("instrumented")
         reference_trunc = run("instrumented", fmt)
@@ -218,7 +218,7 @@ def _diff_bubble_planes() -> list:
     failures = []
     for label, a_out, b_out in (
         ("full-precision", reference, fused),
-        ("truncated", reference_trunc, fused_trunc),
+        ("truncated", reference_trunc, fused_e8m10),
     ):
         if a_out.time != b_out.time:
             failures.append(
@@ -368,14 +368,15 @@ NEWTON_RELAXATIONS = (1.0, 0.7)
 
 
 def _diff_newton_planes() -> list:
-    """``invert_energy`` on the instrumented plane against the fast
-    truncating and the counted plane: results bitwise, counters
+    """``invert_energy`` on the instrumented plane against the fused
+    truncating context and the counted plane: results bitwise, counters
     byte-identical.  The fused planes replay a cycling solve's tail
     instead of iterating it; the pass fails unless some case took that
     replay and some did not."""
     from repro.core import FPFormat, RaptorRuntime, TruncatedContext
     from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy, newton
     from repro.kernels import select_context
+    from repro.kernels.trunc import Round
 
     table = HelmholtzTable()
     rho = np.geomspace(2e5, 5e7, 12)
@@ -399,15 +400,15 @@ def _diff_newton_planes() -> list:
                                        module="eos")
                 counted = select_context(src, "auto")
                 counted.runtime = RaptorRuntime()
-                fast = select_context(TruncatedContext(
+                fused = select_context(TruncatedContext(
                     FPFormat(8, man_bits), runtime=RaptorRuntime(), module="eos",
-                    count_ops=False, track_memory=False), "fast")
-                if not (counted.ledger and getattr(fast, "fused_trunc", False)):
-                    failures.append(f"{label}: contexts not on the counted / fast planes")
+                    count_ops=False, track_memory=False), "auto")
+                if not (counted.ledger and isinstance(fused.rounder(), Round)):
+                    failures.append(f"{label}: contexts not counted / fused truncating")
                     continue
                 want = invert_energy(table, rho, target, temp * 1.5, config, src)
                 replays.clear()
-                for plane, ctx in (("counted", counted), ("fast", fast)):
+                for plane, ctx in (("counted", counted), ("fused", fused)):
                     got = invert_energy(table, rho, target, temp * 1.5, config, ctx)
                     if not (np.array_equal(got.temperature.view(np.uint64),
                                            want.temperature.view(np.uint64))
@@ -438,7 +439,7 @@ def main() -> int:
     failures.extend(_diff_newton_planes())
 
     if failures:
-        print("FAIL: fast plane is not bit-identical to the instrumented plane")
+        print("FAIL: fused plane is not bit-identical to the instrumented plane")
         for line in failures:
             print(f"  - {line}")
         return 1
@@ -455,7 +456,7 @@ def main() -> int:
         "a seven-workload counting sweep and counting sod/bubble/cellular cliff "
         "searches bitwise identical with byte-identical counters on the counted plane; "
         "Newton EOS inversions (e8m7-e8m40, relaxation 1.0/0.7) bitwise identical on "
-        "the fast truncating and counted planes, cycling tails replayed"
+        "the fused truncating and counted contexts, cycling tails replayed"
     )
     return 0
 
