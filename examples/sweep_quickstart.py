@@ -191,8 +191,8 @@ def parse_args() -> argparse.Namespace:
         default=None,
         metavar="N",
         help="retry tasks orphaned by transient worker crashes up to N "
-        "times in fresh process pools (default: one free rebuild, no "
-        "backoff); deterministic crashers still fail after the budget",
+        "times in fresh process pools, with backoff (default: 1); "
+        "deterministic crashers still fail after the budget",
     )
     parser.add_argument(
         "--resume",

@@ -986,7 +986,7 @@ def run_grid(
         return _fault_failure(value, tasks[pos].label) if isinstance(value, TaskFault) else value
 
     def on_result(pos: int, value) -> None:
-        # fires as each unit resolves, before map() returns — the journal
+        # fires as each unit resolves, before run_tasks returns — the journal
         # entry is on disk even if this process dies mid-run
         journal.record_point(todo[pos].index, _coerce(pos, value))
 

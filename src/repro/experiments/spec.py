@@ -318,9 +318,11 @@ class GridSpec:
         worker); returns the canonical workload names.  Aliases deduplicate,
         unknown names raise with the registry listing, registered classes
         missing the scenario protocol are rejected with the missing surface
-        spelled out, and config overrides are probed against each
-        workload's ``config_class`` so typo'd fields fail here."""
+        spelled out, config overrides are probed against each workload's
+        ``config_class`` so typo'd fields fail here, and an unknown backend
+        or a worker cap below one fails before any prefix is built."""
         from ..kernels import validate_plane
+        from ..parallel.executor import validate_backend
         from ..workloads.registry import canonical_name, get_workload_class
         from ..workloads.scenario import scenario_protocol_errors
 
@@ -334,6 +336,7 @@ class GridSpec:
                 f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
             )
         validate_fault_tolerance(self.on_error, self.point_timeout, self.retries)
+        validate_backend(self.backend, self.max_workers)
         if not self.workloads:
             raise ValueError(f"{what} needs at least one workload")
         seen = set()
@@ -428,8 +431,8 @@ class SweepSpec(GridSpec):
     retries:
         Fresh-pool rebuilds granted to a task whose worker keeps dying
         (transient crash / OOM), with exponential backoff between rebuilds.
-        ``None`` (default) keeps the historical one-retry-no-backoff
-        behaviour; deterministic solver errors are never retried.
+        ``None`` (default) means one rebuild, the same as ``1``;
+        deterministic solver errors are never retried.
     """
 
     workloads: Sequence[str] = ("sedov",)

@@ -1,25 +1,16 @@
 """Domain-decomposition substrate (simulated MPI ranks) and the
-task-execution backends used by the precision-sweep engine."""
+task executor used by the precision-sweep engine (:func:`run_tasks`, on
+the ``"serial"`` or ``"process"`` backend)."""
 from .comm import REDUCTION_OPS, SimulatedComm
 from .decomposition import BlockDistribution, morton_index
-from .executor import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    get_backend,
-    run_tasks,
-)
+from .executor import TaskFault, TaskTimeoutError, run_tasks
 
 __all__ = [
     "BlockDistribution",
     "morton_index",
     "SimulatedComm",
     "REDUCTION_OPS",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "BACKENDS",
-    "get_backend",
+    "TaskFault",
+    "TaskTimeoutError",
     "run_tasks",
 ]

@@ -1,64 +1,59 @@
-"""Task-execution backends for the precision-sweep engine.
+"""Task execution for the precision-sweep engine.
 
 Sweep points are embarrassingly parallel: each one runs an independent
-simulation and returns a picklable result.  :class:`ProcessPoolBackend`
-fans tasks out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-:class:`SerialBackend` runs them in-process.  Both return results in task
-order, so a sweep produces the same :class:`~repro.experiments.SweepResult`
-regardless of the backend or the number of workers — the property the
-engine's tests pin down.  This backend-independence is also what makes
-sweep *sharding* free-form: shards of one grid may run on different hosts
-with different backends and still merge bit-identically
-(see ``docs/architecture.md``).
+simulation and returns a picklable result.  :func:`run_tasks` is the one
+entry point: it maps a function over tasks either in-process
+(``backend="serial"``) or over a
+:class:`concurrent.futures.ProcessPoolExecutor` (``backend="process"``),
+and returns results in task order either way, so a sweep produces the same
+:class:`~repro.experiments.SweepResult` regardless of the backend or the
+number of workers — the property the engine's tests pin down.  This
+backend-independence is also what makes sweep *sharding* free-form: shards
+of one grid may run on different hosts with different backends and still
+merge bit-identically (see ``docs/architecture.md``).
 
-The process backend degrades gracefully: if worker processes cannot be
-created (restricted sandboxes, missing semaphores) or the pool breaks
-mid-flight, the remaining tasks are executed serially and a warning is
-emitted instead of failing the sweep.  A worker killed abruptly (crash,
-OOM) is retried in a fresh pool rather than rerun in the parent; completed
-results sitting in the broken pool's futures are salvaged, never recomputed.
-A task that deterministically kills fresh pools is surfaced as
-:class:`~concurrent.futures.process.BrokenProcessPool` — or, in *collect*
-mode, recorded as a :class:`TaskFault` sentinel so the rest of the batch
-still completes.
+The process path runs in *waves*: a pool is built for the unresolved
+tasks, their results are gathered in task order, and a fault ends the wave
+and starts the next one in a fresh pool.  It degrades gracefully: a pool
+that fails to start (restricted sandboxes, missing semaphores — at
+construction or at the first ``submit``, where CPython starts the workers)
+or a payload that will not pickle sends the remaining tasks down the one
+serial fallback with a warning instead of failing the sweep.  A worker
+killed abruptly (crash, OOM) is retried in a fresh pool rather than rerun
+in the parent; completed results sitting in the broken pool's futures are
+salvaged, never recomputed.  A task that deterministically kills fresh
+pools is surfaced as :class:`~concurrent.futures.process.BrokenProcessPool`
+— or, in *collect* mode, recorded as a :class:`TaskFault` sentinel so the
+rest of the batch still completes.
 
 On top of that sits the fault-tolerance surface used by
 ``SweepSpec(point_timeout=..., retries=..., on_error="collect")``:
 
 * ``timeout`` — a per-task deadline enforced with
-  ``future.result(timeout=...)`` while waiting on the frontier task.  On
-  expiry the hung workers are killed (they cannot be cancelled — the task
-  is already running), completed results are salvaged, and the pool is
-  rebuilt for the remaining tasks.
+  ``future.result(timeout=...)`` while waiting on the frontier task (the
+  first task still unresolved).  On expiry the hung workers are killed
+  (they cannot be cancelled — the task is already running), completed
+  results are salvaged, and the next wave runs the remaining tasks.
 * ``retries`` — how many fresh-pool rebuilds a crashing frontier task is
-  granted before the crash is treated as deterministic (default 1, today's
-  behaviour), with exponential backoff between rebuilds when the caller
-  set it explicitly.  Retries only ever apply to *transient* executor
-  failures (broken pool, pool creation); a task that raises an ordinary
-  exception is never rerun — deterministic solver errors must surface,
-  not multiply.
+  granted before the crash is treated as deterministic (``None`` means 1),
+  with exponential backoff between rebuilds.  Retries only ever apply to
+  *transient* executor failures (a broken pool); a task that raises an
+  ordinary exception is never rerun — deterministic solver errors must
+  surface, not multiply.
 * ``collect`` — instead of raising, resolve timed-out and
   deterministically-crashing tasks to :class:`TaskFault` records.  To
   attribute a crash to the right task when several suspects share a pool,
-  the backend degrades to *isolation*: each remaining task runs in its own
-  single-worker pool, where "the pool broke" identifies the culprit
-  exactly.
+  once the frontier task has used up its crash budget the remaining waves
+  hold one task each, in a single-worker pool, where "the pool broke"
+  convicts that task exactly.
 * ``on_result`` — a callback fired exactly once per task, as each result
-  resolves (completion, salvage, or fault).  The checkpoint journal hangs
-  off this: a result is on disk even if the parent dies before ``map``
-  returns.
+  resolves (completion, salvage, serial fallback or fault).  The
+  checkpoint journal hangs off this: a result is on disk even if the
+  parent dies before ``run_tasks`` returns.
 
-Entry points
-------------
-* :func:`run_tasks` — map a function over tasks on a backend chosen by
-  name (``"serial"`` / ``"process"``) or instance; the one call sites use.
-* :func:`get_backend` — resolve a backend name to an instance.
-* ``RAPTOR_FORCE_SERIAL=1`` — environment switch forcing the serial path
-  (CI runners without usable process pools).
-* ``RAPTOR_MAX_WORKERS=n`` — environment cap on process-pool workers when
-  the caller does not pass ``max_workers`` explicitly (lets CI and shared
-  hosts bound the fan-out of sweeps and adaptive cliff searches without
-  touching every call site).
+``RAPTOR_MAX_WORKERS=n`` caps process-pool workers when the caller does
+not pass ``max_workers`` (lets CI and shared hosts bound the fan-out of
+sweeps and adaptive cliff searches without touching every call site).
 """
 from __future__ import annotations
 
@@ -72,23 +67,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-__all__ = [
-    "BACKENDS",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "TaskFault",
-    "TaskTimeoutError",
-    "get_backend",
-    "run_tasks",
-]
+__all__ = ["TaskFault", "TaskTimeoutError", "run_tasks", "validate_backend"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: environment switch forcing the serial path (useful on CI runners where
-#: process pools are unavailable or undesirable)
-_FORCE_SERIAL_ENV = "RAPTOR_FORCE_SERIAL"
+#: the execution backends :func:`run_tasks` accepts
+_BACKENDS = ("serial", "process")
 
 #: environment cap on process-pool workers (applies only when the caller
 #: does not pass ``max_workers`` explicitly)
@@ -131,11 +116,13 @@ class TaskTimeoutError(TimeoutError):
         self.timeout = timeout
 
 
-def _env_truthy(value: Optional[str]) -> bool:
-    """Interpret an environment-variable value as a boolean switch."""
-    if value is None:
-        return False
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
+def validate_backend(backend, max_workers: Optional[int] = None) -> None:
+    """Reject an unknown backend name or a worker cap below one — the
+    execution settings every spec checks before it builds anything."""
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1 (or None), got {max_workers!r}")
 
 
 def _env_worker_cap() -> Optional[int]:
@@ -154,438 +141,188 @@ def _env_worker_cap() -> Optional[int]:
 
 
 def _backoff_sleep(attempt: int) -> None:
-    """Exponential backoff before rebuilding a pool (explicit retries only):
-    0.1s, 0.2s, 0.4s, ... capped at 2s — enough for a transient resource
-    squeeze (OOM-killer pressure, fork storms) to pass, short enough not to
-    dominate a sweep."""
+    """Exponential backoff before rebuilding a pool: 0.1s, 0.2s, 0.4s, ...
+    capped at 2s — enough for a transient resource squeeze (OOM-killer
+    pressure, fork storms) to pass, short enough not to dominate a sweep."""
     time.sleep(min(0.1 * (2 ** max(attempt - 1, 0)), 2.0))
 
 
-class ExecutionBackend:
-    """Maps ``fn`` over ``tasks``, returning results in task order.
-
-    All backends accept the fault-tolerance keywords; the serial backend
-    ignores ``timeout``/``retries`` (nothing to kill or rebuild in-process)
-    but honours ``on_result``.
-    """
-
-    name = "abstract"
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        collect: bool = False,
-        on_result: Optional[Callable[[int, object], None]] = None,
-    ) -> List[R]:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL the pool's workers.  A *hung* task cannot be cancelled — it
+    is already running — so reclaiming the worker is the only way to
+    enforce a deadline."""
+    for proc in list(getattr(pool, "_processes", {}).values() or []):
+        try:
+            proc.kill()
+        except Exception:
+            pass
 
 
-class SerialBackend(ExecutionBackend):
-    """In-process execution (also the fallback of the process backend)."""
+def _salvage(
+    futures: Dict[int, Future],
+    resolved: Dict[int, object],
+    resolve: Callable[[int, object], None],
+    skip: Optional[int] = None,
+) -> int:
+    """Harvest results that completed before the pool broke or timed out,
+    so the next wave only reruns genuinely unfinished tasks.  Futures that
+    completed *with an exception* are left pending: rerun, the task
+    re-raises deterministically on the normal gather path."""
+    salvaged = 0
+    for pos, future in futures.items():
+        if pos in resolved or pos == skip or not future.done() or future.cancelled():
+            continue
+        if future.exception(timeout=0) is not None:
+            continue
+        resolve(pos, future.result(timeout=0))
+        salvaged += 1
+    return salvaged
 
-    name = "serial"
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        collect: bool = False,
-        on_result: Optional[Callable[[int, object], None]] = None,
-    ) -> List[R]:
-        if timeout is not None and tasks:
-            warnings.warn(
-                "the serial backend cannot enforce a point timeout (the task "
-                "runs in this process; there is no worker to kill) — running "
-                "without a deadline; use backend='process' to enforce it",
-                RuntimeWarning,
-                stacklevel=2,
+def _run_pool(
+    fn: Callable[[T], R],
+    tasks: Sequence[T],
+    workers: int,
+    timeout: Optional[float],
+    allowed: int,
+    collect: bool,
+    resolved: Dict[int, object],
+    resolve: Callable[[int, object], None],
+) -> None:
+    """The process path: waves of pools until every task is resolved."""
+
+    def run_serially(positions: List[int], exc: BaseException) -> None:
+        warnings.warn(
+            f"process pool unavailable ({type(exc).__name__}: {exc}); "
+            f"running {len(positions)} remaining task(s) serially",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        for pos in positions:
+            resolve(pos, fn(tasks[pos]))
+
+    crashes: Dict[int, int] = {}  # frontier position -> broken-pool rounds
+    isolating = False
+    while len(resolved) < len(tasks):
+        pending = [pos for pos in range(len(tasks)) if pos not in resolved]
+        wave = pending[:1] if isolating else pending
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(wave)))
+            futures = {wave[0]: pool.submit(fn, tasks[wave[0]])}
+        except (OSError, ValueError, RuntimeError) as exc:
+            # the pool failed to start (no /dev/shm, no fork, no semaphores):
+            # the one serial fallback finishes the remaining tasks
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            run_serially(pending, exc)
+            return
+        try:
+            for later in wave[1:]:
+                futures[later] = pool.submit(fn, tasks[later])
+            for pos in wave:
+                waited_from = time.monotonic()
+                resolve(pos, futures[pos].result(timeout=timeout))
+        except FutureTimeoutError:
+            if futures[pos].done():
+                # the task itself raised a TimeoutError — an ordinary task
+                # error, not a hang
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+            elapsed = time.monotonic() - waited_from
+            _kill_workers(pool)
+            salvaged = _salvage(futures, resolved, resolve, skip=pos)
+            pool.shutdown(wait=False, cancel_futures=True)
+            if not collect:
+                raise TaskTimeoutError(pos, elapsed, timeout) from None
+            resolve(
+                pos,
+                TaskFault(
+                    kind="timeout",
+                    index=pos,
+                    message=(
+                        f"exceeded the {timeout:g}s point timeout "
+                        f"(waited {elapsed:.1f}s); hung worker(s) killed"
+                    ),
+                    elapsed=elapsed,
+                    retries=crashes.get(pos, 0),
+                ),
             )
-        results: List[R] = []
-        for pos, task in enumerate(tasks):
-            value = fn(task)
-            if on_result is not None:
-                on_result(pos, value)
-            results.append(value)
-        return results
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Execution on a :class:`ProcessPoolExecutor`.
-
-    Results are gathered from the futures in submission order, so the output
-    list order is deterministic no matter how the OS schedules the workers.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def _effective_workers(self, n_tasks: int) -> int:
-        limit = self.max_workers
-        if limit is None:
-            limit = _env_worker_cap() or (os.cpu_count() or 1)
-        return max(1, min(limit, n_tasks))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _kill_workers(pool: ProcessPoolExecutor) -> None:
-        """SIGKILL the pool's workers.  A *hung* task cannot be cancelled —
-        it is already running — so reclaiming the worker is the only way to
-        enforce a deadline."""
-        for proc in list(getattr(pool, "_processes", {}).values() or []):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-
-    @staticmethod
-    def _salvage(
-        submitted: Dict[int, Future],
-        resolved: Dict[int, object],
-        resolve: Callable[[int, object], None],
-        skip: Optional[int] = None,
-    ) -> int:
-        """Harvest results that completed before the pool broke or timed
-        out, so the rebuilt pool only reruns genuinely unfinished tasks.
-        Futures that completed *with an exception* are left pending: rerun,
-        the task re-raises deterministically on the normal gather path."""
-        salvaged = 0
-        for pos, future in submitted.items():
-            if pos in resolved or pos == skip:
-                continue
-            if not future.done() or future.cancelled():
-                continue
-            try:
-                if future.exception(timeout=0) is not None:
-                    continue
-                value = future.result(timeout=0)
-            except Exception:
-                continue
-            resolve(pos, value)
-            salvaged += 1
-        return salvaged
-
-    # ------------------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        *,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        collect: bool = False,
-        on_result: Optional[Callable[[int, object], None]] = None,
-    ) -> List[R]:
-        if not tasks:
-            return []
-        serial = SerialBackend()
-        if _env_truthy(os.environ.get(_FORCE_SERIAL_ENV)):
-            return serial.map(fn, tasks, timeout=timeout, on_result=on_result)
-        workers = self._effective_workers(len(tasks))
-        if workers == 1 and timeout is None:
-            # in-process shortcut for the single-worker case — unless a
-            # deadline was requested, which only a killable pool can enforce
-            return serial.map(fn, tasks, on_result=on_result)
-
-        # how many fresh-pool rebuilds a crashing frontier task is granted;
-        # the default (retries=None) matches the historical behaviour of
-        # "one retry, no backoff"
-        allowed = 1 if retries is None else retries
-        do_backoff = retries is not None
-
-        resolved: Dict[int, object] = {}
-
-        def resolve(pos: int, value: object) -> None:
-            resolved[pos] = value
-            if on_result is not None:
-                on_result(pos, value)
-
-        def run_serially(positions: List[int], exc: BaseException) -> None:
             warnings.warn(
-                f"process pool unavailable ({type(exc).__name__}: {exc}); "
-                f"running {len(positions)} remaining task(s) serially",
+                f"task {pos} exceeded its {timeout:g}s timeout; killed hung "
+                f"worker(s), salvaged {salvaged} completed result(s), retrying "
+                f"{len(tasks) - len(resolved)} remaining task(s) in a fresh pool",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            for pos in positions:
-                resolve(pos, fn(tasks[pos]))
-
-        pending: List[int] = list(range(len(tasks)))
-        crash_rounds: Dict[int, int] = {}  # frontier position -> broken-pool rounds
-        creation_failures = 0
-        while pending:
-            try:
-                pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
-            except (OSError, ValueError, RuntimeError) as exc:
-                # pool creation fails in sandboxes without /dev/shm or fork;
-                # with explicit retries it is also how fork-storm pressure
-                # shows up, so grant the same bounded retry budget before
-                # degrading.  Serial execution in-process is safe here
-                # because nothing ran yet that could have crashed a worker.
-                creation_failures += 1
-                if do_backoff and creation_failures <= allowed:
-                    warnings.warn(
-                        f"process pool creation failed ({type(exc).__name__}: {exc}); "
-                        f"retry {creation_failures}/{allowed} after backoff",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    _backoff_sleep(creation_failures)
-                    continue
-                run_serially(pending, exc)
-                pending = []
-                break
-
-            submitted: Dict[int, Future] = {}
-            rebuild = False
-            try:
-                for pos in pending:
-                    submitted[pos] = pool.submit(fn, tasks[pos])
-                for pos in pending:
-                    future = submitted[pos]
-                    waited_from = time.monotonic()
-                    try:
-                        value = future.result(timeout=timeout)
-                    except FutureTimeoutError:
-                        if future.done():
-                            # the task itself raised a TimeoutError — an
-                            # ordinary task error, not a hang
-                            raise
-                        elapsed = time.monotonic() - waited_from
-                        self._kill_workers(pool)
-                        salvaged = self._salvage(submitted, resolved, resolve, skip=pos)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        if not collect:
-                            raise TaskTimeoutError(pos, elapsed, timeout) from None
-                        resolve(
-                            pos,
-                            TaskFault(
-                                kind="timeout",
-                                index=pos,
-                                message=(
-                                    f"exceeded the {timeout:g}s point timeout "
-                                    f"(waited {elapsed:.1f}s); hung worker(s) killed"
-                                ),
-                                elapsed=elapsed,
-                            ),
-                        )
-                        pending = [p for p in pending if p not in resolved]
-                        warnings.warn(
-                            f"task {pos} exceeded its {timeout:g}s timeout; killed "
-                            f"hung worker(s), salvaged {salvaged} completed "
-                            f"result(s), retrying {len(pending)} remaining task(s) "
-                            "in a fresh pool",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        rebuild = True
-                        break
-                    except _PICKLE_ERRORS as exc:
-                        # the payload would not pickle — a plain programming
-                        # problem, safe to finish serially.  A TypeError /
-                        # AttributeError raised inside fn lands here too; the
-                        # serial rerun re-raises it unchanged, so correctness
-                        # is preserved at the cost of the rerun.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        run_serially([p for p in pending if p not in resolved], exc)
-                        pending = []
-                        rebuild = True
-                        break
-                    except BrokenProcessPool as exc:
-                        # A worker died (crash, OOM kill).  Never rerun the
-                        # suspect task in the parent process — whatever killed
-                        # the worker would then kill the whole run.  Salvage
-                        # what completed, then retry the rest in a fresh pool;
-                        # a frontier task that keeps breaking fresh pools
-                        # without progress is treated as deterministic.
-                        salvaged = self._salvage(submitted, resolved, resolve)
-                        pool.shutdown(wait=False)
-                        pending = [p for p in pending if p not in resolved]
-                        frontier = pending[0]
-                        rounds = crash_rounds.get(frontier, 0) + 1
-                        crash_rounds[frontier] = rounds
-                        if rounds > allowed:
-                            if not collect:
-                                raise
-                            # several suspects may share the pool when it
-                            # breaks; isolate to attribute the crash (and any
-                            # concurrent hang) to the right task exactly
-                            self._isolate(
-                                fn, tasks, pending, timeout, allowed, resolve, crash_rounds
-                            )
-                            pending = []
-                        else:
-                            warnings.warn(
-                                f"process pool broke ({exc}); salvaged {salvaged} "
-                                f"completed result(s), retrying {len(pending)} "
-                                "remaining task(s) in a fresh pool",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
-                            if do_backoff:
-                                _backoff_sleep(rounds)
-                        rebuild = True
-                        break
-                    else:
-                        resolve(pos, value)
-            except BaseException:
-                # a task exception (raise mode), TaskTimeoutError, or a
-                # deterministic BrokenProcessPool is propagating: abandon the
-                # pool without waiting — its workers may already be dead
-                pool.shutdown(wait=False, cancel_futures=True)
+        except _PICKLE_ERRORS as exc:
+            # the payload would not pickle — a plain programming problem,
+            # safe to finish serially.  A TypeError / AttributeError raised
+            # inside fn lands here too; the serial rerun re-raises it
+            # unchanged, so correctness is preserved at the cost of the rerun.
+            pool.shutdown(wait=False, cancel_futures=True)
+            run_serially([p for p in wave if p not in resolved], exc)
+        except BrokenProcessPool as exc:
+            # A worker died (crash, OOM kill).  Never rerun the suspect task
+            # in the parent process — whatever killed the worker would then
+            # kill the whole run.  Salvage what completed, then retry the
+            # rest in a fresh pool; a frontier task that keeps breaking
+            # fresh pools without progress is treated as deterministic.
+            salvaged = _salvage(futures, resolved, resolve)
+            pool.shutdown(wait=False)
+            pending = [p for p in pending if p not in resolved]
+            frontier = pending[0]
+            rounds = crashes[frontier] = crashes.get(frontier, 0) + 1
+            if rounds <= allowed:
+                warnings.warn(
+                    f"process pool broke ({exc}); salvaged {salvaged} completed "
+                    f"result(s), retrying {len(pending)} remaining task(s) in a "
+                    "fresh pool",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                _backoff_sleep(rounds)
+            elif not collect:
                 raise
-            if not rebuild:
-                pool.shutdown()
-                pending = []
-        return [resolved[pos] for pos in range(len(tasks))]
-
-    def _isolate(
-        self,
-        fn,
-        tasks,
-        positions: List[int],
-        timeout: Optional[float],
-        allowed: int,
-        resolve: Callable[[int, object], None],
-        crash_rounds: Dict[int, int],
-    ) -> None:
-        """Collect-mode endgame: run each remaining task in its own
-        single-worker pool.  With one suspect per pool, "the pool broke"
-        convicts that task, and a deadline expiry is a hang of that task —
-        attribution is exact, at the cost of a pool per task."""
-        warnings.warn(
-            f"repeated pool crashes with no progress; isolating the remaining "
-            f"{len(positions)} task(s) in single-worker pools to attribute the fault",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        for pos in positions:
-            while True:
-                try:
-                    pool = ProcessPoolExecutor(max_workers=1)
-                except (OSError, ValueError, RuntimeError) as exc:
-                    run_exc = exc
-                    warnings.warn(
-                        f"process pool unavailable ({type(run_exc).__name__}: {run_exc}); "
-                        "running isolated task serially",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    resolve(pos, fn(tasks[pos]))
-                    break
-                future = pool.submit(fn, tasks[pos])
-                waited_from = time.monotonic()
-                try:
-                    value = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    if future.done():
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    elapsed = time.monotonic() - waited_from
-                    self._kill_workers(pool)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    resolve(
-                        pos,
-                        TaskFault(
-                            kind="timeout",
-                            index=pos,
-                            message=(
-                                f"exceeded the {timeout:g}s point timeout "
-                                f"(waited {elapsed:.1f}s); hung worker(s) killed"
-                            ),
-                            elapsed=elapsed,
-                            retries=crash_rounds.get(pos, 0),
+            elif isolating:
+                # alone in its pool: the crash is this task's
+                resolve(
+                    frontier,
+                    TaskFault(
+                        kind="worker-crash",
+                        index=frontier,
+                        message=(
+                            f"worker died ({exc}) in {rounds} consecutive "
+                            "pool(s); treating the crash as deterministic"
                         ),
-                    )
-                    break
-                except _PICKLE_ERRORS as exc:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    run_serially_exc = exc
-                    warnings.warn(
-                        f"task {pos} would not pickle ({type(run_serially_exc).__name__}: "
-                        f"{run_serially_exc}); running it serially",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    resolve(pos, fn(tasks[pos]))
-                    break
-                except BrokenProcessPool as exc:
-                    pool.shutdown(wait=False)
-                    rounds = crash_rounds.get(pos, 0) + 1
-                    crash_rounds[pos] = rounds
-                    if rounds > allowed:
-                        resolve(
-                            pos,
-                            TaskFault(
-                                kind="worker-crash",
-                                index=pos,
-                                message=(
-                                    f"worker died ({exc}) in {rounds} consecutive "
-                                    "pool(s); treating the crash as deterministic"
-                                ),
-                                retries=rounds - 1,
-                            ),
-                        )
-                        break
-                    warnings.warn(
-                        f"isolated worker for task {pos} died ({exc}); "
-                        f"retry {rounds}/{allowed} in a fresh pool",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    _backoff_sleep(rounds)
-                else:
-                    pool.shutdown()
-                    resolve(pos, value)
-                    break
-
-    def describe(self) -> str:
-        return f"process(max_workers={self.max_workers or 'auto'})"
-
-
-BACKENDS = {
-    "serial": SerialBackend,
-    "process": ProcessPoolBackend,
-}
-
-
-def get_backend(backend, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Resolve a backend instance from an instance or a name."""
-    if isinstance(backend, ExecutionBackend):
-        if max_workers is not None:
-            raise ValueError(
-                "max_workers only applies when the backend is given by name; "
-                "configure the backend instance instead"
-            )
-        return backend
-    try:
-        cls = BACKENDS[backend]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    if cls is ProcessPoolBackend:
-        return cls(max_workers=max_workers)
-    return cls()
+                        retries=rounds - 1,
+                    ),
+                )
+            else:
+                # several suspects shared the pool: run one task per pool
+                # from here on, so the next crash (or hang) is attributed
+                # to the right task exactly
+                isolating = True
+                warnings.warn(
+                    f"repeated pool crashes with no progress; isolating the "
+                    f"remaining {len(pending)} task(s) in single-worker pools "
+                    "to attribute the fault",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        except BaseException:
+            # a task exception (raise mode) or an on_result failure is
+            # propagating: abandon the pool without waiting
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        else:
+            pool.shutdown()
 
 
 def run_tasks(
     fn: Callable[[T], R],
     tasks: Sequence[T],
-    backend="serial",
+    backend: str = "serial",
     max_workers: Optional[int] = None,
     *,
     timeout: Optional[float] = None,
@@ -593,12 +330,39 @@ def run_tasks(
     collect: bool = False,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> List[R]:
-    """Map ``fn`` over ``tasks`` on the chosen backend, in task order.
+    """Map ``fn`` over ``tasks`` on ``backend`` (``"serial"`` or
+    ``"process"``), returning results in task order.
 
-    ``timeout`` / ``retries`` / ``collect`` / ``on_result`` are the
-    fault-tolerance surface documented on :class:`ProcessPoolBackend`; the
-    defaults reproduce the historical behaviour exactly.
+    ``max_workers`` caps the process pool (``None``: ``RAPTOR_MAX_WORKERS``,
+    else the CPU count).  ``timeout`` / ``retries`` / ``collect`` /
+    ``on_result`` are the fault-tolerance surface described in the module
+    docstring.  The serial backend honours ``on_result`` and warns that it
+    cannot enforce ``timeout``; a process run that would use one worker and
+    has no deadline runs in-process too.
     """
-    return get_backend(backend, max_workers=max_workers).map(
-        fn, tasks, timeout=timeout, retries=retries, collect=collect, on_result=on_result
-    )
+    validate_backend(backend, max_workers)
+    resolved: Dict[int, object] = {}
+
+    def resolve(pos: int, value: object) -> None:
+        resolved[pos] = value
+        if on_result is not None:
+            on_result(pos, value)
+
+    workers = 1
+    if backend == "process" and tasks:
+        workers = min(max_workers or _env_worker_cap() or os.cpu_count() or 1, len(tasks))
+    if backend == "process" and (workers > 1 or timeout is not None):
+        allowed = 1 if retries is None else retries
+        _run_pool(fn, tasks, workers, timeout, allowed, collect, resolved, resolve)
+    else:
+        if backend == "serial" and timeout is not None and tasks:
+            warnings.warn(
+                "the serial backend cannot enforce a point timeout (the task "
+                "runs in this process; there is no worker to kill) — running "
+                "without a deadline; use backend='process' to enforce it",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        for pos, task in enumerate(tasks):
+            resolve(pos, fn(task))
+    return [resolved[pos] for pos in range(len(tasks))]

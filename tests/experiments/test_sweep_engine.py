@@ -4,18 +4,14 @@ import pytest
 
 from repro.core import BF16, FP32, FP64, FPFormat
 from repro.experiments import (
+    AdaptiveSpec,
     PolicySpec,
     SweepSpec,
     format_label,
     resolve_format,
     run_sweep,
 )
-from repro.parallel.executor import (
-    ProcessPoolBackend,
-    SerialBackend,
-    get_backend,
-    run_tasks,
-)
+from repro.parallel.executor import run_tasks
 from repro.workloads import UnknownWorkloadError
 
 #: tiny but non-degenerate grid: 2 AMR levels, a handful of steps
@@ -72,6 +68,19 @@ class TestSpec:
         with pytest.raises(ValueError, match="not in workloads"):
             spec.validate()
 
+    @pytest.mark.parametrize("spec_cls", [SweepSpec, AdaptiveSpec])
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            (dict(backend="gpu"), "unknown backend"),
+            (dict(backend="process", max_workers=0), "max_workers"),
+        ],
+    )
+    def test_execution_settings_fail_validation(self, spec_cls, settings, match):
+        # rejected by validate(), before any prefix or reference is built
+        with pytest.raises(ValueError, match=match):
+            spec_cls(workloads=["sod"], **settings).validate()
+
     def test_policy_spec_validation(self):
         with pytest.raises(ValueError):
             PolicySpec(kind="bogus")
@@ -109,26 +118,17 @@ class TestBackends:
         assert result == [x * x for x in range(10)]
 
     def test_process_pool_single_task_runs_serially(self):
-        backend = ProcessPoolBackend(max_workers=4)
-        assert backend.map(_square, [7]) == [49]
+        assert run_tasks(_square, [7], backend="process", max_workers=4) == [49]
 
     def test_task_exceptions_propagate(self):
         with pytest.raises(ValueError, match="boom"):
             run_tasks(_maybe_fail, [1, 2, 3], backend="process", max_workers=2)
 
-    def test_force_serial_env(self, monkeypatch):
-        monkeypatch.setenv("RAPTOR_FORCE_SERIAL", "1")
-        assert ProcessPoolBackend().map(_square, [1, 2]) == [1, 4]
-
-    def test_get_backend(self):
-        assert isinstance(get_backend("serial"), SerialBackend)
-        backend = get_backend("process", max_workers=2)
-        assert isinstance(backend, ProcessPoolBackend) and backend.max_workers == 2
-        assert get_backend(backend) is backend
-        with pytest.raises(ValueError):
-            get_backend("gpu")
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(max_workers=0)
+    def test_unknown_backend_and_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_tasks(_square, [1, 2], backend="gpu")
+        with pytest.raises(ValueError, match="max_workers"):
+            run_tasks(_square, [1, 2], backend="process", max_workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +290,18 @@ class TestReviewRegressionsRound3:
         # task 2 kills its worker the first time it runs; the retry pool
         # completes the remaining tasks without rerunning anything in the
         # parent process (max_workers=1 would short-circuit to serial)
-        backend = ProcessPoolBackend(max_workers=2)
         marker = str(tmp_path / "already-died")
         tasks = [(x, marker) for x in range(4)]
         with pytest.warns(RuntimeWarning, match="fresh pool"):
-            result = backend.map(_die_once_on_2, tasks)
+            result = run_tasks(_die_once_on_2, tasks, backend="process", max_workers=2)
         assert result == [0, 1, 2, 3]
 
     def test_deterministic_worker_killer_raises_instead_of_crashing_parent(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        backend = ProcessPoolBackend(max_workers=2)
         with pytest.warns(RuntimeWarning, match="fresh pool"):
             with pytest.raises(BrokenProcessPool):
-                backend.map(_always_die_on_2, list(range(4)))
-
-    def test_force_serial_env_spellings(self, monkeypatch):
-        for value in ("FALSE", "no", "off", "0", ""):
-            monkeypatch.setenv("RAPTOR_FORCE_SERIAL", value)
-            assert run_tasks(_square, [2], backend="process", max_workers=2) == [4]
-        monkeypatch.setenv("RAPTOR_FORCE_SERIAL", "yes")
-        assert ProcessPoolBackend().map(_square, [3]) == [9]
+                run_tasks(_always_die_on_2, list(range(4)), backend="process", max_workers=2)
 
 
 def _die_once_on_2(task):
@@ -375,7 +366,3 @@ class TestAliasAwareConfigs:
         )
         with pytest.raises(ValueError, match="both refer to workload"):
             spec.validate()
-
-    def test_backend_instance_with_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="given by name"):
-            run_tasks(_square, [1], backend=SerialBackend(), max_workers=2)

@@ -16,13 +16,8 @@ import warnings
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.parallel.executor import (
-    ProcessPoolBackend,
-    SerialBackend,
-    TaskFault,
-    TaskTimeoutError,
-    run_tasks,
-)
+from repro.parallel import executor
+from repro.parallel.executor import TaskFault, TaskTimeoutError, run_tasks
 from repro.testing import (
     Fault,
     FaultInjected,
@@ -134,8 +129,9 @@ class TestProcessBackendFaults:
         seen = []
         with plan.installed(), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = ProcessPoolBackend(max_workers=2).map(
-                _square, list(range(6)), on_result=lambda pos, value: seen.append(pos)
+            out = run_tasks(
+                _square, list(range(6)), backend="process", max_workers=2,
+                on_result=lambda pos, value: seen.append(pos),
             )
         assert out == [0, 1, 4, 9, 16, 25]
         assert sorted(seen) == list(range(6)), "on_result must fire exactly once per task"
@@ -147,7 +143,7 @@ class TestProcessBackendFaults:
         with plan.installed(), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BrokenProcessPool):
-                ProcessPoolBackend(max_workers=2).map(_square, [0, 1, 2])
+                run_tasks(_square, [0, 1, 2], backend="process", max_workers=2)
         retries = [w for w in caught if "fresh pool" in str(w.message)]
         assert len(retries) == 1, "default budget is one rebuild, then surface the crash"
 
@@ -156,7 +152,7 @@ class TestProcessBackendFaults:
         with plan.installed(), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BrokenProcessPool):
-                ProcessPoolBackend(max_workers=2).map(_square, [0, 1], retries=3)
+                run_tasks(_square, [0, 1], backend="process", max_workers=2, retries=3)
         retries = [w for w in caught if "fresh pool" in str(w.message)]
         assert len(retries) == 3
 
@@ -172,8 +168,9 @@ class TestProcessBackendFaults:
         )
         with plan.installed(), warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            out = ProcessPoolBackend(max_workers=2).map(
-                _square, [0, 1, 2, 3], timeout=3.0, collect=True
+            out = run_tasks(
+                _square, [0, 1, 2, 3], backend="process", max_workers=2,
+                timeout=3.0, collect=True,
             )
         assert out[0] == 0 and out[3] == 9
         assert isinstance(out[1], TaskFault) and out[1].kind == "timeout"
@@ -186,7 +183,7 @@ class TestProcessBackendFaults:
         with plan.installed(), warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             with pytest.raises(TaskTimeoutError) as excinfo:
-                ProcessPoolBackend(max_workers=2).map(_square, [0, 1], timeout=2.0)
+                run_tasks(_square, [0, 1], backend="process", max_workers=2, timeout=2.0)
         assert excinfo.value.index == 0
         assert excinfo.value.timeout == 2.0
 
@@ -196,8 +193,8 @@ class TestProcessBackendFaults:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TimeoutError) as excinfo:
-                ProcessPoolBackend(max_workers=2).map(
-                    _raise_timeout, [0, 1], timeout=30.0
+                run_tasks(
+                    _raise_timeout, [0, 1], backend="process", max_workers=2, timeout=30.0
                 )
         assert not isinstance(excinfo.value, TaskTimeoutError)
         assert "raised its own" in str(excinfo.value)
@@ -207,9 +204,66 @@ class TestProcessBackendFaults:
         tasks = [(threading.Lock(), 2), (None, 3)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = ProcessPoolBackend(max_workers=2).map(_second_times_three, tasks)
-        assert out == SerialBackend().map(_second_times_three, tasks) == [6, 9]
+            out = run_tasks(_second_times_three, tasks, backend="process", max_workers=2)
+        assert out == run_tasks(_second_times_three, tasks, backend="serial") == [6, 9]
         assert any("serially" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("stage", ["construction", "first submit"])
+    def test_pool_that_fails_to_start_falls_back_to_serial_once(self, monkeypatch, stage):
+        """CPython starts the workers at the first ``submit``, so a pool can
+        fail to start there as well as in its constructor; either way the
+        batch finishes serially, identically, with one warning."""
+
+        class _Unstartable(executor.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                if stage == "construction":
+                    raise OSError("no semaphores")
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                raise OSError("cannot fork")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _Unstartable)
+        seen = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run_tasks(
+                _square, list(range(5)), backend="process", max_workers=2,
+                on_result=lambda pos, value: seen.append(pos),
+            )
+        assert out == run_tasks(_square, list(range(5)), backend="serial")
+        assert sorted(seen) == list(range(5)), "on_result must fire exactly once per task"
+        fallbacks = [str(w.message) for w in caught if "serially" in str(w.message)]
+        assert len(fallbacks) == 1 and "OSError" in fallbacks[0]
+
+    def test_collect_mode_twice_killed_task_recovers_in_isolation(self, tmp_path):
+        """The frontier task breaks two pools (its whole budget), then runs
+        alone in a single-worker pool, where the transient fault is gone:
+        its value comes back, not a TaskFault."""
+        plan = FaultPlan(
+            faults=(Fault("task", 0, "kill", times=2),), marker_dir=str(tmp_path)
+        )
+        with plan.installed(), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run_tasks(
+                _square, [0, 1, 2, 3], backend="process", max_workers=2, collect=True
+            )
+        assert out == [0, 1, 4, 9]
+        assert not any(isinstance(value, TaskFault) for value in out)
+        assert len([w for w in caught if "isolating" in str(w.message)]) == 1
+
+    def test_default_retries_is_one_rebuild(self):
+        counts = []
+        for retries in (None, 1):
+            plan = FaultPlan(faults=(Fault("task", 0, "kill", times=None),))
+            with plan.installed(), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(BrokenProcessPool):
+                    run_tasks(
+                        _square, [0, 1], backend="process", max_workers=2, retries=retries
+                    )
+            counts.append(len([w for w in caught if "fresh pool" in str(w.message)]))
+        assert counts == [1, 1]
 
     def test_task_fault_is_picklable(self):
         fault = TaskFault(kind="timeout", index=3, message="m", elapsed=1.0, retries=2)
@@ -223,7 +277,7 @@ class TestSerialBackendFaults:
     def test_serial_timeout_warns_and_runs_without_deadline(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = SerialBackend().map(_square, [0, 1, 2], timeout=5.0)
+            out = run_tasks(_square, [0, 1, 2], backend="serial", timeout=5.0)
         assert out == [0, 1, 4]
         assert any("cannot enforce" in str(w.message) for w in caught)
 
