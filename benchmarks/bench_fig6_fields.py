@@ -33,7 +33,7 @@ def run_experiment():
             "finest_fraction_of_cells": float(np.mean(levels == workload.config.max_level)),
             "pressure_field_shape": list(pres.shape),
         }
-        # keep the fields so the example scripts / EXPERIMENTS.md can plot them
+        # keep the fields so a plotting script can draw them
         out[name]["pressure_field"] = pres.tolist()
         out[name]["level_map"] = levels.tolist()
     return out

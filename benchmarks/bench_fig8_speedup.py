@@ -84,7 +84,7 @@ def test_fig8_sod_speedup_estimates(benchmark):
     # the roofline produces a definite classification (the paper's testbed
     # model calls Sod compute-bound; with this reproduction's per-operand
     # traffic counting the operational intensity is much lower, so the
-    # classification may come out memory-bound — see EXPERIMENTS.md)
+    # classification may come out memory-bound)
     assert m0_small["bound"] in ("compute", "memory")
     # full truncation to a narrow format: a several-fold estimated speedup
     assert 1.5 < m0_small["compute_bound_speedup"] < 12.0

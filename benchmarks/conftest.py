@@ -1,11 +1,9 @@
 """Shared configuration for the experiment-reproduction benchmarks.
 
-Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index).  The harness prints the same rows /
-series the paper reports and stores them as JSON under
-``benchmarks/results/`` so EXPERIMENTS.md can reference them.  Result files
-follow one naming convention: ``BENCH_<name>.json`` (:func:`save_results`
-applies the prefix).
+Every file in this directory regenerates one table or figure of the paper.
+The harness prints the same rows / series the paper reports and stores them
+as JSON under ``benchmarks/results/``.  Result files follow one naming
+convention: ``BENCH_<name>.json`` (:func:`save_results` applies the prefix).
 
 The default configurations are deliberately small (laptop-scale, a few
 minutes for the whole directory).  Set ``RAPTOR_BENCH_FULL=1`` for a denser

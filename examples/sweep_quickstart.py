@@ -81,7 +81,12 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.kernels import PLANES
-from repro.workloads import CompressibleWorkload, describe_workloads, get_workload_class
+from repro.workloads import (
+    CompressibleWorkload,
+    UnknownWorkloadError,
+    describe_workloads,
+    get_workload_class,
+)
 
 
 def parse_shard(text: str):
@@ -113,7 +118,7 @@ def parse_config_override(text: str):
     return workload.strip(), key.strip(), parsed
 
 
-def parse_args() -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--list-workloads",
@@ -259,7 +264,7 @@ def parse_args() -> argparse.Namespace:
         metavar="SHARD.pkl",
         help="merge shard results saved with --out instead of running anything",
     )
-    return parser.parse_args()
+    return parser
 
 
 def list_workloads() -> None:
@@ -359,7 +364,8 @@ def load_result(path):
 
 
 def main() -> None:
-    args = parse_args()
+    parser = build_parser()
+    args = parser.parse_args()
 
     if args.list_workloads:
         list_workloads()
@@ -401,56 +407,66 @@ def main() -> None:
             "module": PolicySpec.module(*(modules or ("hydro",))),
         }[args.policy or "global"]
 
-    workload_configs = build_workload_configs(args, workloads)
-
-    if args.adaptive:
-        # with neither --policy nor --modules given, let each workload's
-        # default_modules pick the truncation target (a fixed hydro policy
-        # would truncate nothing for cellular/bubble)
-        explicit = args.policy is not None or args.modules is not None
-        spec = AdaptiveSpec(
-            workloads=workloads,
-            policies=[build_policy()] if explicit else None,
-            min_man_bits=args.min_bits,
-            max_man_bits=args.max_bits,
-            exp_bits=args.exp_bits,
-            threshold=args.threshold,
-            count_probe_ops=not args.no_count_ops,
-            workload_configs=workload_configs,
-            plane=args.plane,
-            backend=args.backend,
-            max_workers=args.max_workers,
-            cache_dir=args.cache_dir,
-            on_error=args.on_error,
-            point_timeout=args.point_timeout,
-            retries=args.retries,
-        )
+    def build_spec():
+        workload_configs = build_workload_configs(args, workloads)
+        if args.adaptive:
+            # with neither --policy nor --modules given, let each workload's
+            # default_modules pick the truncation target (a fixed hydro policy
+            # would truncate nothing for cellular/bubble)
+            explicit = args.policy is not None or args.modules is not None
+            spec = AdaptiveSpec(
+                workloads=workloads,
+                policies=[build_policy()] if explicit else None,
+                min_man_bits=args.min_bits,
+                max_man_bits=args.max_bits,
+                exp_bits=args.exp_bits,
+                threshold=args.threshold,
+                count_probe_ops=not args.no_count_ops,
+                workload_configs=workload_configs,
+                plane=args.plane,
+                backend=args.backend,
+                max_workers=args.max_workers,
+                cache_dir=args.cache_dir,
+                on_error=args.on_error,
+                point_timeout=args.point_timeout,
+                retries=args.retries,
+            )
+        else:
+            formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+            variables = None
+            if args.variables is not None:
+                variables = tuple(v.strip() for v in args.variables.split(",") if v.strip())
+            spec = SweepSpec(
+                workloads=workloads,
+                formats=formats,
+                policies=[build_policy()],
+                workload_configs=workload_configs,
+                variables=variables,
+                count_point_ops=not args.no_count_ops,
+                plane=args.plane,
+                backend=args.backend,
+                max_workers=args.max_workers,
+                cache_dir=args.cache_dir,
+                on_error=args.on_error,
+                point_timeout=args.point_timeout,
+                retries=args.retries,
+            )
         if args.shard is not None:
             spec = spec.shard(*args.shard)
+        spec.validate()
+        return spec
+
+    # a bad workload name or spec value is a usage error: one argparse
+    # ``error:`` line and exit status 2, not a traceback
+    try:
+        spec = build_spec()
+    except (UnknownWorkloadError, ValueError) as exc:
+        parser.error(str(exc))
+
+    if args.adaptive:
         result = run_adaptive_sweep(spec, checkpoint=args.checkpoint)
         report_adaptive(result, args)
     else:
-        formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-        variables = None
-        if args.variables is not None:
-            variables = tuple(v.strip() for v in args.variables.split(",") if v.strip())
-        spec = SweepSpec(
-            workloads=workloads,
-            formats=formats,
-            policies=[build_policy()],
-            workload_configs=workload_configs,
-            variables=variables,
-            count_point_ops=not args.no_count_ops,
-            plane=args.plane,
-            backend=args.backend,
-            max_workers=args.max_workers,
-            cache_dir=args.cache_dir,
-            on_error=args.on_error,
-            point_timeout=args.point_timeout,
-            retries=args.retries,
-        )
-        if args.shard is not None:
-            spec = spec.shard(*args.shard)
         result = run_sweep(spec, checkpoint=args.checkpoint)
         report_sweep(result, args)
 

@@ -15,7 +15,7 @@ The package is organised as:
 * :mod:`repro.incomp`    — incompressible multiphase solver (Bubble).
 * :mod:`repro.workloads` — the four evaluation workloads.
 * :mod:`repro.io`        — checkpoints and the sfocu comparison utility.
-* :mod:`repro.parallel`  — domain decomposition substrate.
+* :mod:`repro.parallel`  — the task executor of the sweep engine.
 
 Subpackages other than :mod:`repro.core` are imported lazily by user code
 (``import repro.workloads`` etc.); only the core is imported eagerly here so

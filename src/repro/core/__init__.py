@@ -1,8 +1,9 @@
 """RAPTOR core: precision emulation, instrumentation, profiling runtime.
 
 This package is the reproduction of the paper's primary contribution — the
-numerical-profiling tool itself.  See DESIGN.md for the mapping between the
-LLVM/MPFR implementation and this source-level / numpy-hook variant.
+numerical-profiling tool itself.  docs/architecture.md places it in the
+layer map; :mod:`repro.core.quantize` explains how rounding each binary64
+result stands in for the paper's MPFR variables.
 """
 from .array import TruncatedArray, truncate_array, untruncate
 from .config import Mode, Scope, TruncationConfig
@@ -42,14 +43,12 @@ from .selective import (
     PredicatePolicy,
     TruncationPolicy,
 )
-from .softfloat import EmulatedFloat, emulated_math
 
 __all__ = [
     # formats & quantisation
     "FPFormat", "FP64", "FP32", "FP16", "BF16", "FP8_E5M2", "FP8_E4M3",
     "STANDARD_FORMATS", "parse_truncation_spec",
     "RoundingMode", "quantize", "is_representable", "ulp", "quantization_error",
-    "EmulatedFloat", "emulated_math",
     # configuration & scoping
     "Mode", "Scope", "TruncationConfig",
     "FilterSpec", "parse_filter_text", "load_filter_file", "policy_from_filter",

@@ -35,7 +35,6 @@ __all__ = [
     "RoundingMode",
     "quantize",
     "quantize_into",
-    "quantize_like",
     "is_representable",
     "ulp",
     "quantization_error",
@@ -332,12 +331,6 @@ def quantize(
         float is needed.  The unbuffered form of :func:`quantize_into`.
     """
     return quantize_into(x, fmt, rounding)
-
-
-def quantize_like(x: ArrayLike, fmt: FPFormat, template: np.ndarray) -> np.ndarray:
-    """Quantise ``x`` and reshape/broadcast it to the shape of ``template``."""
-    q = quantize(x, fmt)
-    return np.broadcast_to(q, np.shape(template)).copy()
 
 
 def is_representable(x: ArrayLike, fmt: FPFormat) -> np.ndarray:

@@ -10,13 +10,13 @@ level-set configuration used for the Bubble experiment (Figure 1):
 * an interface-distance refinement-level map standing in for the AMR
   hierarchy, so the M − l cutoff truncation strategies apply per cell.
 
-Simplifications relative to Flash-X (documented in DESIGN.md): a uniform
-collocated grid instead of block AMR, a Boussinesq-style buoyancy force with
-a constant-density projection instead of the full variable-density
-ghost-fluid projection, and continuum-surface-force surface tension.  These
-keep the code small and fast while preserving what the experiment measures:
-how truncating the advection/diffusion operators at different mantissa
-widths and interface-distance cutoffs changes the interface evolution.
+Simplifications relative to Flash-X: a uniform collocated grid instead of
+block AMR, a Boussinesq-style buoyancy force with a constant-density
+projection instead of the full variable-density ghost-fluid projection, and
+continuum-surface-force surface tension.  These keep the code small and
+fast while preserving what the experiment measures: how truncating the
+advection/diffusion operators at different mantissa widths and
+interface-distance cutoffs changes the interface evolution.
 """
 from __future__ import annotations
 

@@ -49,7 +49,7 @@ class CellularConfig:
     n_steps: int = 40
     newton: NewtonSolverConfig = field(default_factory=NewtonSolverConfig)
     #: burning network retuned so the detonation develops within the short
-    #: simulated time of the reproduction (see DESIGN.md)
+    #: simulated time of the reproduction
     burn: CarbonBurnNetwork = field(
         default_factory=lambda: CarbonBurnNetwork(rate_prefactor=1e9, activation_t9=10.0)
     )

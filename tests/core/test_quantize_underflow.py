@@ -1,6 +1,6 @@
 """Directed-rounding audit of core/quantize at the underflow boundary.
 
-:func:`repro.core.softfloat.exact_quantize` reconstructs the representable
+:func:`exact_quantize` (``tests/quantize_oracle.py``) reconstructs the representable
 grid of a format with exact :class:`~fractions.Fraction` arithmetic — no
 binary64 intermediates — so it is an independent oracle for every rounding
 decision the vectorised :func:`repro.core.quantize.quantize` makes.  These
@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quantize_oracle import exact_quantize
 
 from repro.core import FPFormat, RoundingMode, quantize
 from repro.core.quantize import quantize_rne_bits
-from repro.core.softfloat import exact_quantize
 from repro.kernels.scratch import Workspace
 from repro.kernels.trunc import quantize_into
 

@@ -1,8 +1,7 @@
 """Cross-module integration tests.
 
 These exercise the paths the benchmarks rely on end to end: policy ->
-solver -> runtime counters -> sfocu errors -> co-design model, plus the
-rank-independence statement of Section 3.6 on a truncated run.
+solver -> runtime counters -> sfocu errors -> co-design model.
 """
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from repro.core import (
     profile_report,
 )
 from repro.io import Checkpoint, compare
-from repro.parallel import BlockDistribution, SimulatedComm
 from repro.workloads import SedovConfig, SedovWorkload, SodConfig, SodWorkload
 
 
@@ -74,22 +72,6 @@ class TestEndToEndPipeline:
 
 
 class TestRankIndependence:
-    def test_decomposition_of_truncated_run_preserves_integrals(self, sedov_pair):
-        """Section 3.6: RAPTOR's op-mode and MPI do not interfere — the
-        decomposition of a truncated run's grid over any number of ranks
-        reproduces the same global integrals."""
-        _, _, truncated = sedov_pair
-        grid = truncated.grid
-        reference_mass = grid.total_integral("dens")
-        for n_ranks in (1, 3, 8):
-            dist = BlockDistribution.from_grid(grid, n_ranks)
-            comm = SimulatedComm(n_ranks)
-            partial = [
-                sum(grid.leaves[key].integral("dens") for key in dist.blocks_for(rank))
-                for rank in range(n_ranks)
-            ]
-            assert float(comm.allreduce(partial, "sum")) == pytest.approx(reference_mass, rel=1e-12)
-
     def test_level_map_and_checkpoint_shapes_consistent(self, sedov_pair):
         _, reference, truncated = sedov_pair
         assert truncated.checkpoint["dens"].shape == reference.checkpoint["dens"].shape

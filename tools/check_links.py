@@ -1,12 +1,18 @@
 #!/usr/bin/env python
-"""Fail on broken intra-repo links in the Markdown documentation.
+"""Fail on broken intra-repo links in the documentation.
 
 Scans ``README.md`` and ``docs/*.md`` for inline Markdown links
 (``[text](target)``), resolves every relative target against the file that
 contains it, and exits non-zero listing any target that does not exist.
-Anchors (``page.md#section``) are checked against the headings of the
-target file.  External links (``http(s)://``, ``mailto:``) are skipped —
+Anchors (``architecture.md#layer-map``) are checked against the headings of
+the target file.  External links (``http(s)://``, ``mailto:``) are skipped —
 this is a hermetic check, meant for CI.
+
+It also scans every ``.py`` file under ``src/``, ``benchmarks/``,
+``examples/`` and ``tools/`` for Markdown file names, bare
+(``workloads.md``) or repo-relative (``docs/workloads.md``), and fails on
+any name that is no file in the repository root or in ``docs/``: a
+docstring or comment that sends its reader to a page that does not exist.
 
     python tools/check_links.py [root]
 """
@@ -22,6 +28,11 @@ from typing import List, Tuple
 _LINK = re.compile(r"\[[^\]]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: a Markdown file name in Python source, bare or repo-relative (never the
+#: tail of a URL)
+_MD_NAME = re.compile(r"(?<![\w./-])([\w-][\w./-]*\.md)\b")
+#: the Python trees whose Markdown mentions must resolve
+_SOURCE_DIRS = ("src", "benchmarks", "examples", "tools")
 
 
 def slugify(heading: str) -> str:
@@ -68,6 +79,16 @@ def check_file(path: Path, root: Path) -> List[Tuple[str, str]]:
     return broken
 
 
+def dangling_md_names(path: Path, root: Path) -> List[str]:
+    """Markdown file names in a Python file that name no file in ``root``
+    or ``root/docs``."""
+    names = set(_MD_NAME.findall(path.read_text(encoding="utf-8")))
+    return sorted(
+        name for name in names
+        if not (root / name).is_file() and not (root / "docs" / name).is_file()
+    )
+
+
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent
     pages = sorted([root / "README.md", *(root / "docs").glob("*.md")])
@@ -82,7 +103,15 @@ def main() -> int:
         for target, reason in check_file(page, root):
             print(f"BROKEN {page.relative_to(root)}: ({target}) — {reason}")
             failures += 1
+    sources = sorted(p for d in _SOURCE_DIRS for p in (root / d).rglob("*.py"))
+    for source in sources:
+        for name in dangling_md_names(source, root):
+            print(f"BROKEN {source.relative_to(root)}: {name} — no such file in the "
+                  "repository root or docs/")
+            failures += 1
     checked = ", ".join(str(p.relative_to(root)) for p in pages)
+    checked += f" and {len(sources)} Python file(s) under " + ", ".join(
+        f"{d}/" for d in _SOURCE_DIRS)
     if failures:
         print(f"\n{failures} broken link(s) across {checked}")
         return 1
