@@ -1,0 +1,135 @@
+"""Op-mode arithmetic checked bitwise against exact rounding.
+
+RAPTOR evaluates each truncated operation at full precision and rounds the
+result into the target format (with MPFR in the paper).
+:class:`TruncatedContext` evaluates the operation in binary64 and then
+rounds with :func:`repro.core.quantize` — two roundings.  For ``+``, ``-``,
+``*``, ``/`` and ``sqrt`` under round-to-nearest-even, double rounding is
+innocuous when the intermediate format carries at least ``2p + 2``
+significand bits for a ``p``-bit target (Figueroa, 1995).  Binary64's 53
+bits cover every target up to fp32 (``p = 24``), so for those formats the
+context must give the correctly rounded result of the true operation.
+These tests pin that against the exact rational oracles of
+``tests/quantize_oracle.py``, including operand pairs whose binary64 sum is
+itself inexact and the subnormal and overflow edges of each format.
+"""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from quantize_oracle import exact_quantize, exact_round_nearest, exact_sqrt_nearest
+
+from repro.core import BF16, FP16, FP32, FPFormat, RaptorRuntime, RoundingMode, TruncatedContext
+
+# the FP8 pair, fp16, bf16, the paper's e8m10 sweep format and fp32: every
+# target with p <= 24, where binary64 evaluation plus one rounding is exact
+FORMATS = [
+    FPFormat(exp_bits=4, man_bits=3),
+    FPFormat(exp_bits=5, man_bits=2),
+    FP16,
+    BF16,
+    FPFormat(exp_bits=8, man_bits=10),
+    FP32,
+]
+FORMAT_IDS = [f"e{f.exp_bits}m{f.man_bits}" for f in FORMATS]
+
+BINARY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+OPS = [*BINARY_OPS, "sqrt"]
+N_PAIRS = 600
+
+
+def draw(rng, fmt, exponents):
+    """Random values of ``fmt`` with the given unbiased exponents; an
+    exponent of ``emin - 1`` draws a subnormal (or zero)."""
+    frac = rng.integers(0, 2 ** fmt.man_bits, size=exponents.shape)
+    normal = exponents >= fmt.emin
+    mant = np.where(normal, frac + 2 ** fmt.man_bits, frac)
+    scale = np.where(normal, exponents, fmt.emin) - fmt.man_bits
+    sign = rng.choice([-1.0, 1.0], size=exponents.shape)
+    return sign * np.ldexp(mant.astype(np.float64), scale)
+
+
+def operand_pairs(rng, fmt):
+    """Pairs over the whole exponent range, half of them with exponents
+    within ``p + 2`` of each other so sums cancel and hit exact ties."""
+    p = fmt.precision
+    ea = rng.integers(fmt.emin - 1, fmt.emax + 1, size=N_PAIRS)
+    far = rng.integers(fmt.emin - 1, fmt.emax + 1, size=N_PAIRS)
+    near = np.clip(ea + rng.integers(-(p + 2), p + 3, size=N_PAIRS), fmt.emin - 1, fmt.emax)
+    eb = np.where(np.arange(N_PAIRS) % 2 == 0, far, near)
+    return draw(rng, fmt, ea), draw(rng, fmt, eb)
+
+
+def true_rounded(op, x, y, fmt):
+    """The true result of ``x op y`` rounded into ``fmt``; an exact zero
+    takes its IEEE sign, which binary64 computes exactly."""
+    q = BINARY_OPS[op](Fraction(x), Fraction(y))
+    return exact_round_nearest(q, fmt) if q != 0 else BINARY_OPS[op](x, y)
+
+
+def assert_bitwise(got, want, what):
+    bad = [
+        (i, g, w)
+        for i, (g, w) in enumerate(zip(got, want))
+        if not (g == w and math.copysign(1.0, g) == math.copysign(1.0, w))
+    ]
+    assert not bad, f"{what}: {len(bad)} results differ, first (index, got, want): {bad[0]}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=FORMAT_IDS)
+@pytest.mark.parametrize("op", OPS)
+def test_op_is_correctly_rounded(op, fmt):
+    rng = np.random.default_rng([fmt.exp_bits, fmt.man_bits, OPS.index(op)])
+    a, b = operand_pairs(rng, fmt)
+    ctx = TruncatedContext(fmt, runtime=RaptorRuntime())
+    if op == "sqrt":
+        a = np.abs(a)
+        got = ctx.sqrt(a)
+        want = [exact_sqrt_nearest(float(x), fmt) for x in a]
+    else:
+        if op == "div":
+            b = np.where(b == 0.0, fmt.min_subnormal, b)
+        got = getattr(ctx, op)(a, b)
+        want = [true_rounded(op, x, y, fmt) for x, y in zip(a, b)]
+    assert_bitwise(got.tolist(), want, f"{op} into e{fmt.exp_bits}m{fmt.man_bits}")
+
+
+@pytest.mark.parametrize("rounding", [RoundingMode.TOWARD_ZERO, RoundingMode.UP, RoundingMode.DOWN])
+def test_mul_is_correctly_rounded_in_directed_modes(rounding):
+    """A product of two p <= 24 bit significands is exact in binary64, so
+    the context rounds it once and directed modes round it correctly too."""
+    for fmt in FORMATS:
+        rng = np.random.default_rng([fmt.exp_bits, fmt.man_bits])
+        a, b = operand_pairs(rng, fmt)
+        ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), rounding=rounding)
+        products = a * b
+        assert all(Fraction(p) == Fraction(x) * Fraction(y) for p, x, y in zip(products, a, b))
+        want = [exact_quantize(p, fmt, rounding) for p in products]
+        assert_bitwise(ctx.mul(a, b).tolist(), want, f"mul into e{fmt.exp_bits}m{fmt.man_bits}")
+
+
+@pytest.mark.parametrize("rounding", RoundingMode.ALL)
+def test_overflow_follows_rounding_mode(rounding):
+    """Past ``max_value`` nearest goes to infinity and directed modes clamp
+    on the side they cannot cross, for either sign."""
+    fmt = FP16
+    ctx = TruncatedContext(fmt, runtime=RaptorRuntime(), rounding=rounding)
+    a = np.array([fmt.max_value, -fmt.max_value, fmt.max_value])
+    b = np.array([2.0, 2.0, 1.0 + fmt.eps])
+    want = [exact_quantize(float(x * y), fmt, rounding) for x, y in zip(a, b)]
+    assert_bitwise(ctx.mul(a, b).tolist(), want, f"overflowing mul, {rounding}")
+
+
+def test_add_ties_go_to_even():
+    fmt = FPFormat(8, 4)  # ulp(1) = 2**-4
+    ctx = TruncatedContext(fmt, runtime=RaptorRuntime())
+    out = ctx.add(np.array([1.0, 1.0 + 2.0 ** -4]), np.array([2.0 ** -5, 2.0 ** -5]))
+    # 1 + 2**-5 is halfway between 1 and 1 + 2**-4: the even neighbour is 1;
+    # 1 + 3 * 2**-5 is halfway between 1 + 2**-4 and 1 + 2**-3: it is 1 + 2**-3
+    assert out.tolist() == [1.0, 1.0 + 2.0 ** -3]

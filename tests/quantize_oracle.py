@@ -5,6 +5,11 @@
 shares no code with the vectorised quantizers, so
 ``tests/core/test_quantize_underflow.py`` pins ``quantize``,
 ``quantize_into`` and ``quantize_rne_bits`` bitwise against it.
+
+:func:`exact_round_nearest` and :func:`exact_sqrt_nearest` round the *true*
+result of an operation (an exact rational, or a square root decided in
+integers) into a format, so ``tests/core/test_opmode_oracle.py`` can check
+that op-mode's binary64-then-round evaluation is correctly rounded.
 """
 from __future__ import annotations
 
@@ -65,3 +70,48 @@ def exact_quantize(
     if result == 0.0 and math.copysign(1.0, x) < 0.0:
         return -0.0
     return result
+
+
+def _binade(q: Fraction) -> int:
+    """``floor(log2(q))`` of a positive rational, exactly."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return e - 1 if Fraction(2) ** e > q else e
+
+
+def _round_scaled_nearest(q: Fraction, ulp_exp: int, fmt: FPFormat) -> float:
+    """``q`` rounded half-to-even onto the grid of spacing ``2**ulp_exp``,
+    overflowing to a signed infinity past the top of ``fmt``."""
+    r = round(q / Fraction(2) ** ulp_exp) * Fraction(2) ** ulp_exp
+    if abs(r) > Fraction(fmt.max_value):
+        return math.inf if q > 0 else -math.inf
+    if r == 0:
+        return -0.0 if q < 0 else 0.0
+    return float(r)
+
+
+def exact_round_nearest(q: Fraction, fmt: FPFormat) -> float:
+    """Round an exact rational (the true result of ``+``, ``-``, ``*`` or
+    ``/`` on floats) into ``fmt`` half-to-even, with no binary64 step."""
+    q = Fraction(q)
+    if q == 0:
+        return 0.0
+    return _round_scaled_nearest(q, max(_binade(abs(q)), fmt.emin) - fmt.man_bits, fmt)
+
+
+def exact_sqrt_nearest(x: float, fmt: FPFormat) -> float:
+    """The true square root of a non-negative float, rounded into ``fmt``
+    half-to-even: the grid index ``sqrt(x) / 2**ulp_exp`` is rounded by
+    comparing its square against the squared midpoint, in integers."""
+    q = Fraction(x)
+    if q < 0:
+        raise ValueError(f"sqrt of a negative value: {x!r}")
+    if q == 0:
+        return x
+    # floor(log2(sqrt(q))) == floor(floor(log2(q)) / 2)
+    ulp_exp = max(_binade(q) // 2, fmt.emin) - fmt.man_bits
+    y = q / Fraction(4) ** ulp_exp  # sqrt(y) is the grid index
+    k = math.isqrt(y.numerator // y.denominator)  # floor(sqrt(y))
+    mid = Fraction(2 * k + 1, 2) ** 2
+    n = k + 1 if y > mid or (y == mid and k % 2 == 1) else k
+    # n * 2**ulp_exp already lies on the grid; this only applies the overflow rule
+    return _round_scaled_nearest(n * Fraction(2) ** ulp_exp, ulp_exp, fmt)

@@ -1,7 +1,8 @@
 """Cross-module integration tests.
 
 These exercise the paths the benchmarks rely on end to end: policy ->
-solver -> runtime counters -> sfocu errors -> co-design model.
+solver -> runtime counters -> sfocu errors -> co-design model, plus the
+rank-independence statement of Section 3.6 on a truncated run.
 """
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ class TestEndToEndPipeline:
 
 
 class TestRankIndependence:
+    def test_decomposition_of_truncated_run_preserves_integrals(self, sedov_pair):
+        """Section 3.6: RAPTOR's op-mode and MPI do not interfere — splitting
+        a truncated run's leaf blocks over any number of ranks and summing
+        the per-rank partial integrals reproduces the global integral."""
+        _, _, truncated = sedov_pair
+        grid = truncated.grid
+        reference_mass = grid.total_integral("dens")
+        for n_ranks in (1, 3, 8):
+            ranks = np.array_split(np.arange(grid.n_leaves), n_ranks)
+            keys = grid.sorted_keys()
+            partial = [sum(grid.leaves[keys[i]].integral("dens") for i in rank) for rank in ranks]
+            assert len(partial) == n_ranks
+            assert sum(partial) == pytest.approx(reference_mass, rel=1e-12)
+
     def test_level_map_and_checkpoint_shapes_consistent(self, sedov_pair):
         _, reference, truncated = sedov_pair
         assert truncated.checkpoint["dens"].shape == reference.checkpoint["dens"].shape
