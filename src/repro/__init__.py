@@ -19,7 +19,9 @@ The package is organised as:
 
 Subpackages other than :mod:`repro.core` are imported lazily by user code
 (``import repro.workloads`` etc.); only the core is imported eagerly here so
-that ``import repro`` stays lightweight.
+that ``import repro`` stays lightweight.  SciPy is imported only by the
+bubble's pressure-Poisson solve, on its first call, so importing the sweep
+engine (:mod:`repro.experiments`, :mod:`repro.workloads`) loads none of it.
 """
 from . import core
 

@@ -45,7 +45,15 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class RoundingMode:
-    """Supported rounding modes (subset of MPFR's)."""
+    """Supported rounding modes (subset of MPFR's).
+
+    Op-mode contexts evaluate each operation in binary64 and then round
+    the binary64 result in the chosen mode.  Under ``NEAREST_EVEN`` that
+    is the correctly rounded true result for every target up to fp32; the
+    directed modes round the binary64 result, not the exact one, so when
+    binary64 itself rounds (``1.0 + 2**-80`` is 1.0) ``UP`` or
+    ``TOWARD_ZERO`` can miss the neighbour the true result lies past.
+    """
 
     NEAREST_EVEN = "nearest-even"
     TOWARD_ZERO = "toward-zero"

@@ -9,14 +9,15 @@ are), so it runs at full precision and speed.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..kernels import bubble as kbubble
 from ..kernels.scratch import Workspace, buffer
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["PoissonSolver"]
 
@@ -57,6 +58,8 @@ class PoissonSolver:
         then drops so the stored structure matches the loop-built matrix.
         The first row is pinned on the CSR arrays directly.
         """
+        import scipy.sparse as sp  # only the bubble's Poisson solve needs SciPy
+
         nx, ny = self.nx, self.ny
         n = nx * ny
         inv_dx2 = 1.0 / self.dx ** 2
@@ -108,6 +111,8 @@ class PoissonSolver:
         b -= b.mean()  # compatibility with the Neumann problem
         flat[0] = 0.0  # pinned cell
         if self._lu is None:
+            import scipy.sparse.linalg as spla
+
             self._lu = spla.splu(self._build_matrix().tocsc())
         p = self._lu.solve(flat)
         p = p.reshape(self.nx, self.ny)

@@ -6,10 +6,11 @@ shares no code with the vectorised quantizers, so
 ``tests/core/test_quantize_underflow.py`` pins ``quantize``,
 ``quantize_into`` and ``quantize_rne_bits`` bitwise against it.
 
-:func:`exact_round_nearest` and :func:`exact_sqrt_nearest` round the *true*
-result of an operation (an exact rational, or a square root decided in
-integers) into a format, so ``tests/core/test_opmode_oracle.py`` can check
-that op-mode's binary64-then-round evaluation is correctly rounded.
+:func:`exact_round_nearest`, :func:`exact_round_directed` and
+:func:`exact_sqrt_nearest` round the *true* result of an operation (an
+exact rational, or a square root decided in integers) into a format, so
+``tests/core/test_opmode_oracle.py`` can check whether op-mode's
+binary64-then-round evaluation is correctly rounded.
 """
 from __future__ import annotations
 
@@ -96,6 +97,25 @@ def exact_round_nearest(q: Fraction, fmt: FPFormat) -> float:
     if q == 0:
         return 0.0
     return _round_scaled_nearest(q, max(_binade(abs(q)), fmt.emin) - fmt.man_bits, fmt)
+
+
+def exact_round_directed(q: Fraction, fmt: FPFormat, rounding: str) -> float:
+    """Round a nonzero exact rational into ``fmt`` in a directed mode, with
+    no binary64 step.  The result must lie inside the format's range."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("exact_round_directed takes a nonzero rational")
+    ulp_exp = max(_binade(abs(q)), fmt.emin) - fmt.man_bits
+    scaled = q / Fraction(2) ** ulp_exp
+    n = {
+        RoundingMode.TOWARD_ZERO: math.trunc,
+        RoundingMode.UP: math.ceil,
+        RoundingMode.DOWN: math.floor,
+    }[rounding](scaled)
+    r = n * Fraction(2) ** ulp_exp
+    if abs(r) > Fraction(fmt.max_value):
+        raise ValueError(f"{float(q)!r} rounds past the range of {fmt}")
+    return -0.0 if r == 0 and q < 0 else float(r)
 
 
 def exact_sqrt_nearest(x: float, fmt: FPFormat) -> float:
