@@ -5,10 +5,9 @@ the truncation experiments exactly like the rest of the solver (it is one of
 the modules the paper truncates selectively in the Cellular study; for the
 Sedov/Sod hydro experiments the ideal-gas EOS below is used).
 
-When the supplied context has a rounder (``ctx.rounder()`` is not None:
-a fused binary64 or truncating context), every helper dispatches to its
-straight-line numpy twin in :mod:`repro.kernels.flux`, run with that
-rounder — bit-identical values, zero per-op dispatch.
+Every helper computes op by op through the context it is given, whatever
+the plane: the solver operators pick a plane once, and the fused planes
+call the straight-line twins in :mod:`repro.kernels.flux` themselves.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from ..kernels import FPContext, FullPrecisionContext
-from ..kernels import flux as _fused_flux
 
 __all__ = ["GammaLawEOS"]
 
@@ -51,38 +49,24 @@ class GammaLawEOS:
     def pressure_from_internal_energy(self, dens, eint, ctx: Optional[FPContext] = None):
         """p = (gamma - 1) * rho * e_int (with the pressure floor applied)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder()
-        if q is not None:
-            return _fused_flux.eos_pressure_from_internal_energy(
-                dens, eint, self.gamma, self.pressure_floor, q=q
-            )
         pres = ctx.mul(ctx.const(self.gamma - 1.0), ctx.mul(dens, eint, "eos:rho_e"), "eos:pres")
         return ctx.maximum(pres, ctx.const(self.pressure_floor), "eos:floor")
 
     def internal_energy_from_pressure(self, dens, pres, ctx: Optional[FPContext] = None):
         """e_int = p / ((gamma - 1) rho)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder()
-        if q is not None:
-            return _fused_flux.eos_internal_energy(dens, pres, self.gamma, q=q)
         denom = ctx.mul(ctx.const(self.gamma - 1.0), dens, "eos:gm1_rho")
         return ctx.div(pres, denom, "eos:eint")
 
     def sound_speed(self, dens, pres, ctx: Optional[FPContext] = None):
         """c = sqrt(gamma * p / rho)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder()
-        if q is not None:
-            return _fused_flux.eos_sound_speed(dens, pres, self.gamma, q=q)
         ratio = ctx.div(ctx.mul(ctx.const(self.gamma), pres, "eos:gp"), dens, "eos:gp_rho")
         return ctx.sqrt(ratio, "eos:cs")
 
     def total_energy(self, dens, velx, vely, pres, ctx: Optional[FPContext] = None):
         """Total energy density E = rho e_int + 0.5 rho (u^2 + v^2)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder()
-        if q is not None:
-            return _fused_flux.eos_total_energy(dens, velx, vely, pres, self.gamma, q=q)
         eint = self.internal_energy_from_pressure(dens, pres, ctx)
         ke = ctx.mul(
             ctx.const(0.5),
@@ -98,11 +82,6 @@ class GammaLawEOS:
     def pressure_from_total_energy(self, dens, momx, momy, ener, ctx: Optional[FPContext] = None):
         """Recover pressure from conserved variables (with floors)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder()
-        if q is not None:
-            return _fused_flux.eos_pressure_from_total_energy(
-                dens, momx, momy, ener, self.gamma, self.pressure_floor, self.density_floor, q=q
-            )
         dens_f = ctx.maximum(dens, ctx.const(self.density_floor), "eos:rho_floor")
         velx = ctx.div(momx, dens_f, "eos:u")
         vely = ctx.div(momy, dens_f, "eos:v")

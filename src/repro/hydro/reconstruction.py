@@ -13,11 +13,10 @@ Three schemes are provided, in increasing order of accuracy and cost:
 All arithmetic is expressed through the numerics context obtained from the
 kernel-plane layer (:mod:`repro.kernels`), so the reconstruction stage can
 be truncated, shadow-tracked (mem-mode "Recon" module of Table 2) or
-excluded, independently of the other solver stages.  When the active
-context has a rounder (``ctx.rounder()`` is not None),
-:func:`reconstruct` dispatches to the pre-fused numpy stencils of
-:mod:`repro.kernels.fused` instead of the op-by-op path, run with that
-rounder — bit-identical results, zero per-op dispatch.
+excluded, independently of the other solver stages.  :func:`reconstruct`
+computes op by op through the context it is given; the pre-fused stencils
+of :mod:`repro.kernels.fused` are called by the fused block update, never
+from here.
 
 The functions operate on 2-D block arrays including guard cells along the
 sweep axis and return the left/right states at the ``n+1`` interior faces.
@@ -27,9 +26,9 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from ..kernels import FPContext, fused
+from ..kernels import FPContext
 
-__all__ = ["reconstruct", "SCHEMES"]
+__all__ = ["reconstruct", "SCHEMES", "GUARD_CELLS", "check_guard_cells"]
 
 _WENO_EPS = 1e-6
 
@@ -177,6 +176,16 @@ def _weno5(u, axis: int, ng: int, n: int, ctx: FPContext):
 
 SCHEMES = {"pcm": _pcm, "plm": _plm, "weno5": _weno5}
 
+#: the fewest guard cells each scheme's stencil reads beyond a block edge
+GUARD_CELLS = {"pcm": 1, "plm": 2, "weno5": 3}
+
+
+def check_guard_cells(scheme: str, ng: int) -> None:
+    """Raise ``ValueError`` unless ``scheme`` can reconstruct a block with
+    ``ng`` guard cells."""
+    if ng < GUARD_CELLS[scheme]:
+        raise ValueError(f"{scheme} needs at least {GUARD_CELLS[scheme]} guard cells")
+
 
 def reconstruct(
     u,
@@ -195,32 +204,18 @@ def reconstruct(
     axis:
         0 for an x-sweep, 1 for a y-sweep.
     ng:
-        Guard-cell width of ``u`` along ``axis`` (>= 2 for plm, >= 3 for weno5).
+        Guard-cell width of ``u`` along ``axis`` (at least
+        ``GUARD_CELLS[scheme]``).
     n_faces_minus_1:
         Number of interior cells along the sweep (there are ``n+1`` faces).
     ctx:
         Numerics context (op-mode, mem-mode, or full precision).
     scheme:
         "pcm", "plm" or "weno5".
-
-    The fused branch serves direct callers holding a fused context (one
-    with a ``rounder()``): one stencil of :mod:`repro.kernels.fused`, run
-    with that rounder.  Counted contexts have none and take the op-by-op
-    path here, so every op is counted.  The
-    hydro solver's own fused paths never reach this branch
-    (``advance_block`` short-circuits into
-    :func:`repro.kernels.flux.advance`, which invokes the stencils with
-    workspace-threaded scratch keys itself).
     """
     try:
         fn = SCHEMES[scheme]
     except KeyError as exc:
         raise ValueError(f"unknown reconstruction scheme {scheme!r}") from exc
-    if scheme == "weno5" and ng < 3:
-        raise ValueError("weno5 needs at least 3 guard cells")
-    if scheme == "plm" and ng < 2:
-        raise ValueError("plm needs at least 2 guard cells")
-    q = ctx.rounder()
-    if q is not None:
-        return fused.FUSED_SCHEMES[scheme](u, axis, ng, n_faces_minus_1, q=q)
+    check_guard_cells(scheme, ng)
     return fn(u, axis, ng, n_faces_minus_1, ctx)

@@ -8,11 +8,10 @@ through the numerics context.
 
 Three solvers are provided: ``hll`` (Davis wave-speed estimates), ``hlle``
 (the Einfeldt variant — Roe-averaged wave speeds on the same HLL
-combination) and ``hllc`` (restores the contact wave).  When the active
-context has a rounder (``ctx.rounder()`` is not None), each solver
-dispatches to its pre-fused straight-line twin in
-:mod:`repro.kernels.flux`, run with that rounder — bit-identical results,
-zero per-op dispatch.
+combination) and ``hllc`` (restores the contact wave).  Each computes op
+by op through the context it is given; their fused twins in
+:mod:`repro.kernels.flux` are called by the fused block update, never from
+here.
 
 States are passed as dictionaries of face arrays with keys ``dens``,
 ``velx``, ``vely``, ``pres`` where ``velx`` denotes the velocity normal to
@@ -25,7 +24,6 @@ from __future__ import annotations
 from typing import Dict
 
 from ..kernels import FPContext
-from ..kernels import flux as _fused_flux
 from .eos import GammaLawEOS
 
 __all__ = ["euler_flux", "hll_flux", "hllc_flux", "hlle_flux", "SOLVERS"]
@@ -163,27 +161,18 @@ def _hll_from_speeds(sl, sr, left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPC
 
 def hll_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """Harten–Lax–van Leer flux (Davis wave speeds)."""
-    q = ctx.rounder()
-    if q is not None:
-        return _fused_flux.hll_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)
     return _hll_from_speeds(sl, sr, left, right, eos, ctx)
 
 
 def hlle_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLE flux: the HLL combination with Einfeldt wave speeds."""
-    q = ctx.rounder()
-    if q is not None:
-        return _fused_flux.hlle_flux(left, right, eos.gamma, q=q)
     sl, sr = _einfeldt_wave_speeds(left, right, eos, ctx)
     return _hll_from_speeds(sl, sr, left, right, eos, ctx)
 
 
 def hllc_flux(left: Dict, right: Dict, eos: GammaLawEOS, ctx: FPContext) -> Dict:
     """HLLC flux (restores the contact wave missing from HLL)."""
-    q = ctx.rounder()
-    if q is not None:
-        return _fused_flux.hllc_flux(left, right, eos.gamma, q=q)
     sl, sr = _wave_speeds(left, right, eos, ctx)
     ul = _conserved(left, eos, ctx)
     ur = _conserved(right, eos, ctx)

@@ -29,7 +29,7 @@ from ..kernels.ledger import OpLedger, ledger_for
 from ..kernels.scratch import Workspace, buffer
 from ..kernels.trunc import EXACT
 from .eos import GammaLawEOS
-from .reconstruction import reconstruct
+from .reconstruction import SCHEMES, check_guard_cells, reconstruct
 from .riemann import SOLVERS
 
 __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
@@ -71,13 +71,13 @@ class HydroSolver:
         Module label under which the solver requests its numerics contexts
         ("hydro" by convention; policies match on it).
 
-    The context of each block alone decides how it is advanced: blocks on
-    a fused plane are stacked — across AMR levels, each with its own
-    ``dx``/``dy`` — into one batched kernel invocation per context
-    signature and substep, threaded through the solver's preallocated
-    :class:`~repro.kernels.scratch.Workspace`; every other block takes the
-    per-block op-by-op path.  Both are bit-identical to the per-block
-    loop.
+    The plane is chosen once per substep, in :meth:`_substep`: blocks on a
+    fused or counted plane are stacked — across AMR levels, each with its
+    own ``dx``/``dy`` — into one :func:`repro.kernels.flux.advance` call
+    per context signature (:meth:`_advance_batched`, lone blocks included);
+    every other block takes the op-by-op :meth:`advance_block`, whose EOS,
+    Riemann and reconstruction helpers compute op by op on every context.
+    Both are bit-identical to the per-block loop.
     """
 
     def __init__(
@@ -90,6 +90,8 @@ class HydroSolver:
         gravity: Tuple[float, float] = (0.0, 0.0),
         module: str = "hydro",
     ) -> None:
+        if reconstruction not in SCHEMES:
+            raise ValueError(f"unknown reconstruction scheme {reconstruction!r}")
         if riemann not in SOLVERS:
             raise ValueError(f"unknown riemann solver {riemann!r}")
         if rk_stages not in (1, 2):
@@ -168,32 +170,14 @@ class HydroSolver:
         dt: float,
         ctx: FPContext,
     ) -> Dict[str, np.ndarray]:
-        """One flux-divergence update of a single block.
+        """One op-by-op flux-divergence update of a single block through
+        ``ctx`` — whatever the context, every op goes through it.
 
         ``block.data`` must have its guard cells filled.  Returns the new
         interior primitive variables as plain binary64 arrays (the AMR grid
         stores plain arrays regardless of the instrumentation in use).
-
-        A context with a rounder (``ctx.rounder()``) runs the whole
-        update — reconstruct → wave speeds → flux → conserved update —
-        through the pre-fused pipeline of :mod:`repro.kernels.flux`
-        without a single context dispatch: in binary64 for
-        :data:`~repro.kernels.trunc.EXACT`, rounded at every op boundary
-        for a :class:`~repro.kernels.trunc.Round`, bit-identical to the
-        op-by-op path either way.  A counting context on the counted fused
-        plane (``ctx.ledger``) replays the block's op/byte ledger
-        (:meth:`_block_ledger`) into its runtime and takes the pipeline
-        with the rounder of its fused twin — byte-identical counters
-        without a single op-by-op call.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        if ctx.ledger:
-            self._block_ledger(block, ctx).replay(ctx.runtime)
-            ctx = ctx.fused_twin()
-        q = ctx.rounder(self._workspace)
-        if q is not None:
-            prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, q)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -265,23 +249,6 @@ class HydroSolver:
             "pres": update_ctx.asplain(new_pres),
         }
 
-    def _advance_fused(self, prims, dt: float, dx, dy, ng: int, nxb: int, nyb: int,
-                       q=EXACT) -> Dict[str, np.ndarray]:
-        """The fully fused block (or block-stack) update with rounder ``q``
-        (binary64 by default); ``dx``/``dy`` are scalars or per-block
-        arrays of a stack."""
-        return fused_flux.advance(
-            prims, dt, dx, dy, ng, nxb, nyb,
-            scheme=self.reconstruction,
-            solver=self.riemann,
-            gamma=self.eos.gamma,
-            dens_floor=self.eos.density_floor,
-            pres_floor=self.eos.pressure_floor,
-            gravity=self.gravity,
-            ws=self._workspace,
-            q=q,
-        )
-
     def _block_ledger(self, block, ctx: FPContext) -> OpLedger:
         """The counters one update of a ``block``-shaped block charges
         under ``ctx`` on the instrumented plane.
@@ -314,19 +281,20 @@ class HydroSolver:
     def _substep(self, grid: AMRGrid, dt: float, provider: ContextProvider) -> None:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
-        Blocks whose context runs fused (binary64, truncating or counted)
-        are stacked across AMR levels — one group for the binary64
-        rounder, one per (format, rounding) of a truncating rounder, one
-        per counted context — into one ``(nblocks, nx, ny)``
-        batched kernel invocation with per-block ``dx``/``dy``
-        (element-wise ufuncs are independent per slot, so the batched
-        update is bit-identical to the per-block loop; a counted stack
-        replays its ledger once per block).  Everything else —
-        instrumented, shadow and error-tracking contexts — takes the
-        per-block op-by-op path.  Every update reads only its own block,
-        so each group writes its interiors back to the store as soon as it
-        is computed.
+        This is where the plane is chosen.  Blocks whose context runs
+        fused (binary64, truncating or counted) are stacked across AMR
+        levels — one group for the binary64 rounder, one per (format,
+        rounding) of a truncating rounder, one per counted context — into
+        one ``(nblocks, nx, ny)`` batched kernel invocation with per-block
+        ``dx``/``dy`` (:meth:`_advance_batched`; element-wise ufuncs are
+        independent per slot, so the batched update is bit-identical to
+        the per-block loop).  Everything else — instrumented, shadow and
+        error-tracking contexts — takes the per-block op-by-op
+        :meth:`advance_block`.  Every update reads only its own block, so
+        each group writes its interiors back to the store as soon as it is
+        computed.
         """
+        check_guard_cells(self.reconstruction, grid.ng)
         max_level = grid.finest_level
         plan = grid.topology_plan()
         contexts = [provider(self.module, key[0], max_level) for key in plan.keys]
@@ -338,6 +306,7 @@ class HydroSolver:
         # replay), ranked by first appearance so the order is stable
         batched: Dict[tuple, list] = {}
         counted_rank: Dict[int, int] = {}
+        singles = []
         for i, ctx in enumerate(contexts):
             if ctx.ledger:
                 rank = counted_rank.setdefault(id(ctx), len(counted_rank))
@@ -349,14 +318,12 @@ class HydroSolver:
             elif q is not None:
                 sig = ("trunc", q.fmt.exp_bits, q.fmt.man_bits, q.rounding)
                 batched.setdefault(sig, []).append(i)
-        # a single block gains nothing from stacking
-        batched = {sig: group for sig, group in batched.items() if len(group) > 1}
+            else:
+                singles.append(i)
 
         for sig in sorted(batched):
             group = batched[sig]
             self._advance_batched(grid, group, dt, ctx=contexts[group[0]])
-        in_batch = {i for group in batched.values() for i in group}
-        singles = [i for i in range(len(plan.keys)) if i not in in_batch]
         if singles:
             new = [self.advance_block(grid.leaves[plan.keys[i]], dt, contexts[i]) for i in singles]
             grid.scatter_interior(PRIMITIVE_VARS, plan.slots[singles],
@@ -364,31 +331,40 @@ class HydroSolver:
         grid.fill_guard_cells(PRIMITIVE_VARS)
 
     def _advance_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> None:
-        """Advance fused blocks of any levels as one stacked kernel invocation.
+        """Advance fused or counted blocks of any levels as one stacked
+        :func:`repro.kernels.flux.advance` call.
 
         ``group`` holds positions in the grid's topology plan; the blocks'
         primitives are gathered from the store into one
         ``(4, nblocks, nx, ny)`` stack and the new interiors scattered back.
         Each slot gets its own ``dx``/``dy`` as a ``(nblocks, 1, 1)``
         array — block bounds make the spacing differ in the last bit even
-        within a level on non-dyadic root grids.  ``ctx`` is the (shared)
-        context of the group, which picks the pipeline's rounder.  A
-        counted context replays its per-block ledger
-        once per stacked block, so scalar and broadcast operands are
-        charged per block exactly as on the per-block instrumented path.
+        within a level on non-dyadic root grids.  The pipeline runs with
+        the rounder of ``ctx``, the group's shared context; a counted one
+        first replays its per-block ledger once per stacked block, so
+        scalar and broadcast operands are charged per block exactly as on
+        the op-by-op path, and computes with its fused twin's rounder.
         """
         plan = grid.topology_plan()
         slots = plan.slots[group]
         first = grid.leaves[plan.keys[group[0]]]
         shape = (len(PRIMITIVE_VARS), len(group), *first.shape_with_guards)
         prims = grid.stack(PRIMITIVE_VARS, slots, out=buffer(self._workspace, ("stack",), shape))
-        dx = plan.dx[group].reshape(-1, 1, 1)
-        dy = plan.dy[group].reshape(-1, 1, 1)
         if ctx.ledger:
             self._block_ledger(first, ctx).replay(ctx.runtime, times=len(group))
             ctx = ctx.fused_twin()
-        q = ctx.rounder(self._workspace)
-        new = self._advance_fused(prims, dt, dx, dy, first.ng, first.nxb, first.nyb, q)
+        new = fused_flux.advance(
+            prims, dt, plan.dx[group].reshape(-1, 1, 1), plan.dy[group].reshape(-1, 1, 1),
+            first.ng, first.nxb, first.nyb,
+            scheme=self.reconstruction,
+            solver=self.riemann,
+            gamma=self.eos.gamma,
+            dens_floor=self.eos.density_floor,
+            pres_floor=self.eos.pressure_floor,
+            gravity=self.gravity,
+            ws=self._workspace,
+            q=ctx.rounder(self._workspace),
+        )
         grid.scatter_interior(PRIMITIVE_VARS, slots, [new[name] for name in PRIMITIVE_VARS])
 
     def _conserved(self, prims: np.ndarray) -> Dict[str, np.ndarray]:

@@ -95,7 +95,7 @@ class LevelSet:
     curvature, reinitialisation) are the scratch-buffered kernels of
     :mod:`repro.kernels.bubble`; ``ws`` is the owning solver's
     :class:`~repro.kernels.scratch.Workspace` (``None`` allocates fresh
-    arrays, same bits).  Transport runs through the context it is given.
+    arrays, same bits).  Transport runs op by op through its context.
     """
 
     def __init__(
@@ -169,14 +169,9 @@ class LevelSet:
         dt: float,
         ctx: Optional[FPContext] = None,
     ) -> None:
-        """Advance phi by one advection step ``phi_t + u . grad(phi) = 0``."""
+        """Advance phi by one advection step ``phi_t + u . grad(phi) = 0``,
+        op by op through ``ctx`` (the bubble solver runs the fused twin)."""
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
-        q = ctx.rounder(self._ws)
-        if q is not None:
-            self.phi = kbubble.levelset_advect(
-                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv"), q=q
-            )
-            return
         phi = ctx.const(self.phi)
         dpx = self._upwind_derivative(phi, velx, self.dx, 0, ctx)
         dpy = self._upwind_derivative(phi, vely, self.dy, 1, ctx)

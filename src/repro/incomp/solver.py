@@ -175,14 +175,10 @@ class BubbleSolver:
             "adv:weno_deriv",
         )
 
-    def _upwind_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext, which: str = "f"):
+    def _upwind_derivative(self, f: np.ndarray, vel: np.ndarray, spacing: float, axis: int, ctx: FPContext):
+        """First-order upwind d f / d axis, op by op through ``ctx`` (fused
+        contexts take the kernel in :meth:`advection_term`)."""
         padded = self._pad(f, 1, "upwind")
-        q = ctx.rounder(self._workspace)
-        if q is not None:
-            return kbubble.upwind_derivative(
-                f, vel, spacing, axis, "edge", padded,
-                ws=self._workspace, key=("uadv", which, axis), q=q,
-            )
         return upwind_derivative(f, vel, spacing, axis, ctx, boundary="edge", padded=padded)
 
     def _counted(self, key: tuple, ctx: FPContext, run: Callable[[FPContext], object]) -> FPContext:
@@ -202,35 +198,39 @@ class BubbleSolver:
     def advection_term(self, f: np.ndarray, ctx: FPContext, which: str = "f") -> np.ndarray:
         """u . grad(f) with the configured scheme, through ``ctx``.
 
-        Fused contexts run the WENO5 scheme as one stacked edge
+        Fused contexts run the whole operator on the kernels of
+        :mod:`repro.kernels.bubble` — the WENO5 scheme as one stacked edge
         reconstruction of both axis derivatives
-        (:func:`repro.kernels.bubble.weno5_derivative_pair`) — bit-identical
+        (:func:`~repro.kernels.bubble.weno5_derivative_pair`), bit-identical
         per batch row to the op-by-op :meth:`_weno5_derivative`."""
         ctx = self._counted(
             ("advection", self.config.advection_scheme, f.shape, which), ctx,
             lambda twin: self.advection_term(f, twin, which),
         )
+        cfg = self.config
         q = ctx.rounder(self._workspace)
-        if q is not None and self.config.advection_scheme == "weno5":
-            cfg = self.config
+        if q is not None:
             ws = self._workspace
-            padded = self._pad(f, 3, "weno")
-            fx, fy = kbubble.weno5_derivative_pair(
-                padded, self.velx, self.vely, cfg.dx, cfg.dy, ws=ws, key=("adv", which), q=q,
-            )
+            if cfg.advection_scheme == "weno5":
+                fx, fy = kbubble.weno5_derivative_pair(
+                    self._pad(f, 3, "weno"), self.velx, self.vely, cfg.dx, cfg.dy,
+                    ws=ws, key=("adv", which), q=q,
+                )
+            else:
+                padded = self._pad(f, 1, "upwind")
+                fx = kbubble.upwind_derivative(f, self.velx, cfg.dx, 0, "edge", padded,
+                                               ws=ws, key=("uadv", which, 0), q=q)
+                fy = kbubble.upwind_derivative(f, self.vely, cfg.dy, 1, "edge", padded,
+                                               ws=ws, key=("uadv", which, 1), q=q)
             return kbubble.advection_term(
                 fx, fy, self.velx, self.vely, ws=ws, key=("adv", which), q=q
             )
-        if self.config.advection_scheme == "weno5":
-            fx = self._weno5_derivative(f, self.velx, self.config.dx, 0, ctx)
-            fy = self._weno5_derivative(f, self.vely, self.config.dy, 1, ctx)
+        if cfg.advection_scheme == "weno5":
+            fx = self._weno5_derivative(f, self.velx, cfg.dx, 0, ctx)
+            fy = self._weno5_derivative(f, self.vely, cfg.dy, 1, ctx)
         else:
-            fx = self._upwind_derivative(f, self.velx, self.config.dx, 0, ctx, which)
-            fy = self._upwind_derivative(f, self.vely, self.config.dy, 1, ctx, which)
-        if q is not None:
-            return kbubble.advection_term(
-                fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which), q=q
-            )
+            fx = self._upwind_derivative(f, self.velx, cfg.dx, 0, ctx)
+            fy = self._upwind_derivative(f, self.vely, cfg.dy, 1, ctx)
         out = ctx.add(
             ctx.mul(ctx.const(self.velx), fx, "adv:u_fx"),
             ctx.mul(ctx.const(self.vely), fy, "adv:v_fy"),

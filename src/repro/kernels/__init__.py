@@ -32,10 +32,10 @@ Every fused kernel is written once, against a rounder ``q``
 (:mod:`repro.kernels.trunc`): :data:`~repro.kernels.trunc.EXACT`, the
 identity, evaluates its binary64 op tree; a ``Round`` rounds each op
 result to a format.  The precision is swapped underneath one physics
-source, as RAPTOR swaps each instruction for an emulated one.  A call
-site takes ``q = ctx.rounder(ws)`` and runs the fused kernel when it is
-not None; a counted context (``ctx.ledger``) first replays its ledger and
-computes on ``ctx.fused_twin()``.
+source, as RAPTOR swaps each instruction for an emulated one.  A solver
+operator takes ``q = ctx.rounder(ws)`` once and runs its fused kernels
+when it is not None (its helpers compute op by op); a counted context
+(``ctx.ledger``) first replays its ledger and uses ``ctx.fused_twin()``.
 
 Alongside the context planes, :mod:`repro.kernels.grid` holds the
 context-free *grid* side — the slot-index topology plan that fills guard
@@ -67,9 +67,6 @@ from . import bubble, flux, fused, grid, ledger, scratch, trunc
 from .dispatch import (
     DEFAULT_PLANE,
     PLANES,
-    is_fast_eligible,
-    is_ledger_eligible,
-    is_trunc_fast_eligible,
     select_context,
     validate_plane,
 )
@@ -103,8 +100,5 @@ __all__ = [
     "PLANES",
     "DEFAULT_PLANE",
     "validate_plane",
-    "is_fast_eligible",
-    "is_trunc_fast_eligible",
-    "is_ledger_eligible",
     "select_context",
 ]

@@ -55,7 +55,6 @@ __all__ = [
     "FUSED_SOLVERS",
     "eos_sound_speed",
     "eos_internal_energy",
-    "eos_pressure_from_internal_energy",
     "eos_total_energy",
     "eos_pressure_from_total_energy",
     "davis_wave_speeds",
@@ -96,19 +95,6 @@ def eos_internal_energy(dens, pres, gamma: float, ws=None, key=("eint",), *, q=E
     q(denom)
     np.divide(pres, denom, out=denom)
     return q(denom)
-
-
-def eos_pressure_from_internal_energy(dens, eint, gamma: float, pressure_floor: float,
-                                      ws=None, key=("pei",), *, q=EXACT):
-    """p = max((gamma - 1) rho e_int, floor), fused."""
-    o = _o(ws)
-    shp = np.broadcast_shapes(np.shape(dens), np.shape(eint))
-    rho_e = np.multiply(dens, eint, out=o((*key, "rho_e"), shp))
-    q(rho_e)
-    pres = np.multiply(q.const(gamma - 1.0), rho_e, out=rho_e)
-    q(pres)
-    # maximum of two representable values is quantise-closed
-    return np.maximum(pres, q.const(pressure_floor), out=pres)
 
 
 def eos_total_energy(dens, velx, vely, pres, gamma: float, ws=None, key=("etot",),

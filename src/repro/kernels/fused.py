@@ -19,10 +19,11 @@ arrays, so results are bit-identical with or without a workspace.  Callers
 that keep both returned arrays of several stencil invocations alive at once
 must hand each invocation a distinct ``key``.
 
-Consumers run them with the rounder of the active context
-(``ctx.rounder()``); instrumented and counted contexts have none and keep
-the op-by-op path (they must, since every operation feeds the counters).  The full Riemann/EOS flux pipeline built on top of
-these stencils lives in :mod:`repro.kernels.flux`.
+Their consumers are whole operators — the fused block update
+:func:`repro.kernels.flux.advance` and the bubble's advection — run with
+the rounder of the operator's context (``ctx.rounder()``); the full
+Riemann/EOS flux pipeline built on top of these stencils lives in
+:mod:`repro.kernels.flux`.
 """
 from __future__ import annotations
 

@@ -9,7 +9,9 @@ bit: one Python strip per (leaf, side, variable), the 2-D ``prolong`` /
 estimator call per block.
 
 :func:`substep_per_block` is the per-block twin of the hydro solver's
-stacked substep: one ``advance_block`` call per leaf, then a scatter.
+stacked substep: one op-by-op ``advance_block`` call per leaf, then a
+scatter; :func:`advance_alone` runs the solver's fused or counted update
+of a single leaf.
 
 Besides the functions, :func:`swapped` is a context manager that routes
 ``AMRGrid.fill_guard_cells``, ``AMRGrid._estimate_errors`` and
@@ -20,6 +22,7 @@ and the grid-plane tests do).
 from __future__ import annotations
 
 import contextlib
+import copy
 from typing import List
 
 import numpy as np
@@ -190,9 +193,9 @@ def compute_dt(solver, grid) -> float:
 
 
 def substep_per_block(solver, grid, dt: float, provider) -> None:
-    """``HydroSolver._substep`` one block at a time: every leaf advanced
-    through ``advance_block`` under its own context, the new interiors
-    scattered back to the store, the guard cells refilled."""
+    """``HydroSolver._substep`` one block at a time: every leaf advanced op
+    by op through ``advance_block`` under its own context, the new
+    interiors scattered back to the store, the guard cells refilled."""
     plan = grid.topology_plan()
     max_level = grid.finest_level
     new = [solver.advance_block(grid.leaves[key], dt, provider(solver.module, key[0], max_level))
@@ -200,6 +203,16 @@ def substep_per_block(solver, grid, dt: float, provider) -> None:
     grid.scatter_interior(PRIMITIVE_VARS, plan.slots,
                           [[prims[name] for prims in new] for name in PRIMITIVE_VARS])
     grid.fill_guard_cells(PRIMITIVE_VARS)
+
+
+def advance_alone(solver, grid, block, dt: float, ctx) -> dict:
+    """The solver's update of ``block`` alone under ``ctx`` — the one-block
+    ``_advance_batched`` group ``_substep`` runs for a lone fused or
+    counted block — on a copy of ``grid``.  Returns the block's new
+    interior primitives."""
+    grid = copy.deepcopy(grid)
+    solver._advance_batched(grid, [grid.topology_plan().keys.index(block.key)], dt, ctx)
+    return {name: grid.leaves[block.key].interior_view(name).copy() for name in PRIMITIVE_VARS}
 
 
 def estimate_errors(grid, refine_vars, estimator) -> dict:

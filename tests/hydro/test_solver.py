@@ -66,6 +66,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HydroSolver(rk_stages=3)
 
+    @pytest.mark.parametrize("config, message", [
+        (dict(reconstruction="nope"), "unknown reconstruction scheme 'nope'"),
+        (dict(reconstruction="weno5", ng=2), "weno5 needs at least 3 guard cells"),
+        (dict(reconstruction="plm", ng=1), "plm needs at least 2 guard cells"),
+    ])
+    def test_bad_scheme_or_guard_width_fails_alike_on_every_plane(self, config, message):
+        """A bad scheme or a guard width too narrow for it is one
+        ``ValueError`` on every plane, raised before any block moves."""
+        from repro.kernels import PLANES
+        from repro.workloads import create_workload
+
+        for plane in PLANES:
+            workload = create_workload("sod", nxb=8, nyb=8, n_root_x=2, n_root_y=2,
+                                       max_level=1, t_end=0.004, **config)
+            with pytest.raises(ValueError) as excinfo:
+                workload.reference(plane=plane)
+            assert str(excinfo.value) == message, plane
+
 
 class TestTimestep:
     def test_dt_positive_and_cfl_scaled(self):

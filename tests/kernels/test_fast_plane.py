@@ -33,7 +33,6 @@ from repro.kernels import (
     PLANES,
     FastPlaneContext,
     fused,
-    is_fast_eligible,
     select_context,
     validate_plane,
 )
@@ -137,11 +136,9 @@ class TestPlaneSelection:
         for plane in PLANES:
             ctx = select_context(truncated, plane)
             assert ctx.truncating and ctx.count_ops and ctx.track_memory
-            assert not is_fast_eligible(ctx)
+            assert not isinstance(ctx, FastPlaneContext) and ctx.rounder() is None
             assert select_context(shadow, plane) is shadow
         assert select_context(truncated, "instrumented") is truncated
-        assert not is_fast_eligible(truncated)
-        assert not is_fast_eligible(shadow)
 
     def test_auto_keeps_counting_contexts_counting(self):
         rt = RaptorRuntime()
@@ -201,12 +198,12 @@ class TestFusedStencils:
         np.testing.assert_array_equal(right_f, right_s)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_reconstruct_dispatches_to_fused_on_fast_plane(self, field2d, scheme):
+    def test_fused_stencil_with_the_fast_rounder_matches_reconstruct(self, field2d, scheme):
         slow = FullPrecisionContext(runtime=RaptorRuntime())
-        fast = FastPlaneContext()
+        q = FastPlaneContext().rounder()
         for axis in (0, 1):
             left_s, right_s = reconstruct(field2d, axis, 3, 8, slow, scheme)
-            left_f, right_f = reconstruct(field2d, axis, 3, 8, fast, scheme)
+            left_f, right_f = fused.FUSED_SCHEMES[scheme](field2d, axis, 3, 8, q=q)
             np.testing.assert_array_equal(left_f, left_s)
             np.testing.assert_array_equal(right_f, right_s)
 

@@ -20,12 +20,16 @@ The load-bearing contracts:
   data — including Newton solves that converge at once, midway or never;
 * whole sweeps and cliff searches over all seven workloads produce
   identical metrics and snapshots on the instrumented and counted planes;
-* the rounder-selection rule: helper-level call sites (the gamma-law EOS,
-  the Riemann solvers, ``reconstruct``, the bubble derivatives) run the
-  fused kernels only with the context's ``rounder()`` — ``EXACT`` on
+* the rounder-selection rule: only solver operators choose a plane.
+  Helper-level call sites (the gamma-law EOS, the Riemann solvers and
+  wave speeds, ``reconstruct``, ``LevelSet.advect``, the bubble's upwind
+  derivative) compute op by op on every context, fused ones included, and
+  their fused twins run with ``EXACT`` or a ``Round`` reproduce them bit
+  for bit; an operator (``BubbleSolver.advection_term``) runs its fused
+  kernels with the context's ``rounder()`` — ``EXACT`` on
   ``FastPlaneContext``, a ``Round`` of the context's format on
-  ``TruncFastPlaneContext`` — while a counted context, whose rounder is
-  None, counts them op by op.
+  ``TruncFastPlaneContext`` — and a counted context, whose rounder is
+  None, replays the operator's ledger and runs them with its fused twin's.
 """
 import functools
 
@@ -53,11 +57,13 @@ from repro.core import (
 )
 from repro.eos import HelmholtzTable, NewtonSolverConfig, invert_energy, newton
 from repro.experiments import PolicySpec, SweepSpec, find_cliff, run_sweep
+from repro.hydro import riemann
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.reconstruction import reconstruct
 from repro.hydro.riemann import SOLVERS
 from repro.hydro.solver import PRIMITIVE_VARS, HydroSolver
 from repro.incomp import BubbleConfig, BubbleSolver
+from repro.incomp.levelset import LevelSet
 from repro.kernels import (
     FastPlaneContext,
     LedgerFullContext,
@@ -65,7 +71,6 @@ from repro.kernels import (
     Workspace,
     flux,
     fused,
-    is_ledger_eligible,
     ledger,
     select_context,
 )
@@ -158,19 +163,25 @@ class TestLedgerRecords:
 # plane selection
 # ---------------------------------------------------------------------------
 class TestLedgerSelection:
-    def test_eligibility_predicate(self):
-        assert is_ledger_eligible(_counting())
-        assert is_ledger_eligible(_counting(count_ops=False))  # bytes only
-        assert is_ledger_eligible(FullPrecisionContext(runtime=RaptorRuntime()))
-        assert not is_ledger_eligible(_counting(track_errors=True))
-        assert not is_ledger_eligible(_counting(optimized=False))
-        assert not is_ledger_eligible(_counting(count_ops=False, track_memory=False))
-        assert not is_ledger_eligible(
-            FullPrecisionContext(runtime=RaptorRuntime(), count_ops=False, track_memory=False)
-        )
-        shadow = ShadowContext.from_config(TruncationConfig(targets={64: BF16}),
-                                           runtime=RaptorRuntime())
-        assert not is_ledger_eligible(shadow)
+    def test_only_counting_optimized_contexts_ride_the_counted_plane(self):
+        for src, kind in (
+            (_counting(), LedgerTruncatedContext),
+            (_counting(count_ops=False), LedgerTruncatedContext),  # bytes only
+            (FullPrecisionContext(runtime=RaptorRuntime()), LedgerFullContext),
+        ):
+            ctx = select_context(src, "auto")
+            assert type(ctx) is kind and ctx.ledger and ctx.rounder() is None
+        for src in (_counting(track_errors=True), _counting(optimized=False),
+                    ShadowContext.from_config(TruncationConfig(targets={64: BF16}),
+                                              runtime=RaptorRuntime())):
+            ctx = select_context(src, "auto")
+            assert ctx is src and not ctx.ledger
+        silent = (_counting(count_ops=False, track_memory=False),
+                  FullPrecisionContext(runtime=RaptorRuntime(), count_ops=False,
+                                       track_memory=False))
+        for src, kind in zip(silent, (TruncFastPlaneContext, FastPlaneContext)):
+            ctx = select_context(src, "auto")
+            assert type(ctx) is kind and not ctx.ledger and ctx.rounder() is not None
 
     @pytest.mark.parametrize("plane", ["auto"])
     def test_counting_truncating_context_moves_with_its_flags(self, plane):
@@ -221,10 +232,12 @@ class TestLedgerSelection:
 # ---------------------------------------------------------------------------
 # the hydro block update
 # ---------------------------------------------------------------------------
-def _assert_update_identical(solver, block, src, dt=1e-4):
+def _assert_update_identical(solver, grid, block, src, dt=1e-4):
+    """The op-by-op update of ``block`` under ``src`` against the solver's
+    counted update of it alone: same bits, byte-identical snapshots."""
     counted = _counted(src)
     slow = solver.advance_block(block, dt, src)
-    fast = solver.advance_block(block, dt, counted)
+    fast = grid_oracle.advance_alone(solver, grid, block, dt, counted)
     for name in PRIMITIVE_VARS:
         np.testing.assert_array_equal(fast[name], slow[name], err_msg=name)
     assert counted.runtime.snapshot() == src.runtime.snapshot()
@@ -240,29 +253,29 @@ class TestCountedAdvance:
     @pytest.mark.parametrize("riemann", ["hll", "hllc", "hlle"])
     def test_advance_block_identical(self, grid, scheme, riemann):
         solver = HydroSolver(reconstruction=scheme, riemann=riemann, rk_stages=1)
-        _assert_update_identical(solver, grid.blocks()[0], _counting())
+        _assert_update_identical(solver, grid, grid.blocks()[0], _counting())
 
     @pytest.mark.parametrize("rounding", list(RoundingMode.ALL))
     def test_advance_block_all_roundings(self, grid, rounding):
-        _assert_update_identical(HydroSolver(rk_stages=1), grid.blocks()[1],
+        _assert_update_identical(HydroSolver(rk_stages=1), grid, grid.blocks()[1],
                                  _counting(BF16, rounding))
 
     @pytest.mark.parametrize("gravity", [(0.3, -1.0), (0.0, -1.0), (0.5, 0.0)])
     def test_advance_block_with_gravity(self, grid, gravity):
         _assert_update_identical(HydroSolver(rk_stages=1, gravity=gravity),
-                                 grid.blocks()[0], _counting())
+                                 grid, grid.blocks()[0], _counting())
 
     def test_advance_block_binary64_and_bytes_only(self, grid):
         solver = HydroSolver(rk_stages=1)
         block = grid.blocks()[0]
-        _assert_update_identical(solver, block,
+        _assert_update_identical(solver, grid, block,
                                  FullPrecisionContext(runtime=RaptorRuntime(), module="hydro"))
-        _assert_update_identical(solver, block, _counting(count_ops=False))
+        _assert_update_identical(solver, grid, block, _counting(count_ops=False))
 
     def test_other_block_shapes(self):
         grid = create_workload("sod", nxb=6, nyb=10, n_root_x=1, n_root_y=2,
                                max_level=1, t_end=0.01, rk_stages=1).build_grid()
-        _assert_update_identical(HydroSolver(rk_stages=1), grid.blocks()[0], _counting())
+        _assert_update_identical(HydroSolver(rk_stages=1), grid, grid.blocks()[0], _counting())
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -273,13 +286,13 @@ class TestCountedAdvance:
         rng = np.random.default_rng(seed)
         block = grid.blocks()[0]
         for name in PRIMITIVE_VARS:
-            block.data[name] = rng.normal(size=block.shape_with_guards)
+            block.data[name][...] = rng.normal(size=block.shape_with_guards)
         with np.errstate(all="ignore"):
             src = _counting()
             solver = HydroSolver(rk_stages=1)
             solver.advance_block(block, 1e-3, src)
             counted = _counted(_counting())
-            solver.advance_block(block, 1e-3, counted)
+            grid_oracle.advance_alone(solver, grid, block, 1e-3, counted)
         assert counted.runtime.snapshot() == src.runtime.snapshot()
 
     def test_ledger_is_recorded_once_per_signature(self, monkeypatch):
@@ -733,29 +746,35 @@ class TestCountedScenarios:
 
 
 # ---------------------------------------------------------------------------
-# the rounder-selection rule of the helper-level call sites
+# the rounder-selection rule: helpers op by op, operators choose the plane
 # ---------------------------------------------------------------------------
-#: the helper-level call sites, by name
+#: the helper-level call sites, by name: op by op on every context
 HELPER_SITES = (
-    "eos.sound_speed", "eos.internal_energy_from_pressure",
-    "eos.pressure_from_internal_energy", "eos.total_energy",
+    "eos.sound_speed", "eos.internal_energy_from_pressure", "eos.total_energy",
     "eos.pressure_from_total_energy",
+    "riemann.davis_wave_speeds", "riemann.einfeldt_wave_speeds",
     *(f"riemann.{name}" for name in sorted(SOLVERS)),
     *(f"reconstruct.{scheme}" for scheme in sorted(fused.FUSED_SCHEMES)),
-    "bubble._upwind_derivative", "bubble.advection_term",
+    "levelset.advect", "bubble._upwind_derivative",
 )
 
-#: sites that charge a counted context the whole operator's ledger and run
-#: its fused twin (the bubble's WENO5 advection is reached only through its
-#: operator, ``BubbleSolver.advection_term``)
-OPERATOR_SITES = ("bubble.advection_term",)
+#: operator sites: they charge a counted context the whole operator's
+#: ledger and run its fused kernels with the rounder of the context (of
+#: its fused twin when counted)
+OPERATOR_SITES = ("bubble.advection_term.weno5", "bubble.advection_term.upwind")
+
+#: the three rounders every fused helper kernel is pinned under: binary64,
+#: nearest-even and one directed mode
+ROUNDER_KINDS = ("b64", RoundingMode.NEAREST_EVEN, RoundingMode.UP)
 
 
 @functools.lru_cache(maxsize=None)
-def _helper_sites():
-    """``name -> (owner, attribute, call)`` per helper-level call site:
-    ``call(ctx)`` evaluates the site, which dispatches to ``owner.attribute``
-    (a module or a dict) on a fused fast plane."""
+def _sites():
+    """``name -> (owner, attribute, call, kernel)`` per call site:
+    ``call(ctx)`` evaluates the site through ``ctx``; ``owner.attribute``
+    (a module or a dict) is the fused kernel it must never reach from a
+    helper, and ``kernel(q)`` runs that kernel directly with rounder ``q``
+    (None at operator sites)."""
     rng = np.random.default_rng(17)
     rep = lambda a: np.asarray(quantize(a, E8M10))
     dens, pres = rep(rng.uniform(0.1, 2.0, 24)), rep(rng.uniform(0.1, 2.0, 24))
@@ -763,38 +782,72 @@ def _helper_sites():
     momx, momy = rep(dens * velx), rep(dens * vely)
     ener = rep(rng.uniform(2.0, 4.0, 24))
     eos = GammaLawEOS()
+    g, pf, df = eos.gamma, eos.pressure_floor, eos.density_floor
     face = lambda: {"dens": rep(rng.uniform(0.1, 2.0, 24)), "velx": rep(rng.normal(size=24)),
                     "vely": rep(rng.normal(size=24)), "pres": rep(rng.uniform(0.1, 2.0, 24))}
     left, right = face(), face()
     field = rep(rng.normal(size=(16, 16)) + 2.0)
+    phi = rep(rng.normal(size=(12, 14)))
+    phi_vx, phi_vy = rep(rng.normal(size=(12, 14))), rep(rng.normal(size=(12, 14)))
     solver, _ = _bubble_solver("weno5", 3)
+    upwind, _ = _bubble_solver("upwind", 3)
     bfield, bvel = rep(solver.velx), rep(solver.vely)
+
+    def advect(ctx):
+        ls = LevelSet(phi, 0.1, 0.2)
+        ls.advect(phi_vx, phi_vy, 1e-2, ctx)
+        return ls.phi
+
     sites = [
         ("eos.sound_speed", flux, "eos_sound_speed",
-         lambda c: eos.sound_speed(dens, pres, c)),
+         lambda c: eos.sound_speed(dens, pres, c),
+         lambda q: flux.eos_sound_speed(dens, pres, g, q=q)),
         ("eos.internal_energy_from_pressure", flux, "eos_internal_energy",
-         lambda c: eos.internal_energy_from_pressure(dens, pres, c)),
-        ("eos.pressure_from_internal_energy", flux, "eos_pressure_from_internal_energy",
-         lambda c: eos.pressure_from_internal_energy(dens, pres, c)),
+         lambda c: eos.internal_energy_from_pressure(dens, pres, c),
+         lambda q: flux.eos_internal_energy(dens, pres, g, q=q)),
         ("eos.total_energy", flux, "eos_total_energy",
-         lambda c: eos.total_energy(dens, velx, vely, pres, c)),
+         lambda c: eos.total_energy(dens, velx, vely, pres, c),
+         lambda q: flux.eos_total_energy(dens, velx, vely, pres, g, q=q)),
         ("eos.pressure_from_total_energy", flux, "eos_pressure_from_total_energy",
-         lambda c: eos.pressure_from_total_energy(dens, momx, momy, ener, c)),
+         lambda c: eos.pressure_from_total_energy(dens, momx, momy, ener, c),
+         lambda q: flux.eos_pressure_from_total_energy(dens, momx, momy, ener, g, pf, df, q=q)),
+        ("riemann.davis_wave_speeds", flux, "davis_wave_speeds",
+         lambda c: riemann._wave_speeds(left, right, eos, c),
+         lambda q: flux.davis_wave_speeds(left, right, g, q=q)),
+        ("riemann.einfeldt_wave_speeds", flux, "einfeldt_wave_speeds",
+         lambda c: riemann._einfeldt_wave_speeds(left, right, eos, c),
+         lambda q: flux.einfeldt_wave_speeds(left, right, g, q=q)),
     ]
     for name in sorted(SOLVERS):
-        sites.append((f"riemann.{name}", flux, f"{name}_flux",
-                      lambda c, name=name: SOLVERS[name](left, right, eos, c)))
+        sites.append((f"riemann.{name}", flux.FUSED_SOLVERS, name,
+                      lambda c, name=name: SOLVERS[name](left, right, eos, c),
+                      lambda q, name=name: flux.FUSED_SOLVERS[name](left, right, g, q=q)))
     for scheme in sorted(fused.FUSED_SCHEMES):
         sites.append((f"reconstruct.{scheme}", fused.FUSED_SCHEMES, scheme,
-                      lambda c, scheme=scheme: reconstruct(field, 1, 3, 9, c, scheme)))
+                      lambda c, scheme=scheme: reconstruct(field, 1, 3, 9, c, scheme),
+                      lambda q, scheme=scheme: fused.FUSED_SCHEMES[scheme](field, 1, 3, 9, q=q)))
     sites += [
+        ("levelset.advect", kbubble, "levelset_advect", advect,
+         lambda q: kbubble.levelset_advect(phi, phi_vx, phi_vy, 1e-2, 0.1, 0.2, q=q)),
         ("bubble._upwind_derivative", kbubble, "upwind_derivative",
-         lambda c: solver._upwind_derivative(bfield, bvel, 0.1, 0, c, "u")),
-        ("bubble.advection_term", kbubble, "weno5_derivative_pair",
-         lambda c: solver.advection_term(bfield, c, "v")),
+         lambda c: solver._upwind_derivative(bfield, bvel, 0.1, 0, c),
+         lambda q: kbubble.upwind_derivative(bfield, bvel, 0.1, 0, "edge",
+                                             solver._pad(bfield, 1, "upwind"), q=q)),
+        ("bubble.advection_term.weno5", kbubble, "weno5_derivative_pair",
+         lambda c: solver.advection_term(bfield, c, "v"), None),
+        ("bubble.advection_term.upwind", kbubble, "upwind_derivative",
+         lambda c: upwind.advection_term(bfield, c, "v"), None),
     ]
-    assert tuple(name for name, *_ in sites) == HELPER_SITES
-    return {name: (owner, attr, call) for name, owner, attr, call in sites}
+    assert tuple(name for name, *_ in sites) == HELPER_SITES + OPERATOR_SITES
+    return {name: site for name, *site in sites}
+
+
+def _fused_context(kind):
+    """The fused context of a rounder kind, and the instrumented context
+    whose bits it must reproduce."""
+    if kind == "b64":
+        return FastPlaneContext(), FullPrecisionContext(count_ops=False, track_memory=False)
+    return TruncFastPlaneContext(E8M10, rounding=kind), _counting(rounding=kind)
 
 
 def _spy(monkeypatch, owner, attr):
@@ -814,7 +867,7 @@ def _spy(monkeypatch, owner, attr):
 
 
 def _flat(result):
-    """One array of a site's result (an array, a face-state pair or a flux
+    """One array of a site's result (an array, a pair of arrays or a flux
     dict)."""
     if isinstance(result, dict):
         return np.concatenate([np.ravel(result[k]) for k in sorted(result)])
@@ -823,15 +876,21 @@ def _flat(result):
     return np.ravel(result)
 
 
+def _same_rounder(got, want):
+    if isinstance(want, Round):
+        return isinstance(got, Round) and (got.fmt, got.rounding) == (want.fmt, want.rounding)
+    return got is want
+
+
 class TestRounderSelection:
-    @pytest.mark.parametrize("site", HELPER_SITES)
+    @pytest.mark.parametrize("site", HELPER_SITES + OPERATOR_SITES)
     @pytest.mark.parametrize("kind", ["trunc", "b64"])
     def test_counted_contexts_count_helpers_op_by_op(self, monkeypatch, site, kind):
         """A counted context never takes the fused kernel of a helper-level
         site: it counts every op there, exactly like the instrumented one.
         At an operator site it replays the operator's ledger instead and
-        runs the kernel with its fused twin's rounder."""
-        owner, attr, call = _helper_sites()[site]
+        runs the kernels with its fused twin's rounder."""
+        owner, attr, call, _ = _sites()[site]
         src = _counting() if kind == "trunc" else FullPrecisionContext(runtime=RaptorRuntime())
         counted = _counted(src)
         rounders = _spy(monkeypatch, owner, attr)
@@ -840,9 +899,7 @@ class TestRounderSelection:
             got = _flat(call(counted))
         if site in OPERATOR_SITES:
             twin = counted.fused_twin().rounder()
-            assert len(rounders) == 1 and type(rounders[0]) is type(twin)
-            if isinstance(twin, Round):
-                assert (rounders[0].fmt, rounders[0].rounding) == (twin.fmt, twin.rounding)
+            assert rounders and all(_same_rounder(r, twin) for r in rounders)
         else:
             assert rounders == []
         assert np.array_equal(_bits(got), _bits(want))
@@ -851,24 +908,41 @@ class TestRounderSelection:
         assert (src.runtime.ops.total > 0) == (site != "reconstruct.pcm")
 
     @pytest.mark.parametrize("site", HELPER_SITES)
-    @pytest.mark.parametrize("rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.UP])
-    def test_fast_contexts_take_the_rounder_path(self, monkeypatch, site, rounding):
-        owner, attr, call = _helper_sites()[site]
+    @pytest.mark.parametrize("kind", ROUNDER_KINDS)
+    def test_helpers_compute_op_by_op_on_fused_contexts(self, monkeypatch, site, kind):
+        """A helper never chooses a plane: on a fused context it computes
+        op by op, the same bits as on the instrumented context."""
+        owner, attr, call, _ = _sites()[site]
         rounders = _spy(monkeypatch, owner, attr)
-        fast_b64 = FastPlaneContext()
+        fast, slow = _fused_context(kind)
         with np.errstate(all="ignore"):
-            want = _flat(call(FullPrecisionContext(count_ops=False, track_memory=False)))
-            got = _flat(call(fast_b64))
-        assert rounders == [EXACT]
+            want = _flat(call(slow))
+            got = _flat(call(fast))
+        assert rounders == []
         assert np.array_equal(_bits(got), _bits(want))
 
-        rounders.clear()
-        fast_trunc = TruncFastPlaneContext(E8M10, rounding=rounding)
+    @pytest.mark.parametrize("site", HELPER_SITES)
+    @pytest.mark.parametrize("kind", ROUNDER_KINDS)
+    def test_fused_kernels_reproduce_their_helpers(self, site, kind):
+        """Every helper's fused twin, run with a fused context's rounder,
+        gives the bits of the helper on the instrumented context."""
+        _, _, call, kernel = _sites()[site]
+        fast, slow = _fused_context(kind)
         with np.errstate(all="ignore"):
-            want = _flat(call(_counting(rounding=rounding)))
-            got = _flat(call(fast_trunc))
-        assert len(rounders) == 1 and isinstance(rounders[0], Round)
-        assert (rounders[0].fmt, rounders[0].rounding) == (E8M10, rounding)
+            want = _flat(call(slow))
+            got = _flat(kernel(fast.rounder()))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("site", OPERATOR_SITES)
+    @pytest.mark.parametrize("kind", ROUNDER_KINDS)
+    def test_operators_take_the_rounder_path(self, monkeypatch, site, kind):
+        owner, attr, call, _ = _sites()[site]
+        rounders = _spy(monkeypatch, owner, attr)
+        fast, slow = _fused_context(kind)
+        with np.errstate(all="ignore"):
+            want = _flat(call(slow))
+            got = _flat(call(fast))
+        assert rounders and all(_same_rounder(r, fast.rounder()) for r in rounders)
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_the_two_predicates(self):
