@@ -23,12 +23,12 @@ sweep axis and return the left/right states at the ``n+1`` interior faces.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from ..kernels import FPContext
 
-__all__ = ["reconstruct", "SCHEMES", "GUARD_CELLS", "check_guard_cells"]
+__all__ = ["reconstruct", "SCHEMES", "GUARD_CELLS", "check_scheme"]
 
 _WENO_EPS = 1e-6
 
@@ -180,10 +180,13 @@ SCHEMES = {"pcm": _pcm, "plm": _plm, "weno5": _weno5}
 GUARD_CELLS = {"pcm": 1, "plm": 2, "weno5": 3}
 
 
-def check_guard_cells(scheme: str, ng: int) -> None:
-    """Raise ``ValueError`` unless ``scheme`` can reconstruct a block with
-    ``ng`` guard cells."""
-    if ng < GUARD_CELLS[scheme]:
+def check_scheme(scheme: str, ng: Optional[int] = None) -> None:
+    """Raise ``ValueError`` unless ``scheme`` is a known reconstruction
+    scheme and, when ``ng`` is given, can reconstruct a block with ``ng``
+    guard cells."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown reconstruction scheme {scheme!r}")
+    if ng is not None and ng < GUARD_CELLS[scheme]:
         raise ValueError(f"{scheme} needs at least {GUARD_CELLS[scheme]} guard cells")
 
 
@@ -213,9 +216,5 @@ def reconstruct(
     scheme:
         "pcm", "plm" or "weno5".
     """
-    try:
-        fn = SCHEMES[scheme]
-    except KeyError as exc:
-        raise ValueError(f"unknown reconstruction scheme {scheme!r}") from exc
-    check_guard_cells(scheme, ng)
-    return fn(u, axis, ng, n_faces_minus_1, ctx)
+    check_scheme(scheme, ng)
+    return SCHEMES[scheme](u, axis, ng, n_faces_minus_1, ctx)

@@ -29,7 +29,7 @@ from ..kernels.ledger import OpLedger, ledger_for
 from ..kernels.scratch import Workspace, buffer
 from ..kernels.trunc import EXACT
 from .eos import GammaLawEOS
-from .reconstruction import SCHEMES, check_guard_cells, reconstruct
+from .reconstruction import check_scheme, reconstruct
 from .riemann import SOLVERS
 
 __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
@@ -90,8 +90,7 @@ class HydroSolver:
         gravity: Tuple[float, float] = (0.0, 0.0),
         module: str = "hydro",
     ) -> None:
-        if reconstruction not in SCHEMES:
-            raise ValueError(f"unknown reconstruction scheme {reconstruction!r}")
+        check_scheme(reconstruction)
         if riemann not in SOLVERS:
             raise ValueError(f"unknown riemann solver {riemann!r}")
         if rk_stages not in (1, 2):
@@ -294,7 +293,7 @@ class HydroSolver:
         each group writes its interiors back to the store as soon as it is
         computed.
         """
-        check_guard_cells(self.reconstruction, grid.ng)
+        check_scheme(self.reconstruction, grid.ng)
         max_level = grid.finest_level
         plan = grid.topology_plan()
         contexts = [provider(self.module, key[0], max_level) for key in plan.keys]

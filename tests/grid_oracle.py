@@ -9,9 +9,10 @@ bit: one Python strip per (leaf, side, variable), the 2-D ``prolong`` /
 estimator call per block.
 
 :func:`substep_per_block` is the per-block twin of the hydro solver's
-stacked substep: one op-by-op ``advance_block`` call per leaf, then a
-scatter; :func:`advance_alone` runs the solver's fused or counted update
-of a single leaf.
+stacked substep: one update per leaf — a one-block fused or counted
+group, or one op-by-op ``advance_block`` call — then a scatter;
+:func:`advance_alone` runs the solver's fused or counted update of a
+single leaf on a copy of the grid.
 
 Besides the functions, :func:`swapped` is a context manager that routes
 ``AMRGrid.fill_guard_cells``, ``AMRGrid._estimate_errors`` and
@@ -193,15 +194,26 @@ def compute_dt(solver, grid) -> float:
 
 
 def substep_per_block(solver, grid, dt: float, provider) -> None:
-    """``HydroSolver._substep`` one block at a time: every leaf advanced op
-    by op through ``advance_block`` under its own context, the new
-    interiors scattered back to the store, the guard cells refilled."""
+    """``HydroSolver._substep`` one block at a time: a leaf whose context
+    runs fused or counted is advanced as a one-block ``_advance_batched``
+    group (a counted one replays its ledger once), every other leaf op by
+    op through ``advance_block``; then the op-by-op interiors are
+    scattered back to the store and the guard cells refilled.  Every
+    update reads only its own block, so the one-block groups may write
+    their interiors back at once, as ``_substep``'s groups do."""
     plan = grid.topology_plan()
     max_level = grid.finest_level
-    new = [solver.advance_block(grid.leaves[key], dt, provider(solver.module, key[0], max_level))
-           for key in plan.keys]
-    grid.scatter_interior(PRIMITIVE_VARS, plan.slots,
-                          [[prims[name] for prims in new] for name in PRIMITIVE_VARS])
+    singles, new = [], []
+    for i, key in enumerate(plan.keys):
+        ctx = provider(solver.module, key[0], max_level)
+        if ctx.ledger or ctx.rounder() is not None:
+            solver._advance_batched(grid, [i], dt, ctx)
+        else:
+            singles.append(i)
+            new.append(solver.advance_block(grid.leaves[key], dt, ctx))
+    if singles:
+        grid.scatter_interior(PRIMITIVE_VARS, plan.slots[singles],
+                              [[prims[name] for prims in new] for name in PRIMITIVE_VARS])
     grid.fill_guard_cells(PRIMITIVE_VARS)
 
 

@@ -758,10 +758,10 @@ HELPER_SITES = (
     "levelset.advect", "bubble._upwind_derivative",
 )
 
-#: operator sites: they charge a counted context the whole operator's
-#: ledger and run its fused kernels with the rounder of the context (of
-#: its fused twin when counted)
-OPERATOR_SITES = ("bubble.advection_term.weno5", "bubble.advection_term.upwind")
+#: operator sites, with how often each calls its fused kernel: they charge
+#: a counted context the whole operator's ledger and run their fused
+#: kernels with the rounder of the context (of its fused twin when counted)
+OPERATOR_SITES = {"bubble.advection_term.weno5": 1, "bubble.advection_term.upwind": 2}
 
 #: the three rounders every fused helper kernel is pinned under: binary64,
 #: nearest-even and one directed mode
@@ -838,7 +838,7 @@ def _sites():
         ("bubble.advection_term.upwind", kbubble, "upwind_derivative",
          lambda c: upwind.advection_term(bfield, c, "v"), None),
     ]
-    assert tuple(name for name, *_ in sites) == HELPER_SITES + OPERATOR_SITES
+    assert tuple(name for name, *_ in sites) == HELPER_SITES + tuple(OPERATOR_SITES)
     return {name: site for name, *site in sites}
 
 
@@ -883,7 +883,7 @@ def _same_rounder(got, want):
 
 
 class TestRounderSelection:
-    @pytest.mark.parametrize("site", HELPER_SITES + OPERATOR_SITES)
+    @pytest.mark.parametrize("site", HELPER_SITES + tuple(OPERATOR_SITES))
     @pytest.mark.parametrize("kind", ["trunc", "b64"])
     def test_counted_contexts_count_helpers_op_by_op(self, monkeypatch, site, kind):
         """A counted context never takes the fused kernel of a helper-level
@@ -899,7 +899,8 @@ class TestRounderSelection:
             got = _flat(call(counted))
         if site in OPERATOR_SITES:
             twin = counted.fused_twin().rounder()
-            assert rounders and all(_same_rounder(r, twin) for r in rounders)
+            assert len(rounders) == OPERATOR_SITES[site]
+            assert all(_same_rounder(r, twin) for r in rounders)
         else:
             assert rounders == []
         assert np.array_equal(_bits(got), _bits(want))
@@ -933,7 +934,7 @@ class TestRounderSelection:
             got = _flat(kernel(fast.rounder()))
         assert np.array_equal(_bits(got), _bits(want))
 
-    @pytest.mark.parametrize("site", OPERATOR_SITES)
+    @pytest.mark.parametrize("site", tuple(OPERATOR_SITES))
     @pytest.mark.parametrize("kind", ROUNDER_KINDS)
     def test_operators_take_the_rounder_path(self, monkeypatch, site, kind):
         owner, attr, call, _ = _sites()[site]
@@ -942,7 +943,8 @@ class TestRounderSelection:
         with np.errstate(all="ignore"):
             want = _flat(call(slow))
             got = _flat(call(fast))
-        assert rounders and all(_same_rounder(r, fast.rounder()) for r in rounders)
+        assert len(rounders) == OPERATOR_SITES[site]
+        assert all(_same_rounder(r, fast.rounder()) for r in rounders)
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_the_two_predicates(self):
